@@ -10,6 +10,7 @@ from .weyl import (
     label_mul,
     label_pow,
     pair_dense,
+    pair_monomial,
     weyl_dense,
     x_matrix,
     z_matrix,
@@ -25,7 +26,6 @@ from .graph import (
     graph_from_labels,
     is_anticlique,
     kl_table,
-    subsample_labels,
 )
 from .constructions import (
     PredictedDims,

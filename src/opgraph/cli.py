@@ -2,7 +2,7 @@
 
 Exit codes: 0 = all hard checks passed, 1 = a mathematical check failed,
 2 = usage or parameter error. Hard checks are the anticlique verdict and
-agreement of the two dimension oracles (full or subsampled); a mismatch
+agreement of the two dimension oracles over every generator; a mismatch
 between computed dimension and the claimed closed form is reported via
 ``formula_match`` but is never fatal.
 
@@ -37,14 +37,9 @@ from .constructions import (
     claimed_dim_section4,
     enumerate_section4_params,
 )
-from .graph import graph_dim, is_anticlique, subsample_labels
+from .graph import graph_dim, is_anticlique
 from .linalg import Tolerance
 from .weyl import pair_dense
-
-# label graphs up to this size get the full Gram oracle without being asked
-FULL_GRAM_AUTO = 1500
-# beyond this, refuse --full-gram: the Gram matrix is out of desk-scale budget
-FULL_GRAM_CAP = 6000
 
 CSV_COLUMNS = [
     "construction",
@@ -108,7 +103,6 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
 
     dim_labels = None
     dim_gram = None
-    oracle_ok = True
 
     if oracle in ("labels", "both"):
         if not g.has_labels:
@@ -118,23 +112,9 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
             dim_labels = graph_dim(g, "labels")
 
     if oracle in ("gram", "both"):
-        if not g.has_labels or g.n_generators <= FULL_GRAM_AUTO or args.full_gram:
-            if g.n_generators > FULL_GRAM_CAP:
-                raise UsageError(
-                    f"full Gram oracle refused for {g.n_generators} generators "
-                    f"(cap {FULL_GRAM_CAP}); rerun without --full-gram to use the "
-                    "seeded subsample check"
-                )
-            dim_gram = graph_dim(g, "gram", tol)
-        else:
-            # too large for the full Gram matrix: cross-check a seeded subsample
-            sub = subsample_labels(g, args.subsample_size, args.subsample_seed)
-            sub_labels = graph_dim(sub, "labels")
-            sub_gram = graph_dim(sub, "gram", tol)
-            oracle_ok = oracle_ok and (sub_labels == sub_gram)
+        dim_gram = graph_dim(g, "gram", tol)
 
-    if dim_labels is not None and dim_gram is not None:
-        oracle_ok = oracle_ok and (dim_labels == dim_gram)
+    oracle_ok = dim_labels is None or dim_gram is None or dim_labels == dim_gram
 
     report_ac = is_anticlique(g, code, tol)
     computed = dim_labels if dim_labels is not None else dim_gram
@@ -326,12 +306,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="absolute tolerance for residuals (default: 1e-12)")
     parser.add_argument("--tol-rel", type=float, default=1e-9,
                         help="relative eigenvalue cutoff for ranks (default: 1e-9)")
-    parser.add_argument("--full-gram", action="store_true",
-                        help="force the full Gram oracle on large label graphs")
-    parser.add_argument("--subsample-size", type=int, default=200,
-                        help="generator count for the subsampled Gram check (default: 200)")
-    parser.add_argument("--subsample-seed", type=int, default=0,
-                        help="seed for the subsampled Gram check (default: 0)")
     parser.add_argument("--deterministic", action="store_true",
                         help="zero runtime_ms so repeated runs are byte-identical")
 

@@ -96,10 +96,14 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
     if n < 2 or (n == 2 and not allow_n2):
         raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
     g = graph_from_labels(n, _one_sided_power_pairs(n), metadata={"name": "section3", "n": n})
+    return g, _fourier_diagonal_code(n)
+
+
+def _fourier_diagonal_code(n: int) -> CodeSpace:
+    """The code spanned by the n product vectors f_j (x) f_j."""
     f = fourier_basis(n)
     vectors = [kron(f[:, j], f[:, j]) for j in range(n)]
-    code = CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
-    return g, code
+    return CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
 
 
 @dataclass(frozen=True)
@@ -208,18 +212,24 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     )
 
 
+def _off_diagonal_pairs(n: int) -> list[WeylLabelPair]:
+    """Off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j."""
+    # labels are immutable, so the n^2 single-factor words are shared
+    words = [[label(n, m, k) for k in range(n)] for m in range(n)]
+    return [
+        WeylLabelPair(words[m][k], words[j][s])
+        for m in range(n)
+        for j in range(n)
+        if m != j
+        for k in range(n)
+        for s in range(n)
+    ]
+
+
 def _section4_pairs(params: Section4Params) -> list[WeylLabelPair]:
     n = params.n
     a_set = residue_set_A(params.y, params.h, params.d)
-    pairs: list[WeylLabelPair] = []
-    # off-diagonal shifts: X^m Z^k (x) X^j Z^s with m != j
-    for m in range(n):
-        for j in range(n):
-            if m == j:
-                continue
-            for k in range(n):
-                for s in range(n):
-                    pairs.append(WeylLabelPair(label(n, m, k), label(n, j, s)))
+    pairs = _off_diagonal_pairs(n)
     # equal shifts with allowed residue
     for m in range(1, n):
         if m not in a_set:
@@ -257,19 +267,8 @@ def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """Off-diagonal-shift family plus identity, against the f_j (x) f_j code."""
-    pairs = []
-    for m in range(n):
-        for j in range(n):
-            if m == j:
-                continue
-            for k in range(n):
-                for s in range(n):
-                    pairs.append(WeylLabelPair(label(n, m, k), label(n, j, s)))
-    g = graph_from_labels(n, pairs, metadata={"name": "remark2", "n": n})
-    f = fourier_basis(n)
-    vectors = [kron(f[:, j], f[:, j]) for j in range(n)]
-    code = CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
-    return g, code
+    g = graph_from_labels(n, _off_diagonal_pairs(n), metadata={"name": "remark2", "n": n})
+    return g, _fourier_diagonal_code(n)
 
 
 def claimed_dim_section2() -> int:

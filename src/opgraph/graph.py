@@ -1,21 +1,23 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
 spaces, compression by an isometry, and anticlique verdicts.
 
-A graph carries its generators either as exact Weyl label pairs, as dense
-matrices, or both. Two independent dimension oracles are available: counting
-distinct label exponents (exact, phases dropped) and the numeric Gram rank of
-the dense generators.
+A graph carries its generators either as exact Weyl label pairs or as dense
+matrices. Two independent dimension oracles are available: counting distinct
+label exponents (exact, phases dropped) and the numeric Gram rank of the
+realized generators. Label graphs are realized in monomial form, one support
+class at a time; the Gram side reads only those realized matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, dagger, gram_rank, max_abs, orthonormalize
-from .weyl import WeylLabelPair, label, pair_adjoint, pair_dense, weyl_dense_stack
+from .linalg import DEFAULT_TOL, Tolerance, _rank_of_rows, dagger, gram_rank, max_abs, orthonormalize
+from .weyl import WeylLabelPair, label, pair_adjoint, pair_monomial
 
 __all__ = [
     "OperatorGraph",
@@ -28,8 +30,11 @@ __all__ = [
     "compress",
     "is_anticlique",
     "kl_table",
-    "subsample_labels",
 ]
+
+
+# words realized at once while finding support classes; bounds peak memory
+_CLASS_SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +42,9 @@ class OperatorGraph:
     """Span of generators, closed under adjoints, containing the identity.
 
     ``label_pairs`` is present iff every generator is a scaled Weyl tensor
-    word; such graphs materialize dense generators lazily (they can be large).
-    Dense-only graphs keep the explicit matrix list.
+    word; such graphs are never densified, only realized in monomial form
+    (pair_monomial), one support class at a time. Dense-only graphs keep the
+    explicit matrix list.
     """
 
     space_dim: int
@@ -65,13 +71,20 @@ class OperatorGraph:
             raise ValueError("graph has no label form")
         return {p.exponents for p in self.label_pairs}
 
-    def dense_generators(self) -> Iterator[np.ndarray]:
-        """Yield dense generators one at a time (lazy for label graphs)."""
-        if self.dense is not None:
-            yield from self.dense
-        else:
-            for p in self.label_pairs:
-                yield pair_dense(p)
+    @cached_property
+    def _support_partition(self) -> list[np.ndarray]:
+        """Generator indices of a label graph grouped by the row that holds
+        the entry of column 0 of each realized word; _support_classes checks
+        that the groups are support classes. Cached, since the Gram oracle
+        and compress both walk the classes."""
+        pairs = self.label_pairs
+        first = np.concatenate([
+            pair_monomial(pairs[i : i + _CLASS_SCAN_CHUNK])[0][:, 0]
+            for i in range(0, len(pairs), _CLASS_SCAN_CHUNK)
+        ])
+        inverse = np.unique(first, return_inverse=True)[1]
+        order = np.argsort(inverse, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 
 
 def graph_from_labels(
@@ -175,60 +188,72 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     """Dimension of the span of the graph's generators.
 
     method "labels": count of distinct exponent quadruples (exact; requires
-    label form). method "gram": numeric Gram rank of the dense generators;
-    this materializes every generator, so pair it with subsample_labels for
-    graphs with tens of thousands of them. method "both": a GraphDim carrying
-    both values and an agreement flag.
+    label form). method "gram": numeric Gram rank of the realized generators,
+    over every generator; for label graphs the Gram matrix is block-diagonal
+    by support class and is ranked block by block against the global largest
+    eigenvalue. method "both": a GraphDim carrying both values and an
+    agreement flag.
     """
     if method == "labels":
         return len(g.label_keys())
     if method == "gram":
-        return gram_rank(list(g.dense_generators()), tol)
+        return _gram_dim(g, tol)
     if method == "both":
         labels = len(g.label_keys())
-        gram = gram_rank(list(g.dense_generators()), tol)
+        gram = _gram_dim(g, tol)
         return GraphDim(labels=labels, gram=gram, agree=labels == gram)
     raise ValueError(f"unknown method {method!r}")
 
 
-def compress(g: OperatorGraph, code: CodeSpace) -> list[np.ndarray]:
-    """Compression S^dag V S of every generator V by the code isometry S.
+def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
+    if g.label_pairs is None:
+        return gram_rank(g.dense, tol)
+    return _rank_of_rows((vals for _, _, vals in _support_classes(g)), tol)
 
-    Each result has shape code_dim x code_dim and equals P_K V P_K restricted
-    to the code subspace. Label graphs take a batched path through the
-    Kronecker identity (A (x) B) vec(M) = vec(A M B^T), which avoids
-    materializing each n^2 x n^2 generator; the results are the same
-    compressions up to roundoff.
+
+def _support_classes(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Realized generators of a label graph, one support class at a time.
+
+    Yields (members, rows, vals): the generator indices of one class, the
+    row of each column's entry shared by every member, and the members'
+    entries, shape (len(members), space_dim). Classes are read off the
+    realized row vectors only, never off labels. Matrices with disjoint
+    supports are Hilbert-Schmidt orthogonal, so the Gram matrix and every
+    compression act class by class. Raises ValueError when the supports of
+    two classes overlap, since that block structure would then not hold.
+    """
+    pairs = g.label_pairs
+    dim = g.space_dim
+    cols = np.arange(dim)
+    taken = np.zeros((dim, dim), dtype=bool)
+    for members in g._support_partition:
+        rows, vals = pair_monomial([pairs[i] for i in members])
+        if np.any(rows != rows[0]) or taken[rows[0], cols].any():
+            raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
+        taken[rows[0], cols] = True
+        yield members, rows[0], vals
+
+
+def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
+    """Compression S^dag V S of every generator V by the code isometry S,
+    stacked in generator order, shape (n_generators, code_dim, code_dim).
+
+    Each result equals P_K V P_K restricted to the code subspace. Label
+    graphs take it from the monomial realization, one support class at a
+    time: with V[rows[c], c] = vals[c], the compression is
+    sum_c vals[c] conj(S[rows[c], l]) S[c, k], one matrix product per class.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
-    if g.label_pairs is not None:
-        return list(_compress_label_pairs(g.label_pairs, code.isometry))
     s = code.isometry
-    sd = dagger(s)
-    return [sd @ (v @ s) for v in g.dense_generators()]
-
-
-_COMPRESS_CHUNK = 2048
-
-
-def _compress_label_pairs(pairs: tuple[WeylLabelPair, ...], s: np.ndarray) -> np.ndarray:
-    n = pairs[0].n
-    d = s.shape[1]
-    # column j of s, row-major reshaped, is the coefficient matrix of the
-    # j-th code vector in the product basis
-    m = np.ascontiguousarray(s.T).reshape(d, n, n)
-    mc_flat = m.conj().reshape(d, n * n)
-    out = np.empty((len(pairs), d, d), dtype=complex)
-    for start in range(0, len(pairs), _COMPRESS_CHUNK):
-        chunk = pairs[start : start + _COMPRESS_CHUNK]
-        a = weyl_dense_stack([p.left for p in chunk])
-        b = weyl_dense_stack([p.right for p in chunk])
-        # t[g, j] = A_g M_j B_g^T, entrywise conjugate-paired against M_l
-        t = np.matmul(a[:, None], m[None, :])
-        t = np.matmul(t, b[:, None].swapaxes(-1, -2))
-        c = np.matmul(t.reshape(len(chunk), d, n * n), mc_flat.T)
-        out[start : start + len(chunk)] = c.swapaxes(1, 2)
+    if g.label_pairs is None:
+        sd = dagger(s)
+        return np.stack([sd @ (v @ s) for v in g.dense])
+    d = code.code_dim
+    out = np.empty((g.n_generators, d, d), dtype=complex)
+    for members, rows, vals in _support_classes(g):
+        kernel = (s[rows].conj()[:, :, None] * s[:, None, :]).reshape(len(rows), d * d)
+        out[members] = (vals @ kernel).reshape(len(members), d, d)
     return out
 
 
@@ -256,19 +281,14 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     """
     compressions = compress(g, code)
     k = code.code_dim
-    eye = np.eye(k)
-    c_values = []
-    residual = 0.0
-    for c in compressions:
-        c_v = np.trace(c) / k
-        c_values.append(complex(c_v))
-        residual = max(residual, max_abs(c - c_v * eye))
+    c_values = np.trace(compressions, axis1=1, axis2=2) / k
+    residual = max_abs(compressions - c_values[:, None, None] * np.eye(k))
     dim = gram_rank(compressions, tol)
     return CompressionReport(
         verdict=dim == 1,
         compressed_dim=dim,
         residual=residual,
-        c_values=tuple(c_values),
+        c_values=tuple(c_values.tolist()),
     )
 
 
@@ -276,20 +296,5 @@ def kl_table(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     """Raw error-orthogonality table t[v, j, k] = <s_j, V_v s_k> over the
     code's orthonormal basis. An anticlique makes every off-diagonal entry
     vanish and every diagonal constant per generator."""
-    return np.stack(compress(g, code))
+    return compress(g, code)
 
-
-def subsample_labels(g: OperatorGraph, size: int, seed: int) -> OperatorGraph:
-    """Deterministic random subset of a label graph's generators, for Gram
-    cross-checks where the full Gram matrix is out of desk-scale budget."""
-    if g.label_pairs is None:
-        raise ValueError("subsample_labels needs a label graph")
-    if size >= len(g.label_pairs):
-        return g
-    rng = np.random.default_rng(seed)
-    idx = sorted(rng.choice(len(g.label_pairs), size=size, replace=False))
-    return OperatorGraph(
-        space_dim=g.space_dim,
-        label_pairs=tuple(g.label_pairs[i] for i in idx),
-        metadata={**g.metadata, "subsample": {"size": size, "seed": seed}},
-    )

@@ -8,6 +8,7 @@ Everything here works on plain numpy arrays of dtype complex128. Matrices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,37 +81,40 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a * b.conj()))
 
 
-def gram_rank(ops: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
+def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Dimension of the span of a family of equal-sized square matrices.
 
     Builds the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
     products and counts eigenvalues above ``tol.relative`` times the largest
-    one. The result is invariant under permutations of the list and under
-    rescaling any entry by a nonzero scalar. An empty list has rank 0.
+    one. The result is invariant under permutations of the family and under
+    rescaling any entry by a nonzero scalar. An empty family has rank 0.
     """
     if len(ops) == 0:
         return 0
-    shape = np.asarray(ops[0]).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"gram_rank needs square matrices, got shape {shape}")
-    flat = np.empty((len(ops), shape[0] * shape[1]), dtype=complex)
-    for i, op in enumerate(ops):
-        op = np.asarray(op)
-        if op.shape != shape:
-            raise ValueError(f"dimension mismatch: {op.shape} vs {shape}")
-        flat[i] = op.ravel()
-    return _rank_of_rows(flat, tol)
+    stack = np.asarray(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
+    return _rank_of_rows([stack.reshape(len(stack), -1)], tol)
 
 
-def _rank_of_rows(flat: np.ndarray, tol: Tolerance) -> int:
-    # Gram spectra of F F^dag and F^dag F coincide on nonzero eigenvalues, so
-    # use whichever side is smaller.
-    if flat.shape[0] <= flat.shape[1]:
-        gram = flat @ flat.conj().T
-    else:
-        gram = flat.conj().T @ flat
-    eigs = np.linalg.eigvalsh(gram)
-    top = eigs[-1]
+def _rank_of_rows(blocks: Iterable[np.ndarray], tol: Tolerance) -> int:
+    """Rank of a family of flattened matrices given as row blocks whose
+    supports are pairwise disjoint, so their Gram matrix is block-diagonal.
+
+    The spectrum is the union of the block spectra; every eigenvalue is
+    thresholded against the largest one over all blocks.
+    """
+    eigs = [np.zeros(0)]
+    for rows in blocks:
+        # Gram spectra of F F^dag and F^dag F coincide on nonzero eigenvalues,
+        # so use whichever side is smaller
+        if rows.shape[0] <= rows.shape[1]:
+            gram = rows @ rows.conj().T
+        else:
+            gram = rows.conj().T @ rows
+        eigs.append(np.linalg.eigvalsh(gram))
+    eigs = np.concatenate(eigs)
+    top = eigs.max(initial=0.0)
     if top <= 0.0:
         return 0
     return int(np.sum(eigs > tol.relative * top))

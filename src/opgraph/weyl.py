@@ -13,7 +13,9 @@ integers reduced mod n, so long products and powers carry no numerical drift.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +32,9 @@ __all__ = [
     "label_pow",
     "label_adjoint",
     "weyl_dense",
-    "weyl_dense_stack",
     "pair_adjoint",
     "pair_dense",
+    "pair_monomial",
 ]
 
 
@@ -128,27 +130,6 @@ def weyl_dense(a: WeylLabel) -> np.ndarray:
     return m
 
 
-def weyl_dense_stack(labels: list[WeylLabel]) -> np.ndarray:
-    """Dense realizations of many labels at once, shape (len(labels), n, n).
-
-    Same formula as weyl_dense, vectorized over the family.
-    """
-    if not labels:
-        raise ValueError("weyl_dense_stack needs at least one label")
-    n = labels[0].n
-    kx = np.array([a.kx for a in labels])
-    kz = np.array([a.kz for a in labels])
-    phase = np.array([a.phase for a in labels])
-    cols = np.arange(n)
-    rows = (cols[None, :] - kz[:, None]) % n
-    out = np.zeros((len(labels), n, n), dtype=complex)
-    g = np.arange(len(labels))[:, None]
-    out[g, rows, cols[None, :]] = np.exp(
-        2j * np.pi * ((phase[:, None] + kx[:, None] * rows) % n) / n
-    )
-    return out
-
-
 @dataclass(frozen=True)
 class WeylLabelPair:
     """Tensor-product word left (x) right, both factors on C^n."""
@@ -180,3 +161,32 @@ def pair_adjoint(p: WeylLabelPair) -> WeylLabelPair:
 
 def pair_dense(p: WeylLabelPair) -> np.ndarray:
     return kron(weyl_dense(p.left), weyl_dense(p.right))
+
+
+_PAIR_FIELDS = operator.attrgetter(
+    "left.kx", "left.kz", "left.phase", "right.kx", "right.kz", "right.phase"
+)
+
+
+def pair_monomial(pairs: Sequence[WeylLabelPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial realization of tensor words, without forming dense matrices.
+
+    Returns (rows, vals), both of shape (len(pairs), n^2): column c of word g
+    has its single nonzero entry at row rows[g, c], with value vals[g, c].
+    Each factor is realized as in weyl_dense from a table of the n roots of
+    unity, and each value is the product of the two factor entries, so
+    scattering (rows, vals) gives exactly pair_dense.
+    """
+    if not pairs:
+        raise ValueError("pair_monomial needs at least one pair")
+    n = pairs[0].n
+    e = np.array(list(map(_PAIR_FIELDS, pairs)))
+    cols = np.arange(n)
+    roots = np.exp(2j * np.pi * cols / n)
+    row_l = (cols - e[:, 1:2]) % n
+    row_r = (cols - e[:, 4:5]) % n
+    val_l = roots[(e[:, 2:3] + e[:, 0:1] * row_l) % n]
+    val_r = roots[(e[:, 5:6] + e[:, 3:4] * row_r) % n]
+    rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(pairs), n * n)
+    vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(pairs), n * n)
+    return rows, vals

@@ -85,12 +85,16 @@ def test_verify_labels_oracle_unavailable_for_dense():
     assert b"no label form" in result.stderr
 
 
-def test_full_gram_cap():
-    result = run_cli(
-        "verify", "section4", "--p", "2", "--y", "6", "--h", "0", "--d", "5", "--full-gram"
-    )
-    assert result.returncode == 2
-    assert b"cap" in result.stderr
+def test_gram_oracle_runs_in_full_without_flags():
+    # the Gram oracle covers all 19873 generators, with no flag asking for it
+    result = run_cli("verify", "section4", "--p", "2", "--y", "6", "--h", "0", "--d", "5", "--json")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert report["graph_dim_gram"] == report["graph_dim_labels"]
+    # no flag selects a partial Gram check
+    for flag in (["--full-gram"], ["--subsample-seed", "0"]):
+        result = run_cli("verify", "section3", "--n", "3", *flag)
+        assert result.returncode == 2, flag
 
 
 def test_sweep_section3_csv():

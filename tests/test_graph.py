@@ -10,11 +10,18 @@ from opgraph.graph import (
     graph_from_labels,
     is_anticlique,
     kl_table,
-    subsample_labels,
 )
+from opgraph import graph as graph_module
 from opgraph.linalg import dagger, gram_rank, kron, max_abs
-from opgraph.weyl import WeylLabelPair, label, pair_dense, weyl_dense
-from opgraph.constructions import build_section2, build_section3
+from opgraph.weyl import WeylLabelPair, label, pair_dense, pair_monomial
+from opgraph.constructions import (
+    Section4Params,
+    build_remark2,
+    build_section2,
+    build_section3,
+    build_section4,
+    enumerate_section4_params,
+)
 
 from conftest import random_complex
 
@@ -211,7 +218,7 @@ def test_adjoint_closure_leaves_rank_unchanged():
             for _ in range(int(rng.integers(1, 12)))
         ]
         g = graph_from_labels(n, pairs)
-        dense = list(g.dense_generators())
+        dense = [pair_dense(p) for p in g.label_pairs]
         base = gram_rank(dense)
         assert gram_rank(dense + [dagger(m) for m in dense]) == base
 
@@ -231,27 +238,89 @@ def test_codespace_from_vectors_normalizes():
     assert max_abs(dagger(code.isometry) @ code.isometry - np.eye(2)) < 1e-12
 
 
-def test_subsample_labels_deterministic():
-    g, _ = build_section3(5)
-    a = subsample_labels(g, 10, seed=42)
-    b = subsample_labels(g, 10, seed=42)
-    assert a.label_keys() == b.label_keys()
-    assert a.n_generators == 10
-    full = subsample_labels(g, 10**6, seed=0)
-    assert full.n_generators == g.n_generators
+def test_full_oracle_agreement_n12():
+    g, _ = build_section4(Section4Params(3, 4, 1, 2))
+    dims = graph_dim(g, "both")
+    assert dims.labels == dims.gram == g.n_generators == 20449
 
 
-def test_subsample_labels_requires_label_graph():
-    g, _ = build_section2()
-    with pytest.raises(ValueError):
-        subsample_labels(g, 3, seed=0)
+def test_full_oracle_agreement_n16():
+    g, _ = build_section4(Section4Params(2, 8, 1, 4))
+    dims = graph_dim(g, "both")
+    assert dims.labels == dims.gram == g.n_generators == 64513
+
+
+def _dense_gram_rank(g):
+    """Gram rank of the realized generators scattered into dense matrices,
+    with no use of the support blocks."""
+    rows, vals = pair_monomial(g.label_pairs)
+    dim = g.space_dim
+    dense = np.zeros((len(rows), dim, dim), dtype=complex)
+    dense[np.arange(len(rows))[:, None], rows, np.arange(dim)] = vals
+    return gram_rank(dense)
+
+
+BLOCKED_VS_DENSE = [(build_section3, 4), (build_section3, 5), (build_remark2, 4)] + [
+    (build_section4, q) for q in enumerate_section4_params(8)
+]
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    BLOCKED_VS_DENSE,
+    ids=[
+        build.__name__.removeprefix("build_")
+        + (f"-{arg.p}-{arg.y}-{arg.h}-{arg.d}" if build is build_section4 else f"-{arg}")
+        for build, arg in BLOCKED_VS_DENSE
+    ],
+)
+def test_blocked_gram_rank_matches_dense(build, arg):
+    g, _ = build(arg)
+    assert graph_dim(g, "gram") == _dense_gram_rank(g)
+
+
+def test_repeated_word_under_two_phases_loses_rank():
+    # bypass graph_from_labels, which would drop the repeat by its label
+    n = 3
+    word = WeylLabelPair(label(n, 1, 2, 0), label(n, 2, 1, 0))
+    rephased = WeylLabelPair(label(n, 1, 2, 1), label(n, 2, 1, 0))
+    g = OperatorGraph(space_dim=n * n, label_pairs=(pair(n, 0, 0, 0, 0), word, rephased))
+    assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
+
+
+@pytest.mark.parametrize(
+    "crafted",
+    [
+        [[0, 1, 2, 3], [0, 2, 1, 3]],  # same row in column 0, different elsewhere
+        [[0, 1, 2, 3], [1, 0, 2, 3]],  # different in column 0, same row in column 2
+    ],
+)
+def test_overlapping_supports_raise(monkeypatch, crafted):
+    n = 2
+    pairs = (pair(n, 0, 0, 0, 0), pair(n, 1, 0, 0, 0))
+    rows_of = dict(zip(pairs, crafted))
+
+    def realize(chunk):
+        return np.array([rows_of[p] for p in chunk]), np.ones((len(chunk), n * n), dtype=complex)
+
+    monkeypatch.setattr(graph_module, "pair_monomial", realize)
+    g = OperatorGraph(space_dim=n * n, label_pairs=pairs)
+    with pytest.raises(ValueError, match="overlap"):
+        graph_dim(g, "gram")
+    code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
+    with pytest.raises(ValueError, match="overlap"):
+        compress(g, code)
 
 
 def test_dense_generators_match_labels():
+    # with the whole space as code, S = I, so compress returns each realized
+    # generator itself, taken class by class from the monomial realization
     g, _ = build_section3(4)
-    for p, dense in zip(g.label_pairs, g.dense_generators()):
+    whole = CodeSpace(space_dim=16, isometry=np.eye(16, dtype=complex))
+    realized = compress(g, whole)
+    assert realized.shape == (g.n_generators, 16, 16)
+    for p, dense in zip(g.label_pairs, realized):
         assert max_abs(dense - pair_dense(p)) == 0.0
-        assert dense.shape == (16, 16)
 
 
 def test_graph_from_dense_adds_missing_adjoint():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opgraph.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _rank_of_rows,
     dagger,
     gram_rank,
     hs_inner,
@@ -132,6 +133,17 @@ def test_gram_rank_bounded_by_count_and_dimension(rng):
 
 def test_gram_rank_zero_family():
     assert gram_rank([np.zeros((2, 2))]) == 0
+
+
+def test_rank_of_rows_thresholds_blocks_against_global_max():
+    # disjoint supports; the small block alone has full rank, but its
+    # eigenvalue 1e-12 falls below 1e-9 of the large block's
+    large = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0]])
+    small = np.array([[0, 0, 1e-6, 0]])
+    assert _rank_of_rows([small], DEFAULT_TOL) == 1
+    assert _rank_of_rows([large, small], DEFAULT_TOL) == 2
+    assert _rank_of_rows([np.vstack([large, small])], DEFAULT_TOL) == 2
+    assert _rank_of_rows([], DEFAULT_TOL) == 0
 
 
 def test_orthonormalize_two_product_vectors():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from opgraph.weyl import (
     label_pow,
     pair_adjoint,
     pair_dense,
+    pair_monomial,
     weyl_dense,
-    weyl_dense_stack,
     x_matrix,
     z_matrix,
 )
@@ -92,11 +94,39 @@ def test_weyl_dense_unitary():
 
 
 def test_weyl_dense_stack_matches_singles():
+    # the batched realizer gives each word of a stack as it gives it alone,
+    # and that scatters to the product of the single-factor weyl_dense
     for n in (2, 5, 9):
         labels = [label(n, kx, kz, (kx * kz) % n) for kx in range(n) for kz in range(n)]
-        stack = weyl_dense_stack(labels)
-        for i, a in enumerate(labels):
-            assert np.array_equal(stack[i], weyl_dense(a))
+        pairs = [WeylLabelPair(a, b) for a, b in zip(labels, reversed(labels))]
+        rows, vals = pair_monomial(pairs)
+        cols = np.arange(n * n)
+        for i, p in enumerate(pairs):
+            single_rows, single_vals = pair_monomial([p])
+            assert np.array_equal(rows[i], single_rows[0])
+            assert np.array_equal(vals[i], single_vals[0])
+            dense = np.zeros((n * n, n * n), dtype=complex)
+            dense[rows[i], cols] = vals[i]
+            assert np.array_equal(dense, kron(weyl_dense(p.left), weyl_dense(p.right)))
+
+
+def test_pair_monomial_scatters_to_pair_dense():
+    # every tensor word with every pair of phases, exactly
+    for n in (3, 4, 5):
+        words = itertools.product(range(n), repeat=6)
+        pairs = [WeylLabelPair(label(n, a, b, c), label(n, d, e, f)) for a, b, c, d, e, f in words]
+        rows, vals = pair_monomial(pairs)
+        assert rows.shape == vals.shape == (len(pairs), n * n)
+        cols = np.arange(n * n)
+        for p, r, v in zip(pairs, rows, vals):
+            dense = np.zeros((n * n, n * n), dtype=complex)
+            dense[r, cols] = v
+            assert np.array_equal(dense, pair_dense(p))
+
+
+def test_pair_monomial_needs_pairs():
+    with pytest.raises(ValueError):
+        pair_monomial([])
 
 
 def test_heisenberg_weyl_commutation_dense():
