@@ -264,6 +264,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_demo(args) -> int:
     try:
+        tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
         g, code, params_echo, _ = _build(args.construction, args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -271,7 +272,6 @@ def cmd_demo(args) -> int:
     if args.trials < 0:
         print("error: --trials must be >= 0", file=sys.stderr)
         return 2
-    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     rng = np.random.default_rng(args.seed)
     s = code.isometry
     names = code.basis_names or tuple(f"v_{j + 1}" for j in range(code.code_dim))

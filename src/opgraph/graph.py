@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _rank_of_rows, dagger, gram_rank, max_abs, orthonormalize
+from .linalg import DEFAULT_TOL, Tolerance, _gram_schmidt, _rank_of_rows, dagger, gram_rank, max_abs
 from .weyl import WeylLabelPair, label, pair_adjoint, pair_monomial
 
 __all__ = [
@@ -153,6 +153,11 @@ class CodeSpace:
         gram = dagger(s) @ s
         if max_abs(gram - np.eye(s.shape[1])) > 1e-10:
             raise ValueError("isometry columns are not orthonormal")
+        if len(self.basis_names) not in (0, s.shape[1]):
+            raise ValueError(
+                f"{len(self.basis_names)} basis names for code dimension {s.shape[1]}; "
+                "give none or one per column"
+            )
 
     @property
     def code_dim(self) -> int:
@@ -165,13 +170,18 @@ class CodeSpace:
         names: Iterable[str] = (),
         tol: Tolerance = DEFAULT_TOL,
     ) -> "CodeSpace":
-        basis = orthonormalize(vectors, tol)
+        """Code spanned by the vectors, orthonormalized in order. A vector
+        dependent on the earlier ones is dropped together with its name."""
+        names = tuple(names)
+        if names and len(names) != len(vectors):
+            raise ValueError(f"{len(names)} names for {len(vectors)} vectors")
+        basis, kept = _gram_schmidt(vectors, tol)
         if not basis:
             raise ValueError("vectors span the zero subspace")
         return cls(
             space_dim=basis[0].shape[0],
             isometry=np.column_stack(basis),
-            basis_names=tuple(names),
+            basis_names=tuple(names[i] for i in kept) if names else (),
         )
 
 
@@ -191,8 +201,11 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     label form). method "gram": numeric Gram rank of the realized generators,
     over every generator; for label graphs the Gram matrix is block-diagonal
     by support class and is ranked block by block against the global largest
-    eigenvalue. method "both": a GraphDim carrying both values and an
-    agreement flag.
+    eigenvalue. A block whose Gershgorin discs clear the cutoff counts as
+    full rank without an eigensolve (see linalg._rank_of_rows), which holds
+    for every support class of distinct Weyl words, since they are
+    Hilbert-Schmidt orthogonal. method "both": a GraphDim carrying both
+    values and an agreement flag.
     """
     if method == "labels":
         return len(g.label_keys())
@@ -208,7 +221,7 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     if g.label_pairs is None:
         return gram_rank(g.dense, tol)
-    return _rank_of_rows((vals for _, _, vals in _support_classes(g)), tol)
+    return _rank_of_rows(lambda: (vals for _, _, vals in _support_classes(g)), tol)
 
 
 def _support_classes(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

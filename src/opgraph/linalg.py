@@ -8,7 +8,7 @@ Everything here works on plain numpy arrays of dtype complex128. Matrices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,8 +35,11 @@ class Tolerance:
     relative: float = 1e-9
 
     def __post_init__(self):
-        if self.absolute <= 0 or self.relative <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if self.absolute <= 0:
+            raise ValueError(f"absolute tolerance must satisfy 0 < absolute, got {self.absolute}")
+        # a rank cutoff at or above lambda_max drops every eigenvalue
+        if not 0 < self.relative < 1:
+            raise ValueError(f"relative tolerance must satisfy 0 < relative < 1, got {self.relative}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -84,10 +87,12 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Dimension of the span of a family of equal-sized square matrices.
 
-    Builds the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
+    Forms the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
     products and counts eigenvalues above ``tol.relative`` times the largest
-    one. The result is invariant under permutations of the family and under
-    rescaling any entry by a nonzero scalar. An empty family has rank 0.
+    one, through _rank_of_rows: when the Gram matrix's Gershgorin discs
+    already clear that cutoff, the family counts as independent without an
+    eigensolve. The result is invariant under permutations of the family and
+    under rescaling any entry by a nonzero scalar. An empty family has rank 0.
     """
     if len(ops) == 0:
         return 0
@@ -97,27 +102,66 @@ def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_T
     return _rank_of_rows([stack.reshape(len(stack), -1)], tol)
 
 
-def _rank_of_rows(blocks: Iterable[np.ndarray], tol: Tolerance) -> int:
+def _gram(rows: np.ndarray) -> np.ndarray:
+    # Gram spectra of F F^dag and F^dag F coincide on nonzero eigenvalues,
+    # so use whichever side is smaller
+    if rows.shape[0] <= rows.shape[1]:
+        return rows @ rows.conj().T
+    return rows.conj().T @ rows
+
+
+def _rank_of_rows(
+    blocks: Sequence[np.ndarray] | Callable[[], Iterable[np.ndarray]], tol: Tolerance
+) -> int:
     """Rank of a family of flattened matrices given as row blocks whose
     supports are pairwise disjoint, so their Gram matrix is block-diagonal.
 
     The spectrum is the union of the block spectra; every eigenvalue is
-    thresholded against the largest one over all blocks.
+    thresholded against Lambda, an upper bound on the largest one over all
+    blocks. Each block's Gram matrix G is first bounded by its Gershgorin
+    discs: every eigenvalue lies in [lo, hi] with lo = min_i(G_ii - r_i),
+    hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|. A block with
+    lo > tol.relative * Lambda is certified full rank and never eigensolved;
+    every other block goes to eigvalsh. Lambda is the largest of the
+    eigensolved blocks' top eigenvalues and the certified blocks' hi, so it
+    exceeds the true largest eigenvalue by at most max r_i over the
+    certified blocks; a rank can differ from a plain eigensolve only for an
+    eigenvalue that close to the cutoff.
+
+    A block is certified against the Lambda seen so far; one whose lo falls
+    below the final cutoff is eigensolved in a second pass. ``blocks`` is
+    therefore walked twice: pass a sequence, or a zero-argument callable
+    returning a fresh iterable, so that only one block is held at a time.
     """
+    walk = blocks if callable(blocks) else (lambda kept=tuple(blocks): kept)
+    top = 0.0
     eigs = [np.zeros(0)]
-    for rows in blocks:
-        # Gram spectra of F F^dag and F^dag F coincide on nonzero eigenvalues,
-        # so use whichever side is smaller
-        if rows.shape[0] <= rows.shape[1]:
-            gram = rows @ rows.conj().T
+    certified: dict[int, tuple[float, int]] = {}  # block index -> (lo, order)
+    for i, rows in enumerate(walk()):
+        gram = _gram(rows)
+        center = gram.diagonal().real
+        radius = np.abs(gram)
+        np.fill_diagonal(radius, 0.0)
+        radius = radius.sum(axis=1)
+        lo = float(np.min(center - radius))
+        hi = float(np.max(center + radius))
+        if lo > tol.relative * max(top, hi):
+            certified[i] = (lo, len(center))
+            top = max(top, hi)
         else:
-            gram = rows.conj().T @ rows
-        eigs.append(np.linalg.eigvalsh(gram))
-    eigs = np.concatenate(eigs)
-    top = eigs.max(initial=0.0)
+            block_eigs = np.linalg.eigvalsh(gram)
+            eigs.append(block_eigs)
+            top = max(top, float(block_eigs[-1]))
     if top <= 0.0:
         return 0
-    return int(np.sum(eigs > tol.relative * top))
+    cut = tol.relative * top
+    rank = sum(order for lo, order in certified.values() if lo > cut)
+    deferred = {i for i, (lo, _) in certified.items() if lo <= cut}
+    if deferred:
+        for i, rows in enumerate(walk()):
+            if i in deferred:
+                eigs.append(np.linalg.eigvalsh(_gram(rows)))
+    return rank + int(np.sum(np.concatenate(eigs) > cut))
 
 
 def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -125,8 +169,15 @@ def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> l
     same subspace, processing inputs in order; vectors whose residual after
     projection falls below ``tol.absolute`` are dropped.
     """
+    return _gram_schmidt(vectors, tol)[0]
+
+
+def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.ndarray], list[int]]:
+    """orthonormalize, also returning the indices of the input vectors that
+    were kept, one per basis vector."""
     basis: list[np.ndarray] = []
-    for v in vectors:
+    kept: list[int] = []
+    for i, v in enumerate(vectors):
         w = np.asarray(v, dtype=complex).copy()
         # two projection passes keep orthogonality at roundoff level
         for _ in range(2):
@@ -136,4 +187,5 @@ def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> l
         if norm < tol.absolute:
             continue
         basis.append(w / norm)
-    return basis
+        kept.append(i)
+    return basis, kept

@@ -102,13 +102,12 @@ def label_mul(a: WeylLabel, b: WeylLabel) -> WeylLabel:
 
 
 def label_pow(a: WeylLabel, s: int) -> WeylLabel:
-    """s-th power by repeated multiplication, s >= 0."""
+    """s-th power, s >= 0, in closed form:
+    (w^p X^a Z^b)^s = w^{s p + a b s(s-1)/2} X^{s a} Z^{s b}, since the X^a
+    of the (k+1)-th factor moves past k copies of Z^b, adding k a b."""
     if s < 0:
         raise ValueError("label_pow needs s >= 0")
-    result = WeylLabel(a.n, 0, 0, 0)
-    for _ in range(s):
-        result = label_mul(result, a)
-    return result
+    return WeylLabel(a.n, s * a.kx, s * a.kz, s * a.phase + a.kx * a.kz * (s * (s - 1) // 2))
 
 
 def label_adjoint(a: WeylLabel) -> WeylLabel:

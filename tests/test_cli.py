@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 from conftest import run_cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_verify_section3_json():
@@ -78,6 +81,15 @@ def test_verify_invalid_params_exit_two():
     result = run_cli("verify", "section3")
     assert result.returncode == 2
 
+    # a relative rank cutoff at or above lambda_max would make every rank 0
+    for command in (
+        ("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2"),
+        ("demo", "--construction", "section3", "--n", "3", "--trials", "1"),
+    ):
+        result = run_cli(*command, "--tol-rel", "2")
+        assert result.returncode == 2, command
+        assert b"0 < relative < 1" in result.stderr
+
 
 def test_verify_labels_oracle_unavailable_for_dense():
     result = run_cli("verify", "section2", "--oracle", "labels")
@@ -138,6 +150,21 @@ def test_sweep_section4_through_eight():
     rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
     assert len(rows) == 8
     assert all(row["anticlique"] == "True" for row in rows)
+
+
+def test_sweep_section4_n12_matches_committed_report():
+    # the committed report pins every column; max_residual is roundoff and
+    # may move with the order of floating-point operations
+    result = run_cli("sweep", "section4", "--n-max", "12", "--deterministic")
+    assert result.returncode == 0
+    rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
+    with open(DATA / "sweep_section4_n12.csv", newline="") as f:
+        expected = list(csv.DictReader(f))
+    assert len(rows) == len(expected) == 25
+    for row, want in zip(rows, expected):
+        assert float(row.pop("max_residual")) < 1e-13
+        want.pop("max_residual")
+        assert row == want
 
 
 def test_demo_section3():

@@ -232,6 +232,24 @@ def test_codespace_validation():
         CodeSpace.from_vectors([np.zeros(4)])
 
 
+def test_codespace_from_vectors_drops_names_of_dependent_vectors():
+    a, b, c = np.eye(4)[:3]
+    code = CodeSpace.from_vectors([a, b, a + b], names=("a", "b", "c"))
+    assert code.code_dim == 2
+    assert code.basis_names == ("a", "b")
+    code = CodeSpace.from_vectors([a, 2 * a, c], names=("a", "b", "c"))
+    assert code.basis_names == ("a", "c")
+    assert CodeSpace.from_vectors([a, 2 * a]).basis_names == ()
+    with pytest.raises(ValueError):
+        CodeSpace.from_vectors([a, b], names=("a",))
+
+
+def test_codespace_rejects_basis_names_of_wrong_length():
+    with pytest.raises(ValueError, match="basis names"):
+        CodeSpace(space_dim=4, isometry=np.eye(4)[:, :2], basis_names=("a", "b", "c"))
+    assert CodeSpace(space_dim=4, isometry=np.eye(4)[:, :2], basis_names=("a", "b")).code_dim == 2
+
+
 def test_codespace_from_vectors_normalizes():
     code = CodeSpace.from_vectors([np.array([2.0, 0, 0, 0]), np.array([0, 3.0, 0, 0])])
     assert code.code_dim == 2
@@ -258,6 +276,25 @@ def _dense_gram_rank(g):
     dense = np.zeros((len(rows), dim, dim), dtype=complex)
     dense[np.arange(len(rows))[:, None], rows, np.arange(dim)] = vals
     return gram_rank(dense)
+
+
+def _eigvalsh_rank(g):
+    """Gram rank by a plain eigensolve of the dense Gram matrix of pair_dense
+    realizations, bypassing opgraph.linalg's rank routine and its disc
+    certificate."""
+    flat = np.array([pair_dense(p).ravel() for p in g.label_pairs])
+    eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
+    return int(np.sum(eigs > 1e-9 * eigs[-1]))
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    [(build_section3, 4), (build_section3, 5), (build_remark2, 4), (build_section4, Section4Params(2, 4, 1, 2))],
+    ids=["section3-4", "section3-5", "remark2-4", "section4-2-4-1-2"],
+)
+def test_blocked_gram_rank_matches_eigensolve(build, arg):
+    g, _ = build(arg)
+    assert graph_dim(g, "gram") == _eigvalsh_rank(g)
 
 
 BLOCKED_VS_DENSE = [(build_section3, 4), (build_section3, 5), (build_remark2, 4)] + [

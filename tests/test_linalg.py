@@ -30,6 +30,9 @@ def test_tolerance_defaults_and_validation():
         Tolerance(absolute=0.0)
     with pytest.raises(ValueError):
         Tolerance(relative=-1e-9)
+    for relative in (1.0, 2.0):
+        with pytest.raises(ValueError, match="0 < relative < 1"):
+            Tolerance(relative=relative)
 
 
 def test_kron_identity():
@@ -142,8 +145,34 @@ def test_rank_of_rows_thresholds_blocks_against_global_max():
     small = np.array([[0, 0, 1e-6, 0]])
     assert _rank_of_rows([small], DEFAULT_TOL) == 1
     assert _rank_of_rows([large, small], DEFAULT_TOL) == 2
+    # small comes first and clears the cutoff of the largest eigenvalue seen
+    # so far; it must be eigensolved again against the final one
+    assert _rank_of_rows([small, large], DEFAULT_TOL) == 2
+    assert _rank_of_rows(lambda: iter([small, large]), DEFAULT_TOL) == 2
     assert _rank_of_rows([np.vstack([large, small])], DEFAULT_TOL) == 2
     assert _rank_of_rows([], DEFAULT_TOL) == 0
+
+
+def test_rank_of_rows_never_certifies_a_near_dependent_block():
+    # the diagonal alone clears the cutoff, but the discs reach below zero
+    nearly_parallel = np.array([[1, 1, 0], [1 + 1e-13, 1, 0]], dtype=complex)
+    assert _rank_of_rows([nearly_parallel], DEFAULT_TOL) == 1
+
+
+def test_rank_of_rows_eigensolves_only_uncertified_blocks(monkeypatch):
+    dependent = np.array([[1, 1, 0, 0, 0, 0], [2, 2, 0, 0, 0, 0]], dtype=complex)
+    orthogonal = np.array([[0, 0, 1, 1j, 0, 0], [0, 0, 1, -1j, 0, 0]])
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(gram):
+        solved.append(gram.shape[0])
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert _rank_of_rows([orthogonal, dependent], DEFAULT_TOL) == 3
+    assert solved == [2]
+    assert _rank_of_rows([np.vstack([orthogonal, dependent])], DEFAULT_TOL) == 3
 
 
 def test_orthonormalize_two_product_vectors():

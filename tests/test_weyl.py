@@ -185,6 +185,17 @@ def test_label_pow_exponent_pattern():
                 assert (out.kx, out.kz) == (s % n, (k * s) % n)
 
 
+def test_label_pow_large_exponent_matches_repeated_products():
+    for n in (4, 7):
+        a = label(n, 3, 2, 1)
+        s = 10 * n + 3
+        repeated = label(n, 0, 0)
+        for _ in range(s):
+            repeated = label_mul(repeated, a)
+        assert label_pow(a, s) == repeated
+        assert max_abs(weyl_dense(label_pow(a, s)) - np.linalg.matrix_power(weyl_dense(a), s)) < 1e-12
+
+
 def test_label_adjoint_cases():
     assert label_adjoint(label(3, 0, 0)) == label(3, 0, 0)
     adj = label_adjoint(label(5, 1, 0))
