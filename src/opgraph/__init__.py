@@ -12,6 +12,7 @@ from .weyl import (
     pair_dense,
     pair_monomial,
     weyl_dense,
+    word_table,
     x_matrix,
     z_matrix,
 )
@@ -25,7 +26,6 @@ from .graph import (
     graph_from_dense,
     graph_from_labels,
     is_anticlique,
-    kl_table,
 )
 from .constructions import (
     PredictedDims,

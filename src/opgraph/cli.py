@@ -1,10 +1,10 @@
 """Command-line driver: verify / sweep / demo with JSON and CSV reports.
 
 Exit codes: 0 = all hard checks passed, 1 = a mathematical check failed,
-2 = usage or parameter error. Hard checks are the anticlique verdict and
-agreement of the two dimension oracles over every generator; a mismatch
-between computed dimension and the claimed closed form is reported via
-``formula_match`` but is never fatal.
+2 = usage or parameter error. Hard checks are the anticlique verdict,
+agreement of the two dimension oracles over every generator, and
+max_residual <= --tol-abs; a mismatch between computed dimension and the
+claimed closed form is reported via ``formula_match`` but is never fatal.
 
 CSV columns (fixed order):
     construction,n,p,y,h,d,space_dim,code_dim,graph_dim_labels,
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -39,7 +40,7 @@ from .constructions import (
 )
 from .graph import graph_dim, is_anticlique
 from .linalg import Tolerance
-from .weyl import pair_dense
+from .weyl import pair_monomial
 
 CSV_COLUMNS = [
     "construction",
@@ -139,7 +140,7 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
         "runtime_ms": runtime_ms,
         "tool_version": __version__,
     }
-    hard_ok = report_ac.verdict and oracle_ok
+    hard_ok = report_ac.verdict and oracle_ok and report_ac.residual <= tol.absolute
     return report, hard_ok
 
 
@@ -236,6 +237,7 @@ def _blank_if_none(value):
 
 def cmd_sweep(args) -> int:
     try:
+        Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
         points = _sweep_points(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,8 +282,10 @@ def cmd_demo(args) -> int:
         gen_idx = int(rng.integers(g.n_generators))
         word_idx = int(rng.integers(code.code_dim))
         # realize only the sampled generator; label graphs can be large
-        if g.label_pairs is not None:
-            generator = pair_dense(g.label_pairs[gen_idx])
+        if g.words is not None:
+            rows, vals = pair_monomial(g.words[gen_idx : gen_idx + 1], math.isqrt(g.space_dim))
+            generator = np.zeros((g.space_dim, g.space_dim), dtype=complex)
+            generator[rows[0], np.arange(g.space_dim)] = vals[0]
         else:
             generator = g.dense[gen_idx]
         column = s.conj().T @ (generator @ s[:, word_idx])

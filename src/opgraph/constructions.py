@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import CodeSpace, OperatorGraph, graph_from_dense, graph_from_labels
 from .linalg import kron
-from .weyl import WeylLabelPair, fourier_basis, label, label_pow, x_matrix
+from .weyl import fourier_basis, x_matrix
 
 __all__ = [
     "PAULI_X",
@@ -70,19 +70,15 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     return g, code
 
 
-def _one_sided_power_pairs(n: int) -> list[WeylLabelPair]:
-    """All nontrivial powers (X Z^k)^s placed on one tensor factor."""
-    identity = label(n, 0, 0)
-    pairs = []
-    for k in range(n):
-        base = label(n, 1, k)
-        for s in range(1, n):
-            pairs.append(WeylLabelPair(label_pow(base, s), identity))
-    for k in range(n):
-        base = label(n, 1, k)
-        for s in range(1, n):
-            pairs.append(WeylLabelPair(identity, label_pow(base, s)))
-    return pairs
+def _one_sided_power_pairs(n: int) -> np.ndarray:
+    """Word table of all nontrivial powers (X Z^k)^s placed on one tensor
+    factor, k-major then s, left factor first. By label_pow's closed form,
+    (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}."""
+    k, s = np.indices((n, n - 1)).reshape(2, -1)
+    s = s + 1
+    power = np.stack([s, k * s, k * (s * (s - 1) // 2)], axis=1) % n
+    identity = np.zeros_like(power)
+    return np.concatenate([np.hstack([power, identity]), np.hstack([identity, power])])
 
 
 def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeSpace]:
@@ -212,39 +208,33 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     )
 
 
-def _off_diagonal_pairs(n: int) -> list[WeylLabelPair]:
-    """Off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j."""
-    # labels are immutable, so the n^2 single-factor words are shared
-    words = [[label(n, m, k) for k in range(n)] for m in range(n)]
-    return [
-        WeylLabelPair(words[m][k], words[j][s])
-        for m in range(n)
-        for j in range(n)
-        if m != j
-        for k in range(n)
-        for s in range(n)
-    ]
+def _shift_words(left_kx, left_kz, right_kx, right_kz) -> np.ndarray:
+    """Word table of the phase-free words X^left_kx Z^left_kz (x) X^right_kx Z^right_kz."""
+    zero = np.zeros_like(left_kx)
+    return np.stack([left_kx, left_kz, zero, right_kx, right_kz, zero], axis=1)
 
 
-def _section4_pairs(params: Section4Params) -> list[WeylLabelPair]:
+def _off_diagonal_pairs(n: int) -> np.ndarray:
+    """Word table of the off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j,
+    in (m, j, k, s) order."""
+    m, j, k, s = np.indices((n, n, n, n)).reshape(4, -1)
+    off = m != j
+    return _shift_words(m[off], k[off], j[off], s[off])
+
+
+def _section4_pairs(params: Section4Params) -> np.ndarray:
     n = params.n
     a_set = residue_set_A(params.y, params.h, params.d)
-    pairs = _off_diagonal_pairs(n)
-    # equal shifts with allowed residue
-    for m in range(1, n):
-        if m not in a_set:
-            continue
-        for k in range(n):
-            for s in range(n):
-                pairs.append(WeylLabelPair(label(n, m, k), label(n, m, s)))
-    # equal shifts with clock exponents off the subgroup
-    for m in range(n):
-        for k in range(n):
-            for s in range(n):
-                if (k + s) % params.p != 0:
-                    pairs.append(WeylLabelPair(label(n, m, k), label(n, m, s)))
-    pairs.extend(_one_sided_power_pairs(n))
-    return pairs
+    m, k, s = np.indices((n, n, n)).reshape(3, -1)
+    equal = _shift_words(m, k, m, s)
+    return np.concatenate([
+        _off_diagonal_pairs(n),
+        # equal shifts with allowed residue
+        equal[np.isin(m, a_set.members(n))],
+        # equal shifts with clock exponents off the subgroup
+        equal[(k + s) % params.p != 0],
+        _one_sided_power_pairs(n),
+    ])
 
 
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:

@@ -1,15 +1,17 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
 spaces, compression by an isometry, and anticlique verdicts.
 
-A graph carries its generators either as exact Weyl label pairs or as dense
-matrices. Two independent dimension oracles are available: counting distinct
-label exponents (exact, phases dropped) and the numeric Gram rank of the
-realized generators. Label graphs are realized in monomial form, one support
-class at a time; the Gram side reads only those realized matrices.
+A graph carries its generators either as an exact word table (see
+opgraph.weyl: one integer row of exponents and phases per tensor word) or as
+dense matrices. Two independent dimension oracles are available: counting
+distinct word exponents (exact, phases dropped) and the numeric Gram rank of
+the realized generators. Label graphs are realized in monomial form, one
+support class at a time; the Gram side reads only those realized matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, _gram_schmidt, _rank_of_rows, dagger, gram_rank, max_abs
-from .weyl import WeylLabelPair, label, pair_adjoint, pair_monomial
+from .weyl import pair_monomial
 
 __all__ = [
     "OperatorGraph",
@@ -29,7 +31,6 @@ __all__ = [
     "graph_dim",
     "compress",
     "is_anticlique",
-    "kl_table",
 ]
 
 
@@ -41,35 +42,39 @@ _CLASS_SCAN_CHUNK = 4096
 class OperatorGraph:
     """Span of generators, closed under adjoints, containing the identity.
 
-    ``label_pairs`` is present iff every generator is a scaled Weyl tensor
-    word; such graphs are never densified, only realized in monomial form
-    (pair_monomial), one support class at a time. Dense-only graphs keep the
-    explicit matrix list.
+    ``words`` is present iff every generator is a scaled Weyl tensor word on
+    C^n (x) C^n, space_dim = n^2: an integer word table of shape
+    (n_generators, 6), rows (left kx, left kz, left phase, right kx,
+    right kz, right phase) reduced mod n. Such graphs are never densified,
+    only realized in monomial form (pair_monomial), one support class at a
+    time. Dense-only graphs keep the explicit matrix list.
     """
 
     space_dim: int
-    label_pairs: tuple[WeylLabelPair, ...] | None = None
+    words: np.ndarray | None = None
     dense: tuple[np.ndarray, ...] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.label_pairs is None and self.dense is None:
-            raise ValueError("graph needs label pairs or dense generators")
+        if self.words is None and self.dense is None:
+            raise ValueError("graph needs a word table or dense generators")
 
     @property
     def has_labels(self) -> bool:
-        return self.label_pairs is not None
+        return self.words is not None
 
     @property
     def n_generators(self) -> int:
-        if self.label_pairs is not None:
-            return len(self.label_pairs)
+        if self.words is not None:
+            return len(self.words)
         return len(self.dense)
 
     def label_keys(self) -> set[tuple[int, int, int, int]]:
-        if self.label_pairs is None:
+        """Exponent quadruples (left kx, left kz, right kx, right kz) of the
+        words; phases are dropped, matching span-level identity of words."""
+        if self.words is None:
             raise ValueError("graph has no label form")
-        return {p.exponents for p in self.label_pairs}
+        return set(map(tuple, self.words[:, [0, 1, 3, 4]].tolist()))
 
     @cached_property
     def _support_partition(self) -> list[np.ndarray]:
@@ -77,11 +82,13 @@ class OperatorGraph:
         the entry of column 0 of each realized word; _support_classes checks
         that the groups are support classes. Cached, since the Gram oracle
         and compress both walk the classes."""
-        pairs = self.label_pairs
-        first = np.concatenate([
-            pair_monomial(pairs[i : i + _CLASS_SCAN_CHUNK])[0][:, 0]
-            for i in range(0, len(pairs), _CLASS_SCAN_CHUNK)
-        ])
+        words = self.words
+        n = math.isqrt(self.space_dim)
+        first = np.empty(len(words), dtype=np.int64)
+        for i in range(0, len(words), _CLASS_SCAN_CHUNK):
+            # copied out, so the chunk's realization is freed before the next
+            rows = pair_monomial(words[i : i + _CLASS_SCAN_CHUNK], n)[0]
+            first[i : i + len(rows)] = rows[:, 0]
         inverse = np.unique(first, return_inverse=True)[1]
         order = np.argsort(inverse, kind="stable")
         return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
@@ -89,26 +96,32 @@ class OperatorGraph:
 
 def graph_from_labels(
     n: int,
-    pairs: Iterable[WeylLabelPair],
+    words: np.ndarray,
     metadata: dict | None = None,
 ) -> OperatorGraph:
-    """Graph on C^n (x) C^n spanned by the given words, the identity, and the
-    adjoint of every word. Deduplicated by exponent quadruple (phases do not
-    affect the span); first occurrence wins, identity always first.
+    """Graph on C^n (x) C^n spanned by the words of an integer word table of
+    shape (G, 6), the identity, and the adjoint of every word. The identity
+    comes first and each word is followed by its adjoint; deduplicated by
+    exponent quadruple (phases do not affect the span), the first occurrence
+    wins with its phase.
     """
-    identity = WeylLabelPair(label(n, 0, 0), label(n, 0, 0))
-    seen: set[tuple[int, int, int, int]] = set()
-    kept: list[WeylLabelPair] = []
-    for p in (identity, *pairs):
-        if p.n != n:
-            raise ValueError(f"pair dimension {p.n} does not match n={n}")
-        for q in (p, pair_adjoint(p)):
-            if q.exponents not in seen:
-                seen.add(q.exponents)
-                kept.append(q)
+    words = np.asarray(words)
+    if n < 1:
+        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
+    if words.ndim != 2 or words.shape[1] != 6 or not np.issubdtype(words.dtype, np.integer):
+        raise ValueError(
+            f"expected an integer word table of shape (G, 6), got {words.dtype} {words.shape}"
+        )
+    table = np.concatenate([np.zeros((1, 6), dtype=np.int64), words % n])
+    kx, kz, phase = table[:, 0::3], table[:, 1::3], table[:, 2::3]
+    # (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b} on each factor
+    adjoint = np.stack([-kx, -kz, kx * kz - phase], axis=2).reshape(-1, 6) % n
+    both = np.stack([table, adjoint], axis=1).reshape(-1, 6)
+    keys = ((both[:, 0] * n + both[:, 1]) * n + both[:, 3]) * n + both[:, 4]
+    first = np.sort(np.unique(keys, return_index=True)[1])
     return OperatorGraph(
         space_dim=n * n,
-        label_pairs=tuple(kept),
+        words=both[first],
         metadata=dict(metadata or {}),
     )
 
@@ -219,7 +232,7 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    if g.label_pairs is None:
+    if g.words is None:
         return gram_rank(g.dense, tol)
     return _rank_of_rows(lambda: (vals for _, _, vals in _support_classes(g)), tol)
 
@@ -235,12 +248,12 @@ def _support_classes(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray,
     compression act class by class. Raises ValueError when the supports of
     two classes overlap, since that block structure would then not hold.
     """
-    pairs = g.label_pairs
     dim = g.space_dim
+    n = math.isqrt(dim)
     cols = np.arange(dim)
     taken = np.zeros((dim, dim), dtype=bool)
     for members in g._support_partition:
-        rows, vals = pair_monomial([pairs[i] for i in members])
+        rows, vals = pair_monomial(g.words[members], n)
         if np.any(rows != rows[0]) or taken[rows[0], cols].any():
             raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
         taken[rows[0], cols] = True
@@ -259,7 +272,7 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
     s = code.isometry
-    if g.label_pairs is None:
+    if g.words is None:
         sd = dagger(s)
         return np.stack([sd @ (v @ s) for v in g.dense])
     d = code.code_dim
@@ -303,11 +316,3 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
         residual=residual,
         c_values=tuple(c_values.tolist()),
     )
-
-
-def kl_table(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
-    """Raw error-orthogonality table t[v, j, k] = <s_j, V_v s_k> over the
-    code's orthonormal basis. An anticlique makes every off-diagonal entry
-    vanish and every diagonal constant per generator."""
-    return compress(g, code)
-

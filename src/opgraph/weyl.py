@@ -7,8 +7,12 @@ Z f_j = w^j f_j. Under these definitions X shifts the Fourier basis,
 X f_j = f_{j+1 mod n}, and the commutation rule is Z X = w X Z. Note this is
 the reverse of the more common shift/clock assignment.
 
-Labels represent scaled words w^phase * X^kx * Z^kz exactly, with all four
+Labels represent scaled words w^phase * X^kx * Z^kz exactly, with all three
 integers reduced mod n, so long products and powers carry no numerical drift.
+A set of tensor words is an integer word table of shape (G, 6), one row
+(left kx, left kz, left phase, right kx, right kz, right phase) per word;
+the scalar WeylLabel / WeylLabelPair algebra is the reference it is tested
+against, and word_table converts between the two.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "pair_adjoint",
     "pair_dense",
     "pair_monomial",
+    "word_table",
 ]
 
 
@@ -72,13 +77,6 @@ class WeylLabel:
         object.__setattr__(self, "kx", self.kx % self.n)
         object.__setattr__(self, "kz", self.kz % self.n)
         object.__setattr__(self, "phase", self.phase % self.n)
-
-    @property
-    def exponents(self) -> tuple[int, int]:
-        return (self.kx, self.kz)
-
-    def is_identity_word(self) -> bool:
-        return self.kx == 0 and self.kz == 0
 
 
 def label(n: int, kx: int, kz: int, phase: int = 0) -> WeylLabel:
@@ -144,15 +142,6 @@ class WeylLabelPair:
     def n(self) -> int:
         return self.left.n
 
-    @property
-    def exponents(self) -> tuple[int, int, int, int]:
-        """Exponent quadruple (left kx, left kz, right kx, right kz); the
-        global phase is dropped, matching span-level identity of labels."""
-        return (self.left.kx, self.left.kz, self.right.kx, self.right.kz)
-
-    def is_identity_word(self) -> bool:
-        return self.left.is_identity_word() and self.right.is_identity_word()
-
 
 def pair_adjoint(p: WeylLabelPair) -> WeylLabelPair:
     return WeylLabelPair(label_adjoint(p.left), label_adjoint(p.right))
@@ -167,25 +156,31 @@ _PAIR_FIELDS = operator.attrgetter(
 )
 
 
-def pair_monomial(pairs: Sequence[WeylLabelPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial realization of tensor words, without forming dense matrices.
+def word_table(pairs: Sequence[WeylLabelPair]) -> np.ndarray:
+    """Word table of scalar pairs: int64 array of shape (len(pairs), 6) with
+    rows (left kx, left kz, left phase, right kx, right kz, right phase)."""
+    return np.array([_PAIR_FIELDS(p) for p in pairs], dtype=np.int64).reshape(len(pairs), 6)
 
-    Returns (rows, vals), both of shape (len(pairs), n^2): column c of word g
+
+def pair_monomial(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial realization of the tensor words of a word table on
+    C^n (x) C^n, without forming dense matrices.
+
+    Returns (rows, vals), both of shape (len(words), n^2): column c of word g
     has its single nonzero entry at row rows[g, c], with value vals[g, c].
     Each factor is realized as in weyl_dense from a table of the n roots of
     unity, and each value is the product of the two factor entries, so
     scattering (rows, vals) gives exactly pair_dense.
     """
-    if not pairs:
-        raise ValueError("pair_monomial needs at least one pair")
-    n = pairs[0].n
-    e = np.array(list(map(_PAIR_FIELDS, pairs)))
+    e = np.asarray(words)
+    if e.ndim != 2 or e.shape[1] != 6:
+        raise ValueError(f"pair_monomial needs a word table of shape (G, 6), got {e.shape}")
     cols = np.arange(n)
     roots = np.exp(2j * np.pi * cols / n)
     row_l = (cols - e[:, 1:2]) % n
     row_r = (cols - e[:, 4:5]) % n
     val_l = roots[(e[:, 2:3] + e[:, 0:1] * row_l) % n]
     val_r = roots[(e[:, 5:6] + e[:, 3:4] * row_r) % n]
-    rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(pairs), n * n)
-    vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(pairs), n * n)
+    rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(e), n * n)
+    vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(e), n * n)
     return rows, vals

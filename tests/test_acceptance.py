@@ -37,6 +37,7 @@ from opgraph.weyl import (
     label_mul,
     label_pow,
     weyl_dense,
+    word_table,
     x_matrix,
     z_matrix,
 )
@@ -214,7 +215,7 @@ def test_criterion_7_oracle_equivalence():
             )
             for _ in range(size)
         ]
-        g = graph_from_labels(n, pairs)
+        g = graph_from_labels(n, word_table(pairs))
         dims = graph_dim(g, "both")
         assert dims.agree, (n, size)
 

@@ -91,6 +91,27 @@ def test_verify_invalid_params_exit_two():
         assert b"0 < relative < 1" in result.stderr
 
 
+def test_verify_tol_abs_bounds_the_residual():
+    # section3 n=5 has a nonzero roundoff residual, so a tiny --tol-abs fails it
+    args = ("verify", "section3", "--n", "5", "--json", "--deterministic")
+    default = run_cli(*args)
+    strict = run_cli(*args, "--tol-abs", "1e-30")
+    assert default.returncode == 0
+    assert strict.returncode == 1
+    default_report, strict_report = json.loads(default.stdout), json.loads(strict.stdout)
+    assert 1e-30 < strict_report["max_residual"] <= 1e-12
+    assert strict_report.pop("tolerance") == {"absolute": 1e-30, "relative": 1e-9}
+    default_report.pop("tolerance")
+    assert strict_report == default_report
+
+
+def test_sweep_bad_tolerance_exits_before_any_output():
+    result = run_cli("sweep", "section4", "--n-max", "6", "--tol-rel", "2")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"0 < relative < 1" in result.stderr
+
+
 def test_verify_labels_oracle_unavailable_for_dense():
     result = run_cli("verify", "section2", "--oracle", "labels")
     assert result.returncode == 2

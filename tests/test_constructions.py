@@ -3,6 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from opgraph import constructions
 from opgraph.constructions import (
     Section4Params,
     baseline_bounds,
@@ -20,7 +21,16 @@ from opgraph.constructions import (
 )
 from opgraph.graph import compress, graph_dim, graph_from_labels, is_anticlique
 from opgraph.linalg import kron, max_abs
-from opgraph.weyl import fourier_basis, label, weyl_dense, x_matrix, z_matrix
+from opgraph.weyl import (
+    WeylLabelPair,
+    fourier_basis,
+    label,
+    label_pow,
+    weyl_dense,
+    word_table,
+    x_matrix,
+    z_matrix,
+)
 
 
 def section3_label_count(n: int) -> int:
@@ -222,7 +232,7 @@ def test_section4_contains_section3_span():
     params = Section4Params(2, 3, 0, 2)
     g4, _ = build_section4(params)
     g3, _ = build_section3(params.n)
-    combined = graph_from_labels(params.n, list(g4.label_pairs) + list(g3.label_pairs))
+    combined = graph_from_labels(params.n, np.concatenate([g4.words, g3.words]))
     assert combined.label_keys() == g4.label_keys()
 
 
@@ -287,3 +297,54 @@ def test_baseline_bounds_cases():
         baseline_bounds(16, 1)
     with pytest.raises(ValueError):
         baseline_bounds(2, 4)
+
+
+# scalar reference builders: one WeylLabelPair per word, in the order the
+# families are defined
+def _scalar_one_sided_powers(n):
+    identity = label(n, 0, 0)
+    powers = [label_pow(label(n, 1, k), s) for k in range(n) for s in range(1, n)]
+    return [WeylLabelPair(w, identity) for w in powers] + [WeylLabelPair(identity, w) for w in powers]
+
+
+def _scalar_off_diagonal(n):
+    return [
+        WeylLabelPair(label(n, m, k), label(n, j, s))
+        for m in range(n)
+        for j in range(n)
+        if m != j
+        for k in range(n)
+        for s in range(n)
+    ]
+
+
+def _scalar_section4(params):
+    n = params.n
+    a_set = residue_set_A(params.y, params.h, params.d)
+    equal = [(m, k, s) for m in range(n) for k in range(n) for s in range(n)]
+    return (
+        _scalar_off_diagonal(n)
+        + [WeylLabelPair(label(n, m, k), label(n, m, s)) for m, k, s in equal if m >= 1 and m in a_set]
+        + [WeylLabelPair(label(n, m, k), label(n, m, s)) for m, k, s in equal if (k + s) % params.p]
+        + _scalar_one_sided_powers(n)
+    )
+
+
+def test_builder_tables_match_scalar_reference():
+    # each family's table equals the scalar words row for row, phases and
+    # order included, and so does the closed graph
+    for n in range(3, 7):
+        g, _ = build_section3(n)
+        reference = _scalar_one_sided_powers(n)
+        assert np.array_equal(constructions._one_sided_power_pairs(n), word_table(reference)), n
+        assert np.array_equal(g.words, graph_from_labels(n, word_table(reference)).words), n
+    for n in range(2, 7):
+        g, _ = build_remark2(n)
+        reference = _scalar_off_diagonal(n)
+        assert np.array_equal(constructions._off_diagonal_pairs(n), word_table(reference)), n
+        assert np.array_equal(g.words, graph_from_labels(n, word_table(reference)).words), n
+    for params in enumerate_section4_params(6):
+        g, _ = build_section4(params)
+        reference = word_table(_scalar_section4(params))
+        assert np.array_equal(constructions._section4_pairs(params), reference), params
+        assert np.array_equal(g.words, graph_from_labels(params.n, reference).words), params

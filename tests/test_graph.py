@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,10 @@ from opgraph.graph import (
     graph_from_dense,
     graph_from_labels,
     is_anticlique,
-    kl_table,
 )
 from opgraph import graph as graph_module
 from opgraph.linalg import dagger, gram_rank, kron, max_abs
-from opgraph.weyl import WeylLabelPair, label, pair_dense, pair_monomial
+from opgraph.weyl import WeylLabelPair, label, pair_adjoint, pair_dense, pair_monomial, word_table
 from opgraph.constructions import (
     Section4Params,
     build_remark2,
@@ -30,23 +32,62 @@ def pair(n, m, k, j, s):
     return WeylLabelPair(label(n, m, k), label(n, j, s))
 
 
+def scalar_pairs(g):
+    """The graph's words as scalar reference pairs, in generator order."""
+    n = math.isqrt(g.space_dim)
+    return [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in g.words.tolist()]
+
+
 def test_graph_from_labels_empty_is_identity_span():
-    g = graph_from_labels(3, [])
+    g = graph_from_labels(3, word_table([]))
     assert g.n_generators == 1
     assert graph_dim(g, "labels") == 1
     assert graph_dim(g, "gram") == 1
 
 
 def test_graph_from_labels_adjoint_closure():
-    g = graph_from_labels(3, [pair(3, 1, 0, 0, 0)])
+    g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0)]))
     assert g.label_keys() == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
     dims = graph_dim(g, "both")
     assert dims.labels == dims.gram == 3
 
 
-def test_graph_from_labels_rejects_mixed_n():
-    with pytest.raises(ValueError):
-        graph_from_labels(3, [pair(4, 1, 0, 0, 0)])
+def test_graph_from_labels_rejects_malformed_table():
+    # a table row carries no n of its own, so only the table's shape and
+    # dtype can be checked
+    malformed = (
+        np.zeros((2, 6)),
+        [[1, 0, 0, 0.5, 0, 0]],
+        np.zeros((2, 4), dtype=int),
+        np.zeros(6, dtype=int),
+    )
+    for bad in malformed:
+        with pytest.raises(ValueError, match="word table"):
+            graph_from_labels(3, bad)
+    with pytest.raises(ValueError, match="n >= 1"):
+        graph_from_labels(0, word_table([]))
+
+
+def test_graph_from_labels_matches_scalar_closure():
+    # reference: the scalar closure, identity first, each word followed by
+    # its adjoint, first occurrence (with its phase) kept
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        factors = rng.integers(0, n, size=(int(rng.integers(0, 30)), 2, 3)).tolist()
+        pairs = [WeylLabelPair(label(n, *a), label(n, *b)) for a, b in factors]
+        seen, kept = set(), []
+        for p in [pair(n, 0, 0, 0, 0), *pairs]:
+            for q in (p, pair_adjoint(p)):
+                key = (q.left.kx, q.left.kz, q.right.kx, q.right.kz)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(q)
+        g = graph_from_labels(n, word_table(pairs))
+        assert np.array_equal(g.words, word_table(kept)), n
+    # unreduced and negative entries are taken mod n
+    g = graph_from_labels(3, np.array([[4, -1, 7, 0, 3, -3]]))
+    assert g.words.tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 1, 0, 0, 0], [2, 1, 1, 0, 0, 0]]
 
 
 def test_off_diagonal_family_is_adjoint_closed():
@@ -59,7 +100,7 @@ def test_off_diagonal_family_is_adjoint_closed():
         for k in range(n)
         for s in range(n)
     ]
-    g = graph_from_labels(n, family)
+    g = graph_from_labels(n, word_table(family))
     # closure added only the identity
     assert g.n_generators == len(family) + 1
 
@@ -86,13 +127,13 @@ def test_oracle_equivalence_random_subsets():
             pair(n, *(int(v) for v in rng.integers(0, n, size=4)))
             for _ in range(size)
         ]
-        g = graph_from_labels(n, pairs)
+        g = graph_from_labels(n, word_table(pairs))
         dims = graph_dim(g, "both")
         assert dims.agree, (n, size)
 
 
 def test_compress_identity_graph():
-    g = graph_from_labels(2, [])
+    g = graph_from_labels(2, word_table([]))
     f = np.array([1, 0, 0, 1]) / np.sqrt(2)
     code = CodeSpace.from_vectors([f])
     out = compress(g, code)
@@ -118,7 +159,7 @@ def test_compress_single_flip_graph():
 
 
 def test_compress_dimension_mismatch():
-    g = graph_from_labels(2, [])
+    g = graph_from_labels(2, word_table([]))
     code = CodeSpace.from_vectors([np.array([1, 0, 0])])
     with pytest.raises(ValueError):
         compress(g, code)
@@ -128,7 +169,7 @@ def test_is_anticlique_negative_control():
     # X is diagonal with eigenvalues 1 and w on the first two basis vectors,
     # so this code sees a non-scalar compression
     n = 3
-    g = graph_from_labels(n, [pair(n, 1, 0, 0, 0)])
+    g = graph_from_labels(n, word_table([pair(n, 1, 0, 0, 0)]))
     e = np.eye(n)
     code = CodeSpace.from_vectors([kron(e[0], e[0]), kron(e[1], e[0])])
     report = is_anticlique(g, code)
@@ -161,7 +202,7 @@ def test_anticlique_invariant_under_code_basis_change():
 
 def test_kl_table_identity_generator():
     g, code = build_section3(3)
-    table = kl_table(g, code)
+    table = compress(g, code)
     assert table.shape == (g.n_generators, 3, 3)
     assert max_abs(table[0] - np.eye(3)) < 1e-12
 
@@ -170,15 +211,14 @@ def test_kl_table_section3_word_vanishes():
     n = 3
     g, code = build_section3(n)
     # first non-identity generator is (X Z^0)^1 on the left factor
-    target = pair(n, 1, 0, 0, 0).exponents
-    idx = [p.exponents for p in g.label_pairs].index(target)
-    table = kl_table(g, code)
+    idx = g.words[:, [0, 1, 3, 4]].tolist().index([1, 0, 0, 0])
+    table = compress(g, code)
     assert max_abs(table[idx]) < 1e-12
 
 
 def test_kl_table_section2_last_generator_vanishes():
     g, code = build_section2()
-    table = kl_table(g, code)
+    table = compress(g, code)
     assert max_abs(table[4]) < 1e-12  # I (x) sz over {f+, f-}
 
 
@@ -187,7 +227,7 @@ def test_true_verdict_implies_kl_structure():
     g, code = build_section3(4)
     report = is_anticlique(g, code)
     assert report.verdict
-    table = kl_table(g, code)
+    table = compress(g, code)
     off_mask = ~np.eye(code.code_dim, dtype=bool)
     for v in range(table.shape[0]):
         assert max_abs(table[v][off_mask]) < 1e-12
@@ -217,8 +257,8 @@ def test_adjoint_closure_leaves_rank_unchanged():
             pair(n, *(int(v) for v in rng.integers(0, n, size=4)))
             for _ in range(int(rng.integers(1, 12)))
         ]
-        g = graph_from_labels(n, pairs)
-        dense = [pair_dense(p) for p in g.label_pairs]
+        g = graph_from_labels(n, word_table(pairs))
+        dense = [pair_dense(p) for p in scalar_pairs(g)]
         base = gram_rank(dense)
         assert gram_rank(dense + [dagger(m) for m in dense]) == base
 
@@ -271,7 +311,7 @@ def test_full_oracle_agreement_n16():
 def _dense_gram_rank(g):
     """Gram rank of the realized generators scattered into dense matrices,
     with no use of the support blocks."""
-    rows, vals = pair_monomial(g.label_pairs)
+    rows, vals = pair_monomial(g.words, math.isqrt(g.space_dim))
     dim = g.space_dim
     dense = np.zeros((len(rows), dim, dim), dtype=complex)
     dense[np.arange(len(rows))[:, None], rows, np.arange(dim)] = vals
@@ -282,7 +322,7 @@ def _eigvalsh_rank(g):
     """Gram rank by a plain eigensolve of the dense Gram matrix of pair_dense
     realizations, bypassing opgraph.linalg's rank routine and its disc
     certificate."""
-    flat = np.array([pair_dense(p).ravel() for p in g.label_pairs])
+    flat = np.array([pair_dense(p).ravel() for p in scalar_pairs(g)])
     eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
     return int(np.sum(eigs > 1e-9 * eigs[-1]))
 
@@ -321,7 +361,8 @@ def test_repeated_word_under_two_phases_loses_rank():
     n = 3
     word = WeylLabelPair(label(n, 1, 2, 0), label(n, 2, 1, 0))
     rephased = WeylLabelPair(label(n, 1, 2, 1), label(n, 2, 1, 0))
-    g = OperatorGraph(space_dim=n * n, label_pairs=(pair(n, 0, 0, 0, 0), word, rephased))
+    words = word_table([pair(n, 0, 0, 0, 0), word, rephased])
+    g = OperatorGraph(space_dim=n * n, words=words)
     assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
 
 
@@ -334,14 +375,15 @@ def test_repeated_word_under_two_phases_loses_rank():
 )
 def test_overlapping_supports_raise(monkeypatch, crafted):
     n = 2
-    pairs = (pair(n, 0, 0, 0, 0), pair(n, 1, 0, 0, 0))
-    rows_of = dict(zip(pairs, crafted))
+    words = word_table([pair(n, 0, 0, 0, 0), pair(n, 1, 0, 0, 0)])
+    rows_of = dict(zip(map(tuple, words.tolist()), crafted))
 
-    def realize(chunk):
-        return np.array([rows_of[p] for p in chunk]), np.ones((len(chunk), n * n), dtype=complex)
+    def realize(chunk, n):
+        rows = np.array([rows_of[tuple(w)] for w in chunk.tolist()])
+        return rows, np.ones((len(chunk), n * n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "pair_monomial", realize)
-    g = OperatorGraph(space_dim=n * n, label_pairs=pairs)
+    g = OperatorGraph(space_dim=n * n, words=words)
     with pytest.raises(ValueError, match="overlap"):
         graph_dim(g, "gram")
     code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
@@ -356,7 +398,7 @@ def test_dense_generators_match_labels():
     whole = CodeSpace(space_dim=16, isometry=np.eye(16, dtype=complex))
     realized = compress(g, whole)
     assert realized.shape == (g.n_generators, 16, 16)
-    for p, dense in zip(g.label_pairs, realized):
+    for p, dense in zip(scalar_pairs(g), realized):
         assert max_abs(dense - pair_dense(p)) == 0.0
 
 
@@ -365,3 +407,17 @@ def test_graph_from_dense_adds_missing_adjoint():
     g = graph_from_dense(2, [upper])
     assert g.n_generators == 3  # identity, the word, and its adjoint
     assert graph_dim(g, "gram") == 3
+
+
+def test_support_scan_memory_is_bounded():
+    # the chunked scan keeps one int per generator, not each chunk's full
+    # (chunk, n^2) realization: about 36 MB here against 141 MB for all of it
+    g, _ = build_section4(Section4Params(2, 8, 1, 4))
+    tracemalloc.start()
+    try:
+        partition = g._support_partition
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, partition)) == g.n_generators
+    assert peak < 64 * 2**20

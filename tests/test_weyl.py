@@ -15,6 +15,7 @@ from opgraph.weyl import (
     pair_dense,
     pair_monomial,
     weyl_dense,
+    word_table,
     x_matrix,
     z_matrix,
 )
@@ -99,10 +100,10 @@ def test_weyl_dense_stack_matches_singles():
     for n in (2, 5, 9):
         labels = [label(n, kx, kz, (kx * kz) % n) for kx in range(n) for kz in range(n)]
         pairs = [WeylLabelPair(a, b) for a, b in zip(labels, reversed(labels))]
-        rows, vals = pair_monomial(pairs)
+        rows, vals = pair_monomial(word_table(pairs), n)
         cols = np.arange(n * n)
         for i, p in enumerate(pairs):
-            single_rows, single_vals = pair_monomial([p])
+            single_rows, single_vals = pair_monomial(word_table([p]), n)
             assert np.array_equal(rows[i], single_rows[0])
             assert np.array_equal(vals[i], single_vals[0])
             dense = np.zeros((n * n, n * n), dtype=complex)
@@ -115,7 +116,7 @@ def test_pair_monomial_scatters_to_pair_dense():
     for n in (3, 4, 5):
         words = itertools.product(range(n), repeat=6)
         pairs = [WeylLabelPair(label(n, a, b, c), label(n, d, e, f)) for a, b, c, d, e, f in words]
-        rows, vals = pair_monomial(pairs)
+        rows, vals = pair_monomial(word_table(pairs), n)
         assert rows.shape == vals.shape == (len(pairs), n * n)
         cols = np.arange(n * n)
         for p, r, v in zip(pairs, rows, vals):
@@ -125,8 +126,12 @@ def test_pair_monomial_scatters_to_pair_dense():
 
 
 def test_pair_monomial_needs_pairs():
-    with pytest.raises(ValueError):
-        pair_monomial([])
+    with pytest.raises(ValueError, match="word table"):
+        pair_monomial([], 3)
+    with pytest.raises(ValueError, match="word table"):
+        pair_monomial(np.zeros((2, 4), dtype=int), 3)
+    rows, vals = pair_monomial(word_table([]), 3)
+    assert rows.shape == vals.shape == (0, 9)
 
 
 def test_heisenberg_weyl_commutation_dense():
