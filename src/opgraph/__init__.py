@@ -12,6 +12,7 @@ from .weyl import (
     pair_dense,
     pair_monomial,
     weyl_dense,
+    weyl_monomial,
     word_table,
     x_matrix,
     z_matrix,

@@ -256,7 +256,11 @@ def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
-    """Off-diagonal-shift family plus identity, against the f_j (x) f_j code."""
+    """Off-diagonal-shift family plus identity, against the f_j (x) f_j code.
+    n < 2 leaves no off-diagonal shift and a one-dimensional code, and is
+    rejected."""
+    if n < 2:
+        raise ValueError(f"remark2 requires n >= 2 (got n={n})")
     g = graph_from_labels(n, _off_diagonal_pairs(n), metadata={"name": "remark2", "n": n})
     return g, _fourier_diagonal_code(n)
 

@@ -5,8 +5,12 @@ A graph carries its generators either as an exact word table (see
 opgraph.weyl: one integer row of exponents and phases per tensor word) or as
 dense matrices. Two independent dimension oracles are available: counting
 distinct word exponents (exact, phases dropped) and the numeric Gram rank of
-the realized generators. Label graphs are realized in monomial form, one
-support class at a time; the Gram side reads only those realized matrices.
+the realized generators. Label graphs are realized per tensor factor in
+monomial form (weyl_monomial), one support class at a time; the Gram side
+reads only those realized matrices. Since the Hilbert-Schmidt product
+factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
+Gram block of a class is the entrywise product (V_l V_l^dag) * (V_r V_r^dag)
+of its two factor Grams, and no n^2-long row is formed to rank it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _gram_schmidt, _rank_of_rows, dagger, gram_rank, max_abs
-from .weyl import pair_monomial
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _gram_schmidt,
+    _rank_of_grams,
+    dagger,
+    gram_rank,
+    max_abs,
+)
+from .weyl import weyl_monomial
 
 __all__ = [
     "OperatorGraph",
@@ -46,8 +58,8 @@ class OperatorGraph:
     C^n (x) C^n, space_dim = n^2: an integer word table of shape
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
     right kz, right phase) reduced mod n. Such graphs are never densified,
-    only realized in monomial form (pair_monomial), one support class at a
-    time. Dense-only graphs keep the explicit matrix list.
+    only realized per tensor factor in monomial form (weyl_monomial), one
+    support class at a time. Dense-only graphs keep the explicit matrix list.
     """
 
     space_dim: int
@@ -76,19 +88,32 @@ class OperatorGraph:
             raise ValueError("graph has no label form")
         return set(map(tuple, self.words[:, [0, 1, 3, 4]].tolist()))
 
+    def _label_count(self) -> int:
+        """Number of distinct exponent quadruples, len(label_keys()) without
+        building the set: the distinct values among sorted packed keys."""
+        if self.words is None:
+            raise ValueError("graph has no label form")
+        # not np.unique(keys): in numpy 2.4 it takes a hash-table path that is
+        # about 15x slower at 64513 keys
+        keys = np.sort(_exponent_keys(self.words, math.isqrt(self.space_dim)))
+        return min(len(keys), 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
     @cached_property
     def _support_partition(self) -> list[np.ndarray]:
         """Generator indices of a label graph grouped by the row that holds
-        the entry of column 0 of each realized word; _support_classes checks
-        that the groups are support classes. Cached, since the Gram oracle
-        and compress both walk the classes."""
+        the entry of column 0 of each realized word, row_l[0] * n + row_r[0]
+        from its two realized factors; _support_classes checks that the
+        groups are support classes. Cached, since the Gram oracle and
+        compress both walk the classes."""
         words = self.words
         n = math.isqrt(self.space_dim)
         first = np.empty(len(words), dtype=np.int64)
         for i in range(0, len(words), _CLASS_SCAN_CHUNK):
             # copied out, so the chunk's realization is freed before the next
-            rows = pair_monomial(words[i : i + _CLASS_SCAN_CHUNK], n)[0]
-            first[i : i + len(rows)] = rows[:, 0]
+            chunk = words[i : i + _CLASS_SCAN_CHUNK]
+            row_l = weyl_monomial(chunk[:, :3], n)[0]
+            row_r = weyl_monomial(chunk[:, 3:], n)[0]
+            first[i : i + len(chunk)] = row_l[:, 0] * n + row_r[:, 0]
         inverse = np.unique(first, return_inverse=True)[1]
         order = np.argsort(inverse, kind="stable")
         return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
@@ -117,13 +142,19 @@ def graph_from_labels(
     # (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b} on each factor
     adjoint = np.stack([-kx, -kz, kx * kz - phase], axis=2).reshape(-1, 6) % n
     both = np.stack([table, adjoint], axis=1).reshape(-1, 6)
-    keys = ((both[:, 0] * n + both[:, 1]) * n + both[:, 3]) * n + both[:, 4]
-    first = np.sort(np.unique(keys, return_index=True)[1])
+    first = np.sort(np.unique(_exponent_keys(both, n), return_index=True)[1])
     return OperatorGraph(
         space_dim=n * n,
         words=both[first],
         metadata=dict(metadata or {}),
     )
+
+
+def _exponent_keys(words: np.ndarray, n: int) -> np.ndarray:
+    """One integer per word of a word table reduced mod n, packing its
+    exponent quadruple (left kx, left kz, right kx, right kz); phases are
+    dropped."""
+    return ((words[:, 0] * n + words[:, 1]) * n + words[:, 3]) * n + words[:, 4]
 
 
 def graph_from_dense(
@@ -211,21 +242,25 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     """Dimension of the span of the graph's generators.
 
     method "labels": count of distinct exponent quadruples (exact; requires
-    label form). method "gram": numeric Gram rank of the realized generators,
-    over every generator; for label graphs the Gram matrix is block-diagonal
-    by support class and is ranked block by block against the global largest
-    eigenvalue. A block whose Gershgorin discs clear the cutoff counts as
-    full rank without an eigensolve (see linalg._rank_of_rows), which holds
-    for every support class of distinct Weyl words, since they are
+    label form), from one packed integer key per word, sorted. method
+    "gram": numeric Gram rank of the realized generators, over every
+    generator; for label graphs the Gram matrix is block-diagonal by support
+    class and is ranked block by block against the global largest
+    eigenvalue. Each block is formed from the class's two realized tensor
+    factors as (V_l V_l^dag) * (V_r V_r^dag), entrywise, since
+    <A (x) B, C (x) D> = <A, C> <B, D>: 2 m^2 n products for m members in
+    place of m^2 n^2. A block whose Gershgorin discs clear the cutoff counts
+    as full rank without an eigensolve (see linalg._rank_of_grams), which
+    holds for every support class of distinct Weyl words, since they are
     Hilbert-Schmidt orthogonal. method "both": a GraphDim carrying both
     values and an agreement flag.
     """
     if method == "labels":
-        return len(g.label_keys())
+        return g._label_count()
     if method == "gram":
         return _gram_dim(g, tol)
     if method == "both":
-        labels = len(g.label_keys())
+        labels = g._label_count()
         gram = _gram_dim(g, tol)
         return GraphDim(labels=labels, gram=gram, agree=labels == gram)
     raise ValueError(f"unknown method {method!r}")
@@ -234,30 +269,47 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     if g.words is None:
         return gram_rank(g.dense, tol)
-    return _rank_of_rows(lambda: (vals for _, _, vals in _support_classes(g)), tol)
+    return _rank_of_grams(
+        lambda: (_class_gram(vals_l, vals_r) for _, _, vals_l, vals_r in _support_classes(g)), tol
+    )
 
 
-def _support_classes(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Realized generators of a label graph, one support class at a time.
+def _class_gram(vals_l: np.ndarray, vals_r: np.ndarray) -> np.ndarray:
+    """Gram matrix of one support class from its members' two realized
+    factors: <A (x) B, C (x) D> = <A, C> <B, D>, so it is the entrywise
+    product (V_l V_l^dag) * (V_r V_r^dag)."""
+    return (vals_l @ vals_l.conj().T) * (vals_r @ vals_r.conj().T)
 
-    Yields (members, rows, vals): the generator indices of one class, the
-    row of each column's entry shared by every member, and the members'
-    entries, shape (len(members), space_dim). Classes are read off the
-    realized row vectors only, never off labels. Matrices with disjoint
-    supports are Hilbert-Schmidt orthogonal, so the Gram matrix and every
-    compression act class by class. Raises ValueError when the supports of
-    two classes overlap, since that block structure would then not hold.
+
+def _support_classes(
+    g: OperatorGraph,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Realized generators of a label graph, one support class at a time,
+    each as its two tensor factors.
+
+    Yields (members, rows, vals_l, vals_r): the generator indices of one
+    class, the row of each column's entry shared by every member, shape
+    (space_dim,), and the members' left and right factor entries, each of
+    shape (len(members), n); member g's entry in column i*n + j is
+    vals_l[g, i] * vals_r[g, j]. Classes are read off the realized rows
+    only, never off labels. Matrices with disjoint supports are
+    Hilbert-Schmidt orthogonal, so the Gram matrix and every compression act
+    class by class. Raises ValueError when the members of a class differ in
+    the rows of either factor, or share a position with an earlier class,
+    since that block structure would then not hold.
     """
     dim = g.space_dim
     n = math.isqrt(dim)
     cols = np.arange(dim)
     taken = np.zeros((dim, dim), dtype=bool)
     for members in g._support_partition:
-        rows, vals = pair_monomial(g.words[members], n)
-        if np.any(rows != rows[0]) or taken[rows[0], cols].any():
+        rows_l, vals_l = weyl_monomial(g.words[members, :3], n)
+        rows_r, vals_r = weyl_monomial(g.words[members, 3:], n)
+        rows = (rows_l[0][:, None] * n + rows_r[0]).ravel()
+        if np.any(rows_l != rows_l[0]) or np.any(rows_r != rows_r[0]) or taken[rows, cols].any():
             raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-        taken[rows[0], cols] = True
-        yield members, rows[0], vals
+        taken[rows, cols] = True
+        yield members, rows, vals_l, vals_r
 
 
 def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
@@ -267,7 +319,8 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     Each result equals P_K V P_K restricted to the code subspace. Label
     graphs take it from the monomial realization, one support class at a
     time: with V[rows[c], c] = vals[c], the compression is
-    sum_c vals[c] conj(S[rows[c], l]) S[c, k], one matrix product per class.
+    sum_c vals[c] conj(S[rows[c], l]) S[c, k], one matrix product per class,
+    with vals the outer product of the class's two realized factors.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -275,9 +328,11 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     if g.words is None:
         sd = dagger(s)
         return np.stack([sd @ (v @ s) for v in g.dense])
+    n = math.isqrt(g.space_dim)
     d = code.code_dim
     out = np.empty((g.n_generators, d, d), dtype=complex)
-    for members, rows, vals in _support_classes(g):
+    for members, rows, vals_l, vals_r in _support_classes(g):
+        vals = (vals_l[:, :, None] * vals_r[:, None, :]).reshape(len(members), n * n)
         kernel = (s[rows].conj()[:, :, None] * s[:, None, :]).reshape(len(rows), d * d)
         out[members] = (vals @ kernel).reshape(len(members), d, d)
     return out

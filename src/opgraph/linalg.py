@@ -114,12 +114,24 @@ def _rank_of_rows(
     blocks: Sequence[np.ndarray] | Callable[[], Iterable[np.ndarray]], tol: Tolerance
 ) -> int:
     """Rank of a family of flattened matrices given as row blocks whose
-    supports are pairwise disjoint, so their Gram matrix is block-diagonal.
+    supports are pairwise disjoint, so their Gram matrix is block-diagonal:
+    _rank_of_grams over the blocks' Gram matrices. ``blocks`` is a sequence,
+    or a zero-argument callable returning a fresh iterable of blocks."""
+    walk = blocks if callable(blocks) else (lambda kept=tuple(blocks): kept)
+    return _rank_of_grams(lambda: map(_gram, walk()), tol)
+
+
+def _rank_of_grams(
+    grams: Sequence[np.ndarray] | Callable[[], Iterable[np.ndarray]], tol: Tolerance
+) -> int:
+    """Rank of a block-diagonal Hermitian PSD Gram matrix given block by
+    block, such as the Gram matrix of a family of matrices whose supports
+    fall into pairwise disjoint classes.
 
     The spectrum is the union of the block spectra; every eigenvalue is
     thresholded against Lambda, an upper bound on the largest one over all
-    blocks. Each block's Gram matrix G is first bounded by its Gershgorin
-    discs: every eigenvalue lies in [lo, hi] with lo = min_i(G_ii - r_i),
+    blocks. Each block G is first bounded by its Gershgorin discs: every
+    eigenvalue lies in [lo, hi] with lo = min_i(G_ii - r_i),
     hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|. A block with
     lo > tol.relative * Lambda is certified full rank and never eigensolved;
     every other block goes to eigvalsh. Lambda is the largest of the
@@ -129,16 +141,15 @@ def _rank_of_rows(
     eigenvalue that close to the cutoff.
 
     A block is certified against the Lambda seen so far; one whose lo falls
-    below the final cutoff is eigensolved in a second pass. ``blocks`` is
+    below the final cutoff is eigensolved in a second pass. ``grams`` is
     therefore walked twice: pass a sequence, or a zero-argument callable
     returning a fresh iterable, so that only one block is held at a time.
     """
-    walk = blocks if callable(blocks) else (lambda kept=tuple(blocks): kept)
+    walk = grams if callable(grams) else (lambda kept=tuple(grams): kept)
     top = 0.0
     eigs = [np.zeros(0)]
     certified: dict[int, tuple[float, int]] = {}  # block index -> (lo, order)
-    for i, rows in enumerate(walk()):
-        gram = _gram(rows)
+    for i, gram in enumerate(walk()):
         center = gram.diagonal().real
         radius = np.abs(gram)
         np.fill_diagonal(radius, 0.0)
@@ -158,9 +169,9 @@ def _rank_of_rows(
     rank = sum(order for lo, order in certified.values() if lo > cut)
     deferred = {i for i, (lo, _) in certified.items() if lo <= cut}
     if deferred:
-        for i, rows in enumerate(walk()):
+        for i, gram in enumerate(walk()):
             if i in deferred:
-                eigs.append(np.linalg.eigvalsh(_gram(rows)))
+                eigs.append(np.linalg.eigvalsh(gram))
     return rank + int(np.sum(np.concatenate(eigs) > cut))
 
 

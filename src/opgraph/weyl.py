@@ -12,7 +12,9 @@ integers reduced mod n, so long products and powers carry no numerical drift.
 A set of tensor words is an integer word table of shape (G, 6), one row
 (left kx, left kz, left phase, right kx, right kz, right phase) per word;
 the scalar WeylLabel / WeylLabelPair algebra is the reference it is tested
-against, and word_table converts between the two.
+against, and word_table converts between the two. Realization is monomial:
+weyl_monomial realizes single-factor words, and pair_monomial a tensor word
+as the outer product of its two factor realizations.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "pair_adjoint",
     "pair_dense",
     "pair_monomial",
+    "weyl_monomial",
     "word_table",
 ]
 
@@ -162,25 +165,38 @@ def word_table(pairs: Sequence[WeylLabelPair]) -> np.ndarray:
     return np.array([_PAIR_FIELDS(p) for p in pairs], dtype=np.int64).reshape(len(pairs), 6)
 
 
+def weyl_monomial(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial realization of single-factor words w^phase X^kx Z^kz on C^n,
+    given as an integer table of shape (G, 3) with rows (kx, kz, phase).
+
+    Returns (rows, vals), both of shape (len(factors), n): column c of word g
+    has its single nonzero entry at row rows[g, c], with value vals[g, c],
+    exactly as in weyl_dense, read from a table of the n roots of unity.
+    """
+    e = np.asarray(factors)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"weyl_monomial needs a factor table of shape (G, 3), got {e.shape}")
+    cols = np.arange(n)
+    roots = np.exp(2j * np.pi * cols / n)
+    rows = (cols - e[:, 1:2]) % n
+    return rows, roots[(e[:, 2:3] + e[:, 0:1] * rows) % n]
+
+
 def pair_monomial(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial realization of the tensor words of a word table on
     C^n (x) C^n, without forming dense matrices.
 
     Returns (rows, vals), both of shape (len(words), n^2): column c of word g
     has its single nonzero entry at row rows[g, c], with value vals[g, c].
-    Each factor is realized as in weyl_dense from a table of the n roots of
-    unity, and each value is the product of the two factor entries, so
-    scattering (rows, vals) gives exactly pair_dense.
+    Each factor is realized by weyl_monomial and column i*n + j takes the
+    product of left column i and right column j, so scattering (rows, vals)
+    gives exactly pair_dense.
     """
     e = np.asarray(words)
     if e.ndim != 2 or e.shape[1] != 6:
         raise ValueError(f"pair_monomial needs a word table of shape (G, 6), got {e.shape}")
-    cols = np.arange(n)
-    roots = np.exp(2j * np.pi * cols / n)
-    row_l = (cols - e[:, 1:2]) % n
-    row_r = (cols - e[:, 4:5]) % n
-    val_l = roots[(e[:, 2:3] + e[:, 0:1] * row_l) % n]
-    val_r = roots[(e[:, 5:6] + e[:, 3:4] * row_r) % n]
+    row_l, val_l = weyl_monomial(e[:, :3], n)
+    row_r, val_r = weyl_monomial(e[:, 3:], n)
     rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(e), n * n)
     vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(e), n * n)
     return rows, vals

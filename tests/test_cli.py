@@ -50,6 +50,24 @@ def test_verify_remark2_json():
     assert report["graph_dim_labels"] == 193
 
 
+def test_verify_remark2_rejects_n_below_two():
+    for n in ("1", "0"):
+        result = run_cli("verify", "remark2", "--n", n, "--json")
+        assert result.returncode == 2, n
+        assert f"requires n >= 2 (got n={n})".encode() in result.stderr
+        assert result.stdout == b""
+
+
+def test_verify_section4_n16_matches_committed_report():
+    # byte equality pins every field, max_residual's bits included
+    result = run_cli(
+        "verify", "section4", "--p", "2", "--y", "8", "--h", "1", "--d", "4",
+        "--json", "--deterministic",
+    )
+    assert result.returncode == 0
+    assert result.stdout == (DATA / "verify_section4_2_8_1_4.json").read_bytes()
+
+
 def test_verify_text_output():
     result = run_cli("verify", "section3", "--n", "3")
     assert result.returncode == 0

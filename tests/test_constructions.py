@@ -243,6 +243,15 @@ def test_remark2_anticlique_and_dimension():
         assert is_anticlique(g, code).verdict
 
 
+def test_remark2_rejects_n_below_two():
+    # n = 2 is the smallest size with an off-diagonal shift and a code of
+    # dimension above one
+    assert build_remark2(2)[1].code_dim == 2
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=rf"requires n >= 2 \(got n={n}\)"):
+            build_remark2(n)
+
+
 def test_remark2_oracles_agree():
     for n in (3, 4):
         dims = graph_dim(build_remark2(n)[0], "both")

@@ -14,7 +14,7 @@ from opgraph.graph import (
     is_anticlique,
 )
 from opgraph import graph as graph_module
-from opgraph.linalg import dagger, gram_rank, kron, max_abs
+from opgraph.linalg import _gram, dagger, gram_rank, kron, max_abs
 from opgraph.weyl import WeylLabelPair, label, pair_adjoint, pair_dense, pair_monomial, word_table
 from opgraph.constructions import (
     Section4Params,
@@ -327,11 +327,16 @@ def _eigvalsh_rank(g):
     return int(np.sum(eigs > 1e-9 * eigs[-1]))
 
 
-@pytest.mark.parametrize(
-    "build, arg",
-    [(build_section3, 4), (build_section3, 5), (build_remark2, 4), (build_section4, Section4Params(2, 4, 1, 2))],
-    ids=["section3-4", "section3-5", "remark2-4", "section4-2-4-1-2"],
-)
+SMALL_LABEL_GRAPHS = [
+    (build_section3, 4),
+    (build_section3, 5),
+    (build_remark2, 4),
+    (build_section4, Section4Params(2, 4, 1, 2)),
+]
+SMALL_LABEL_GRAPH_IDS = ["section3-4", "section3-5", "remark2-4", "section4-2-4-1-2"]
+
+
+@pytest.mark.parametrize("build, arg", SMALL_LABEL_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS)
 def test_blocked_gram_rank_matches_eigensolve(build, arg):
     g, _ = build(arg)
     assert graph_dim(g, "gram") == _eigvalsh_rank(g)
@@ -369,26 +374,60 @@ def test_repeated_word_under_two_phases_loses_rank():
 @pytest.mark.parametrize(
     "crafted",
     [
-        [[0, 1, 2, 3], [0, 2, 1, 3]],  # same row in column 0, different elsewhere
-        [[0, 1, 2, 3], [1, 0, 2, 3]],  # different in column 0, same row in column 2
+        # (side, crafted factor rows of the second word); the identity's
+        # factors realize to rows [0, 1] on both sides
+        ("left", [0, 0]),  # same row in column 0, different elsewhere
+        ("left", [1, 1]),  # different in column 0, same row in column 2
+        ("right", [0, 0]),  # same row in column 0, different elsewhere
+        ("right", [1, 1]),  # different in column 0, same row in column 1
     ],
 )
 def test_overlapping_supports_raise(monkeypatch, crafted):
+    side, second = crafted
     n = 2
-    words = word_table([pair(n, 0, 0, 0, 0), pair(n, 1, 0, 0, 0)])
-    rows_of = dict(zip(map(tuple, words.tolist()), crafted))
+    word = pair(n, 1, 0, 0, 0) if side == "left" else pair(n, 0, 0, 1, 0)
+    words = word_table([pair(n, 0, 0, 0, 0), word])
+    rows_of = {(0, 0, 0): [0, 1], (1, 0, 0): second}
 
-    def realize(chunk, n):
-        rows = np.array([rows_of[tuple(w)] for w in chunk.tolist()])
-        return rows, np.ones((len(chunk), n * n), dtype=complex)
+    def realize(factors, n):
+        rows = np.array([rows_of[tuple(f)] for f in factors.tolist()]).reshape(len(factors), n)
+        return rows, np.ones((len(factors), n), dtype=complex)
 
-    monkeypatch.setattr(graph_module, "pair_monomial", realize)
+    monkeypatch.setattr(graph_module, "weyl_monomial", realize)
     g = OperatorGraph(space_dim=n * n, words=words)
     with pytest.raises(ValueError, match="overlap"):
         graph_dim(g, "gram")
     code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
     with pytest.raises(ValueError, match="overlap"):
         compress(g, code)
+
+
+@pytest.mark.parametrize("build, arg", SMALL_LABEL_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS)
+def test_factored_gram_blocks_match_full_rows(build, arg):
+    # each class's Gram block from its two factors equals the Gram matrix of
+    # the members' full n^2-long realized rows
+    g, _ = build(arg)
+    n = math.isqrt(g.space_dim)
+    covered = 0
+    for members, rows, vals_l, vals_r in graph_module._support_classes(g):
+        full_rows, vals = pair_monomial(g.words[members], n)
+        assert np.array_equal(full_rows, np.broadcast_to(rows, full_rows.shape))
+        full = _gram(vals)
+        factored = graph_module._class_gram(vals_l, vals_r)
+        assert factored.shape == full.shape == (len(members), len(members))
+        assert max_abs(factored - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
+        covered += len(members)
+    assert covered == g.n_generators
+
+
+def test_label_count_matches_key_set():
+    for build, arg in SMALL_LABEL_GRAPHS:
+        g, _ = build(arg)
+        assert graph_dim(g, "labels") == len(g.label_keys())
+    # a table that bypasses graph_from_labels: one word under two phases
+    words = word_table([pair(3, 1, 2, 0, 1), pair(3, 1, 2, 0, 1), pair(3, 0, 0, 0, 0)])
+    words[1, 2] = 2
+    assert graph_dim(OperatorGraph(space_dim=9, words=words), "labels") == 2
 
 
 def test_dense_generators_match_labels():

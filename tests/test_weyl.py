@@ -15,6 +15,7 @@ from opgraph.weyl import (
     pair_dense,
     pair_monomial,
     weyl_dense,
+    weyl_monomial,
     word_table,
     x_matrix,
     z_matrix,
@@ -123,6 +124,26 @@ def test_pair_monomial_scatters_to_pair_dense():
             dense = np.zeros((n * n, n * n), dtype=complex)
             dense[r, cols] = v
             assert np.array_equal(dense, pair_dense(p))
+
+
+def test_weyl_monomial_scatters_to_weyl_dense():
+    # every single-factor word with every phase, exactly
+    for n in (2, 3, 4, 5):
+        factors = np.array(list(itertools.product(range(n), repeat=3)))
+        rows, vals = weyl_monomial(factors, n)
+        assert rows.shape == vals.shape == (n**3, n)
+        cols = np.arange(n)
+        for (kx, kz, phase), r, v in zip(factors.tolist(), rows, vals):
+            dense = np.zeros((n, n), dtype=complex)
+            dense[r, cols] = v
+            assert np.array_equal(dense, weyl_dense(label(n, kx, kz, phase)))
+
+
+def test_weyl_monomial_needs_factor_table():
+    with pytest.raises(ValueError, match="factor table"):
+        weyl_monomial(np.zeros((2, 6), dtype=int), 3)
+    rows, vals = weyl_monomial(np.zeros((0, 3), dtype=int), 3)
+    assert rows.shape == vals.shape == (0, 3)
 
 
 def test_pair_monomial_needs_pairs():
