@@ -24,7 +24,6 @@ from .graph import (
     OperatorGraph,
     compress,
     graph_dim,
-    graph_from_dense,
     graph_from_labels,
     is_anticlique,
 )

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import math
 import sys
 import time
 
@@ -102,18 +100,8 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     oracle = args.oracle
 
-    dim_labels = None
-    dim_gram = None
-
-    if oracle in ("labels", "both"):
-        if not g.has_labels:
-            if oracle == "labels":
-                raise UsageError(f"{construction} has no label form; use --oracle gram")
-        else:
-            dim_labels = graph_dim(g, "labels")
-
-    if oracle in ("gram", "both"):
-        dim_gram = graph_dim(g, "gram", tol)
+    dim_labels = graph_dim(g, "labels") if oracle in ("labels", "both") else None
+    dim_gram = graph_dim(g, "gram", tol) if oracle in ("gram", "both") else None
 
     oracle_ok = dim_labels is None or dim_gram is None or dim_labels == dim_gram
 
@@ -243,24 +231,22 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     all_ok = True
-    if args.format == "csv":
-        buffer = io.StringIO()
-        csv.DictWriter(buffer, fieldnames=CSV_COLUMNS).writeheader()
-        print(buffer.getvalue(), end="")
-    for construction, ns in points:
+    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
+    for index, (construction, ns) in enumerate(points):
         try:
             report, hard_ok = run_verification(construction, ns)
         except (UsageError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         all_ok = all_ok and hard_ok
-        if args.format == "csv":
-            buffer = io.StringIO()
-            row_writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
-            row_writer.writerow(_csv_row(report))
-            print(buffer.getvalue(), end="")
-        else:
+        if args.format == "jsonl":
             print(json.dumps(report))
+            continue
+        # the header goes out with the first row, so a point rejected before
+        # it leaves stdout empty
+        if index == 0:
+            writer.writeheader()
+        writer.writerow(_csv_row(report))
     return 0 if all_ok else 1
 
 
@@ -281,13 +267,10 @@ def cmd_demo(args) -> int:
     for trial in range(args.trials):
         gen_idx = int(rng.integers(g.n_generators))
         word_idx = int(rng.integers(code.code_dim))
-        # realize only the sampled generator; label graphs can be large
-        if g.words is not None:
-            rows, vals = pair_monomial(g.words[gen_idx : gen_idx + 1], math.isqrt(g.space_dim))
-            generator = np.zeros((g.space_dim, g.space_dim), dtype=complex)
-            generator[rows[0], np.arange(g.space_dim)] = vals[0]
-        else:
-            generator = g.dense[gen_idx]
+        # realize only the sampled generator; graphs can be large
+        rows, vals = pair_monomial(g.words[gen_idx : gen_idx + 1], g.n)
+        generator = np.zeros((g.space_dim, g.space_dim), dtype=complex)
+        generator[rows[0], np.arange(g.space_dim)] = vals[0]
         column = s.conj().T @ (generator @ s[:, word_idx])
         cross = np.abs(column)
         cross[word_idx] = 0.0

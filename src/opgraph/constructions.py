@@ -1,7 +1,8 @@
 """Builders for the three verified constructions and their claimed dimensions.
 
-* section2: four-dimensional space, graph spanned by five Pauli tensor words,
-  two-dimensional code from a pair of product vectors.
+* section2: C^2 (x) C^2, graph spanned by five Pauli tensor words, the n = 2
+  case of the Weyl words, two-dimensional code from a pair of product
+  vectors.
 * section3: C^n (x) C^n, graph spanned by all powers of the one-sided words
   (X Z^k (x) I) and (I (x) X Z^k), code spanned by the diagonal Fourier
   products f_j (x) f_j.
@@ -19,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CodeSpace, OperatorGraph, graph_from_dense, graph_from_labels
+from .graph import CodeSpace, OperatorGraph, graph_from_labels
 from .linalg import kron
 from .weyl import fourier_basis, x_matrix
 
 __all__ = [
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "build_section2",
     "build_section3",
     "Section4Params",
@@ -45,25 +43,22 @@ __all__ = [
     "enumerate_section4_params",
 ]
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-# transpose of the more common sigma_y sign convention; every check here is
-# insensitive to the sign
-PAULI_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
-    and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1)."""
-    eye = np.eye(2, dtype=complex)
-    generators = [
-        np.eye(4, dtype=complex),
-        kron(PAULI_X, eye),
-        kron(PAULI_Y, eye),
-        kron(eye, PAULI_Y),
-        kron(eye, PAULI_Z),
-    ]
-    g = graph_from_dense(4, generators, metadata={"name": "section2"})
+    and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1).
+
+    At n = 2 the Pauli matrices are Weyl words: sx = Z, sz = X and
+    sy = i XZ, so the graph is the word table [Z(x)I, XZ(x)I, I(x)XZ, I(x)X]
+    in that generator order. The phase i is dropped; it changes neither the
+    span nor the anticlique verdict.
+    """
+    words = np.array([
+        [0, 1, 0, 0, 0, 0],  # Z (x) I = sx (x) I
+        [1, 1, 0, 0, 0, 0],  # XZ (x) I = -i sy (x) I
+        [0, 0, 0, 1, 1, 0],  # I (x) XZ = -i I (x) sy
+        [0, 0, 0, 1, 0, 0],  # I (x) X = I (x) sz
+    ])
+    g = graph_from_labels(2, words, metadata={"name": "section2"})
     f_plus = kron(np.array([1, 0]), np.array([1, 1]))
     f_minus = kron(np.array([0, 1]), np.array([1, -1]))
     code = CodeSpace.from_vectors([f_plus, f_minus], names=("f+", "f-"))

@@ -1,21 +1,20 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
 spaces, compression by an isometry, and anticlique verdicts.
 
-A graph carries its generators either as an exact word table (see
-opgraph.weyl: one integer row of exponents and phases per tensor word) or as
-dense matrices. Two independent dimension oracles are available: counting
-distinct word exponents (exact, phases dropped) and the numeric Gram rank of
-the realized generators. Label graphs are realized per tensor factor in
-monomial form (weyl_monomial), one support class at a time; the Gram side
-reads only those realized matrices. Since the Hilbert-Schmidt product
-factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
-Gram block of a class is the entrywise product (V_l V_l^dag) * (V_r V_r^dag)
-of its two factor Grams, and no n^2-long row is formed to rank it.
+Every graph carries its generators as an exact word table (see opgraph.weyl:
+one integer row of exponents and phases per tensor word on C^n (x) C^n).
+Two independent dimension oracles are available: counting distinct word
+exponents (exact, phases dropped) and the numeric Gram rank of the realized
+generators. Generators are realized per tensor factor in monomial form
+(weyl_monomial), one support class at a time; the Gram side reads only those
+realized matrices. Since the Hilbert-Schmidt product factorizes over the
+tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a class
+is the entrywise product (V_l V_l^dag) * (V_r V_r^dag) of its two factor
+Grams, and no n^2-long row is formed to rank it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -39,7 +38,6 @@ __all__ = [
     "CompressionReport",
     "GraphDim",
     "graph_from_labels",
-    "graph_from_dense",
     "graph_dim",
     "compress",
     "is_anticlique",
@@ -54,59 +52,56 @@ _CLASS_SCAN_CHUNK = 4096
 class OperatorGraph:
     """Span of generators, closed under adjoints, containing the identity.
 
-    ``words`` is present iff every generator is a scaled Weyl tensor word on
-    C^n (x) C^n, space_dim = n^2: an integer word table of shape
+    Every generator is a scaled Weyl tensor word on C^n (x) C^n, so
+    space_dim = n^2. ``words`` is an integer word table of shape
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
-    right kz, right phase) reduced mod n. Such graphs are never densified,
-    only realized per tensor factor in monomial form (weyl_monomial), one
-    support class at a time. Dense-only graphs keep the explicit matrix list.
+    right kz, right phase), every entry reduced to [0, n). Generators are
+    never densified, only realized per tensor factor in monomial form
+    (weyl_monomial), one support class at a time.
     """
 
-    space_dim: int
-    words: np.ndarray | None = None
-    dense: tuple[np.ndarray, ...] | None = None
+    n: int
+    words: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.words is None and self.dense is None:
-            raise ValueError("graph needs a word table or dense generators")
+        _check_word_table(self.n, self.words)
+        # rejected, not reduced: the label oracle packs exponents as stored
+        if len(self.words) and (self.words.min() < 0 or self.words.max() >= self.n):
+            raise ValueError(
+                f"word table entries must lie in [0, n) = [0, {self.n}), "
+                f"got values in [{self.words.min()}, {self.words.max()}]"
+            )
 
     @property
-    def has_labels(self) -> bool:
-        return self.words is not None
+    def space_dim(self) -> int:
+        return self.n * self.n
 
     @property
     def n_generators(self) -> int:
-        if self.words is not None:
-            return len(self.words)
-        return len(self.dense)
+        return len(self.words)
 
     def label_keys(self) -> set[tuple[int, int, int, int]]:
         """Exponent quadruples (left kx, left kz, right kx, right kz) of the
         words; phases are dropped, matching span-level identity of words."""
-        if self.words is None:
-            raise ValueError("graph has no label form")
         return set(map(tuple, self.words[:, [0, 1, 3, 4]].tolist()))
 
     def _label_count(self) -> int:
         """Number of distinct exponent quadruples, len(label_keys()) without
         building the set: the distinct values among sorted packed keys."""
-        if self.words is None:
-            raise ValueError("graph has no label form")
         # not np.unique(keys): in numpy 2.4 it takes a hash-table path that is
         # about 15x slower at 64513 keys
-        keys = np.sort(_exponent_keys(self.words, math.isqrt(self.space_dim)))
+        keys = np.sort(_exponent_keys(self.words, self.n))
         return min(len(keys), 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
     @cached_property
     def _support_partition(self) -> list[np.ndarray]:
-        """Generator indices of a label graph grouped by the row that holds
-        the entry of column 0 of each realized word, row_l[0] * n + row_r[0]
-        from its two realized factors; _support_classes checks that the
-        groups are support classes. Cached, since the Gram oracle and
-        compress both walk the classes."""
-        words = self.words
-        n = math.isqrt(self.space_dim)
+        """Generator indices grouped by the row that holds the entry of
+        column 0 of each realized word, row_l[0] * n + row_r[0] from its two
+        realized factors; _support_classes checks that the groups are
+        support classes. Cached, since the Gram oracle and compress both
+        walk the classes."""
+        words, n = self.words, self.n
         first = np.empty(len(words), dtype=np.int64)
         for i in range(0, len(words), _CLASS_SCAN_CHUNK):
             # copied out, so the chunk's realization is freed before the next
@@ -131,23 +126,31 @@ def graph_from_labels(
     wins with its phase.
     """
     words = np.asarray(words)
-    if n < 1:
-        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
-    if words.ndim != 2 or words.shape[1] != 6 or not np.issubdtype(words.dtype, np.integer):
-        raise ValueError(
-            f"expected an integer word table of shape (G, 6), got {words.dtype} {words.shape}"
-        )
+    _check_word_table(n, words)
     table = np.concatenate([np.zeros((1, 6), dtype=np.int64), words % n])
     kx, kz, phase = table[:, 0::3], table[:, 1::3], table[:, 2::3]
     # (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b} on each factor
     adjoint = np.stack([-kx, -kz, kx * kz - phase], axis=2).reshape(-1, 6) % n
     both = np.stack([table, adjoint], axis=1).reshape(-1, 6)
     first = np.sort(np.unique(_exponent_keys(both, n), return_index=True)[1])
-    return OperatorGraph(
-        space_dim=n * n,
-        words=both[first],
-        metadata=dict(metadata or {}),
-    )
+    return OperatorGraph(n=n, words=both[first], metadata=dict(metadata or {}))
+
+
+def _check_word_table(n: int, words) -> None:
+    """Raise ValueError unless n >= 1 and words is an integer array of shape
+    (G, 6)."""
+    if n < 1:
+        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
+    if (
+        not isinstance(words, np.ndarray)
+        or words.ndim != 2
+        or words.shape[1] != 6
+        or not np.issubdtype(words.dtype, np.integer)
+    ):
+        raise ValueError(
+            "expected an integer word table of shape (G, 6), "
+            f"got {np.asarray(words).dtype} {np.shape(words)}"
+        )
 
 
 def _exponent_keys(words: np.ndarray, n: int) -> np.ndarray:
@@ -155,29 +158,6 @@ def _exponent_keys(words: np.ndarray, n: int) -> np.ndarray:
     exponent quadruple (left kx, left kz, right kx, right kz); phases are
     dropped."""
     return ((words[:, 0] * n + words[:, 1]) * n + words[:, 3]) * n + words[:, 4]
-
-
-def graph_from_dense(
-    space_dim: int,
-    generators: Iterable[np.ndarray],
-    metadata: dict | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> OperatorGraph:
-    """Graph from explicit dense generators, with identity and adjoints
-    appended when not already present (entrywise within ``tol.absolute``)."""
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    for m in mats:
-        if m.shape != (space_dim, space_dim):
-            raise ValueError(f"generator shape {m.shape} does not match space_dim {space_dim}")
-    kept: list[np.ndarray] = [np.eye(space_dim, dtype=complex)]
-    for m in mats + [dagger(m) for m in mats]:
-        if not any(max_abs(m - k) < tol.absolute for k in kept):
-            kept.append(m)
-    return OperatorGraph(
-        space_dim=space_dim,
-        dense=tuple(kept),
-        metadata=dict(metadata or {}),
-    )
 
 
 @dataclass(frozen=True)
@@ -241,15 +221,14 @@ class GraphDim:
 def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_TOL):
     """Dimension of the span of the graph's generators.
 
-    method "labels": count of distinct exponent quadruples (exact; requires
-    label form), from one packed integer key per word, sorted. method
-    "gram": numeric Gram rank of the realized generators, over every
-    generator; for label graphs the Gram matrix is block-diagonal by support
-    class and is ranked block by block against the global largest
-    eigenvalue. Each block is formed from the class's two realized tensor
-    factors as (V_l V_l^dag) * (V_r V_r^dag), entrywise, since
-    <A (x) B, C (x) D> = <A, C> <B, D>: 2 m^2 n products for m members in
-    place of m^2 n^2. A block whose Gershgorin discs clear the cutoff counts
+    method "labels": count of distinct exponent quadruples (exact), from one
+    packed integer key per word, sorted. method "gram": numeric Gram rank of
+    the realized generators, over every generator; the Gram matrix is
+    block-diagonal by support class and is ranked block by block against
+    the global largest eigenvalue. Each block is formed from the class's two
+    realized tensor factors as (V_l V_l^dag) * (V_r V_r^dag), entrywise,
+    since <A (x) B, C (x) D> = <A, C> <B, D>: 2 m^2 n products for m
+    members in place of m^2 n^2. A block whose Gershgorin discs clear the cutoff counts
     as full rank without an eigensolve (see linalg._rank_of_grams), which
     holds for every support class of distinct Weyl words, since they are
     Hilbert-Schmidt orthogonal. method "both": a GraphDim carrying both
@@ -267,8 +246,6 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    if g.words is None:
-        return gram_rank(g.dense, tol)
     return _rank_of_grams(
         lambda: (_class_gram(vals_l, vals_r) for _, _, vals_l, vals_r in _support_classes(g)), tol
     )
@@ -284,8 +261,8 @@ def _class_gram(vals_l: np.ndarray, vals_r: np.ndarray) -> np.ndarray:
 def _support_classes(
     g: OperatorGraph,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Realized generators of a label graph, one support class at a time,
-    each as its two tensor factors.
+    """Realized generators of a graph, one support class at a time, each as
+    its two tensor factors.
 
     Yields (members, rows, vals_l, vals_r): the generator indices of one
     class, the row of each column's entry shared by every member, shape
@@ -298,8 +275,7 @@ def _support_classes(
     the rows of either factor, or share a position with an earlier class,
     since that block structure would then not hold.
     """
-    dim = g.space_dim
-    n = math.isqrt(dim)
+    n, dim = g.n, g.space_dim
     cols = np.arange(dim)
     taken = np.zeros((dim, dim), dtype=bool)
     for members in g._support_partition:
@@ -316,20 +292,15 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     """Compression S^dag V S of every generator V by the code isometry S,
     stacked in generator order, shape (n_generators, code_dim, code_dim).
 
-    Each result equals P_K V P_K restricted to the code subspace. Label
-    graphs take it from the monomial realization, one support class at a
-    time: with V[rows[c], c] = vals[c], the compression is
+    Each result equals P_K V P_K restricted to the code subspace, taken from
+    the monomial realization one support class at a time: with
+    V[rows[c], c] = vals[c], the compression is
     sum_c vals[c] conj(S[rows[c], l]) S[c, k], one matrix product per class,
     with vals the outer product of the class's two realized factors.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
-    s = code.isometry
-    if g.words is None:
-        sd = dagger(s)
-        return np.stack([sd @ (v @ s) for v in g.dense])
-    n = math.isqrt(g.space_dim)
-    d = code.code_dim
+    s, n, d = code.isometry, g.n, code.code_dim
     out = np.empty((g.n_generators, d, d), dtype=complex)
     for members, rows, vals_l, vals_r in _support_classes(g):
         vals = (vals_l[:, :, None] * vals_r[:, None, :]).reshape(len(members), n * n)

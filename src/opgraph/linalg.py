@@ -89,17 +89,20 @@ def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_T
 
     Forms the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
     products and counts eigenvalues above ``tol.relative`` times the largest
-    one, through _rank_of_rows: when the Gram matrix's Gershgorin discs
-    already clear that cutoff, the family counts as independent without an
-    eigensolve. The result is invariant under permutations of the family and
-    under rescaling any entry by a nonzero scalar. An empty family has rank 0.
+    one, through _rank_of_grams as a single block: when the Gram matrix's
+    Gershgorin discs already clear that cutoff, the family counts as
+    independent without an eigensolve. The anticlique verdict ranks the
+    compressions with it; graphs are ranked by support class instead
+    (graph.graph_dim). The result is invariant under permutations of the
+    family and under rescaling any entry by a nonzero scalar. An empty family
+    has rank 0.
     """
     if len(ops) == 0:
         return 0
     stack = np.asarray(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
-    return _rank_of_rows([stack.reshape(len(stack), -1)], tol)
+    return _rank_of_grams([_gram(stack.reshape(len(stack), -1))], tol)
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -108,17 +111,6 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= rows.shape[1]:
         return rows @ rows.conj().T
     return rows.conj().T @ rows
-
-
-def _rank_of_rows(
-    blocks: Sequence[np.ndarray] | Callable[[], Iterable[np.ndarray]], tol: Tolerance
-) -> int:
-    """Rank of a family of flattened matrices given as row blocks whose
-    supports are pairwise disjoint, so their Gram matrix is block-diagonal:
-    _rank_of_grams over the blocks' Gram matrices. ``blocks`` is a sequence,
-    or a zero-argument callable returning a fresh iterable of blocks."""
-    walk = blocks if callable(blocks) else (lambda kept=tuple(blocks): kept)
-    return _rank_of_grams(lambda: map(_gram, walk()), tol)
 
 
 def _rank_of_grams(

@@ -25,7 +25,7 @@ def test_verify_section2_json():
     report = json.loads(result.stdout)
     assert report["graph_dim_gram"] == 5
     assert report["code_dim"] == 2
-    assert report["graph_dim_labels"] is None
+    assert report["graph_dim_labels"] == 5
     assert report["anticlique"] is True
 
 
@@ -84,9 +84,10 @@ def test_deterministic_output_is_byte_identical():
 
 
 def test_verify_invalid_params_exit_two():
-    result = run_cli("verify", "section3", "--n", "2")
-    assert result.returncode == 2
-    assert b"n > 2" in result.stderr
+    for n in ("2", "-3"):
+        result = run_cli("verify", "section3", "--n", n)
+        assert result.returncode == 2, n
+        assert b"n > 2" in result.stderr
 
     result = run_cli("verify", "section4", "--p", "2", "--y", "4", "--h", "0", "--d", "2")
     assert result.returncode == 2
@@ -130,10 +131,21 @@ def test_sweep_bad_tolerance_exits_before_any_output():
     assert b"0 < relative < 1" in result.stderr
 
 
-def test_verify_labels_oracle_unavailable_for_dense():
-    result = run_cli("verify", "section2", "--oracle", "labels")
+def test_verify_labels_oracle_on_section2():
+    # section2 is a word table at n = 2, so the label oracle runs on it
+    result = run_cli("verify", "section2", "--oracle", "labels", "--json")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert report["graph_dim_labels"] == 5
+    assert report["graph_dim_gram"] is None
+
+
+def test_sweep_rejected_first_point_prints_nothing():
+    # n=2 is rejected while the first point is built, before any CSV header
+    result = run_cli("sweep", "section3", "--n", "2..4")
     assert result.returncode == 2
-    assert b"no label form" in result.stderr
+    assert result.stdout == b""
+    assert b"n > 2" in result.stderr
 
 
 def test_gram_oracle_runs_in_full_without_flags():
@@ -170,8 +182,11 @@ def test_sweep_section3_jsonl():
 def test_sweep_empty_range_exit_two():
     result = run_cli("sweep", "section3", "--n", "9..3")
     assert result.returncode == 2
-    result = run_cli("sweep", "section4", "--n-max", "3")
-    assert result.returncode == 2
+    for n_max in ("3", "0", "-5"):
+        result = run_cli("sweep", "section4", "--n-max", n_max)
+        assert result.returncode == 2, n_max
+        assert result.stdout == b""
+        assert b"empty parameter range" in result.stderr
 
 
 def test_sweep_section4_small():

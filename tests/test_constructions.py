@@ -19,7 +19,7 @@ from opgraph.constructions import (
     predicted_dims,
     residue_set_A,
 )
-from opgraph.graph import compress, graph_dim, graph_from_labels, is_anticlique
+from opgraph.graph import CodeSpace, compress, graph_dim, graph_from_labels, is_anticlique
 from opgraph.linalg import kron, max_abs
 from opgraph.weyl import (
     WeylLabelPair,
@@ -55,6 +55,24 @@ def test_section2_shape_and_dimension():
     assert g.space_dim == 4
     assert code.code_dim == 2
     assert graph_dim(g, "gram") == 5
+
+
+def test_section2_generators_are_pauli_words():
+    # each realized generator is its Pauli tensor word up to a unit-modulus
+    # scalar, in the documented order [I, sx(x)I, sy(x)I, I(x)sy, I(x)sz]
+    eye = np.eye(2)
+    sx = np.array([[0, 1], [1, 0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1, 0], [0, -1]])
+    expected = [kron(eye, eye), kron(sx, eye), kron(sy, eye), kron(eye, sy), kron(eye, sz)]
+    g, _ = build_section2()
+    # with the whole space as code, S = I and compress returns each generator
+    realized = compress(g, CodeSpace(space_dim=4, isometry=np.eye(4, dtype=complex)))
+    assert len(realized) == len(expected)
+    for v, ref in zip(realized, expected):
+        scale = np.vdot(ref, v) / 4
+        assert abs(abs(scale) - 1) < 1e-12
+        assert max_abs(v - scale * ref) < 1e-12
 
 
 def test_section2_orthogonality_table():

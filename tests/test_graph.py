@@ -9,7 +9,6 @@ from opgraph.graph import (
     OperatorGraph,
     compress,
     graph_dim,
-    graph_from_dense,
     graph_from_labels,
     is_anticlique,
 )
@@ -105,17 +104,28 @@ def test_off_diagonal_family_is_adjoint_closed():
     assert g.n_generators == len(family) + 1
 
 
-def test_graph_dim_labels_unavailable_on_dense():
+def test_graph_dim_rejects_unknown_method():
     g, _ = build_section2()
-    with pytest.raises(ValueError):
-        graph_dim(g, "labels")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method"):
         graph_dim(g, "nonsense")
 
 
 def test_graph_requires_some_generators():
-    with pytest.raises(ValueError):
-        OperatorGraph(space_dim=4)
+    with pytest.raises(TypeError):
+        OperatorGraph(n=2)
+    # rejected, not reduced: the label oracle packs exponents as stored, and
+    # counted 3 labels for this span of dimension 2
+    unreduced = np.array([[0, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
+    for bad in (unreduced, -unreduced):
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, n\)"):
+            OperatorGraph(n=3, words=bad)
+    dims = graph_dim(OperatorGraph(n=3, words=unreduced % 3), "both")
+    assert dims.labels == dims.gram == 2
+    for bad in (np.zeros((2, 4), dtype=int), np.zeros((2, 6)), np.zeros(6, dtype=int), [[0] * 6]):
+        with pytest.raises(ValueError, match="word table of shape"):
+            OperatorGraph(n=3, words=bad)
+    with pytest.raises(ValueError, match="n >= 1"):
+        OperatorGraph(n=0, words=np.zeros((1, 6), dtype=int))
 
 
 def test_oracle_equivalence_random_subsets():
@@ -150,8 +160,8 @@ def test_compress_section2_generator_vanishes():
 
 
 def test_compress_single_flip_graph():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    g = graph_from_dense(4, [kron(np.eye(2), sx)])
+    # I (x) sx is the word I (x) Z at n = 2
+    g = graph_from_labels(2, np.array([[0, 0, 0, 0, 1, 0]]))
     e = np.eye(2)
     code = CodeSpace.from_vectors([kron(e[0], e[0]), kron(e[1], e[0])])
     compressed = compress(g, code)
@@ -236,17 +246,16 @@ def test_true_verdict_implies_kl_structure():
 
 
 def test_compress_is_linear():
+    # compress is the linear map V -> S^dag V S, checked generator by
+    # generator against the scalar pair_dense realization
     rng = np.random.default_rng(11)
-    a = random_complex(rng, 4, 4)
-    b = random_complex(rng, 4, 4)
-    alpha, beta = 0.7 - 0.2j, 1.3 + 0.5j
-    code = CodeSpace.from_vectors([random_complex(rng, 4), random_complex(rng, 4)])
-    ga = OperatorGraph(space_dim=4, dense=(a,))
-    gb = OperatorGraph(space_dim=4, dense=(b,))
-    gc = OperatorGraph(space_dim=4, dense=(alpha * a + beta * b,))
-    lhs = compress(gc, code)[0]
-    rhs = alpha * compress(ga, code)[0] + beta * compress(gb, code)[0]
-    assert max_abs(lhs - rhs) < 1e-12
+    g, _ = build_section3(4)
+    code = CodeSpace.from_vectors([random_complex(rng, 16), random_complex(rng, 16)])
+    s = code.isometry
+    compressed = compress(g, code)
+    assert compressed.shape == (g.n_generators, 2, 2)
+    for c, p in zip(compressed, scalar_pairs(g)):
+        assert max_abs(c - dagger(s) @ pair_dense(p) @ s) < 1e-12
 
 
 def test_adjoint_closure_leaves_rank_unchanged():
@@ -367,7 +376,7 @@ def test_repeated_word_under_two_phases_loses_rank():
     word = WeylLabelPair(label(n, 1, 2, 0), label(n, 2, 1, 0))
     rephased = WeylLabelPair(label(n, 1, 2, 1), label(n, 2, 1, 0))
     words = word_table([pair(n, 0, 0, 0, 0), word, rephased])
-    g = OperatorGraph(space_dim=n * n, words=words)
+    g = OperatorGraph(n=n, words=words)
     assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
 
 
@@ -394,7 +403,7 @@ def test_overlapping_supports_raise(monkeypatch, crafted):
         return rows, np.ones((len(factors), n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    g = OperatorGraph(space_dim=n * n, words=words)
+    g = OperatorGraph(n=n, words=words)
     with pytest.raises(ValueError, match="overlap"):
         graph_dim(g, "gram")
     code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
@@ -427,7 +436,7 @@ def test_label_count_matches_key_set():
     # a table that bypasses graph_from_labels: one word under two phases
     words = word_table([pair(3, 1, 2, 0, 1), pair(3, 1, 2, 0, 1), pair(3, 0, 0, 0, 0)])
     words[1, 2] = 2
-    assert graph_dim(OperatorGraph(space_dim=9, words=words), "labels") == 2
+    assert graph_dim(OperatorGraph(n=3, words=words), "labels") == 2
 
 
 def test_dense_generators_match_labels():
@@ -439,13 +448,6 @@ def test_dense_generators_match_labels():
     assert realized.shape == (g.n_generators, 16, 16)
     for p, dense in zip(scalar_pairs(g), realized):
         assert max_abs(dense - pair_dense(p)) == 0.0
-
-
-def test_graph_from_dense_adds_missing_adjoint():
-    upper = np.array([[0, 1], [0, 0]], dtype=complex)
-    g = graph_from_dense(2, [upper])
-    assert g.n_generators == 3  # identity, the word, and its adjoint
-    assert graph_dim(g, "gram") == 3
 
 
 def test_support_scan_memory_is_bounded():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from opgraph.linalg import (
     DEFAULT_TOL,
     Tolerance,
-    _rank_of_rows,
+    _gram,
+    _rank_of_grams,
     dagger,
     gram_rank,
     hs_inner,
@@ -138,25 +139,33 @@ def test_gram_rank_zero_family():
     assert gram_rank([np.zeros((2, 2))]) == 0
 
 
+def rank_of_rows(blocks):
+    """Rank of row blocks with pairwise disjoint supports: the rank core
+    over each block's Gram matrix. ``blocks`` is a sequence, or a
+    zero-argument callable returning a fresh iterable of blocks."""
+    walk = blocks if callable(blocks) else (lambda: blocks)
+    return _rank_of_grams(lambda: map(_gram, walk()), DEFAULT_TOL)
+
+
 def test_rank_of_rows_thresholds_blocks_against_global_max():
     # disjoint supports; the small block alone has full rank, but its
     # eigenvalue 1e-12 falls below 1e-9 of the large block's
     large = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0]])
     small = np.array([[0, 0, 1e-6, 0]])
-    assert _rank_of_rows([small], DEFAULT_TOL) == 1
-    assert _rank_of_rows([large, small], DEFAULT_TOL) == 2
+    assert rank_of_rows([small]) == 1
+    assert rank_of_rows([large, small]) == 2
     # small comes first and clears the cutoff of the largest eigenvalue seen
     # so far; it must be eigensolved again against the final one
-    assert _rank_of_rows([small, large], DEFAULT_TOL) == 2
-    assert _rank_of_rows(lambda: iter([small, large]), DEFAULT_TOL) == 2
-    assert _rank_of_rows([np.vstack([large, small])], DEFAULT_TOL) == 2
-    assert _rank_of_rows([], DEFAULT_TOL) == 0
+    assert rank_of_rows([small, large]) == 2
+    assert rank_of_rows(lambda: iter([small, large])) == 2
+    assert rank_of_rows([np.vstack([large, small])]) == 2
+    assert rank_of_rows([]) == 0
 
 
 def test_rank_of_rows_never_certifies_a_near_dependent_block():
     # the diagonal alone clears the cutoff, but the discs reach below zero
     nearly_parallel = np.array([[1, 1, 0], [1 + 1e-13, 1, 0]], dtype=complex)
-    assert _rank_of_rows([nearly_parallel], DEFAULT_TOL) == 1
+    assert rank_of_rows([nearly_parallel]) == 1
 
 
 def test_rank_of_rows_eigensolves_only_uncertified_blocks(monkeypatch):
@@ -170,9 +179,9 @@ def test_rank_of_rows_eigensolves_only_uncertified_blocks(monkeypatch):
         return eigvalsh(gram)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert _rank_of_rows([orthogonal, dependent], DEFAULT_TOL) == 3
+    assert rank_of_rows([orthogonal, dependent]) == 3
     assert solved == [2]
-    assert _rank_of_rows([np.vstack([orthogonal, dependent])], DEFAULT_TOL) == 3
+    assert rank_of_rows([np.vstack([orthogonal, dependent])]) == 3
 
 
 def test_orthonormalize_two_product_vectors():
