@@ -28,7 +28,6 @@ from .graph import (
     is_anticlique,
 )
 from .constructions import (
-    PredictedDims,
     ResidueSetA,
     Section4Params,
     baseline_bounds,
@@ -42,7 +41,6 @@ from .constructions import (
     claimed_dim_section3,
     claimed_dim_section4,
     enumerate_section4_params,
-    predicted_dims,
     residue_set_A,
 )
 

@@ -73,14 +73,12 @@ def _build(construction: str, args) -> tuple:
     if construction == "section3":
         if args.n is None:
             raise UsageError("section3 requires --n")
-        g, code = build_section3(args.n, allow_n2=getattr(args, "allow_n2", False))
+        g, code = build_section3(args.n, allow_n2=args.allow_n2)
         return g, code, {"n": args.n}, claimed_dim_section3(args.n)
     if construction == "section4":
         if None in (args.p, args.y, args.h, args.d):
             raise UsageError("section4 requires --p --y --h --d")
-        params = Section4Params(
-            p=args.p, y=args.y, h=args.h, d=args.d, allow_d1=getattr(args, "allow_d1", False)
-        )
+        params = Section4Params(p=args.p, y=args.y, h=args.h, d=args.d, allow_d1=args.allow_d1)
         g, code = build_section4(params)
         echo = {"p": params.p, "y": params.y, "h": params.h, "d": params.d, "n": params.n}
         return g, code, echo, claimed_dim_section4(params)
@@ -93,21 +91,15 @@ def _build(construction: str, args) -> tuple:
 
 
 def run_verification(construction: str, args) -> tuple[dict, bool]:
-    """Build one construction, run the configured oracles and the anticlique
-    check, and assemble the report. Returns (report, hard_checks_passed)."""
+    """Build one construction, run both oracles and the anticlique check,
+    and assemble the report. Returns (report, hard_checks_passed)."""
     started = time.perf_counter()
     g, code, params_echo, claimed = _build(construction, args)
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    oracle = args.oracle
-
-    dim_labels = graph_dim(g, "labels") if oracle in ("labels", "both") else None
-    dim_gram = graph_dim(g, "gram", tol) if oracle in ("gram", "both") else None
-
-    oracle_ok = dim_labels is None or dim_gram is None or dim_labels == dim_gram
-
+    # two calls, not method "both", so a trace times each oracle on its own
+    dim_labels = graph_dim(g, "labels")
+    dim_gram = graph_dim(g, "gram", tol)
     report_ac = is_anticlique(g, code, tol)
-    computed = dim_labels if dim_labels is not None else dim_gram
-    formula_match = None if computed is None else (computed == claimed)
     bounds = baseline_bounds(g.space_dim, code.code_dim) if code.code_dim >= 2 else None
 
     runtime_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
@@ -120,7 +112,7 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
         "graph_dim_labels": dim_labels,
         "graph_dim_gram": dim_gram,
         "paper_claimed_dim": claimed,
-        "formula_match": formula_match,
+        "formula_match": dim_labels == claimed,
         "anticlique": report_ac.verdict,
         "max_residual": report_ac.residual,
         "bounds": bounds,
@@ -128,7 +120,7 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
         "runtime_ms": runtime_ms,
         "tool_version": __version__,
     }
-    hard_ok = report_ac.verdict and oracle_ok and report_ac.residual <= tol.absolute
+    hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= tol.absolute
     return report, hard_ok
 
 
@@ -194,35 +186,6 @@ def _sweep_points(args) -> list[tuple[str, argparse.Namespace]]:
     return points
 
 
-def _csv_row(report: dict) -> dict:
-    p = report["params"]
-    bounds = report["bounds"] or {}
-    row = {
-        "construction": report["construction"],
-        "n": p.get("n", ""),
-        "p": p.get("p", ""),
-        "y": p.get("y", ""),
-        "h": p.get("h", ""),
-        "d": p.get("d", ""),
-        "space_dim": report["space_dim"],
-        "code_dim": report["code_dim"],
-        "graph_dim_labels": _blank_if_none(report["graph_dim_labels"]),
-        "graph_dim_gram": _blank_if_none(report["graph_dim_gram"]),
-        "paper_claimed_dim": report["paper_claimed_dim"],
-        "formula_match": _blank_if_none(report["formula_match"]),
-        "anticlique": report["anticlique"],
-        "max_residual": report["max_residual"],
-        "knill_max": bounds.get("knill_max", ""),
-        "commutative_max": bounds.get("commutative_max", ""),
-        "runtime_ms": report["runtime_ms"],
-    }
-    return row
-
-
-def _blank_if_none(value):
-    return "" if value is None else value
-
-
 def cmd_sweep(args) -> int:
     try:
         Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
@@ -231,7 +194,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     all_ok = True
-    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, restval="", extrasaction="ignore")
     for index, (construction, ns) in enumerate(points):
         try:
             report, hard_ok = run_verification(construction, ns)
@@ -246,14 +209,14 @@ def cmd_sweep(args) -> int:
         # it leaves stdout empty
         if index == 0:
             writer.writeheader()
-        writer.writerow(_csv_row(report))
+        writer.writerow({**report, **report["params"], **(report["bounds"] or {})})
     return 0 if all_ok else 1
 
 
 def cmd_demo(args) -> int:
     try:
-        tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-        g, code, params_echo, _ = _build(args.construction, args)
+        tol = Tolerance(absolute=args.tol_abs)
+        g, code, _, _ = _build(args.construction, args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -286,11 +249,13 @@ def cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--oracle", choices=["labels", "gram", "both"], default="both",
-                        help="dimension oracle(s) to run (default: both)")
+def _add_tol_abs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-abs", type=float, default=1e-12,
                         help="absolute tolerance for residuals (default: 1e-12)")
+
+
+def _add_check_flags(parser: argparse.ArgumentParser) -> None:
+    _add_tol_abs(parser)
     parser.add_argument("--tol-rel", type=float, default=1e-9,
                         help="relative eigenvalue cutoff for ranks (default: 1e-9)")
     parser.add_argument("--deterministic", action="store_true",
@@ -321,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify one construction and print a report")
     verify.add_argument("construction", choices=["section2", "section3", "section4", "remark2"])
     _add_construction_params(verify)
-    _add_common_flags(verify)
+    _add_check_flags(verify)
     verify.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     sweep = sub.add_parser("sweep", help="verify a parameter range, one report row per point")
@@ -330,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-max", type=int, default=None,
                        help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    _add_common_flags(sweep)
-    sweep.set_defaults(allow_n2=False, allow_d1=False, json=False)
+    _add_check_flags(sweep)
+    sweep.set_defaults(allow_n2=False, allow_d1=False)
 
     demo = sub.add_parser("demo", help="seeded random error-word distinguishability transcript")
     demo.add_argument("--construction", required=True,
@@ -339,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_construction_params(demo)
     demo.add_argument("--trials", type=int, default=20)
     demo.add_argument("--seed", type=int, default=0)
-    _add_common_flags(demo)
+    _add_tol_abs(demo)
     return parser
 
 

@@ -33,8 +33,6 @@ __all__ = [
     "build_code_K1",
     "build_section4",
     "build_remark2",
-    "PredictedDims",
-    "predicted_dims",
     "claimed_dim_section2",
     "claimed_dim_section3",
     "claimed_dim_section4",
@@ -58,7 +56,7 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
         [0, 0, 0, 1, 1, 0],  # I (x) XZ = -i I (x) sy
         [0, 0, 0, 1, 0, 0],  # I (x) X = I (x) sz
     ])
-    g = graph_from_labels(2, words, metadata={"name": "section2"})
+    g = graph_from_labels(2, words)
     f_plus = kron(np.array([1, 0]), np.array([1, 1]))
     f_minus = kron(np.array([0, 1]), np.array([1, -1]))
     code = CodeSpace.from_vectors([f_plus, f_minus], names=("f+", "f-"))
@@ -86,8 +84,7 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
     """
     if n < 2 or (n == 2 and not allow_n2):
         raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
-    g = graph_from_labels(n, _one_sided_power_pairs(n), metadata={"name": "section3", "n": n})
-    return g, _fourier_diagonal_code(n)
+    return graph_from_labels(n, _one_sided_power_pairs(n)), _fourier_diagonal_code(n)
 
 
 def _fourier_diagonal_code(n: int) -> CodeSpace:
@@ -235,19 +232,7 @@ def _section4_pairs(params: Section4Params) -> np.ndarray:
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
     build_code_K1."""
-    g = graph_from_labels(
-        params.n,
-        _section4_pairs(params),
-        metadata={
-            "name": "section4",
-            "p": params.p,
-            "y": params.y,
-            "h": params.h,
-            "d": params.d,
-            "n": params.n,
-        },
-    )
-    return g, build_code_K1(params)
+    return graph_from_labels(params.n, _section4_pairs(params)), build_code_K1(params)
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
@@ -256,8 +241,7 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     rejected."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
-    g = graph_from_labels(n, _off_diagonal_pairs(n), metadata={"name": "remark2", "n": n})
-    return g, _fourier_diagonal_code(n)
+    return graph_from_labels(n, _off_diagonal_pairs(n)), _fourier_diagonal_code(n)
 
 
 def claimed_dim_section2() -> int:
@@ -281,26 +265,6 @@ def claimed_dim_section4(params: Section4Params) -> int:
 
 def claimed_dim_remark2(n: int) -> int:
     return n**3 * (n - 1) + 1
-
-
-@dataclass(frozen=True)
-class PredictedDims:
-    """Claimed (not computed) dimensions for a parameter point. These are
-    formula evaluations only; reports must compare them against ranks."""
-
-    section3: int
-    section4: int
-    a_strict: int
-    params: Section4Params
-
-
-def predicted_dims(params: Section4Params) -> PredictedDims:
-    return PredictedDims(
-        section3=claimed_dim_section3(params.n),
-        section4=claimed_dim_section4(params),
-        a_strict=residue_set_A(params.y, params.h, params.d).count_strict(params.n),
-        params=params,
-    )
 
 
 def baseline_bounds(dim_h: int, dim_k: int) -> dict[str, int]:

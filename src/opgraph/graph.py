@@ -15,7 +15,7 @@ Grams, and no n^2-long row is formed to rank it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -57,17 +57,19 @@ class OperatorGraph:
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
     right kz, right phase), every entry reduced to [0, n). Generators are
     never densified, only realized per tensor factor in monomial form
-    (weyl_monomial), one support class at a time.
+    (weyl_monomial), one support class at a time. The table holds at least
+    one word, since the span contains the identity.
     """
 
     n: int
     words: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_word_table(self.n, self.words)
+        if len(self.words) == 0:
+            raise ValueError("word table is empty; a graph contains the identity")
         # rejected, not reduced: the label oracle packs exponents as stored
-        if len(self.words) and (self.words.min() < 0 or self.words.max() >= self.n):
+        if self.words.min() < 0 or self.words.max() >= self.n:
             raise ValueError(
                 f"word table entries must lie in [0, n) = [0, {self.n}), "
                 f"got values in [{self.words.min()}, {self.words.max()}]"
@@ -92,7 +94,7 @@ class OperatorGraph:
         # not np.unique(keys): in numpy 2.4 it takes a hash-table path that is
         # about 15x slower at 64513 keys
         keys = np.sort(_exponent_keys(self.words, self.n))
-        return min(len(keys), 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
     @cached_property
     def _support_partition(self) -> list[np.ndarray]:
@@ -114,16 +116,12 @@ class OperatorGraph:
         return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 
 
-def graph_from_labels(
-    n: int,
-    words: np.ndarray,
-    metadata: dict | None = None,
-) -> OperatorGraph:
+def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
     """Graph on C^n (x) C^n spanned by the words of an integer word table of
     shape (G, 6), the identity, and the adjoint of every word. The identity
     comes first and each word is followed by its adjoint; deduplicated by
     exponent quadruple (phases do not affect the span), the first occurrence
-    wins with its phase.
+    wins with its phase. An empty table gives the identity alone.
     """
     words = np.asarray(words)
     _check_word_table(n, words)
@@ -133,7 +131,7 @@ def graph_from_labels(
     adjoint = np.stack([-kx, -kz, kx * kz - phase], axis=2).reshape(-1, 6) % n
     both = np.stack([table, adjoint], axis=1).reshape(-1, 6)
     first = np.sort(np.unique(_exponent_keys(both, n), return_index=True)[1])
-    return OperatorGraph(n=n, words=both[first], metadata=dict(metadata or {}))
+    return OperatorGraph(n=n, words=both[first])
 
 
 def _check_word_table(n: int, words) -> None:

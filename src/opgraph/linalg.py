@@ -35,8 +35,9 @@ class Tolerance:
     relative: float = 1e-9
 
     def __post_init__(self):
-        if self.absolute <= 0:
-            raise ValueError(f"absolute tolerance must satisfy 0 < absolute, got {self.absolute}")
+        # nan would fail every residual check and inf pass every one
+        if not 0 < self.absolute < np.inf:
+            raise ValueError(f"absolute tolerance must satisfy 0 < absolute < inf, got {self.absolute}")
         # a rank cutoff at or above lambda_max drops every eigenvalue
         if not 0 < self.relative < 1:
             raise ValueError(f"relative tolerance must satisfy 0 < relative < 1, got {self.relative}")

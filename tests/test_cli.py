@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import run_cli
+
+from opgraph import cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,13 +104,38 @@ def test_verify_invalid_params_exit_two():
     assert result.returncode == 2
 
     # a relative rank cutoff at or above lambda_max would make every rank 0
-    for command in (
-        ("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2"),
-        ("demo", "--construction", "section3", "--n", "3", "--trials", "1"),
-    ):
-        result = run_cli(*command, "--tol-rel", "2")
-        assert result.returncode == 2, command
-        assert b"0 < relative < 1" in result.stderr
+    result = run_cli("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2",
+                     "--tol-rel", "2")
+    assert result.returncode == 2
+    assert b"0 < relative < 1" in result.stderr
+
+    # demo ranks nothing, so it takes no rank cutoff
+    result = run_cli("demo", "--construction", "section3", "--n", "3", "--trials", "1",
+                     "--tol-rel", "2")
+    assert result.returncode == 2
+    assert b"unrecognized arguments: --tol-rel" in result.stderr
+
+
+def test_non_finite_tol_abs_exits_two():
+    # nan would fail every residual check and inf pass every one
+    for value in ("nan", "inf"):
+        for command in (
+            ("verify", "section3", "--n", "4"),
+            ("sweep", "section3", "--n", "3..4"),
+            ("demo", "--construction", "section3", "--n", "3", "--trials", "1"),
+        ):
+            result = run_cli(*command, "--tol-abs", value)
+            assert result.returncode == 2, (command, value)
+            assert result.stdout == b"", (command, value)
+            assert b"0 < absolute < inf" in result.stderr, (command, value)
+
+
+def test_demo_help_lists_only_tol_abs():
+    result = run_cli("demo", "--help")
+    assert result.returncode == 0
+    assert b"--tol-abs" in result.stdout
+    for flag in (b"--tol-rel", b"--oracle", b"--deterministic"):
+        assert flag not in result.stdout, flag
 
 
 def test_verify_tol_abs_bounds_the_residual():
@@ -132,12 +160,23 @@ def test_sweep_bad_tolerance_exits_before_any_output():
 
 
 def test_verify_labels_oracle_on_section2():
-    # section2 is a word table at n = 2, so the label oracle runs on it
+    # both oracles always run (test_verify_section2_json pins 5 and 5); no
+    # flag selects one of them
     result = run_cli("verify", "section2", "--oracle", "labels", "--json")
-    assert result.returncode == 0
-    report = json.loads(result.stdout)
-    assert report["graph_dim_labels"] == 5
-    assert report["graph_dim_gram"] is None
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"--oracle" in result.stderr
+
+
+def test_oracle_disagreement_is_a_hard_failure(monkeypatch, capsys):
+    real = cli.graph_dim
+    monkeypatch.setattr(
+        cli, "graph_dim", lambda g, method, *tol: real(g, method, *tol) + (method == "gram")
+    )
+    assert cli.main(["verify", "section3", "--n", "3", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["graph_dim_labels"], report["graph_dim_gram"]) == (13, 14)
+    assert report["formula_match"] is True and report["anticlique"] is True
 
 
 def test_sweep_rejected_first_point_prints_nothing():
@@ -169,6 +208,63 @@ def test_sweep_section3_csv():
     assert all(row["anticlique"] == "True" for row in rows)
     matches = {row["n"]: row["formula_match"] for row in rows}
     assert matches == {"3": "True", "4": "False", "5": "True", "6": "False"}
+
+
+def test_sweep_section3_csv_bytes():
+    # exact bytes: column order, blank cells and line ends; only the roundoff
+    # residual is masked
+    result = run_cli("sweep", "section3", "--n", "3..4", "--deterministic")
+    assert result.returncode == 0
+    lines = result.stdout.decode().split("\r\n")
+    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    assert lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 2
+    residual = cli.CSV_COLUMNS.index("max_residual")
+    for row in rows:
+        assert float(row[residual]) < 1e-13
+        row[residual] = "<r>"
+    assert [",".join(row) for row in rows] == [
+        "section3,3,,,,,9,3,13,13,13,True,True,<r>,1,3,0",
+        "section3,4,,,,,16,4,21,21,25,False,True,<r>,1,4,0",
+    ]
+
+
+def _fail_at_second_call(monkeypatch, name, fail):
+    """Patch cli.<name> so that its second call returns fail(result of the
+    real call) instead of the real result."""
+    real = getattr(cli, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = real(*args, **kwargs)
+        return fail(result) if len(calls) == 2 else result
+
+    monkeypatch.setattr(cli, name, patched)
+
+
+def test_sweep_point_raising_midway_keeps_earlier_rows(monkeypatch, capsys):
+    def fail(_):
+        raise ValueError("injected build failure")
+
+    _fail_at_second_call(monkeypatch, "build_section4", fail)
+    assert cli.main(["sweep", "section4", "--n-max", "8", "--deterministic"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.split("\r\n")
+    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    assert len(lines) == 3 and lines[1].startswith("section4,4,2,2,0,2,") and lines[2] == ""
+    assert err == "error: injected build failure\n"
+
+
+def test_sweep_point_failing_midway_prints_every_row(monkeypatch, capsys):
+    _fail_at_second_call(monkeypatch, "is_anticlique", lambda ac: replace(ac, verdict=False))
+    assert cli.main(["sweep", "section4", "--n-max", "8", "--deterministic"]) == 1
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 8
+    assert [row["anticlique"] for row in rows] == ["True", "False"] + ["True"] * 6
+    assert err == ""
 
 
 def test_sweep_section3_jsonl():

@@ -16,7 +16,6 @@ from opgraph.constructions import (
     claimed_dim_section3,
     claimed_dim_section4,
     enumerate_section4_params,
-    predicted_dims,
     residue_set_A,
 )
 from opgraph.graph import CodeSpace, compress, graph_dim, graph_from_labels, is_anticlique
@@ -280,10 +279,9 @@ def test_predicted_dims_reference_values():
     assert claimed_dim_section3(3) == 13
     assert claimed_dim_section3(4) == 25  # differs from the computed 21
     params = Section4Params(2, 4, 1, 2)
-    predicted = predicted_dims(params)
-    assert predicted.section4 == 3921
-    assert predicted.a_strict == 4
-    assert predicted.section3 == claimed_dim_section3(8)
+    assert claimed_dim_section4(params) == 3921
+    assert residue_set_A(params.y, params.h, params.d).count_strict(params.n) == 4
+    assert claimed_dim_section3(params.n) == 113
 
 
 def test_params_validation_messages():

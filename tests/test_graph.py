@@ -113,6 +113,10 @@ def test_graph_dim_rejects_unknown_method():
 def test_graph_requires_some_generators():
     with pytest.raises(TypeError):
         OperatorGraph(n=2)
+    # a graph contains the identity; an empty table would count 0 labels and
+    # leave the Gram oracle, compress and is_anticlique nothing to index
+    with pytest.raises(ValueError, match="word table is empty"):
+        OperatorGraph(n=3, words=np.zeros((0, 6), dtype=np.int64))
     # rejected, not reduced: the label oracle packs exponents as stored, and
     # counted 3 labels for this span of dimension 2
     unreduced = np.array([[0, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])

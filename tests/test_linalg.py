@@ -27,8 +27,9 @@ SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 def test_tolerance_defaults_and_validation():
     assert DEFAULT_TOL.absolute == 1e-12
     assert DEFAULT_TOL.relative == 1e-9
-    with pytest.raises(ValueError):
-        Tolerance(absolute=0.0)
+    for absolute in (0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="0 < absolute < inf"):
+            Tolerance(absolute=absolute)
     with pytest.raises(ValueError):
         Tolerance(relative=-1e-9)
     for relative in (1.0, 2.0):
