@@ -6,17 +6,21 @@ one integer row of exponents and phases per tensor word on C^n (x) C^n).
 Two independent dimension oracles are available: counting distinct word
 exponents (exact, phases dropped) and the numeric Gram rank of the realized
 generators. Generators are realized per tensor factor in monomial form
-(weyl_monomial), one support class at a time; the Gram side reads only those
-realized matrices. Since the Hilbert-Schmidt product factorizes over the
-tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a class
-is the entrywise product (V_l V_l^dag) * (V_r V_r^dag) of its two factor
-Grams, and no n^2-long row is formed to rank it.
+(weyl_monomial); the Gram side reads only those realized factors. Every
+generator is alpha * (u (x) v) for a left factor line u and a right one v
+(a line is a realized factor up to a scalar), and since the
+Hilbert-Schmidt product factorizes over the tensor product,
+<A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of the pairs (u, v) with
+row patterns (P, Q) is a principal submatrix of G_P (x) G_Q, the Kronecker
+product of the two patterns' line Grams (each at most n x n). The Gram rank
+is read off those line Grams, and no n^2-long row is formed. Compression
+walks support classes, realizing one class at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,6 +28,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _discs,
     _gram_schmidt,
     _rank_of_grams,
     dagger,
@@ -44,8 +49,15 @@ __all__ = [
 ]
 
 
-# words realized at once while finding support classes; bounds peak memory
-_CLASS_SCAN_CHUNK = 4096
+# words realized (or compressions checked) at once by the scans over a word
+# table; bounds peak memory
+_CLASS_SCAN_CHUNK = 1024
+# a factor line's key is a polynomial hash of its features mod 2^64 in this
+# odd multiplier; its normalized values enter rounded to this many steps per
+# unit. Realizations of one line differ far below a step, and every factor is
+# checked against its line's representative, so the key only orders the scan
+_LINE_HASH = np.uint64(0x9E3779B97F4A7C15)
+_LINE_KEY_STEPS = 2.0**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +69,8 @@ class OperatorGraph:
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
     right kz, right phase), every entry reduced to [0, n). Generators are
     never densified, only realized per tensor factor in monomial form
-    (weyl_monomial), one support class at a time. The table holds at least
-    one word, since the span contains the identity.
+    (weyl_monomial), a chunk of words or one support class at a time. The
+    table holds at least one word, since the span contains the identity.
     """
 
     n: int
@@ -96,13 +108,12 @@ class OperatorGraph:
         keys = np.sort(_exponent_keys(self.words, self.n))
         return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
-    @cached_property
+    @property
     def _support_partition(self) -> list[np.ndarray]:
         """Generator indices grouped by the row that holds the entry of
         column 0 of each realized word, row_l[0] * n + row_r[0] from its two
         realized factors; _support_classes checks that the groups are
-        support classes. Cached, since the Gram oracle and compress both
-        walk the classes."""
+        support classes."""
         words, n = self.words, self.n
         first = np.empty(len(words), dtype=np.int64)
         for i in range(0, len(words), _CLASS_SCAN_CHUNK):
@@ -221,15 +232,21 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
     method "labels": count of distinct exponent quadruples (exact), from one
     packed integer key per word, sorted. method "gram": numeric Gram rank of
-    the realized generators, over every generator; the Gram matrix is
-    block-diagonal by support class and is ranked block by block against
-    the global largest eigenvalue. Each block is formed from the class's two
-    realized tensor factors as (V_l V_l^dag) * (V_r V_r^dag), entrywise,
-    since <A (x) B, C (x) D> = <A, C> <B, D>: 2 m^2 n products for m
-    members in place of m^2 n^2. A block whose Gershgorin discs clear the cutoff counts
-    as full rank without an eigensolve (see linalg._rank_of_grams), which
-    holds for every support class of distinct Weyl words, since they are
-    Hilbert-Schmidt orthogonal. method "both": a GraphDim carrying both
+    the realized generators, over every generator, read from their factor
+    lines. One chunked pass realizes each word's two factors and groups them
+    into lines by row pattern and values normalized by column 0, checking
+    every factor against its line's representative within tol.absolute;
+    row patterns of one side that share a position raise ValueError. Each
+    generator is a multiple of u_a (x) v_b, so the span has one dimension
+    per distinct pair (a, b) when each pattern's lines are independent. The
+    pairs with row patterns (P, Q) form one block of the Gram matrix, the
+    principal submatrix of G_P (x) G_Q they select, whose eigenvalues lie in
+    [lo_P lo_Q, hi_P hi_Q] from the Gershgorin bounds of the two line Grams
+    (Kronecker spectrum plus interlacing). A block whose lower bound clears
+    the cutoff counts its pairs without being formed; any other is formed
+    from the line Grams and eigensolved (see linalg._rank_of_grams). Distinct
+    Weyl words are Hilbert-Schmidt orthogonal, so every block of every
+    construction is certified. method "both": a GraphDim carrying both
     values and an agreement flag.
     """
     if method == "labels":
@@ -244,16 +261,149 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    return _rank_of_grams(
-        lambda: (_class_gram(vals_l, vals_r) for _, _, vals_l, vals_r in _support_classes(g)), tol
-    )
+    left, right = _factor_lines(g, tol)
+    # members sharing both lines are multiples of one another: one generator
+    # per distinct pair of lines
+    pairs = np.sort(left.of_word * len(right.pattern) + right.of_word)
+    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    a, b = np.divmod(pairs, len(right.pattern))
+    classes = left.pattern[a] * len(right.grams) + right.pattern[b]
+    order = np.argsort(classes, kind="stable")
+    starts = np.flatnonzero(np.r_[True, classes[order][1:] != classes[order][:-1]])
+
+    def blocks():
+        for in_class in np.split(order, starts[1:]):
+            p, q = left.pattern[a[in_class[0]]], right.pattern[b[in_class[0]]]
+            # Kronecker spectrum plus interlacing: every eigenvalue of a
+            # principal submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
+            lo = max(float(left.lo[p]), 0.0) * max(float(right.lo[q]), 0.0)
+            hi = float(left.hi[p] * right.hi[q])
+            form = partial(
+                _pair_gram, left.grams[p], right.grams[q], left.local[a[in_class]], right.local[b[in_class]]
+            )
+            yield lo, hi, len(in_class), form
+
+    return _rank_of_grams(blocks(), tol)
 
 
-def _class_gram(vals_l: np.ndarray, vals_r: np.ndarray) -> np.ndarray:
-    """Gram matrix of one support class from its members' two realized
-    factors: <A (x) B, C (x) D> = <A, C> <B, D>, so it is the entrywise
-    product (V_l V_l^dag) * (V_r V_r^dag)."""
-    return (vals_l @ vals_l.conj().T) * (vals_r @ vals_r.conj().T)
+def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of the vectors u_a[i] (x) v_b[i], given the Gram matrices
+    of the u's and v's: the principal submatrix of gram_l (x) gram_r at the
+    pairs (a[i], b[i])."""
+    return gram_l[np.ix_(a, a)] * gram_r[np.ix_(b, b)]
+
+
+@dataclass(frozen=True)
+class _FactorLines:
+    """The factor lines of one tensor side of a graph's words.
+
+    of_word[g] is the line of word g's factor on this side. Lines are grouped
+    by row pattern: pattern[l] and local[l] are line l's pattern and its
+    index among that pattern's lines, grams[P] is the Gram matrix of pattern
+    P's normalized lines in that order, and lo[P], hi[P] are its Gershgorin
+    bounds.
+    """
+
+    of_word: np.ndarray
+    pattern: np.ndarray
+    local: np.ndarray
+    grams: list[np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
+    """Left and right factor lines of a graph, from one chunked pass that
+    realizes each word's two factors (weyl_monomial) and reads only the
+    realized rows and values, never labels. Raises ValueError when two row
+    patterns of one side share a position, since the tensor classes' Grams
+    would then not be blocks of one block-diagonal Gram matrix."""
+    n = g.n
+    tables = (_LineTable(n, tol), _LineTable(n, tol))
+    of_word = np.empty((2, g.n_generators), dtype=np.int64)
+    for i in range(0, g.n_generators, _CLASS_SCAN_CHUNK):
+        chunk = g.words[i : i + _CLASS_SCAN_CHUNK]
+        for side, table in enumerate(tables):
+            realized = weyl_monomial(chunk[:, 3 * side : 3 * side + 3], n)
+            of_word[side, i : i + len(chunk)] = table.add(*realized)
+    return _group_lines(tables[0], of_word[0]), _group_lines(tables[1], of_word[1])
+
+
+def _group_lines(table: _LineTable, of_word: np.ndarray) -> _FactorLines:
+    """Group a side's lines by row pattern and take each pattern's line Gram
+    and Gershgorin bounds."""
+    rows, count = table.rows, len(table.rows)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    # two patterns share a position exactly when they hold the same row in
+    # some column
+    by_column = np.sort(ordered[starts], axis=0)
+    if np.any(by_column[1:] == by_column[:-1]):
+        raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
+    sizes = np.diff(np.r_[starts, count])
+    pattern = np.empty(count, dtype=np.int64)
+    pattern[order] = np.repeat(np.arange(len(starts)), sizes)
+    local = np.empty(count, dtype=np.int64)
+    local[order] = np.arange(count) - np.repeat(starts, sizes)
+    grams = [u @ u.conj().T for u in np.split(table.values[order], starts[1:])]
+    lo, hi = np.array([_discs(gram) for gram in grams]).T
+    return _FactorLines(of_word, pattern, local, grams, lo, hi)
+
+
+class _LineTable:
+    """Distinct factor lines of one tensor side, collected chunk by chunk.
+
+    A line is a realized factor up to a scalar: its row pattern together with
+    its values divided by the column-0 entry. Factors are grouped by a hashed
+    key of both, sorted, and each is then checked against its line's
+    representative: rows equal, values within tol.absolute. A factor that
+    fails the check becomes a line of its own, so a key collision or a
+    rounding boundary may split a line but never merges two.
+    """
+
+    def __init__(self, n: int, tol: Tolerance):
+        self.tol = tol
+        self.mix = np.cumprod(np.full(3 * n, _LINE_HASH, dtype=np.uint64))
+        self.keys = np.zeros(0, dtype=np.uint64)  # sorted
+        self.key_line = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((0, n), dtype=np.int64)
+        self.values = np.zeros((0, n), dtype=complex)
+
+    def add(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Line of each realized factor (rows, vals), adding lines not seen yet."""
+        values = vals * (1 / vals[:, :1])
+        steps = np.rint(np.concatenate([values.real, values.imag], axis=1) * _LINE_KEY_STEPS)
+        features = np.concatenate([rows, steps.astype(np.int64)], axis=1).view(np.uint64)
+        keys = features @ self.mix
+        line = np.full(len(keys), -1)
+        if len(self.keys):
+            pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            hit = self.keys[pos] == keys
+            line[hit] = self.key_line[pos[hit]]
+        new = np.flatnonzero(line < 0)
+        if len(new):
+            new = new[np.argsort(keys[new], kind="stable")]
+            first = np.r_[True, keys[new[1:]] != keys[new[:-1]]]
+            ids = len(self.rows) + np.cumsum(first) - 1
+            line[new] = ids
+            self._append(rows[new[first]], values[new[first]])
+            merged = np.concatenate([self.keys, keys[new[first]]])
+            by_key = np.argsort(merged, kind="stable")
+            self.keys = merged[by_key]
+            self.key_line = np.concatenate([self.key_line, ids[first]])[by_key]
+        stray = np.flatnonzero(
+            np.any(rows != self.rows[line], axis=1)
+            | np.any(np.abs(values - self.values[line]) > self.tol.absolute, axis=1)
+        )
+        if len(stray):
+            line[stray] = len(self.rows) + np.arange(len(stray))
+            self._append(rows[stray], values[stray])
+        return line
+
+    def _append(self, rows: np.ndarray, values: np.ndarray) -> None:
+        self.rows = np.concatenate([self.rows, rows])
+        self.values = np.concatenate([self.values, values])
 
 
 def _support_classes(
@@ -268,8 +418,7 @@ def _support_classes(
     shape (len(members), n); member g's entry in column i*n + j is
     vals_l[g, i] * vals_r[g, j]. Classes are read off the realized rows
     only, never off labels. Matrices with disjoint supports are
-    Hilbert-Schmidt orthogonal, so the Gram matrix and every compression act
-    class by class. Raises ValueError when the members of a class differ in
+    Hilbert-Schmidt orthogonal, so every compression acts class by class. Raises ValueError when the members of a class differ in
     the rows of either factor, or share a position with an earlier class,
     since that block structure would then not hold.
     """
@@ -332,7 +481,11 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     compressions = compress(g, code)
     k = code.code_dim
     c_values = np.trace(compressions, axis1=1, axis2=2) / k
-    residual = max_abs(compressions - c_values[:, None, None] * np.eye(k))
+    # chunked, so no temporary of the stack's size is held; a maximum is exact
+    residual = max(
+        max_abs(compressions[i : i + _CLASS_SCAN_CHUNK] - c_values[i : i + _CLASS_SCAN_CHUNK, None, None] * np.eye(k))
+        for i in range(0, len(compressions), _CLASS_SCAN_CHUNK)
+    )
     dim = gram_rank(compressions, tol)
     return CompressionReport(
         verdict=dim == 1,

@@ -90,10 +90,10 @@ def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_T
 
     Forms the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
     products and counts eigenvalues above ``tol.relative`` times the largest
-    one, through _rank_of_grams as a single block: when the Gram matrix's
-    Gershgorin discs already clear that cutoff, the family counts as
-    independent without an eigensolve. The anticlique verdict ranks the
-    compressions with it; graphs are ranked by support class instead
+    one, through _rank_of_grams as a single block bounded by its own
+    Gershgorin discs: when they already clear that cutoff, the family counts
+    as independent without an eigensolve. The anticlique verdict ranks the
+    compressions with it; graphs are ranked from their factor lines instead
     (graph.graph_dim). The result is invariant under permutations of the
     family and under rescaling any entry by a nonzero scalar. An empty family
     has rank 0.
@@ -103,7 +103,8 @@ def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_T
     stack = np.asarray(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
-    return _rank_of_grams([_gram(stack.reshape(len(stack), -1))], tol)
+    gram = _gram(stack.reshape(len(stack), -1))
+    return _rank_of_grams([(*_discs(gram), len(gram), lambda: gram)], tol)
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -114,57 +115,61 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return rows.conj().T @ rows
 
 
+def _discs(gram: np.ndarray) -> tuple[float, float]:
+    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian matrix G:
+    lo = min_i(G_ii - r_i), hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|."""
+    center = gram.diagonal().real
+    radius = np.abs(gram)
+    np.fill_diagonal(radius, 0.0)
+    radius = radius.sum(axis=1)
+    return float(np.min(center - radius)), float(np.max(center + radius))
+
+
 def _rank_of_grams(
-    grams: Sequence[np.ndarray] | Callable[[], Iterable[np.ndarray]], tol: Tolerance
+    blocks: Iterable[tuple[float, float, int, Callable[[], np.ndarray]]], tol: Tolerance
 ) -> int:
     """Rank of a block-diagonal Hermitian PSD Gram matrix given block by
     block, such as the Gram matrix of a family of matrices whose supports
     fall into pairwise disjoint classes.
 
+    Each block comes as (lo, hi, order, form): bounds lo <= lambda <= hi on
+    every eigenvalue of the block, its order, and a zero-argument callable
+    that forms it. gram_rank passes its block's Gershgorin discs (_discs);
+    the graph oracle passes products of its factor lines' discs, which bound
+    every principal submatrix of a Kronecker product of two line Grams.
+
     The spectrum is the union of the block spectra; every eigenvalue is
     thresholded against Lambda, an upper bound on the largest one over all
-    blocks. Each block G is first bounded by its Gershgorin discs: every
-    eigenvalue lies in [lo, hi] with lo = min_i(G_ii - r_i),
-    hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|. A block with
-    lo > tol.relative * Lambda is certified full rank and never eigensolved;
-    every other block goes to eigvalsh. Lambda is the largest of the
-    eigensolved blocks' top eigenvalues and the certified blocks' hi, so it
-    exceeds the true largest eigenvalue by at most max r_i over the
-    certified blocks; a rank can differ from a plain eigensolve only for an
-    eigenvalue that close to the cutoff.
+    blocks. A block with lo > tol.relative * Lambda is certified full rank
+    and never formed; every other block is formed and goes to eigvalsh.
+    Lambda is the largest of the eigensolved blocks' top eigenvalues and the
+    certified blocks' hi, so it exceeds the true largest eigenvalue by at
+    most the slack of the certified blocks' hi; a rank can differ from a
+    plain eigensolve only for an eigenvalue that close to the cutoff.
 
     A block is certified against the Lambda seen so far; one whose lo falls
-    below the final cutoff is eigensolved in a second pass. ``grams`` is
-    therefore walked twice: pass a sequence, or a zero-argument callable
-    returning a fresh iterable, so that only one block is held at a time.
+    below the final cutoff is formed and eigensolved in a second pass.
     """
-    walk = grams if callable(grams) else (lambda kept=tuple(grams): kept)
     top = 0.0
     eigs = [np.zeros(0)]
-    certified: dict[int, tuple[float, int]] = {}  # block index -> (lo, order)
-    for i, gram in enumerate(walk()):
-        center = gram.diagonal().real
-        radius = np.abs(gram)
-        np.fill_diagonal(radius, 0.0)
-        radius = radius.sum(axis=1)
-        lo = float(np.min(center - radius))
-        hi = float(np.max(center + radius))
+    certified: list[tuple[float, int, Callable[[], np.ndarray]]] = []
+    for lo, hi, order, form in blocks:
         if lo > tol.relative * max(top, hi):
-            certified[i] = (lo, len(center))
+            certified.append((lo, order, form))
             top = max(top, hi)
         else:
-            block_eigs = np.linalg.eigvalsh(gram)
+            block_eigs = np.linalg.eigvalsh(form())
             eigs.append(block_eigs)
             top = max(top, float(block_eigs[-1]))
     if top <= 0.0:
         return 0
     cut = tol.relative * top
-    rank = sum(order for lo, order in certified.values() if lo > cut)
-    deferred = {i for i, (lo, _) in certified.items() if lo <= cut}
-    if deferred:
-        for i, gram in enumerate(walk()):
-            if i in deferred:
-                eigs.append(np.linalg.eigvalsh(gram))
+    rank = 0
+    for lo, order, form in certified:
+        if lo > cut:
+            rank += order
+        else:
+            eigs.append(np.linalg.eigvalsh(form()))
     return rank + int(np.sum(np.concatenate(eigs) > cut))
 
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,6 +199,20 @@ def test_gram_oracle_runs_in_full_without_flags():
     for flag in (["--full-gram"], ["--subsample-seed", "0"]):
         result = run_cli("verify", "section3", "--n", "3", *flag)
         assert result.returncode == 2, flag
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma in numpy 2.4, which costs a cold
+    # process about 20 ms and 1 MB; the oracles sort and diff instead
+    script = (
+        "import contextlib, io, sys\n"
+        "from opgraph import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'section4', '--p', '2', '--y', '2', '--h', '0', '--d', '2'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=600)
+    assert result.stdout.split() == [b"0", b"False"], result.stderr
 
 
 def test_sweep_section3_csv():

@@ -13,7 +13,7 @@ from opgraph.graph import (
     is_anticlique,
 )
 from opgraph import graph as graph_module
-from opgraph.linalg import _gram, dagger, gram_rank, kron, max_abs
+from opgraph.linalg import DEFAULT_TOL, dagger, gram_rank, kron, max_abs
 from opgraph.weyl import WeylLabelPair, label, pair_adjoint, pair_dense, pair_monomial, word_table
 from opgraph.constructions import (
     Section4Params,
@@ -417,20 +417,112 @@ def test_overlapping_supports_raise(monkeypatch, crafted):
 
 @pytest.mark.parametrize("build, arg", SMALL_LABEL_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS)
 def test_factored_gram_blocks_match_full_rows(build, arg):
-    # each class's Gram block from its two factors equals the Gram matrix of
+    # each tensor class's Gram block, the selected principal submatrix of
+    # G_P (x) G_Q scaled by the members' phases, equals the Gram matrix of
     # the members' full n^2-long realized rows
     g, _ = build(arg)
     n = math.isqrt(g.space_dim)
+    left, right = graph_module._factor_lines(g, DEFAULT_TOL)
+    line_l, line_r = left.of_word, right.of_word
+    classes = left.pattern[line_l] * len(right.grams) + right.pattern[line_r]
     covered = 0
-    for members, rows, vals_l, vals_r in graph_module._support_classes(g):
-        full_rows, vals = pair_monomial(g.words[members], n)
-        assert np.array_equal(full_rows, np.broadcast_to(rows, full_rows.shape))
-        full = _gram(vals)
-        factored = graph_module._class_gram(vals_l, vals_r)
-        assert factored.shape == full.shape == (len(members), len(members))
-        assert max_abs(factored - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
+    for c in sorted(set(classes.tolist())):
+        members = np.flatnonzero(classes == c)
+        p, q = divmod(c, len(right.grams))
+        gram_l, gram_r = left.grams[p], right.grams[q]
+        selected = left.local[line_l[members]] * len(gram_r) + right.local[line_r[members]]
+        block = np.kron(gram_l, gram_r)[np.ix_(selected, selected)]
+        _, vals = pair_monomial(g.words[members], n)
+        phase = vals[:, 0]
+        full = vals @ vals.conj().T
+        scaled = phase[:, None] * block * phase.conj()[None, :]
+        assert max_abs(scaled - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
         covered += len(members)
     assert covered == g.n_generators
+
+
+def _crafted_graph(monkeypatch, realized, words):
+    """Graph on C^2 (x) C^2 whose factors (kx, kz, phase) realize as
+    realized[factor] = (rows, vals) in place of the Weyl realization, and
+    the plain eigensolve rank of its generators built from those
+    realizations."""
+    n = 2
+
+    def realize(factors, n):
+        pairs = [realized[tuple(f)] for f in factors.tolist()]
+        rows = np.array([r for r, _ in pairs]).reshape(len(factors), n)
+        return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(factors), n)
+
+    words = np.array(words)
+    rows_l, vals_l = realize(words[:, :3], n)
+    rows_r, vals_r = realize(words[:, 3:], n)
+    rows = (rows_l[:, :, None] * n + rows_r[:, None, :]).reshape(len(words), n * n)
+    vals = (vals_l[:, :, None] * vals_r[:, None, :]).reshape(len(words), n * n)
+    dense = np.zeros((len(words), n * n, n * n), dtype=complex)
+    dense[np.arange(len(words))[:, None], rows, np.arange(n * n)] = vals
+    flat = dense.reshape(len(words), -1)
+    eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
+    monkeypatch.setattr(graph_module, "weyl_monomial", realize)
+    return OperatorGraph(n=n, words=words), int(np.sum(eigs > 1e-9 * eigs[-1]))
+
+
+IDENTITY = (0, 0, 0)
+
+
+# a zero hash gives every factor one key, so the check against each line's
+# representative alone decides which factors share a line
+@pytest.mark.parametrize("mix", [graph_module._LINE_HASH, np.uint64(0)], ids=["hashed", "one-key"])
+@pytest.mark.parametrize("eps, rank", [(1e-3, 2), (1e-6, 1)])
+def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank, mix):
+    # two lines of one row pattern, [1, 1] and [1, 1 + eps]: their Gram's
+    # discs reach zero, so the class is eigensolved, above the cutoff at
+    # eps = 1e-3 and below it at eps = 1e-6
+    monkeypatch.setattr(graph_module, "_LINE_HASH", mix)
+    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0, 0): ([0, 1], [1, 1 + eps])}
+    g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0, 0) + IDENTITY])
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(gram):
+        solved.append(gram.shape[0])
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert graph_dim(g, "gram") == reference == rank
+    assert solved[0] == 2
+
+
+@pytest.mark.parametrize(
+    "mix, delta, lines, rank",
+    [
+        (graph_module._LINE_HASH, 1e-14, 2, 2),
+        (graph_module._LINE_HASH, 1e-6, 3, 2),
+        (graph_module._LINE_HASH, 0.5, 3, 3),
+        # under one key the last two fail the check against the identity's
+        # line, and each becomes a line of its own, never merged
+        (np.uint64(0), 1e-14, 3, 2),
+        (np.uint64(0), 1e-6, 3, 2),
+        (np.uint64(0), 0.5, 3, 3),
+    ],
+    ids=["hashed-merge", "hashed-apart", "hashed-distinct", "one-key-merge", "one-key-apart", "one-key-distinct"],
+)
+def test_one_line_realized_twice(monkeypatch, mix, delta, lines, rank):
+    # the left factors of the last two words are one line up to the scalar
+    # 1j, off by delta: within tol.absolute they merge, beyond it they stay
+    # two lines, and the rank is the plain eigensolve's either way (at
+    # delta = 0.5 they are two distinct lines); the identity's left factor
+    # differs from them in its rows only
+    monkeypatch.setattr(graph_module, "_LINE_HASH", mix)
+    realized = {
+        IDENTITY: ([0, 1], [1, 1]),
+        (0, 1, 0): ([1, 0], [1, 1]),
+        (0, 1, 1): ([1, 0], [1j, 1j * (1 - delta)]),
+    }
+    words = [IDENTITY * 2, (0, 1, 0) + IDENTITY, (0, 1, 1) + IDENTITY]
+    g, reference = _crafted_graph(monkeypatch, realized, words)
+    left, _ = graph_module._factor_lines(g, DEFAULT_TOL)
+    assert len(left.pattern) == lines
+    assert graph_dim(g, "gram") == reference == rank
 
 
 def test_label_count_matches_key_set():
@@ -466,3 +558,18 @@ def test_support_scan_memory_is_bounded():
         tracemalloc.stop()
     assert sum(map(len, partition)) == g.n_generators
     assert peak < 64 * 2**20
+
+
+def test_anticlique_memory_is_bounded():
+    # the residual is taken chunk by chunk, not over temporaries of the
+    # (64513, 4, 4) compression stack's size: about 33 MB here, 49 MB when
+    # the whole stack's residual was formed at once
+    g, code = build_section4(Section4Params(2, 8, 1, 4))
+    tracemalloc.start()
+    try:
+        report = is_anticlique(g, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    assert peak < 40 * 2**20

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opgraph.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _discs,
     _gram,
     _rank_of_grams,
     dagger,
@@ -142,10 +143,12 @@ def test_gram_rank_zero_family():
 
 def rank_of_rows(blocks):
     """Rank of row blocks with pairwise disjoint supports: the rank core
-    over each block's Gram matrix. ``blocks`` is a sequence, or a
-    zero-argument callable returning a fresh iterable of blocks."""
+    over each block's Gram matrix, bounded by its own Gershgorin discs.
+    ``blocks`` is a sequence, or a zero-argument callable returning an
+    iterable of blocks."""
     walk = blocks if callable(blocks) else (lambda: blocks)
-    return _rank_of_grams(lambda: map(_gram, walk()), DEFAULT_TOL)
+    grams = map(_gram, walk())
+    return _rank_of_grams(((*_discs(g), len(g), lambda g=g: g) for g in grams), DEFAULT_TOL)
 
 
 def test_rank_of_rows_thresholds_blocks_against_global_max():
