@@ -5,6 +5,8 @@ Exit codes: 0 = all hard checks passed, 1 = a mathematical check failed,
 agreement of the two dimension oracles over every generator, and
 max_residual <= --tol-abs; a mismatch between computed dimension and the
 claimed closed form is reported via ``formula_match`` but is never fatal.
+A failed anticlique verdict also prints one line to stderr naming the
+generator's word and the code basis vectors where the residual peaks.
 
 CSV columns (fixed order):
     construction,n,p,y,h,d,space_dim,code_dim,graph_dim_labels,
@@ -100,6 +102,14 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     dim_labels = graph_dim(g, "labels")
     dim_gram = graph_dim(g, "gram", tol)
     report_ac = is_anticlique(g, code, tol)
+    if not report_ac.verdict:
+        at, l, k = report_ac.worst
+        names = _code_names(code)
+        print(
+            f"anticlique fails at generator {at}, word {tuple(g.words[at].tolist())}: entry "
+            f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
+            file=sys.stderr,
+        )
     bounds = baseline_bounds(g.space_dim, code.code_dim) if code.code_dim >= 2 else None
 
     runtime_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
@@ -122,6 +132,11 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     }
     hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= tol.absolute
     return report, hard_ok
+
+
+def _code_names(code) -> tuple[str, ...]:
+    """The code's basis names, or v_1, v_2, ... when it has none."""
+    return code.basis_names or tuple(f"v_{j + 1}" for j in range(code.code_dim))
 
 
 def _print_report_text(report: dict, hard_ok: bool) -> None:
@@ -225,7 +240,7 @@ def cmd_demo(args) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     s = code.isometry
-    names = code.basis_names or tuple(f"v_{j + 1}" for j in range(code.code_dim))
+    names = _code_names(code)
     worst = 0.0
     for trial in range(args.trials):
         gen_idx = int(rng.integers(g.n_generators))

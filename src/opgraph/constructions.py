@@ -16,7 +16,7 @@ computed ranks are the ground truth the reports compare them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,10 +88,14 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
 
 
 def _fourier_diagonal_code(n: int) -> CodeSpace:
-    """The code spanned by the n product vectors f_j (x) f_j."""
+    """The code spanned by the n product vectors f_j (x) f_j, with their
+    exact Fourier coordinates."""
     f = fourier_basis(n)
     vectors = [kron(f[:, j], f[:, j]) for j in range(n)]
-    return CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
+    code = CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
+    fourier = np.zeros((n * n, n), dtype=complex)
+    fourier[np.arange(n) * (n + 1), np.arange(n)] = 1
+    return replace(code, fourier=fourier)
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,16 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     vectors = [q]
     for _ in range(params.d - 1):
         vectors.append(shift @ vectors[-1])
+    # q_{k+1} sums f_c (x) f_c over c = t*y + (h+1)*k, since X f_j = f_{j+1}
+    fourier = np.zeros((n * n, params.d), dtype=complex)
+    k, t = np.indices((params.d, params.p)).reshape(2, -1)
+    c = (t * params.y + (params.h + 1) * k) % n
+    fourier[c * n + c, k] = 1 / np.sqrt(params.p)
     return CodeSpace(
         space_dim=n * n,
         isometry=np.column_stack(vectors),
         basis_names=tuple(f"q_{k + 1}" for k in range(params.d)),
+        fourier=fourier,
     )
 
 

@@ -13,12 +13,19 @@ Hilbert-Schmidt product factorizes over the tensor product,
 <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of the pairs (u, v) with
 row patterns (P, Q) is a principal submatrix of G_P (x) G_Q, the Kronecker
 product of the two patterns' line Grams (each at most n x n). The Gram rank
-is read off those line Grams, and no n^2-long row is formed. Compression
-walks support classes, realizing one class at a time.
+is read off those line Grams, and no n^2-long row is formed.
+
+Compression realizes the words chunk by chunk, in the Fourier product basis
+f_i (x) f_j when the code carries its coordinates there (the constructions'
+codes do) and in the standard basis otherwise, and reads each realized word
+only at the coordinates R where the code is nonzero: |R| = p * d of the n^2
+for the entangled codes. The anticlique verdict streams those chunks into a
+code_dim^2 x code_dim^2 Gram matrix and never holds the compressions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
@@ -32,10 +39,9 @@ from .linalg import (
     _gram_schmidt,
     _rank_of_grams,
     dagger,
-    gram_rank,
     max_abs,
 )
-from .weyl import weyl_monomial
+from .weyl import fourier_basis, weyl_monomial
 
 __all__ = [
     "OperatorGraph",
@@ -49,9 +55,8 @@ __all__ = [
 ]
 
 
-# words realized (or compressions checked) at once by the scans over a word
-# table; bounds peak memory
-_CLASS_SCAN_CHUNK = 1024
+# words realized at once by the scans over a word table; bounds peak memory
+_WORD_CHUNK = 1024
 # a factor line's key is a polynomial hash of its features mod 2^64 in this
 # odd multiplier; its normalized values enter rounded to this many steps per
 # unit. Realizations of one line differ far below a step, and every factor is
@@ -69,8 +74,8 @@ class OperatorGraph:
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
     right kz, right phase), every entry reduced to [0, n). Generators are
     never densified, only realized per tensor factor in monomial form
-    (weyl_monomial), a chunk of words or one support class at a time. The
-    table holds at least one word, since the span contains the identity.
+    (weyl_monomial), a chunk of words at a time. The table holds at least
+    one word, since the span contains the identity.
     """
 
     n: int
@@ -107,24 +112,6 @@ class OperatorGraph:
         # about 15x slower at 64513 keys
         keys = np.sort(_exponent_keys(self.words, self.n))
         return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-    @property
-    def _support_partition(self) -> list[np.ndarray]:
-        """Generator indices grouped by the row that holds the entry of
-        column 0 of each realized word, row_l[0] * n + row_r[0] from its two
-        realized factors; _support_classes checks that the groups are
-        support classes."""
-        words, n = self.words, self.n
-        first = np.empty(len(words), dtype=np.int64)
-        for i in range(0, len(words), _CLASS_SCAN_CHUNK):
-            # copied out, so the chunk's realization is freed before the next
-            chunk = words[i : i + _CLASS_SCAN_CHUNK]
-            row_l = weyl_monomial(chunk[:, :3], n)[0]
-            row_r = weyl_monomial(chunk[:, 3:], n)[0]
-            first[i : i + len(chunk)] = row_l[:, 0] * n + row_r[:, 0]
-        inverse = np.unique(first, return_inverse=True)[1]
-        order = np.argsort(inverse, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 
 
 def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
@@ -171,11 +158,20 @@ def _exponent_keys(words: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """A code subspace, stored as an isometry whose orthonormal columns span it."""
+    """A code subspace, stored as an isometry whose orthonormal columns span it.
+
+    ``fourier``, when given, holds the same columns in the Fourier product
+    basis of C^n (x) C^n, space_dim = n^2: entry (i*n + j, k) is the
+    coefficient of f_i (x) f_j in column k, with f the columns of
+    fourier_basis(n). Codes spanned by Fourier products carry it as exact
+    entries, and compression then reads each word only where the code is
+    nonzero in that basis. It must agree with the isometry within 1e-12.
+    """
 
     space_dim: int
     isometry: np.ndarray
     basis_names: tuple[str, ...] = ()
+    fourier: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.isometry)
@@ -191,6 +187,10 @@ class CodeSpace:
                 f"{len(self.basis_names)} basis names for code dimension {s.shape[1]}; "
                 "give none or one per column"
             )
+        if self.fourier is not None:
+            gap = _fourier_gap(s, np.asarray(self.fourier))
+            if gap > 1e-12:
+                raise ValueError(f"fourier coordinates differ from the isometry by {gap:.3e} > 1e-12")
 
     @property
     def code_dim(self) -> int:
@@ -216,6 +216,22 @@ class CodeSpace:
             isometry=np.column_stack(basis),
             basis_names=tuple(names[i] for i in kept) if names else (),
         )
+
+
+def _fourier_gap(isometry: np.ndarray, fourier: np.ndarray) -> float:
+    """Largest entrywise gap between an isometry and the vectors its Fourier
+    coordinates give, taken column by column as F M F^T with M the column's
+    coordinates as an n x n matrix, without forming F (x) F."""
+    n = math.isqrt(isometry.shape[0])
+    if n * n != isometry.shape[0] or fourier.shape != isometry.shape:
+        raise ValueError(
+            f"fourier coordinates of shape {fourier.shape} do not fit an isometry "
+            f"of shape {isometry.shape} on C^n (x) C^n"
+        )
+    f = fourier_basis(n)
+    code_dim = isometry.shape[1]
+    vectors = f @ fourier.T.reshape(code_dim, n, n) @ f.T
+    return max_abs(vectors.reshape(code_dim, n * n).T - isometry)
 
 
 @dataclass(frozen=True)
@@ -321,8 +337,8 @@ def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _Fact
     n = g.n
     tables = (_LineTable(n, tol), _LineTable(n, tol))
     of_word = np.empty((2, g.n_generators), dtype=np.int64)
-    for i in range(0, g.n_generators, _CLASS_SCAN_CHUNK):
-        chunk = g.words[i : i + _CLASS_SCAN_CHUNK]
+    for i in range(0, g.n_generators, _WORD_CHUNK):
+        chunk = g.words[i : i + _WORD_CHUNK]
         for side, table in enumerate(tables):
             realized = weyl_monomial(chunk[:, 3 * side : 3 * side + 3], n)
             of_word[side, i : i + len(chunk)] = table.add(*realized)
@@ -406,53 +422,71 @@ class _LineTable:
         self.values = np.concatenate([self.values, values])
 
 
-def _support_classes(
-    g: OperatorGraph,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Realized generators of a graph, one support class at a time, each as
-    its two tensor factors.
+def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Compressions S^dag V S of the graph's generators, one chunk of words
+    at a time: yields (members, block), the indices of the chunk's
+    generators whose compression may be nonzero and their compressions,
+    shape (len(members), code_dim, code_dim). Every other generator
+    compresses to exactly zero.
 
-    Yields (members, rows, vals_l, vals_r): the generator indices of one
-    class, the row of each column's entry shared by every member, shape
-    (space_dim,), and the members' left and right factor entries, each of
-    shape (len(members), n); member g's entry in column i*n + j is
-    vals_l[g, i] * vals_r[g, j]. Classes are read off the realized rows
-    only, never off labels. Matrices with disjoint supports are
-    Hilbert-Schmidt orthogonal, so every compression acts class by class. Raises ValueError when the members of a class differ in
-    the rows of either factor, or share a position with an earlier class,
-    since that block structure would then not hold.
+    Works in the Fourier product basis with S = code.fourier when the code
+    carries it, and in the standard basis with S = code.isometry otherwise.
+    Each chunk realizes both factors of every word in full (weyl_monomial in
+    that basis) and checks that each factor's rows are a permutation of
+    range(n). With R the rows where S has an exactly nonzero entry, a word
+    realized as V[r(c), c] = v(c) compresses to
+    sum_{c in R} conj(S[r(c), l]) v(c) S[c, k], one matrix product per chunk.
+    A word that maps no column of R into R meets only zero rows of S, so it
+    is a member only if some r(c) lies in R.
     """
-    n, dim = g.n, g.space_dim
-    cols = np.arange(dim)
-    taken = np.zeros((dim, dim), dtype=bool)
-    for members in g._support_partition:
-        rows_l, vals_l = weyl_monomial(g.words[members, :3], n)
-        rows_r, vals_r = weyl_monomial(g.words[members, 3:], n)
-        rows = (rows_l[0][:, None] * n + rows_r[0]).ravel()
-        if np.any(rows_l != rows_l[0]) or np.any(rows_r != rows_r[0]) or taken[rows, cols].any():
-            raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-        taken[rows, cols] = True
-        yield members, rows, vals_l, vals_r
+    if g.space_dim != code.space_dim:
+        raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
+    n, d = g.n, code.code_dim
+    basis, s = ("standard", code.isometry) if code.fourier is None else ("fourier", code.fourier)
+    in_support = np.any(s != 0, axis=1)
+    support = np.flatnonzero(in_support)
+    col_l, col_r = np.divmod(support, n)
+    # conj(S)^T, so the gathered rows come out code index first
+    s_conj = np.ascontiguousarray(s.conj().T)
+    s_support = s[support]
+    for start in range(0, g.n_generators, _WORD_CHUNK):
+        chunk = g.words[start : start + _WORD_CHUNK]
+        rows_l, vals_l = _monomial_factors(chunk[:, :3], n, basis)
+        rows_r, vals_r = _monomial_factors(chunk[:, 3:], n, basis)
+        rows = rows_l[:, col_l] * n + rows_r[:, col_r]
+        hit = np.flatnonzero(in_support[rows].any(axis=1))
+        left = s_conj[:, rows[hit]] * (vals_l[hit[:, None], col_l] * vals_r[hit[:, None], col_r])
+        block = left.reshape(d * len(hit), len(support)) @ s_support
+        yield start + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
+
+
+def _monomial_factors(factors: np.ndarray, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """weyl_monomial, raising ValueError unless each factor's rows are a
+    permutation of range(n), as a monomial unitary's are."""
+    rows, vals = weyl_monomial(factors, n, basis)
+    # one bin per (factor, row): n * len(rows) entries hit all of them once
+    # exactly when every factor's rows are a permutation
+    bins = rows + n * np.arange(len(rows))[:, None]
+    if not np.bincount(bins.ravel(), minlength=rows.size).all():
+        raise ValueError("realized factor rows overlap: not a permutation of range(n)")
+    return rows, vals
 
 
 def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     """Compression S^dag V S of every generator V by the code isometry S,
     stacked in generator order, shape (n_generators, code_dim, code_dim).
 
-    Each result equals P_K V P_K restricted to the code subspace, taken from
-    the monomial realization one support class at a time: with
-    V[rows[c], c] = vals[c], the compression is
-    sum_c vals[c] conj(S[rows[c], l]) S[c, k], one matrix product per class,
-    with vals the outer product of the class's two realized factors.
+    Each result equals P_K V P_K restricted to the code subspace. It is
+    taken chunk by chunk from the monomial realization, in the Fourier
+    product basis on the code's Fourier support when the code carries its
+    Fourier coordinates, and in the standard basis otherwise; onto the whole
+    space (S = I, standard basis) it returns each realized generator
+    exactly. The anticlique verdict does not hold this stack
+    (is_anticlique).
     """
-    if g.space_dim != code.space_dim:
-        raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
-    s, n, d = code.isometry, g.n, code.code_dim
-    out = np.empty((g.n_generators, d, d), dtype=complex)
-    for members, rows, vals_l, vals_r in _support_classes(g):
-        vals = (vals_l[:, :, None] * vals_r[:, None, :]).reshape(len(members), n * n)
-        kernel = (s[rows].conj()[:, :, None] * s[:, None, :]).reshape(len(rows), d * d)
-        out[members] = (vals @ kernel).reshape(len(members), d, d)
+    out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
+    for members, block in _compressions(g, code):
+        out[members] = block
     return out
 
 
@@ -462,13 +496,16 @@ class CompressionReport:
 
     verdict is true iff the compressions span a one-dimensional space (the
     multiples of the identity on the code); residual is the worst entrywise
-    deviation of any compression from c_V * I with c_V = trace / code_dim.
+    deviation of any compression from c_V * I with c_V = trace / code_dim,
+    and worst = (generator, l, k) is where it peaks: the first generator,
+    and its entry (l, k) between code basis vectors l and k.
     """
 
     verdict: bool
     compressed_dim: int
     residual: float
     c_values: tuple[complex, ...]
+    worst: tuple[int, int, int]
 
 
 def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TOL) -> CompressionReport:
@@ -476,20 +513,39 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
 
     The verdict comes from the Gram rank of all compressed generators; the
     residual diagnostic cross-checks that each compression is a scalar
-    multiple of the identity on the code.
+    multiple of the identity on the code. Both are streamed over the chunks
+    of compress's kernel and the (n_generators, code_dim, code_dim) stack is
+    never held: per chunk the c_V, the running worst residual with its
+    place, and a running code_dim^2 x code_dim^2 Gram matrix of the
+    compressions, which spans the same rank as the generators' Gram matrix
+    and is ranked by linalg._rank_of_grams as one block bounded by its
+    Gershgorin discs.
     """
-    compressions = compress(g, code)
-    k = code.code_dim
-    c_values = np.trace(compressions, axis1=1, axis2=2) / k
-    # chunked, so no temporary of the stack's size is held; a maximum is exact
-    residual = max(
-        max_abs(compressions[i : i + _CLASS_SCAN_CHUNK] - c_values[i : i + _CLASS_SCAN_CHUNK, None, None] * np.eye(k))
-        for i in range(0, len(compressions), _CLASS_SCAN_CHUNK)
-    )
-    dim = gram_rank(compressions, tol)
+    d = code.code_dim
+    eye = np.eye(d)
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    # a generator the kernel skips compresses to exactly zero: c_V = 0, no
+    # residual, nothing added to the Gram matrix
+    c_values = np.zeros(g.n_generators, dtype=complex)
+    residual, worst = 0.0, (0, 0, 0)
+    for members, block in _compressions(g, code):
+        if not len(members):
+            continue
+        c = np.trace(block, axis1=1, axis2=2) / d
+        c_values[members] = c
+        deviation = np.abs(block - c[:, None, None] * eye)
+        peak = int(np.argmax(deviation))
+        if deviation.flat[peak] > residual:
+            residual = float(deviation.flat[peak])
+            at, l, k = np.unravel_index(peak, deviation.shape)
+            worst = (int(members[at]), int(l), int(k))
+        flat = block.reshape(len(block), d * d)
+        gram += flat.conj().T @ flat
+    dim = _rank_of_grams([(*_discs(gram), d * d, lambda: gram)], tol)
     return CompressionReport(
         verdict=dim == 1,
         compressed_dim=dim,
         residual=residual,
         c_values=tuple(c_values.tolist()),
+        worst=worst,
     )

@@ -92,9 +92,10 @@ def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_T
     products and counts eigenvalues above ``tol.relative`` times the largest
     one, through _rank_of_grams as a single block bounded by its own
     Gershgorin discs: when they already clear that cutoff, the family counts
-    as independent without an eigensolve. The anticlique verdict ranks the
-    compressions with it; graphs are ranked from their factor lines instead
-    (graph.graph_dim). The result is invariant under permutations of the
+    as independent without an eigensolve. Graphs are ranked from their
+    factor lines (graph.graph_dim) and the anticlique verdict from a Gram
+    matrix it accumulates chunk by chunk (graph.is_anticlique), so neither
+    calls it. The result is invariant under permutations of the
     family and under rescaling any entry by a nonzero scalar. An empty family
     has rank 0.
     """
@@ -134,8 +135,8 @@ def _rank_of_grams(
 
     Each block comes as (lo, hi, order, form): bounds lo <= lambda <= hi on
     every eigenvalue of the block, its order, and a zero-argument callable
-    that forms it. gram_rank passes its block's Gershgorin discs (_discs);
-    the graph oracle passes products of its factor lines' discs, which bound
+    that forms it. gram_rank and the anticlique verdict pass their one
+    block's Gershgorin discs (_discs); the graph oracle passes products of its factor lines' discs, which bound
     every principal submatrix of a Kronecker product of two line Grams.
 
     The spectrum is the union of the block spectra; every eigenvalue is

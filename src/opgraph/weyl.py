@@ -13,8 +13,9 @@ A set of tensor words is an integer word table of shape (G, 6), one row
 (left kx, left kz, left phase, right kx, right kz, right phase) per word;
 the scalar WeylLabel / WeylLabelPair algebra is the reference it is tested
 against, and word_table converts between the two. Realization is monomial:
-weyl_monomial realizes single-factor words, and pair_monomial a tensor word
-as the outer product of its two factor realizations.
+weyl_monomial realizes single-factor words, in the standard or the Fourier
+basis, and pair_monomial a tensor word as the outer product of its two
+factor realizations.
 """
 
 from __future__ import annotations
@@ -165,21 +166,38 @@ def word_table(pairs: Sequence[WeylLabelPair]) -> np.ndarray:
     return np.array([_PAIR_FIELDS(p) for p in pairs], dtype=np.int64).reshape(len(pairs), 6)
 
 
-def weyl_monomial(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def weyl_monomial(
+    factors: np.ndarray, n: int, basis: str = "standard"
+) -> tuple[np.ndarray, np.ndarray]:
     """Monomial realization of single-factor words w^phase X^kx Z^kz on C^n,
     given as an integer table of shape (G, 3) with rows (kx, kz, phase).
 
     Returns (rows, vals), both of shape (len(factors), n): column c of word g
-    has its single nonzero entry at row rows[g, c], with value vals[g, c],
-    exactly as in weyl_dense, read from a table of the n roots of unity.
+    has its single nonzero entry at row rows[g, c], with value vals[g, c].
+    basis "standard" realizes the word itself, exactly as in weyl_dense:
+    rows (c - kz) mod n, values w^{phase + kx * row}. basis "fourier"
+    realizes F^dag W F in the Fourier basis f_c (the columns of
+    fourier_basis), where Z f_c = w^c f_c and X f_c = f_{c+1}: rows
+    (c + kx) mod n, values w^{phase + kz * c}. The table is reduced mod n
+    once; rows are gathered from an (n, n) table of shifts and values from
+    a table of length n^2 holding the n roots of unity n times over, so no
+    per-entry remainder is taken.
     """
     e = np.asarray(factors)
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError(f"weyl_monomial needs a factor table of shape (G, 3), got {e.shape}")
+    if basis not in ("standard", "fourier"):
+        raise ValueError(f"unknown basis {basis!r}; expected 'standard' or 'fourier'")
+    kx, kz, phase = (e % n).T[:, :, None]
     cols = np.arange(n)
-    roots = np.exp(2j * np.pi * cols / n)
-    rows = (cols - e[:, 1:2]) % n
-    return rows, roots[(e[:, 2:3] + e[:, 0:1] * rows) % n]
+    # once reduced, exponents phase + k * c are at most n^2 - n; entry j is
+    # w^(j mod n), with the same bits as the table of the n roots
+    roots = np.exp(2j * np.pi * (np.arange(n * n) % n) / n)
+    if basis == "standard":
+        rows = ((cols - cols[:, None]) % n)[kz[:, 0]]
+        return rows, roots[phase + kx * rows]
+    rows = ((cols + cols[:, None]) % n)[kx[:, 0]]
+    return rows, roots[phase + kz * cols]
 
 
 def pair_monomial(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

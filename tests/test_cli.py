@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 from conftest import run_cli
 
 from opgraph import cli
+from opgraph.graph import graph_from_labels
 
 DATA = Path(__file__).parent / "data"
 
@@ -141,8 +144,9 @@ def test_demo_help_lists_only_tol_abs():
 
 
 def test_verify_tol_abs_bounds_the_residual():
-    # section3 n=5 has a nonzero roundoff residual, so a tiny --tol-abs fails it
-    args = ("verify", "section3", "--n", "5", "--json", "--deterministic")
+    # section4 (2,4,1,2) has a nonzero roundoff residual (section3's is
+    # exactly 0), so a tiny --tol-abs fails it
+    args = ("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2", "--json", "--deterministic")
     default = run_cli(*args)
     strict = run_cli(*args, "--tol-abs", "1e-30")
     assert default.returncode == 0
@@ -280,7 +284,32 @@ def test_sweep_point_failing_midway_prints_every_row(monkeypatch, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 8
     assert [row["anticlique"] for row in rows] == ["True", "False"] + ["True"] * 6
-    assert err == ""
+    # the failed verdict, and only it, names where its residual peaks
+    assert len(err.splitlines()) == 1
+    assert err.startswith("anticlique fails at generator ")
+
+
+def test_failed_verdict_names_the_word_and_code_vectors(monkeypatch, capsys):
+    # construction-scale negative control: Z^p (x) I is outside the
+    # (2,8,1,4) graph and compresses to diag(1, i, -1, -i) on q_1..q_4
+    real = cli.build_section4
+
+    def grown(params):
+        g, code = real(params)
+        return graph_from_labels(g.n, np.concatenate([g.words, [[0, 2, 0, 0, 0, 0]]])), code
+
+    monkeypatch.setattr(cli, "build_section4", grown)
+    argv = ["verify", "section4", "--p", "2", "--y", "8", "--h", "1", "--d", "4", "--json", "--deterministic"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["anticlique"] is False
+    assert report["graph_dim_labels"] == report["graph_dim_gram"] == 64515
+    assert re.fullmatch(
+        r"anticlique fails at generator 6451[34], word \(0, (2|14), 0, 0, 0, 0\): "
+        r"entry \((q_[1-4]), \2\) deviates from c_V \* I by 1\.000e\+00\n",
+        err,
+    ), err
 
 
 def test_sweep_section3_jsonl():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,77 @@ def test_adjoint_closure_leaves_rank_unchanged():
         assert gram_rank(dense + [dagger(m) for m in dense]) == base
 
 
+def _point_id(build, arg):
+    name = build.__name__.removeprefix("build_")
+    return name + (f"-{arg.p}-{arg.y}-{arg.h}-{arg.d}" if build is build_section4 else f"-{arg}")
+
+
+FOURIER_CODES = (
+    [(build_section3, n) for n in range(3, 7)]
+    + [(build_remark2, n) for n in range(2, 6)]
+    + [(build_section4, q) for q in enumerate_section4_params(8)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, arg", FOURIER_CODES, ids=[_point_id(build, arg) for build, arg in FOURIER_CODES]
+)
+def test_fourier_compression_matches_dense_reference(build, arg):
+    # the constructions' codes carry Fourier coordinates, so compress works
+    # in the Fourier product basis on the code's support; it must agree with
+    # S^dag V S from the scalar standard-basis realization
+    g, code = build(arg)
+    assert code.fourier is not None
+    s = code.isometry
+    for c, p in zip(compress(g, code), scalar_pairs(g)):
+        assert max_abs(c - dagger(s) @ pair_dense(p) @ s) < 1e-12
+
+
+def test_fourier_codes_have_exact_residual():
+    # the code's Fourier coordinates are exact 0s and 1s, and every word
+    # compresses to zero or to the identity, so no roundoff enters
+    for build in (build_section3, build_remark2):
+        for n in range(3, 9):
+            g, code = build(n)
+            report = is_anticlique(g, code)
+            assert report.verdict, (build.__name__, n)
+            assert report.residual == 0.0, (build.__name__, n)
+
+
+def test_word_outside_the_graph_flips_the_verdict():
+    # Z^p (x) I is not in the (2,8,1,4) graph. It scales q_k by w^{p(h+1)k},
+    # so it compresses to diag(1, i, -1, -i), and its adjoint to the
+    # conjugate: the compressions span 3 dimensions with residual 1
+    params = Section4Params(2, 8, 1, 4)
+    g, code = build_section4(params)
+    outside = np.array([[0, 2, 0, 0, 0, 0]])
+    assert (0, 2, 0, 0) not in g.label_keys()
+    assert max_abs(compress(graph_from_labels(16, outside), code)[1] - np.diag(1j ** np.arange(4))) < 1e-12
+    grown = graph_from_labels(16, np.concatenate([g.words, outside]))
+    report = is_anticlique(grown, code)
+    assert not report.verdict
+    assert report.compressed_dim == 3
+    assert report.residual == pytest.approx(1.0)
+    at, l, k = report.worst
+    assert tuple(grown.words[at, [0, 1, 3, 4]]) in {(0, 2, 0, 0), (0, 14, 0, 0)}
+    assert l == k
+    # without the word the residual is roundoff
+    assert is_anticlique(g, code).residual < 1e-15
+
+
+def test_codespace_checks_fourier_coordinates():
+    _, code = build_section4(Section4Params(2, 4, 1, 2))
+    off = code.fourier.copy()
+    off[0, 0] += 1e-9
+    for bad in (code.fourier[:, ::-1], off):
+        with pytest.raises(ValueError, match="fourier coordinates differ"):
+            replace(code, fourier=bad)
+    with pytest.raises(ValueError, match="do not fit"):
+        replace(code, fourier=code.fourier[:-1])
+    with pytest.raises(ValueError, match="do not fit"):
+        CodeSpace(space_dim=8, isometry=np.eye(8)[:, :1], fourier=np.eye(8)[:, :1])
+
+
 def test_codespace_validation():
     with pytest.raises(ValueError):
         CodeSpace(space_dim=4, isometry=np.ones((4, 2)))
@@ -361,13 +433,7 @@ BLOCKED_VS_DENSE = [(build_section3, 4), (build_section3, 5), (build_remark2, 4)
 
 
 @pytest.mark.parametrize(
-    "build, arg",
-    BLOCKED_VS_DENSE,
-    ids=[
-        build.__name__.removeprefix("build_")
-        + (f"-{arg.p}-{arg.y}-{arg.h}-{arg.d}" if build is build_section4 else f"-{arg}")
-        for build, arg in BLOCKED_VS_DENSE
-    ],
+    "build, arg", BLOCKED_VS_DENSE, ids=[_point_id(build, arg) for build, arg in BLOCKED_VS_DENSE]
 )
 def test_blocked_gram_rank_matches_dense(build, arg):
     g, _ = build(arg)
@@ -402,7 +468,7 @@ def test_overlapping_supports_raise(monkeypatch, crafted):
     words = word_table([pair(n, 0, 0, 0, 0), word])
     rows_of = {(0, 0, 0): [0, 1], (1, 0, 0): second}
 
-    def realize(factors, n):
+    def realize(factors, n, basis="standard"):
         rows = np.array([rows_of[tuple(f)] for f in factors.tolist()]).reshape(len(factors), n)
         return rows, np.ones((len(factors), n), dtype=complex)
 
@@ -448,7 +514,7 @@ def _crafted_graph(monkeypatch, realized, words):
     realizations."""
     n = 2
 
-    def realize(factors, n):
+    def realize(factors, n, basis="standard"):
         pairs = [realized[tuple(f)] for f in factors.tolist()]
         rows = np.array([r for r, _ in pairs]).reshape(len(factors), n)
         return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(factors), n)
@@ -536,8 +602,8 @@ def test_label_count_matches_key_set():
 
 
 def test_dense_generators_match_labels():
-    # with the whole space as code, S = I, so compress returns each realized
-    # generator itself, taken class by class from the monomial realization
+    # with the whole space as code, S = I in the standard basis, so compress
+    # returns each realized generator itself, exactly
     g, _ = build_section3(4)
     whole = CodeSpace(space_dim=16, isometry=np.eye(16, dtype=complex))
     realized = compress(g, whole)
@@ -546,24 +612,10 @@ def test_dense_generators_match_labels():
         assert max_abs(dense - pair_dense(p)) == 0.0
 
 
-def test_support_scan_memory_is_bounded():
-    # the chunked scan keeps one int per generator, not each chunk's full
-    # (chunk, n^2) realization: about 36 MB here against 141 MB for all of it
-    g, _ = build_section4(Section4Params(2, 8, 1, 4))
-    tracemalloc.start()
-    try:
-        partition = g._support_partition
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, partition)) == g.n_generators
-    assert peak < 64 * 2**20
-
-
 def test_anticlique_memory_is_bounded():
-    # the residual is taken chunk by chunk, not over temporaries of the
-    # (64513, 4, 4) compression stack's size: about 33 MB here, 49 MB when
-    # the whole stack's residual was formed at once
+    # the verdict is streamed chunk by chunk and never holds the
+    # (64513, 4, 4) compression stack (16.5 MB): about 4 MB here, most of it
+    # the c_V tuple
     g, code = build_section4(Section4Params(2, 8, 1, 4))
     tracemalloc.start()
     try:
@@ -572,4 +624,4 @@ def test_anticlique_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.verdict
-    assert peak < 40 * 2**20
+    assert peak < 8 * 2**20

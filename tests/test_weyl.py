@@ -139,11 +139,37 @@ def test_weyl_monomial_scatters_to_weyl_dense():
             assert np.array_equal(dense, weyl_dense(label(n, kx, kz, phase)))
 
 
+def test_weyl_monomial_fourier_basis_scatters_to_conjugated_weyl_dense():
+    # in the Fourier basis every word is monomial too: F^dag W F has rows
+    # c + kx and values w^{phase + kz c}, for every word and phase
+    for n in (2, 3, 4, 5):
+        factors = np.array(list(itertools.product(range(n), repeat=3)))
+        rows, vals = weyl_monomial(factors, n, "fourier")
+        assert rows.shape == vals.shape == (n**3, n)
+        f = fourier_basis(n)
+        cols = np.arange(n)
+        for (kx, kz, phase), r, v in zip(factors.tolist(), rows, vals):
+            dense = np.zeros((n, n), dtype=complex)
+            dense[r, cols] = v
+            assert max_abs(dense - dagger(f) @ weyl_dense(label(n, kx, kz, phase)) @ f) < 1e-12
+
+
+def test_weyl_monomial_reduces_its_input():
+    # unreduced and negative exponents realize as their residues mod n
+    factors = np.array([[7, -1, 5], [-3, 9, -8]])
+    for basis in ("standard", "fourier"):
+        got = weyl_monomial(factors, 4, basis)
+        want = weyl_monomial(factors % 4, 4, basis)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), basis
+
+
 def test_weyl_monomial_needs_factor_table():
     with pytest.raises(ValueError, match="factor table"):
         weyl_monomial(np.zeros((2, 6), dtype=int), 3)
     rows, vals = weyl_monomial(np.zeros((0, 3), dtype=int), 3)
     assert rows.shape == vals.shape == (0, 3)
+    with pytest.raises(ValueError, match="unknown basis"):
+        weyl_monomial(np.zeros((2, 3), dtype=int), 3, "hadamard")
 
 
 def test_pair_monomial_needs_pairs():
