@@ -6,21 +6,24 @@ one integer row of exponents and phases per tensor word on C^n (x) C^n).
 Two independent dimension oracles are available: counting distinct word
 exponents (exact, phases dropped) and the numeric Gram rank of the realized
 generators. Generators are realized per tensor factor in monomial form
-(weyl_monomial); the Gram side reads only those realized factors. Every
-generator is alpha * (u (x) v) for a left factor line u and a right one v
-(a line is a realized factor up to a scalar), and since the
-Hilbert-Schmidt product factorizes over the tensor product,
+(weyl_monomial), each distinct factor (kx, kz, phase) of a side once: the
+64513 words of the (2,8,1,4) graph use 264 left and 464 right factors, and
+every word gathers its two by index. The Gram side reads only those
+realized factors. Every generator is alpha * (u (x) v) for a left factor
+line u and a right one v (a line is a realized factor up to a scalar), and
+since the Hilbert-Schmidt product factorizes over the tensor product,
 <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of the pairs (u, v) with
 row patterns (P, Q) is a principal submatrix of G_P (x) G_Q, the Kronecker
 product of the two patterns' line Grams (each at most n x n). The Gram rank
 is read off those line Grams, and no n^2-long row is formed.
 
-Compression realizes the words chunk by chunk, in the Fourier product basis
-f_i (x) f_j when the code carries its coordinates there (the constructions'
-codes do) and in the standard basis otherwise, and reads each realized word
-only at the coordinates R where the code is nonzero: |R| = p * d of the n^2
-for the entangled codes. The anticlique verdict streams those chunks into a
-code_dim^2 x code_dim^2 Gram matrix and never holds the compressions.
+Compression realizes the distinct factors once, in the Fourier product
+basis f_i (x) f_j when the code carries its coordinates there (the
+constructions' codes do) and in the standard basis otherwise, and gathers
+the words chunk by chunk, each only at the coordinates R where the code is
+nonzero: |R| = p * d of the n^2 for the entangled codes. The anticlique
+verdict streams those chunks into a code_dim^2 x code_dim^2 Gram matrix and
+never holds the compressions.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ __all__ = [
 ]
 
 
-# words realized at once by the scans over a word table; bounds peak memory
+# words gathered, or distinct factors realized, at once by the scans over a
+# word table; bounds peak memory
 _WORD_CHUNK = 1024
 # a factor line's key is a polynomial hash of its features mod 2^64 in this
 # odd multiplier; its normalized values enter rounded to this many steps per
@@ -74,7 +78,7 @@ class OperatorGraph:
     (n_generators, 6), rows (left kx, left kz, left phase, right kx,
     right kz, right phase), every entry reduced to [0, n). Generators are
     never densified, only realized per tensor factor in monomial form
-    (weyl_monomial), a chunk of words at a time. The table holds at least
+    (weyl_monomial), each distinct factor once. The table holds at least
     one word, since the span contains the identity.
     """
 
@@ -249,10 +253,11 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     method "labels": count of distinct exponent quadruples (exact), from one
     packed integer key per word, sorted. method "gram": numeric Gram rank of
     the realized generators, over every generator, read from their factor
-    lines. One chunked pass realizes each word's two factors and groups them
-    into lines by row pattern and values normalized by column 0, checking
-    every factor against its line's representative within tol.absolute;
-    row patterns of one side that share a position raise ValueError. Each
+    lines. Each side's distinct factors are realized once and grouped, chunk
+    by chunk, into lines by row pattern and values normalized by column 0,
+    every factor checked against its line's representative within
+    tol.absolute; each word takes its factors' lines by index. Row
+    patterns of one side that share a position raise ValueError. Each
     generator is a multiple of u_a (x) v_b, so the span has one dimension
     per distinct pair (a, b) when each pattern's lines are independent. The
     pairs with row patterns (P, Q) form one block of the Gram matrix, the
@@ -329,20 +334,41 @@ class _FactorLines:
 
 
 def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
-    """Left and right factor lines of a graph, from one chunked pass that
-    realizes each word's two factors (weyl_monomial) and reads only the
-    realized rows and values, never labels. Raises ValueError when two row
-    patterns of one side share a position, since the tensor classes' Grams
-    would then not be blocks of one block-diagonal Gram matrix."""
+    """Left and right factor lines of a graph. Each side's distinct factors
+    (_distinct_factors) are realized once (weyl_monomial) and grouped into
+    lines chunk by chunk, reading only the realized rows and values, never
+    labels; each word then takes the line of its factor by index. Raises
+    ValueError when two row patterns of one side share a position, since
+    the tensor classes' Grams would then not be blocks of one
+    block-diagonal Gram matrix."""
+    sides = []
+    for side in (0, 1):
+        factors, index = _distinct_factors(g, side)
+        table = _LineTable(g.n, tol)
+        line = np.concatenate(
+            [
+                table.add(*weyl_monomial(factors[i : i + _WORD_CHUNK], g.n))
+                for i in range(0, len(factors), _WORD_CHUNK)
+            ]
+        )
+        sides.append(_group_lines(table, line[index]))
+    return sides[0], sides[1]
+
+
+def _distinct_factors(g: OperatorGraph, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct factors (kx, kz, phase) of one tensor side of the word table
+    (0 left, 1 right), sorted by packed key (kx * n + kz) * n + phase, and
+    each word's index into them: factors[index] is the side's columns of the
+    table. The key is the realizer's whole input, so a factor realized once
+    and gathered by index is bit-identical to the word's own realization."""
     n = g.n
-    tables = (_LineTable(n, tol), _LineTable(n, tol))
-    of_word = np.empty((2, g.n_generators), dtype=np.int64)
-    for i in range(0, g.n_generators, _WORD_CHUNK):
-        chunk = g.words[i : i + _WORD_CHUNK]
-        for side, table in enumerate(tables):
-            realized = weyl_monomial(chunk[:, 3 * side : 3 * side + 3], n)
-            of_word[side, i : i + len(chunk)] = table.add(*realized)
-    return _group_lines(tables[0], of_word[0]), _group_lines(tables[1], of_word[1])
+    kx, kz, phase = g.words[:, 3 * side : 3 * side + 3].T
+    keys = (kx.astype(np.int64) * n + kz) * n + phase
+    # not np.unique(keys), which imports numpy.ma in numpy 2.4
+    ordered = np.sort(keys)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    high, phase = np.divmod(distinct, n)
+    return np.stack([*np.divmod(high, n), phase], axis=1), np.searchsorted(distinct, keys)
 
 
 def _group_lines(table: _LineTable, of_word: np.ndarray) -> _FactorLines:
@@ -431,9 +457,10 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
 
     Works in the Fourier product basis with S = code.fourier when the code
     carries it, and in the standard basis with S = code.isometry otherwise.
-    Each chunk realizes both factors of every word in full (weyl_monomial in
-    that basis) and checks that each factor's rows are a permutation of
-    range(n). With R the rows where S has an exactly nonzero entry, a word
+    Each side's distinct factors are realized once in full (weyl_monomial in
+    that basis), each checked for rows that are a permutation of range(n),
+    and kept at the columns of R only; each chunk gathers its words' factors
+    by index. With R the rows where S has an exactly nonzero entry, a word
     realized as V[r(c), c] = v(c) compresses to
     sum_{c in R} conj(S[r(c), l]) v(c) S[c, k], one matrix product per chunk.
     A word that maps no column of R into R meets only zero rows of S, so it
@@ -449,13 +476,16 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     # conj(S)^T, so the gathered rows come out code index first
     s_conj = np.ascontiguousarray(s.conj().T)
     s_support = s[support]
+    # each side's distinct factors, realized once and kept at R's columns
+    factors_l, index_l = _distinct_factors(g, 0)
+    factors_r, index_r = _distinct_factors(g, 1)
+    rows_l, vals_l = (a[:, col_l] for a in _monomial_factors(factors_l, n, basis))
+    rows_r, vals_r = (a[:, col_r] for a in _monomial_factors(factors_r, n, basis))
     for start in range(0, g.n_generators, _WORD_CHUNK):
-        chunk = g.words[start : start + _WORD_CHUNK]
-        rows_l, vals_l = _monomial_factors(chunk[:, :3], n, basis)
-        rows_r, vals_r = _monomial_factors(chunk[:, 3:], n, basis)
-        rows = rows_l[:, col_l] * n + rows_r[:, col_r]
+        at_l, at_r = index_l[start : start + _WORD_CHUNK], index_r[start : start + _WORD_CHUNK]
+        rows = rows_l[at_l] * n + rows_r[at_r]
         hit = np.flatnonzero(in_support[rows].any(axis=1))
-        left = s_conj[:, rows[hit]] * (vals_l[hit[:, None], col_l] * vals_r[hit[:, None], col_r])
+        left = s_conj[:, rows[hit]] * (vals_l[at_l[hit]] * vals_r[at_r[hit]])
         block = left.reshape(d * len(hit), len(support)) @ s_support
         yield start + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
 
@@ -490,7 +520,7 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressionReport:
     """Anticlique verdict for a (graph, code) pair.
 
@@ -498,13 +528,15 @@ class CompressionReport:
     multiples of the identity on the code); residual is the worst entrywise
     deviation of any compression from c_V * I with c_V = trace / code_dim,
     and worst = (generator, l, k) is where it peaks: the first generator,
-    and its entry (l, k) between code basis vectors l and k.
+    and its entry (l, k) between code basis vectors l and k. c_values is a
+    read-only complex array holding each generator's c_V, in generator
+    order.
     """
 
     verdict: bool
     compressed_dim: int
     residual: float
-    c_values: tuple[complex, ...]
+    c_values: np.ndarray
     worst: tuple[int, int, int]
 
 
@@ -542,10 +574,11 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
         flat = block.reshape(len(block), d * d)
         gram += flat.conj().T @ flat
     dim = _rank_of_grams([(*_discs(gram), d * d, lambda: gram)], tol)
+    c_values.setflags(write=False)
     return CompressionReport(
         verdict=dim == 1,
         compressed_dim=dim,
         residual=residual,
-        c_values=tuple(c_values.tolist()),
+        c_values=c_values,
         worst=worst,
     )

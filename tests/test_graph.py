@@ -15,7 +15,15 @@ from opgraph.graph import (
 )
 from opgraph import graph as graph_module
 from opgraph.linalg import DEFAULT_TOL, dagger, gram_rank, kron, max_abs
-from opgraph.weyl import WeylLabelPair, label, pair_adjoint, pair_dense, pair_monomial, word_table
+from opgraph.weyl import (
+    WeylLabelPair,
+    label,
+    pair_adjoint,
+    pair_dense,
+    pair_monomial,
+    weyl_monomial,
+    word_table,
+)
 from opgraph.constructions import (
     Section4Params,
     build_remark2,
@@ -201,9 +209,14 @@ def test_is_anticlique_section2():
     assert report.verdict
     assert report.compressed_dim == 1
     assert report.residual < 1e-12
-    # c_V is 1 for the identity and 0 for the four error words
-    assert report.c_values[0] == pytest.approx(1.0)
-    assert all(abs(c) < 1e-12 for c in report.c_values[1:])
+    # c_V is 1 for the identity and 0 for the four error words, one entry
+    # per generator of a read-only complex array
+    c = report.c_values
+    assert c.dtype == complex and c.shape == (g.n_generators,)
+    assert c[0] == pytest.approx(1.0)
+    assert max_abs(c[1:]) < 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 0
 
 
 def test_anticlique_invariant_under_code_basis_change():
@@ -614,8 +627,9 @@ def test_dense_generators_match_labels():
 
 def test_anticlique_memory_is_bounded():
     # the verdict is streamed chunk by chunk and never holds the
-    # (64513, 4, 4) compression stack (16.5 MB): about 4 MB here, most of it
-    # the c_V tuple
+    # (64513, 4, 4) compression stack (16.5 MB): about 3.6 MB here, 1 MB of
+    # it the c_V array and 1 MB the two sides' factor indices; a c_V tuple of
+    # Python complexes would add 2.5 MB
     g, code = build_section4(Section4Params(2, 8, 1, 4))
     tracemalloc.start()
     try:
@@ -624,4 +638,64 @@ def test_anticlique_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.verdict
-    assert peak < 8 * 2**20
+    assert peak < 6 * 2**20
+
+
+DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2, 8, 1, 4))]
+
+
+@pytest.mark.parametrize(
+    "build, arg", DISTINCT_FACTOR_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS + ["section4-2-8-1-4"]
+)
+def test_distinct_factors_gather_exactly(build, arg):
+    # each side's distinct factors, gathered by the words' indices, give the
+    # word table's columns back, and their realizations gathered the same way
+    # are bit for bit the realizations of the columns themselves
+    g, _ = build(arg)
+    n = g.n
+    for side in (0, 1):
+        columns = g.words[:, 3 * side : 3 * side + 3]
+        factors, index = graph_module._distinct_factors(g, side)
+        assert np.array_equal(factors[index], columns)
+        keys = (factors[:, 0] * n + factors[:, 1]) * n + factors[:, 2]
+        assert np.all(keys[1:] > keys[:-1])
+        for basis in ("standard", "fourier"):
+            rows, vals = weyl_monomial(factors, n, basis)
+            rows_w, vals_w = weyl_monomial(columns, n, basis)
+            assert np.array_equal(rows[index], rows_w)
+            assert np.array_equal(vals[index].view(float), vals_w.view(float))
+
+
+def test_each_distinct_factor_is_realized_once(monkeypatch):
+    # the (2,8,1,4) graph's 64513 words use 264 distinct left factors and 464
+    # right ones; the Gram oracle and the verdict each realize those 728,
+    # where realizing every word's two factors would take 129026 rows
+    g, code = build_section4(Section4Params(2, 8, 1, 4))
+    realized = []
+
+    def counting(factors, n, basis="standard"):
+        realized.append(len(factors))
+        return weyl_monomial(factors, n, basis)
+
+    monkeypatch.setattr(graph_module, "weyl_monomial", counting)
+    assert graph_dim(g, "gram") == 64513
+    assert sum(realized) == 264 + 464
+    realized.clear()
+    assert is_anticlique(g, code).verdict
+    assert sum(realized) == 264 + 464
+
+
+def test_factor_key_keeps_the_phase():
+    # negative control at construction scale: at (2,8,1,4) only the identity
+    # has a nonzero c_V. Appending the identity with its right phase raised
+    # to 1, bypassing graph_from_labels, adds a factor that differs from the
+    # identity's only in its phase: the span and the verdict are unchanged,
+    # and its c_V is w = exp(2 pi i / 16), which a factor key without the
+    # phase would read as 1
+    g, code = build_section4(Section4Params(2, 8, 1, 4))
+    rephased = OperatorGraph(n=16, words=np.concatenate([g.words, [[0, 0, 0, 0, 0, 1]]]))
+    dims = graph_dim(rephased, "both")
+    assert dims.labels == dims.gram == 64513
+    report = is_anticlique(rephased, code)
+    assert report.verdict
+    assert abs(report.c_values[-1] - np.exp(2j * np.pi / 16)) < 1e-12
