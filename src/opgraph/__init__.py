@@ -1,6 +1,6 @@
 """opgraph: operator graphs, quantum anticliques, and dimension oracles."""
 
-from .linalg import DEFAULT_TOL, Tolerance, gram_rank, hs_inner, kron, max_abs, orthonormalize
+from .linalg import DEFAULT_TOL, Tolerance, hs_inner, kron, max_abs, orthonormalize
 from .weyl import (
     WeylLabel,
     WeylLabelPair,

@@ -106,7 +106,7 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
         at, l, k = report_ac.worst
         names = _code_names(code)
         print(
-            f"anticlique fails at generator {at}, word {tuple(g.words[at].tolist())}: entry "
+            f"anticlique fails at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
             f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
             file=sys.stderr,
         )
@@ -246,7 +246,7 @@ def cmd_demo(args) -> int:
         gen_idx = int(rng.integers(g.n_generators))
         word_idx = int(rng.integers(code.code_dim))
         # realize only the sampled generator; graphs can be large
-        rows, vals = pair_monomial(g.words[gen_idx : gen_idx + 1], g.n)
+        rows, vals = pair_monomial(g.words_at([gen_idx]), g.n)
         generator = np.zeros((g.space_dim, g.space_dim), dtype=complex)
         generator[rows[0], np.arange(g.space_dim)] = vals[0]
         column = s.conj().T @ (generator @ s[:, word_idx])

@@ -1,23 +1,27 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
 spaces, compression by an isometry, and anticlique verdicts.
 
-Every graph carries its generators as an exact word table (see opgraph.weyl:
-one integer row of exponents and phases per tensor word on C^n (x) C^n).
+Every graph carries its generators as exact Weyl tensor words (see
+opgraph.weyl) in factored form: each tensor side's distinct factors
+(kx, kz, phase), and an int32 pair of factor indices per word. The 64513
+words of the (2,8,1,4) graph use 264 left and 464 right factors, so the
+graph takes 0.5 MB where the (G, 6) int64 word table takes 3 MB, and
+graph_from_labels closes a word table under adjoints on the factors.
+
 Two independent dimension oracles are available: counting distinct word
 exponents (exact, phases dropped) and the numeric Gram rank of the realized
 generators. Generators are realized per tensor factor in monomial form
-(weyl_monomial), each distinct factor (kx, kz, phase) of a side once: the
-64513 words of the (2,8,1,4) graph use 264 left and 464 right factors, and
-every word gathers its two by index. The Gram side reads only those
-realized factors. Every generator is alpha * (u (x) v) for a left factor
-line u and a right one v (a line is a realized factor up to a scalar), and
-since the Hilbert-Schmidt product factorizes over the tensor product,
-<A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of the pairs (u, v) with
-row patterns (P, Q) is a principal submatrix of G_P (x) G_Q, the Kronecker
-product of the two patterns' line Grams (each at most n x n). The Gram rank
-is read off those line Grams, and no n^2-long row is formed.
+(weyl_monomial), each stored factor once, and every word gathers its two
+by index. The Gram side reads only those realized factors. Every generator
+is alpha * (u (x) v) for a left factor line u and a right one v (a line is
+a realized factor up to a scalar), and since the Hilbert-Schmidt product
+factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
+Gram block of the pairs (u, v) with row patterns (P, Q) is a principal
+submatrix of G_P (x) G_Q, the Kronecker product of the two patterns' line
+Grams (each at most n x n). The Gram rank is read off those line Grams, and
+no n^2-long row is formed.
 
-Compression realizes the distinct factors once, in the Fourier product
+Compression realizes the stored factors once, in the Fourier product
 basis f_i (x) f_j when the code carries its coordinates there (the
 constructions' codes do) and in the standard basis otherwise, and gathers
 the words chunk by chunk, each only at the coordinates R where the code is
@@ -59,7 +63,7 @@ __all__ = [
 
 
 # words gathered, or distinct factors realized, at once by the scans over a
-# word table; bounds peak memory
+# graph; bounds peak memory
 _WORD_CHUNK = 1024
 # a factor line's key is a polynomial hash of its features mod 2^64 in this
 # odd multiplier; its normalized values enter rounded to this many steps per
@@ -74,27 +78,82 @@ class OperatorGraph:
     """Span of generators, closed under adjoints, containing the identity.
 
     Every generator is a scaled Weyl tensor word on C^n (x) C^n, so
-    space_dim = n^2. ``words`` is an integer word table of shape
-    (n_generators, 6), rows (left kx, left kz, left phase, right kx,
-    right kz, right phase), every entry reduced to [0, n). Generators are
-    never densified, only realized per tensor factor in monomial form
-    (weyl_monomial), each distinct factor once. The table holds at least
-    one word, since the span contains the identity.
+    space_dim = n^2. The words are stored in factored form: ``factors`` =
+    (left, right) holds each tensor side's distinct factors, integer arrays
+    of shape (F, 3) with rows (kx, kz, phase) in [0, n), strictly increasing
+    by packed key (kx * n + kz) * n + phase, every one used by some word;
+    ``index`` is an int32 array of shape (n_generators, 2), and word g is
+    left[index[g, 0]] (x) right[index[g, 1]]. That is 8 bytes per word.
+    Every realization loop realizes each factor once and gathers it by
+    index; the factor is the realizer's whole input, so the gathered
+    realization is bit-identical to the word's own. Generators are never
+    densified. The graph holds at least one word, since the span contains
+    the identity. ``words`` gathers the word table back, and from_words
+    stores a given table as it is.
     """
 
     n: int
-    words: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray]
+    index: np.ndarray
 
     def __post_init__(self):
-        _check_word_table(self.n, self.words)
-        if len(self.words) == 0:
+        if self.n < 1:
+            raise ValueError(f"word dimension must satisfy n >= 1, got n={self.n}")
+        index = self.index
+        if not isinstance(index, np.ndarray) or index.dtype != np.int32 or index.shape[1:] != (2,):
+            raise ValueError(
+                f"expected an int32 index of shape (G, 2), got {np.asarray(index).dtype} {np.shape(index)}"
+            )
+        if len(index) == 0:
+            raise ValueError("index is empty; a graph contains the identity")
+        if len(self.factors) != 2:
+            raise ValueError(f"expected factors (left, right), got {len(self.factors)} sides")
+        for side, (name, factors) in enumerate(zip(("left", "right"), self.factors)):
+            if (
+                not isinstance(factors, np.ndarray)
+                or factors.shape[1:] != (3,)
+                or not np.issubdtype(factors.dtype, np.integer)
+            ):
+                raise ValueError(
+                    f"expected integer {name} factors of shape (F, 3), "
+                    f"got {np.asarray(factors).dtype} {np.shape(factors)}"
+                )
+            if len(factors) and (factors.min() < 0 or factors.max() >= self.n):
+                raise ValueError(
+                    f"{name} factor entries must lie in [0, n) = [0, {self.n}), "
+                    f"got values in [{factors.min()}, {factors.max()}]"
+                )
+            keys = _factor_keys(factors, self.n)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError(f"{name} factors must be strictly increasing by packed key, so none repeats")
+            at = index[:, side]
+            if at.min() < 0 or at.max() >= len(factors):
+                raise ValueError(
+                    f"{name} indices must lie in [0, {len(factors)}), got values in [{at.min()}, {at.max()}]"
+                )
+            if not np.bincount(at, minlength=len(factors)).all():
+                raise ValueError(f"every {name} factor must be used by some word")
+
+    @classmethod
+    def from_words(cls, n: int, words: np.ndarray) -> "OperatorGraph":
+        """Graph whose generators are exactly the words of an integer word
+        table of shape (G, 6), rows (left kx, left kz, left phase, right kx,
+        right kz, right phase), in order: no identity or adjoint is added and
+        nothing is deduplicated (graph_from_labels closes a table). Entries
+        must already lie in [0, n), and the table must hold a word."""
+        _check_word_table(n, words)
+        if len(words) == 0:
             raise ValueError("word table is empty; a graph contains the identity")
         # rejected, not reduced: the label oracle packs exponents as stored
-        if self.words.min() < 0 or self.words.max() >= self.n:
+        if words.min() < 0 or words.max() >= n:
             raise ValueError(
-                f"word table entries must lie in [0, n) = [0, {self.n}), "
-                f"got values in [{self.words.min()}, {self.words.max()}]"
+                f"word table entries must lie in [0, n) = [0, {n}), "
+                f"got values in [{words.min()}, {words.max()}]"
             )
+        keys = [_factor_keys(words[:, 3 * side : 3 * side + 3], n) for side in (0, 1)]
+        distinct = [_sorted_distinct(side_keys) for side_keys in keys]
+        index = np.stack([np.searchsorted(d, k) for d, k in zip(distinct, keys)], axis=1).astype(np.int32)
+        return cls(n, tuple(_unpack_factors(d, n) for d in distinct), index)
 
     @property
     def space_dim(self) -> int:
@@ -102,7 +161,22 @@ class OperatorGraph:
 
     @property
     def n_generators(self) -> int:
-        return len(self.words)
+        return len(self.index)
+
+    @property
+    def words(self) -> np.ndarray:
+        """The word table, shape (n_generators, 6), gathered from the factors
+        each time it is read; read-only."""
+        return self.words_at(slice(None))
+
+    def words_at(self, at) -> np.ndarray:
+        """Rows ``at`` (an index, a slice or an index array) of the word
+        table, gathered from the factors of those words alone; read-only."""
+        left, right = self.factors
+        pairs = self.index[at]
+        rows = np.concatenate([left[pairs[..., 0]], right[pairs[..., 1]]], axis=-1)
+        rows.setflags(write=False)
+        return rows
 
     def label_keys(self) -> set[tuple[int, int, int, int]]:
         """Exponent quadruples (left kx, left kz, right kx, right kz) of the
@@ -111,10 +185,12 @@ class OperatorGraph:
 
     def _label_count(self) -> int:
         """Number of distinct exponent quadruples, len(label_keys()) without
-        building the set: the distinct values among sorted packed keys."""
+        building the set: the distinct values among sorted packed keys, one
+        per word. Not n_generators: from_words keeps a word repeated under
+        two phases."""
         # not np.unique(keys): in numpy 2.4 it takes a hash-table path that is
         # about 15x slower at 64513 keys
-        keys = np.sort(_exponent_keys(self.words, self.n))
+        keys = np.sort(_pair_keys(self.n, *self.factors, *self.index.T))
         return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
@@ -124,16 +200,52 @@ def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
     comes first and each word is followed by its adjoint; deduplicated by
     exponent quadruple (phases do not affect the span), the first occurrence
     wins with its phase. An empty table gives the identity alone.
+
+    The closure works on each side's distinct factors. Per side, the table
+    is reduced mod n, the distinct factors are taken together with their
+    adjoints, a set closed under the adjoint, and every word and its adjoint
+    become an int32 id into that set. The interleaved sequence of id pairs
+    is deduplicated by one sort of its packed phase-free pair keys with the
+    position in the low bits, which puts each key's first occurrence first
+    and takes memory linear in G; each side then keeps the factors still
+    used. Raises ValueError if those keys would overflow int64.
     """
     words = np.asarray(words)
     _check_word_table(n, words)
-    table = np.concatenate([np.zeros((1, 6), dtype=np.int64), words % n])
-    kx, kz, phase = table[:, 0::3], table[:, 1::3], table[:, 2::3]
-    # (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b} on each factor
-    adjoint = np.stack([-kx, -kz, kx * kz - phase], axis=2).reshape(-1, 6) % n
-    both = np.stack([table, adjoint], axis=1).reshape(-1, 6)
-    first = np.sort(np.unique(_exponent_keys(both, n), return_index=True)[1])
-    return OperatorGraph(n=n, words=both[first])
+    count = 2 * len(words) + 2
+    shift = count.bit_length()
+    if n**4 << shift > 2**63:
+        raise ValueError(f"pair keys of {count} words and adjoints at n={n} overflow int64")
+    sides = []
+    for side in (0, 1):
+        # the identity's factor (0, 0, 0) packs to key 0
+        keys = np.concatenate([[0], _factor_keys(words[:, 3 * side : 3 * side + 3], n)])
+        distinct = _sorted_distinct(keys)
+        # the adjoint is an involution, so this union is closed under it
+        closed = _sorted_distinct(np.concatenate([distinct, _adjoint_keys(distinct, n)]))
+        ids = np.searchsorted(closed, keys)
+        sequence = np.empty(count, dtype=np.int32)
+        sequence[0::2] = ids
+        sequence[1::2] = np.searchsorted(closed, _adjoint_keys(closed, n))[ids]
+        sides.append((_unpack_factors(closed, n), sequence))
+    # sorted with the position in the low bits, each phase-free key's first
+    # occurrence comes first among its equals
+    (left, at_l), (right, at_r) = sides
+    keys = _pair_keys(n, left, right, at_l, at_r)
+    keys <<= shift
+    keys |= np.arange(count)
+    keys.sort()
+    heads = keys >> shift
+    first = keys[np.r_[True, heads[1:] != heads[:-1]]] & ((1 << shift) - 1)
+    first.sort()
+    factors, index = [], []
+    for closed, sequence in sides:
+        kept = sequence[first]
+        used = np.zeros(len(closed), dtype=bool)
+        used[kept] = True
+        factors.append(closed[used])
+        index.append((np.cumsum(used, dtype=np.int32) - 1)[kept])
+    return OperatorGraph(n, tuple(factors), np.stack(index, axis=1))
 
 
 def _check_word_table(n: int, words) -> None:
@@ -153,11 +265,39 @@ def _check_word_table(n: int, words) -> None:
         )
 
 
-def _exponent_keys(words: np.ndarray, n: int) -> np.ndarray:
-    """One integer per word of a word table reduced mod n, packing its
+def _factor_keys(factors: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per factor (kx, kz, phase) of an integer table of shape
+    (F, 3), reduced mod n: (kx * n + kz) * n + phase."""
+    kx, kz, phase = (factors[:, c].astype(np.int64) % n for c in range(3))
+    return (kx * n + kz) * n + phase
+
+
+def _unpack_factors(keys: np.ndarray, n: int) -> np.ndarray:
+    """The factors (kx, kz, phase), shape (F, 3), of packed factor keys."""
+    high, phase = np.divmod(keys, n)
+    return np.stack([*np.divmod(high, n), phase], axis=1)
+
+
+def _adjoint_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Packed keys of the adjoints of packed factors:
+    (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b}."""
+    kx, kz, phase = _unpack_factors(keys, n).T
+    return _factor_keys(np.stack([-kx, -kz, kx * kz - phase], axis=1), n)
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted."""
+    # not np.unique(keys), which imports numpy.ma in numpy 2.4
+    ordered = np.sort(keys)
+    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+
+
+def _pair_keys(n: int, left: np.ndarray, right: np.ndarray, at_l: np.ndarray, at_r: np.ndarray) -> np.ndarray:
+    """One int64 key per word left[at_l] (x) right[at_r], packing its
     exponent quadruple (left kx, left kz, right kx, right kz); phases are
     dropped."""
-    return ((words[:, 0] * n + words[:, 1]) * n + words[:, 3]) * n + words[:, 4]
+    key_l, key_r = (f[:, 0].astype(np.int64) * n + f[:, 1] for f in (left, right))
+    return key_l[at_l] * (n * n) + key_r[at_r]
 
 
 @dataclass(frozen=True)
@@ -335,15 +475,13 @@ class _FactorLines:
 
 def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
     """Left and right factor lines of a graph. Each side's distinct factors
-    (_distinct_factors) are realized once (weyl_monomial) and grouped into
-    lines chunk by chunk, reading only the realized rows and values, never
-    labels; each word then takes the line of its factor by index. Raises
-    ValueError when two row patterns of one side share a position, since
-    the tensor classes' Grams would then not be blocks of one
-    block-diagonal Gram matrix."""
+    are realized once (weyl_monomial) and grouped into lines chunk by chunk,
+    reading only the realized rows and values, never labels; each word then
+    takes the line of its factor by index. Raises ValueError when two row
+    patterns of one side share a position, since the tensor classes' Grams
+    would then not be blocks of one block-diagonal Gram matrix."""
     sides = []
-    for side in (0, 1):
-        factors, index = _distinct_factors(g, side)
+    for factors, index in zip(g.factors, g.index.T):
         table = _LineTable(g.n, tol)
         line = np.concatenate(
             [
@@ -353,22 +491,6 @@ def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _Fact
         )
         sides.append(_group_lines(table, line[index]))
     return sides[0], sides[1]
-
-
-def _distinct_factors(g: OperatorGraph, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct factors (kx, kz, phase) of one tensor side of the word table
-    (0 left, 1 right), sorted by packed key (kx * n + kz) * n + phase, and
-    each word's index into them: factors[index] is the side's columns of the
-    table. The key is the realizer's whole input, so a factor realized once
-    and gathered by index is bit-identical to the word's own realization."""
-    n = g.n
-    kx, kz, phase = g.words[:, 3 * side : 3 * side + 3].T
-    keys = (kx.astype(np.int64) * n + kz) * n + phase
-    # not np.unique(keys), which imports numpy.ma in numpy 2.4
-    ordered = np.sort(keys)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    high, phase = np.divmod(distinct, n)
-    return np.stack([*np.divmod(high, n), phase], axis=1), np.searchsorted(distinct, keys)
 
 
 def _group_lines(table: _LineTable, of_word: np.ndarray) -> _FactorLines:
@@ -477,8 +599,7 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     s_conj = np.ascontiguousarray(s.conj().T)
     s_support = s[support]
     # each side's distinct factors, realized once and kept at R's columns
-    factors_l, index_l = _distinct_factors(g, 0)
-    factors_r, index_r = _distinct_factors(g, 1)
+    (factors_l, factors_r), (index_l, index_r) = g.factors, g.index.T
     rows_l, vals_l = (a[:, col_l] for a in _monomial_factors(factors_l, n, basis))
     rows_r, vals_r = (a[:, col_r] for a in _monomial_factors(factors_r, n, basis))
     for start in range(0, g.n_generators, _WORD_CHUNK):

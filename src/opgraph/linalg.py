@@ -1,5 +1,6 @@
 """Dense complex linear algebra: Kronecker products, Hilbert-Schmidt inner
-products, tolerance-based rank of operator families, and orthonormalization.
+products, tolerance-based rank of block-diagonal Gram matrices, and
+orthonormalization.
 
 Everything here works on plain numpy arrays of dtype complex128. Matrices are
 2-d arrays, vectors 1-d. All functions are pure.
@@ -8,7 +9,7 @@ Everything here works on plain numpy arrays of dtype complex128. Matrices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,7 +19,6 @@ __all__ = [
     "kron",
     "dagger",
     "hs_inner",
-    "gram_rank",
     "orthonormalize",
     "max_abs",
     "is_unitary",
@@ -85,37 +85,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a * b.conj()))
 
 
-def gram_rank(ops: Sequence[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Dimension of the span of a family of equal-sized square matrices.
-
-    Forms the Hermitian PSD Gram matrix of pairwise Hilbert-Schmidt inner
-    products and counts eigenvalues above ``tol.relative`` times the largest
-    one, through _rank_of_grams as a single block bounded by its own
-    Gershgorin discs: when they already clear that cutoff, the family counts
-    as independent without an eigensolve. Graphs are ranked from their
-    factor lines (graph.graph_dim) and the anticlique verdict from a Gram
-    matrix it accumulates chunk by chunk (graph.is_anticlique), so neither
-    calls it. The result is invariant under permutations of the
-    family and under rescaling any entry by a nonzero scalar. An empty family
-    has rank 0.
-    """
-    if len(ops) == 0:
-        return 0
-    stack = np.asarray(ops, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
-    gram = _gram(stack.reshape(len(stack), -1))
-    return _rank_of_grams([(*_discs(gram), len(gram), lambda: gram)], tol)
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    # Gram spectra of F F^dag and F^dag F coincide on nonzero eigenvalues,
-    # so use whichever side is smaller
-    if rows.shape[0] <= rows.shape[1]:
-        return rows @ rows.conj().T
-    return rows.conj().T @ rows
-
-
 def _discs(gram: np.ndarray) -> tuple[float, float]:
     """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian matrix G:
     lo = min_i(G_ii - r_i), hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|."""
@@ -135,9 +104,10 @@ def _rank_of_grams(
 
     Each block comes as (lo, hi, order, form): bounds lo <= lambda <= hi on
     every eigenvalue of the block, its order, and a zero-argument callable
-    that forms it. gram_rank and the anticlique verdict pass their one
-    block's Gershgorin discs (_discs); the graph oracle passes products of its factor lines' discs, which bound
-    every principal submatrix of a Kronecker product of two line Grams.
+    that forms it. The anticlique verdict passes its one block's Gershgorin
+    discs (_discs); the graph oracle passes products of its factor lines'
+    discs, which bound every principal submatrix of a Kronecker product of
+    two line Grams.
 
     The spectrum is the union of the block spectra; every eigenvalue is
     thresholded against Lambda, an upper bound on the largest one over all

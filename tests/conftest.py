@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from opgraph.linalg import DEFAULT_TOL, _discs, _rank_of_grams
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """Run the CLI in a subprocess, capturing real stdout/stderr bytes."""
@@ -21,3 +23,28 @@ def rng():
 
 def random_complex(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gram_rank(ops, tol=DEFAULT_TOL) -> int:
+    """Reference rank of a family of equal-sized square matrices: the
+    dimension of its span, from the Hermitian PSD Gram matrix of pairwise
+    Hilbert-Schmidt inner products with eigenvalues counted above
+    ``tol.relative`` times the largest one, through _rank_of_grams as a
+    single block bounded by its own Gershgorin discs. The result is invariant
+    under permutations of the family and under rescaling any entry by a
+    nonzero scalar. An empty family has rank 0."""
+    if len(ops) == 0:
+        return 0
+    stack = np.asarray(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
+    gram = row_gram(stack.reshape(len(stack), -1))
+    return _rank_of_grams([(*_discs(gram), len(gram), lambda: gram)], tol)
+
+
+def row_gram(rows: np.ndarray) -> np.ndarray:
+    """Gram matrix of the rows, or of the columns when there are fewer: the
+    spectra of F F^dag and F^dag F coincide on nonzero eigenvalues."""
+    if rows.shape[0] <= rows.shape[1]:
+        return rows @ rows.conj().T
+    return rows.conj().T @ rows

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opgraph.graph import (
     CodeSpace,
@@ -13,8 +15,9 @@ from opgraph.graph import (
     graph_from_labels,
     is_anticlique,
 )
+from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import DEFAULT_TOL, dagger, gram_rank, kron, max_abs
+from opgraph.linalg import DEFAULT_TOL, dagger, kron, max_abs
 from opgraph.weyl import (
     WeylLabelPair,
     label,
@@ -33,7 +36,7 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 
-from conftest import random_complex
+from conftest import gram_rank, random_complex
 
 
 def pair(n, m, k, j, s):
@@ -74,28 +77,61 @@ def test_graph_from_labels_rejects_malformed_table():
             graph_from_labels(3, bad)
     with pytest.raises(ValueError, match="n >= 1"):
         graph_from_labels(0, word_table([]))
+    # packed phase-free keys below n^4 = 2^64, shifted past the positions,
+    # would wrap around in int64
+    with pytest.raises(ValueError, match="overflow int64"):
+        graph_from_labels(2**16, word_table([]))
+
+
+def scalar_closure(n, pairs):
+    """Reference closure of scalar pairs as a word table: the identity first,
+    each pair followed by its adjoint, and the first occurrence of each
+    exponent quadruple kept with its phase."""
+    seen, kept = set(), []
+    for p in [pair(n, 0, 0, 0, 0), *pairs]:
+        for q in (p, pair_adjoint(p)):
+            key = (q.left.kx, q.left.kz, q.right.kx, q.right.kz)
+            if key not in seen:
+                seen.add(key)
+                kept.append(q)
+    return word_table(kept)
 
 
 def test_graph_from_labels_matches_scalar_closure():
-    # reference: the scalar closure, identity first, each word followed by
-    # its adjoint, first occurrence (with its phase) kept
     rng = np.random.default_rng(31)
     for _ in range(40):
         n = int(rng.integers(2, 6))
         factors = rng.integers(0, n, size=(int(rng.integers(0, 30)), 2, 3)).tolist()
         pairs = [WeylLabelPair(label(n, *a), label(n, *b)) for a, b in factors]
-        seen, kept = set(), []
-        for p in [pair(n, 0, 0, 0, 0), *pairs]:
-            for q in (p, pair_adjoint(p)):
-                key = (q.left.kx, q.left.kz, q.right.kx, q.right.kz)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(q)
         g = graph_from_labels(n, word_table(pairs))
-        assert np.array_equal(g.words, word_table(kept)), n
+        assert np.array_equal(g.words, scalar_closure(n, pairs)), n
     # unreduced and negative entries are taken mod n
     g = graph_from_labels(3, np.array([[4, -1, 7, 0, 3, -3]]))
     assert g.words.tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 1, 0, 0, 0], [2, 1, 1, 0, 0, 0]]
+
+
+@st.composite
+def raw_word_tables(draw):
+    """(n, table): an int64 word table on C^n (x) C^n with entries possibly
+    negative or unreduced, and some rows repeated under other phases."""
+    n = draw(st.integers(2, 6))
+    entry = st.integers(-2 * n, 3 * n)
+    rows = draw(st.lists(st.lists(entry, min_size=6, max_size=6), max_size=20))
+    if rows:
+        repeats = st.tuples(st.integers(0, len(rows) - 1), entry, entry)
+        for at, left, right in draw(st.lists(repeats, max_size=5)):
+            rows.append(rows[at][:2] + [left] + rows[at][3:5] + [right])
+    return n, np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw_word_tables())
+def test_closure_of_random_tables_matches_scalar_closure(drawn):
+    n, table = drawn
+    g = graph_from_labels(n, table)
+    pairs = [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in table.tolist()]
+    assert np.array_equal(g.words, scalar_closure(n, pairs))
+    assert graph_dim(g, "both").agree
 
 
 def test_off_diagonal_family_is_adjoint_closed():
@@ -125,20 +161,51 @@ def test_graph_requires_some_generators():
     # a graph contains the identity; an empty table would count 0 labels and
     # leave the Gram oracle, compress and is_anticlique nothing to index
     with pytest.raises(ValueError, match="word table is empty"):
-        OperatorGraph(n=3, words=np.zeros((0, 6), dtype=np.int64))
+        OperatorGraph.from_words(3, np.zeros((0, 6), dtype=np.int64))
     # rejected, not reduced: the label oracle packs exponents as stored, and
     # counted 3 labels for this span of dimension 2
     unreduced = np.array([[0, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
     for bad in (unreduced, -unreduced):
         with pytest.raises(ValueError, match=r"entries must lie in \[0, n\)"):
-            OperatorGraph(n=3, words=bad)
-    dims = graph_dim(OperatorGraph(n=3, words=unreduced % 3), "both")
+            OperatorGraph.from_words(3, bad)
+    dims = graph_dim(OperatorGraph.from_words(3, unreduced % 3), "both")
     assert dims.labels == dims.gram == 2
     for bad in (np.zeros((2, 4), dtype=int), np.zeros((2, 6)), np.zeros(6, dtype=int), [[0] * 6]):
         with pytest.raises(ValueError, match="word table of shape"):
-            OperatorGraph(n=3, words=bad)
+            OperatorGraph.from_words(3, bad)
     with pytest.raises(ValueError, match="n >= 1"):
-        OperatorGraph(n=0, words=np.zeros((1, 6), dtype=int))
+        OperatorGraph.from_words(0, np.zeros((1, 6), dtype=int))
+
+
+def test_factored_graph_rejects_broken_invariants():
+    # left factors (0,0,0) (0,1,0) (0,2,0) (1,0,0) (2,0,0); right factors
+    # (0,0,0) (1,1,1) (2,2,0)
+    g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0), pair(3, 0, 1, 2, 2)]))
+    (left, right), index = g.factors, g.index
+    assert len(left) == 5 and len(right) == 3
+    assert OperatorGraph(3, (left, right), index).words.tolist() == g.words.tolist()
+    out_of_range = index.copy()
+    out_of_range[1, 1] = len(right)
+    negative = index.copy()
+    negative[0, 0] = -1
+    broken = [
+        ((0, (left, right), index), "n >= 1"),
+        ((3, (left, right), index[:0]), "index is empty"),
+        ((3, (left, right), index.astype(np.int64)), "int32 index of shape"),
+        ((3, (left, right), index[:, :1]), "int32 index of shape"),
+        ((3, (left[:, :2], right), index), "left factors of shape"),
+        ((3, (left, right.astype(float)), index), "right factors of shape"),
+        ((3, (left, right + 1), index), r"right factor entries must lie in \[0, n\)"),
+        ((3, (left[::-1], right), index), "left factors must be strictly increasing"),
+        ((3, (left, right[[0, 0, 1, 2]]), index), "right factors must be strictly increasing"),
+        ((3, (left, right), out_of_range), r"right indices must lie in \[0, 3\)"),
+        ((3, (left, right), negative), r"left indices must lie in \[0, 5\)"),
+        # the identity alone leaves the other factors unused
+        ((3, (left, right), index[:1]), "every left factor must be used"),
+    ]
+    for (n, factors, at), message in broken:
+        with pytest.raises(ValueError, match=message):
+            OperatorGraph(n, factors, at)
 
 
 def test_oracle_equivalence_random_subsets():
@@ -459,7 +526,7 @@ def test_repeated_word_under_two_phases_loses_rank():
     word = WeylLabelPair(label(n, 1, 2, 0), label(n, 2, 1, 0))
     rephased = WeylLabelPair(label(n, 1, 2, 1), label(n, 2, 1, 0))
     words = word_table([pair(n, 0, 0, 0, 0), word, rephased])
-    g = OperatorGraph(n=n, words=words)
+    g = OperatorGraph.from_words(n, words)
     assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
 
 
@@ -486,7 +553,7 @@ def test_overlapping_supports_raise(monkeypatch, crafted):
         return rows, np.ones((len(factors), n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    g = OperatorGraph(n=n, words=words)
+    g = OperatorGraph.from_words(n, words)
     with pytest.raises(ValueError, match="overlap"):
         graph_dim(g, "gram")
     code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
@@ -542,7 +609,7 @@ def _crafted_graph(monkeypatch, realized, words):
     flat = dense.reshape(len(words), -1)
     eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    return OperatorGraph(n=n, words=words), int(np.sum(eigs > 1e-9 * eigs[-1]))
+    return OperatorGraph.from_words(n, words), int(np.sum(eigs > 1e-9 * eigs[-1]))
 
 
 IDENTITY = (0, 0, 0)
@@ -611,7 +678,7 @@ def test_label_count_matches_key_set():
     # a table that bypasses graph_from_labels: one word under two phases
     words = word_table([pair(3, 1, 2, 0, 1), pair(3, 1, 2, 0, 1), pair(3, 0, 0, 0, 0)])
     words[1, 2] = 2
-    assert graph_dim(OperatorGraph(n=3, words=words), "labels") == 2
+    assert graph_dim(OperatorGraph.from_words(3, words), "labels") == 2
 
 
 def test_dense_generators_match_labels():
@@ -627,9 +694,8 @@ def test_dense_generators_match_labels():
 
 def test_anticlique_memory_is_bounded():
     # the verdict is streamed chunk by chunk and never holds the
-    # (64513, 4, 4) compression stack (16.5 MB): about 3.6 MB here, 1 MB of
-    # it the c_V array and 1 MB the two sides' factor indices; a c_V tuple of
-    # Python complexes would add 2.5 MB
+    # (64513, 4, 4) compression stack (16.5 MB): about 2.6 MB here, 1 MB of
+    # it the c_V array; a c_V tuple of Python complexes would add 2.5 MB
     g, code = build_section4(Section4Params(2, 8, 1, 4))
     tracemalloc.start()
     try:
@@ -641,6 +707,36 @@ def test_anticlique_memory_is_bounded():
     assert peak < 6 * 2**20
 
 
+def _traced_peak(call):
+    """(result, peak bytes traced by tracemalloc) of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closure_memory_is_linear_in_words():
+    # the closure holds per-side int32 ids and one sorted array of packed
+    # pair keys, never the (2G, 6) stack of words and adjoints (17.2 MB peak
+    # at this point) nor a table over all n^4 phase-free keys
+    pairs = constructions._section4_pairs(Section4Params(2, 8, 1, 4))
+    g, peak = _traced_peak(lambda: graph_from_labels(16, pairs))
+    assert g.n_generators == 64513
+    assert peak < 12 * 2**20
+    # 8 bytes per word and the few distinct factors: 0.5 MB, not the 3 MB of
+    # the (64513, 6) int64 word table
+    assert sum(f.nbytes for f in g.factors) + g.index.nbytes < 2**20
+    # section3 at n = 64 closes 8064 words; an n^4 scratch table of int64
+    # would take 134 MB
+    pairs = constructions._one_sided_power_pairs(64)
+    assert len(pairs) == 8064
+    g, peak = _traced_peak(lambda: graph_from_labels(64, pairs))
+    assert g.n_generators == 5461
+    assert peak < 5 * 2**20
+
+
 DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2, 8, 1, 4))]
 
 
@@ -648,17 +744,20 @@ DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2
     "build, arg", DISTINCT_FACTOR_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS + ["section4-2-8-1-4"]
 )
 def test_distinct_factors_gather_exactly(build, arg):
-    # each side's distinct factors, gathered by the words' indices, give the
+    # each side's stored factors are strictly increasing by packed key and
+    # each is used by some word; gathered by the int32 index they give the
     # word table's columns back, and their realizations gathered the same way
     # are bit for bit the realizations of the columns themselves
     g, _ = build(arg)
     n = g.n
+    assert g.index.dtype == np.int32 and g.index.shape == (g.n_generators, 2)
     for side in (0, 1):
         columns = g.words[:, 3 * side : 3 * side + 3]
-        factors, index = graph_module._distinct_factors(g, side)
+        factors, index = g.factors[side], g.index[:, side]
         assert np.array_equal(factors[index], columns)
         keys = (factors[:, 0] * n + factors[:, 1]) * n + factors[:, 2]
         assert np.all(keys[1:] > keys[:-1])
+        assert np.bincount(index, minlength=len(factors)).all()
         for basis in ("standard", "fourier"):
             rows, vals = weyl_monomial(factors, n, basis)
             rows_w, vals_w = weyl_monomial(columns, n, basis)
@@ -693,7 +792,7 @@ def test_factor_key_keeps_the_phase():
     # and its c_V is w = exp(2 pi i / 16), which a factor key without the
     # phase would read as 1
     g, code = build_section4(Section4Params(2, 8, 1, 4))
-    rephased = OperatorGraph(n=16, words=np.concatenate([g.words, [[0, 0, 0, 0, 0, 1]]]))
+    rephased = OperatorGraph.from_words(16, np.concatenate([g.words, [[0, 0, 0, 0, 0, 1]]]))
     dims = graph_dim(rephased, "both")
     assert dims.labels == dims.gram == 64513
     report = is_anticlique(rephased, code)

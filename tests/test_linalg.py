@@ -7,10 +7,8 @@ from opgraph.linalg import (
     DEFAULT_TOL,
     Tolerance,
     _discs,
-    _gram,
     _rank_of_grams,
     dagger,
-    gram_rank,
     hs_inner,
     is_unitary,
     kron,
@@ -19,7 +17,7 @@ from opgraph.linalg import (
 )
 from opgraph.weyl import weyl_dense, label
 
-from conftest import random_complex
+from conftest import gram_rank, random_complex, row_gram
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -147,7 +145,7 @@ def rank_of_rows(blocks):
     ``blocks`` is a sequence, or a zero-argument callable returning an
     iterable of blocks."""
     walk = blocks if callable(blocks) else (lambda: blocks)
-    grams = map(_gram, walk())
+    grams = map(row_gram, walk())
     return _rank_of_grams(((*_discs(g), len(g), lambda g=g: g) for g in grams), DEFAULT_TOL)
 
 
