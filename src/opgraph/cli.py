@@ -245,11 +245,12 @@ def cmd_demo(args) -> int:
     for trial in range(args.trials):
         gen_idx = int(rng.integers(g.n_generators))
         word_idx = int(rng.integers(code.code_dim))
-        # realize only the sampled generator; graphs can be large
+        # realize only the sampled generator, V[rows[c], c] = vals[c], and
+        # apply it to the codeword as a scatter; graphs can be large
         rows, vals = pair_monomial(g.words_at([gen_idx]), g.n)
-        generator = np.zeros((g.space_dim, g.space_dim), dtype=complex)
-        generator[rows[0], np.arange(g.space_dim)] = vals[0]
-        column = s.conj().T @ (generator @ s[:, word_idx])
+        image = np.zeros(g.space_dim, dtype=complex)
+        image[rows[0]] = vals[0] * s[:, word_idx]
+        column = s.conj().T @ image
         cross = np.abs(column)
         cross[word_idx] = 0.0
         cross_talk = float(cross.max()) if cross.size else 0.0

@@ -10,6 +10,12 @@
   shifts, allowed equal shifts, clock words off the subgroup), with an
   entangled code built from subgroup-supported diagonal vectors.
 
+Each generator family emits its words in factored form (left factors,
+right factors, int32 index pairs) and the builders close them with
+graph_from_factors; the shift families index the n^2 phase-free factors
+X^kx Z^kz at kx * n + kz, so no word table and no search over the words is
+needed.
+
 Closed-form dimension claims are evaluated separately and marked as claims;
 computed ranks are the ground truth the reports compare them against.
 """
@@ -20,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import CodeSpace, OperatorGraph, graph_from_labels
+from .graph import CodeSpace, OperatorGraph, graph_from_factors, graph_from_labels
 from .linalg import kron
 from .weyl import fourier_basis, x_matrix
 
@@ -40,6 +46,11 @@ __all__ = [
     "baseline_bounds",
     "enumerate_section4_params",
 ]
+
+# a family of words in factored form: (left, right, index), word g being
+# left[index[g, 0]] (x) right[index[g, 1]] (see graph.graph_from_factors)
+Family = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
@@ -63,15 +74,18 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     return g, code
 
 
-def _one_sided_power_pairs(n: int) -> np.ndarray:
-    """Word table of all nontrivial powers (X Z^k)^s placed on one tensor
-    factor, k-major then s, left factor first. By label_pow's closed form,
+def _one_sided_powers(n: int) -> Family:
+    """All nontrivial powers (X Z^k)^s placed on one tensor factor, k-major
+    then s, left factor first: the n(n-1) power factors and the identity,
+    last, on each side. By label_pow's closed form,
     (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}."""
     k, s = np.indices((n, n - 1)).reshape(2, -1)
     s = s + 1
-    power = np.stack([s, k * s, k * (s * (s - 1) // 2)], axis=1) % n
-    identity = np.zeros_like(power)
-    return np.concatenate([np.hstack([power, identity]), np.hstack([identity, power])])
+    factors = np.concatenate([np.stack([s, k * s, k * (s * (s - 1) // 2)], axis=1) % n, [[0, 0, 0]]])
+    power = np.arange(n * (n - 1), dtype=np.int32)
+    identity = np.full_like(power, n * (n - 1))
+    index = np.concatenate([np.stack([power, identity], axis=1), np.stack([identity, power], axis=1)])
+    return factors, factors, index
 
 
 def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeSpace]:
@@ -84,7 +98,8 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
     """
     if n < 2 or (n == 2 and not allow_n2):
         raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
-    return graph_from_labels(n, _one_sided_power_pairs(n)), _fourier_diagonal_code(n)
+    left, right, index = _one_sided_powers(n)
+    return graph_from_factors(n, (left, right), index), _fourier_diagonal_code(n)
 
 
 def _fourier_diagonal_code(n: int) -> CodeSpace:
@@ -192,11 +207,12 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
         col = f[:, t * params.y]
         q += kron(col, col)
     q /= np.sqrt(params.p)
-    xh = np.linalg.matrix_power(x_matrix(n), params.h + 1)
+    # X is diagonal, so X^{h+1} (x) X^{h+1} acts entrywise by its diagonal
+    xh = np.diagonal(np.linalg.matrix_power(x_matrix(n), params.h + 1))
     shift = kron(xh, xh)
     vectors = [q]
     for _ in range(params.d - 1):
-        vectors.append(shift @ vectors[-1])
+        vectors.append(shift * vectors[-1])
     # q_{k+1} sums f_c (x) f_c over c = t*y + (h+1)*k, since X f_j = f_{j+1}
     fourier = np.zeros((n * n, params.d), dtype=complex)
     k, t = np.indices((params.d, params.p)).reshape(2, -1)
@@ -210,39 +226,71 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     )
 
 
-def _shift_words(left_kx, left_kz, right_kx, right_kz) -> np.ndarray:
-    """Word table of the phase-free words X^left_kx Z^left_kz (x) X^right_kx Z^right_kz."""
-    zero = np.zeros_like(left_kx)
-    return np.stack([left_kx, left_kz, zero, right_kx, right_kz, zero], axis=1)
+def _shift_factors(n: int) -> np.ndarray:
+    """The n^2 phase-free factors X^kx Z^kz, the one at row kx * n + kz."""
+    kx, kz = np.divmod(np.arange(n * n), n)
+    return np.stack([kx, kz, np.zeros_like(kx)], axis=1)
 
 
-def _off_diagonal_pairs(n: int) -> np.ndarray:
-    """Word table of the off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j,
-    in (m, j, k, s) order."""
-    m, j, k, s = np.indices((n, n, n, n)).reshape(4, -1)
-    off = m != j
-    return _shift_words(m[off], k[off], j[off], s[off])
+def _off_diagonal_shifts(n: int) -> Family:
+    """The off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j, in
+    (m, j, k, s) order, on the shift factors of both sides."""
+    e = np.arange(n, dtype=np.int32)
+    # the n - 1 shifts j != m of each m, increasing: row m of j
+    j = e[:-1] + (e[:-1] >= e[:, None])
+    index = np.empty((n, n - 1, n, n, 2), dtype=np.int32)
+    index[..., 0] = (e * n)[:, None, None, None] + e[:, None]
+    index[..., 1] = (j * n)[:, :, None, None] + e
+    factors = _shift_factors(n)
+    return factors, factors, index.reshape(-1, 2)
 
 
-def _section4_pairs(params: Section4Params) -> np.ndarray:
+def _equal_shifts(n: int, shifts: list[int] | np.ndarray, clocks: np.ndarray) -> Family:
+    """The equal shifts X^m Z^k (x) X^m Z^s for each m of shifts and each
+    (k, s) where the n x n mask clocks holds, in (m, k, s) order, on the
+    shift factors of both sides."""
+    k, s = np.nonzero(clocks)
+    at = np.asarray(shifts, dtype=np.int32)[:, None] * n
+    index = np.stack(np.broadcast_arrays(at + k, at + s), axis=-1).reshape(-1, 2).astype(np.int32)
+    factors = _shift_factors(n)
+    return factors, factors, index
+
+
+def _stack_families(*families: Family) -> Family:
+    """One factored table of several families' words, in order: each side's
+    factor tables concatenated, and each family's index offset by the
+    factors before its own."""
+    left, right, index = zip(*families)
+    sizes = np.array([[len(l), len(r)] for l, r in zip(left, right)], dtype=np.int32)
+    offsets = np.cumsum(sizes, axis=0) - sizes
+    stacked = np.concatenate(index)
+    # offset in place: the families' ids take as much memory as the result
+    start = 0
+    for at, offset in zip(index, offsets):
+        stacked[start : start + len(at)] += offset
+        start += len(at)
+    return np.concatenate(left), np.concatenate(right), stacked
+
+
+def _section4_families(params: Section4Params) -> Family:
     n = params.n
     a_set = residue_set_A(params.y, params.h, params.d)
-    m, k, s = np.indices((n, n, n)).reshape(3, -1)
-    equal = _shift_words(m, k, m, s)
-    return np.concatenate([
-        _off_diagonal_pairs(n),
+    k, s = np.indices((n, n))
+    return _stack_families(
+        _off_diagonal_shifts(n),
         # equal shifts with allowed residue
-        equal[np.isin(m, a_set.members(n))],
+        _equal_shifts(n, a_set.members(n), np.ones((n, n), dtype=bool)),
         # equal shifts with clock exponents off the subgroup
-        equal[(k + s) % params.p != 0],
-        _one_sided_power_pairs(n),
-    ])
+        _equal_shifts(n, np.arange(n), (k + s) % params.p != 0),
+        _one_sided_powers(n),
+    )
 
 
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
     build_code_K1."""
-    return graph_from_labels(params.n, _section4_pairs(params)), build_code_K1(params)
+    left, right, index = _section4_families(params)
+    return graph_from_factors(params.n, (left, right), index), build_code_K1(params)
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
@@ -251,7 +299,8 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     rejected."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
-    return graph_from_labels(n, _off_diagonal_pairs(n)), _fourier_diagonal_code(n)
+    left, right, index = _off_diagonal_shifts(n)
+    return graph_from_factors(n, (left, right), index), _fourier_diagonal_code(n)
 
 
 def claimed_dim_section2() -> int:

@@ -5,8 +5,10 @@ Every graph carries its generators as exact Weyl tensor words (see
 opgraph.weyl) in factored form: each tensor side's distinct factors
 (kx, kz, phase), and an int32 pair of factor indices per word. The 64513
 words of the (2,8,1,4) graph use 264 left and 464 right factors, so the
-graph takes 0.5 MB where the (G, 6) int64 word table takes 3 MB, and
-graph_from_labels closes a word table under adjoints on the factors.
+graph takes 0.5 MB where the (G, 6) int64 word table takes 3 MB.
+graph_from_factors closes words given in that form under adjoints, sorting
+and searching only the factors; graph_from_labels closes a word table
+through it.
 
 Two independent dimension oracles are available: counting distinct word
 exponents (exact, phases dropped) and the numeric Gram rank of the realized
@@ -56,6 +58,7 @@ __all__ = [
     "CompressionReport",
     "GraphDim",
     "graph_from_labels",
+    "graph_from_factors",
     "graph_dim",
     "compress",
     "is_anticlique",
@@ -106,18 +109,8 @@ class OperatorGraph:
             )
         if len(index) == 0:
             raise ValueError("index is empty; a graph contains the identity")
-        if len(self.factors) != 2:
-            raise ValueError(f"expected factors (left, right), got {len(self.factors)} sides")
-        for side, (name, factors) in enumerate(zip(("left", "right"), self.factors)):
-            if (
-                not isinstance(factors, np.ndarray)
-                or factors.shape[1:] != (3,)
-                or not np.issubdtype(factors.dtype, np.integer)
-            ):
-                raise ValueError(
-                    f"expected integer {name} factors of shape (F, 3), "
-                    f"got {np.asarray(factors).dtype} {np.shape(factors)}"
-                )
+        _check_factored(self.factors, index)
+        for name, factors, at in zip(("left", "right"), self.factors, index.T):
             if len(factors) and (factors.min() < 0 or factors.max() >= self.n):
                 raise ValueError(
                     f"{name} factor entries must lie in [0, n) = [0, {self.n}), "
@@ -126,11 +119,6 @@ class OperatorGraph:
             keys = _factor_keys(factors, self.n)
             if np.any(keys[1:] <= keys[:-1]):
                 raise ValueError(f"{name} factors must be strictly increasing by packed key, so none repeats")
-            at = index[:, side]
-            if at.min() < 0 or at.max() >= len(factors):
-                raise ValueError(
-                    f"{name} indices must lie in [0, {len(factors)}), got values in [{at.min()}, {at.max()}]"
-                )
             if not np.bincount(at, minlength=len(factors)).all():
                 raise ValueError(f"every {name} factor must be used by some word")
 
@@ -201,43 +189,72 @@ def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
     exponent quadruple (phases do not affect the span), the first occurrence
     wins with its phase. An empty table gives the identity alone.
 
-    The closure works on each side's distinct factors. Per side, the table
-    is reduced mod n, the distinct factors are taken together with their
-    adjoints, a set closed under the adjoint, and every word and its adjoint
-    become an int32 id into that set. The interleaved sequence of id pairs
-    is deduplicated by one sort of its packed phase-free pair keys with the
-    position in the low bits, which puts each key's first occurrence first
-    and takes memory linear in G; each side then keeps the factors still
-    used. Raises ValueError if those keys would overflow int64.
+    The table's two column halves are its factors, and word g pairs row g of
+    each: graph_from_factors closes it.
     """
     words = np.asarray(words)
     _check_word_table(n, words)
-    count = 2 * len(words) + 2
+    index = np.broadcast_to(np.arange(len(words))[:, None], (len(words), 2))
+    return graph_from_factors(n, (words[:, :3], words[:, 3:]), index)
+
+
+def graph_from_factors(n: int, factors: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> OperatorGraph:
+    """Graph on C^n (x) C^n spanned by the words left[index[g, 0]] (x)
+    right[index[g, 1]], the identity, and the adjoint of every word, for
+    factors = (left, right) integer tables of shape (F, 3) with rows
+    (kx, kz, phase), taken mod n and possibly repeated, and an integer index
+    of shape (G, 2). It equals graph_from_labels of the gathered word table.
+
+    Only the factors are sorted and searched. Per side, the distinct factors
+    are taken together with their adjoints, a set closed under the adjoint,
+    and each given factor and its adjoint get an int32 id into that set;
+    every word and its adjoint then gather their ids by index. The
+    interleaved sequence of id pairs is deduplicated by one sort of its
+    packed phase-free pair keys with the position in the low bits, which
+    puts each key's first occurrence first and takes memory linear in G;
+    each side then keeps the factors still used. Raises ValueError on
+    malformed factors or index, an index outside its side's table, or pair
+    keys that would overflow int64.
+    """
+    if n < 1:
+        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
+    factors, index = tuple(map(np.asarray, factors)), np.asarray(index)
+    _check_factored(factors, index)
+    count = 2 * len(index) + 2
     shift = count.bit_length()
     if n**4 << shift > 2**63:
         raise ValueError(f"pair keys of {count} words and adjoints at n={n} overflow int64")
     sides = []
-    for side in (0, 1):
+    for table, at in zip(factors, index.T):
         # the identity's factor (0, 0, 0) packs to key 0
-        keys = np.concatenate([[0], _factor_keys(words[:, 3 * side : 3 * side + 3], n)])
+        keys = np.concatenate([[0], _factor_keys(table, n)])
         distinct = _sorted_distinct(keys)
         # the adjoint is an involution, so this union is closed under it
         closed = _sorted_distinct(np.concatenate([distinct, _adjoint_keys(distinct, n)]))
-        ids = np.searchsorted(closed, keys)
+        ids = np.searchsorted(closed, keys).astype(np.int32)
+        adjoint = np.searchsorted(closed, _adjoint_keys(closed, n)).astype(np.int32)
         sequence = np.empty(count, dtype=np.int32)
-        sequence[0::2] = ids
-        sequence[1::2] = np.searchsorted(closed, _adjoint_keys(closed, n))[ids]
+        sequence[0] = ids[0]
+        sequence[2::2] = ids[1:][at]
+        sequence[1::2] = adjoint[sequence[0::2]]
         sides.append((_unpack_factors(closed, n), sequence))
     # sorted with the position in the low bits, each phase-free key's first
     # occurrence comes first among its equals
     (left, at_l), (right, at_r) = sides
-    keys = _pair_keys(n, left, right, at_l, at_r)
-    keys <<= shift
+    keys = _pair_keys(n, left, right, at_l, at_r, shift)
     keys |= np.arange(count)
     keys.sort()
-    heads = keys >> shift
-    first = keys[np.r_[True, heads[1:] != heads[:-1]]] & ((1 << shift) - 1)
+    # a key differs from its predecessor above the position bits exactly at
+    # a first occurrence
+    low = (1 << shift) - 1
+    head = np.empty(count, dtype=bool)
+    head[0] = True
+    np.greater(keys[1:] ^ keys[:-1], low, out=head[1:])
+    first = keys[head]
+    first &= low
     first.sort()
+    # the sorted keys go before the graph is built and checked
+    del keys, head
     factors, index = [], []
     for closed, sequence in sides:
         kept = sequence[first]
@@ -246,6 +263,23 @@ def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
         factors.append(closed[used])
         index.append((np.cumsum(used, dtype=np.int32) - 1)[kept])
     return OperatorGraph(n, tuple(factors), np.stack(index, axis=1))
+
+
+def _check_factored(factors, index) -> None:
+    """Raise ValueError unless factors = (left, right) are integer arrays of
+    shape (F, 3) and index is an integer array of shape (G, 2) whose columns
+    index them."""
+    if not isinstance(index, np.ndarray) or index.shape[1:] != (2,) or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"expected an integer index of shape (G, 2), got {np.asarray(index).dtype} {np.shape(index)}")
+    if len(factors) != 2:
+        raise ValueError(f"expected factors (left, right), got {len(factors)} sides")
+    for name, table, at in zip(("left", "right"), factors, index.T):
+        if not isinstance(table, np.ndarray) or table.shape[1:] != (3,) or not np.issubdtype(table.dtype, np.integer):
+            raise ValueError(
+                f"expected integer {name} factors of shape (F, 3), got {np.asarray(table).dtype} {np.shape(table)}"
+            )
+        if len(at) and (at.min() < 0 or at.max() >= len(table)):
+            raise ValueError(f"{name} indices must lie in [0, {len(table)}), got values in [{at.min()}, {at.max()}]")
 
 
 def _check_word_table(n: int, words) -> None:
@@ -292,12 +326,16 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
 
 
-def _pair_keys(n: int, left: np.ndarray, right: np.ndarray, at_l: np.ndarray, at_r: np.ndarray) -> np.ndarray:
+def _pair_keys(
+    n: int, left: np.ndarray, right: np.ndarray, at_l: np.ndarray, at_r: np.ndarray, shift: int = 0
+) -> np.ndarray:
     """One int64 key per word left[at_l] (x) right[at_r], packing its
-    exponent quadruple (left kx, left kz, right kx, right kz); phases are
-    dropped."""
+    exponent quadruple (left kx, left kz, right kx, right kz) and shifted
+    left by shift bits; phases are dropped."""
     key_l, key_r = (f[:, 0].astype(np.int64) * n + f[:, 1] for f in (left, right))
-    return key_l[at_l] * (n * n) + key_r[at_r]
+    keys = (key_l * (n * n) << shift)[at_l]
+    keys += (key_r << shift)[at_r]
+    return keys
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -355,21 +356,65 @@ def _scalar_section4(params):
     )
 
 
+def _gathered(family):
+    """The word table of a factored family: left[index[:, 0]] beside
+    right[index[:, 1]]."""
+    left, right, index = family
+    assert index.dtype == np.int32 and index.shape[1:] == (2,)
+    return np.concatenate([left[index[:, 0]], right[index[:, 1]]], axis=1)
+
+
 def test_builder_tables_match_scalar_reference():
-    # each family's table equals the scalar words row for row, phases and
-    # order included, and so does the closed graph
+    # each family's gathered table equals the scalar words row for row,
+    # phases and order included, and so does the closed graph
     for n in range(3, 7):
         g, _ = build_section3(n)
-        reference = _scalar_one_sided_powers(n)
-        assert np.array_equal(constructions._one_sided_power_pairs(n), word_table(reference)), n
-        assert np.array_equal(g.words, graph_from_labels(n, word_table(reference)).words), n
+        reference = word_table(_scalar_one_sided_powers(n))
+        assert np.array_equal(_gathered(constructions._one_sided_powers(n)), reference), n
+        assert np.array_equal(g.words, graph_from_labels(n, reference).words), n
     for n in range(2, 7):
         g, _ = build_remark2(n)
-        reference = _scalar_off_diagonal(n)
-        assert np.array_equal(constructions._off_diagonal_pairs(n), word_table(reference)), n
-        assert np.array_equal(g.words, graph_from_labels(n, word_table(reference)).words), n
+        reference = word_table(_scalar_off_diagonal(n))
+        assert np.array_equal(_gathered(constructions._off_diagonal_shifts(n)), reference), n
+        assert np.array_equal(g.words, graph_from_labels(n, reference).words), n
     for params in enumerate_section4_params(6):
         g, _ = build_section4(params)
         reference = word_table(_scalar_section4(params))
-        assert np.array_equal(constructions._section4_pairs(params), reference), params
+        assert np.array_equal(_gathered(constructions._section4_families(params)), reference), params
         assert np.array_equal(g.words, graph_from_labels(params.n, reference).words), params
+
+
+def test_shift_factor_ids_are_arithmetic():
+    # the phase-free shift X^kx Z^kz sits at row kx * n + kz of its table,
+    # so the shift families' ids come from arithmetic, not a search
+    n = 5
+    left, right, index = constructions._off_diagonal_shifts(n)
+    assert np.array_equal(left, right)
+    assert left.tolist() == [[kx, kz, 0] for kx in range(n) for kz in range(n)]
+    assert len(index) == n**3 * (n - 1)
+
+
+def test_code_k1_shift_matches_the_kron_reference():
+    # the diagonal shift X^{h+1} (x) X^{h+1} applied entrywise gives the
+    # vectors the dense n^2 x n^2 matrix gives, within roundoff
+    for params in enumerate_section4_params(12):
+        n = params.n
+        code = build_code_K1(params)
+        xh = np.linalg.matrix_power(x_matrix(n), params.h + 1)
+        shift = kron(xh, xh)
+        vectors = [code.isometry[:, 0]]
+        for _ in range(params.d - 1):
+            vectors.append(shift @ vectors[-1])
+        assert max_abs(code.isometry - np.column_stack(vectors)) < 1e-15, params
+
+
+def test_code_k1_holds_no_dense_shift():
+    # at n = 32 the dense 1024 x 1024 complex shift alone would take 16 MB
+    tracemalloc.start()
+    try:
+        code = build_code_K1(Section4Params(2, 16, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.code_dim == 4
+    assert peak < 8 * 2**20

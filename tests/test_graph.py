@@ -12,6 +12,7 @@ from opgraph.graph import (
     OperatorGraph,
     compress,
     graph_dim,
+    graph_from_factors,
     graph_from_labels,
     is_anticlique,
 )
@@ -132,6 +133,78 @@ def test_closure_of_random_tables_matches_scalar_closure(drawn):
     pairs = [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in table.tolist()]
     assert np.array_equal(g.words, scalar_closure(n, pairs))
     assert graph_dim(g, "both").agree
+
+
+def _factored(n, left, right, index):
+    """graph_from_factors on integer arrays built from nested lists."""
+    return graph_from_factors(n, (np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)), np.array(index))
+
+
+def test_graph_from_factors_rejects_n_below_one():
+    with pytest.raises(ValueError, match="n >= 1"):
+        _factored(0, [[0, 0, 0]], [[0, 0, 0]], [[0, 0]])
+
+
+def test_graph_from_factors_rejects_malformed_factors():
+    good = np.zeros((1, 3), dtype=int)
+    for bad in (np.zeros((1, 3)), np.zeros((1, 4), dtype=int), np.zeros(3, dtype=int)):
+        with pytest.raises(ValueError, match=r"integer left factors of shape \(F, 3\)"):
+            graph_from_factors(3, (bad, good), np.zeros((1, 2), dtype=int))
+        with pytest.raises(ValueError, match=r"integer right factors of shape \(F, 3\)"):
+            graph_from_factors(3, (good, bad), np.zeros((1, 2), dtype=int))
+    with pytest.raises(ValueError, match=r"factors \(left, right\)"):
+        graph_from_factors(3, (good,), np.zeros((1, 2), dtype=int))
+
+
+def test_graph_from_factors_rejects_malformed_index():
+    factors = (np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int))
+    # a pair of index columns, not a (G, 2) array
+    for bad in (np.zeros((1, 2)), np.zeros((1, 3), dtype=int), np.zeros(2, dtype=int), [np.arange(3), np.arange(3)]):
+        with pytest.raises(ValueError, match=r"integer index of shape \(G, 2\)"):
+            graph_from_factors(3, factors, bad)
+
+
+def test_graph_from_factors_rejects_index_outside_its_side():
+    with pytest.raises(ValueError, match=r"left indices must lie in \[0, 2\)"):
+        _factored(3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 0]], [[0, 0], [2, 0]])
+    with pytest.raises(ValueError, match=r"right indices must lie in \[0, 1\)"):
+        _factored(3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 0]], [[0, 0], [1, -1]])
+
+
+def test_graph_from_factors_rejects_key_overflow():
+    # packed phase-free keys below n^4 = 2^64, shifted past the positions,
+    # would wrap around in int64
+    with pytest.raises(ValueError, match="overflow int64"):
+        _factored(2**16, [[0, 0, 0]], [[0, 0, 0]], np.zeros((0, 2), dtype=int))
+
+
+@st.composite
+def raw_factored_tables(draw):
+    """(n, left, right, index): factor tables on C^n with entries possibly
+    negative or unreduced and rows possibly repeated, and an index into
+    them."""
+    n = draw(st.integers(2, 6))
+    entry = st.integers(-2 * n, 3 * n)
+    sides = []
+    for _ in range(2):
+        rows = draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=1, max_size=8))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        sides.append(np.array(rows, dtype=np.int64))
+    left, right = sides
+    pairs = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1))
+    index = np.array(draw(st.lists(pairs, max_size=24)), dtype=np.int32).reshape(-1, 2)
+    return n, left, right, index
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(raw_factored_tables())
+def test_factored_closure_matches_the_gathered_table(drawn):
+    n, left, right, index = drawn
+    g = graph_from_factors(n, (left, right), index)
+    reference = graph_from_labels(n, np.concatenate([left[index[:, 0]], right[index[:, 1]]], axis=1))
+    for got, want in zip(g.factors, reference.factors):
+        assert np.array_equal(got, want)
+    assert np.array_equal(g.index, reference.index)
 
 
 def test_off_diagonal_family_is_adjoint_closed():
@@ -721,8 +794,8 @@ def test_closure_memory_is_linear_in_words():
     # the closure holds per-side int32 ids and one sorted array of packed
     # pair keys, never the (2G, 6) stack of words and adjoints (17.2 MB peak
     # at this point) nor a table over all n^4 phase-free keys
-    pairs = constructions._section4_pairs(Section4Params(2, 8, 1, 4))
-    g, peak = _traced_peak(lambda: graph_from_labels(16, pairs))
+    left, right, index = constructions._section4_families(Section4Params(2, 8, 1, 4))
+    g, peak = _traced_peak(lambda: graph_from_factors(16, (left, right), index))
     assert g.n_generators == 64513
     assert peak < 12 * 2**20
     # 8 bytes per word and the few distinct factors: 0.5 MB, not the 3 MB of
@@ -730,11 +803,17 @@ def test_closure_memory_is_linear_in_words():
     assert sum(f.nbytes for f in g.factors) + g.index.nbytes < 2**20
     # section3 at n = 64 closes 8064 words; an n^4 scratch table of int64
     # would take 134 MB
-    pairs = constructions._one_sided_power_pairs(64)
-    assert len(pairs) == 8064
-    g, peak = _traced_peak(lambda: graph_from_labels(64, pairs))
+    left, right, index = constructions._one_sided_powers(64)
+    assert len(index) == 8064
+    g, peak = _traced_peak(lambda: graph_from_factors(64, (left, right), index))
     assert g.n_generators == 5461
     assert peak < 5 * 2**20
+    # the whole build, families, closure and code, never holds a (G, 6)
+    # int64 word table: about 5.9 MB here, where building through the
+    # 3 MB table peaks at 8.8 MB
+    (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 8, 1, 4)))
+    assert g.n_generators == 64513
+    assert peak < 7 * 2**20
 
 
 DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2, 8, 1, 4))]
