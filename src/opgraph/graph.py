@@ -20,8 +20,8 @@ a realized factor up to a scalar), and since the Hilbert-Schmidt product
 factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
 Gram block of the pairs (u, v) with row patterns (P, Q) is a principal
 submatrix of G_P (x) G_Q, the Kronecker product of the two patterns' line
-Grams (each at most n x n). The Gram rank is read off those line Grams, and
-no n^2-long row is formed.
+Grams (each at most n x n). The rank is read off those, one sort of a
+class-major key per word grouping the pairs; no n^2-long row is formed.
 
 Compression realizes the stored factors once, in the Fourier product
 basis f_i (x) f_j when the code carries its coordinates there (the
@@ -434,19 +434,20 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     lines. Each side's distinct factors are realized once and grouped, chunk
     by chunk, into lines by row pattern and values normalized by column 0,
     every factor checked against its line's representative within
-    tol.absolute; each word takes its factors' lines by index. Row
-    patterns of one side that share a position raise ValueError. Each
-    generator is a multiple of u_a (x) v_b, so the span has one dimension
-    per distinct pair (a, b) when each pattern's lines are independent. The
-    pairs with row patterns (P, Q) form one block of the Gram matrix, the
-    principal submatrix of G_P (x) G_Q they select, whose eigenvalues lie in
-    [lo_P lo_Q, hi_P hi_Q] from the Gershgorin bounds of the two line Grams
-    (Kronecker spectrum plus interlacing). A block whose lower bound clears
-    the cutoff counts its pairs without being formed; any other is formed
-    from the line Grams and eigensolved (see linalg._rank_of_grams). Distinct
-    Weyl words are Hilbert-Schmidt orthogonal, so every block of every
-    construction is certified. method "both": a GraphDim carrying both
-    values and an agreement flag.
+    tol.absolute; row patterns of one side that share a position raise
+    ValueError. Each generator is a multiple of u_a (x) v_b, so the span has
+    one dimension per distinct pair (a, b) when each pattern's lines are
+    independent. A word's pair is one int64 key, class-major in its row
+    patterns (P, Q), summed from one part per factor (ValueError if it would
+    overflow); one in-place sort gives the distinct pairs, each (P, Q) a run
+    of them: one Gram block, the principal submatrix of G_P (x) G_Q the run
+    selects, with eigenvalues in [lo_P lo_Q, hi_P hi_Q] from the Gershgorin
+    bounds of the line Grams (Kronecker spectrum plus interlacing). A block
+    whose lower bound clears the cutoff counts its pairs without being formed
+    or decoded; any other is formed and eigensolved (linalg._rank_of_grams).
+    Distinct Weyl words are Hilbert-Schmidt orthogonal, so every block of
+    every construction is certified. method "both": a GraphDim of both values
+    and an agreement flag.
     """
     if method == "labels":
         return g._label_count()
@@ -461,34 +462,37 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     left, right = _factor_lines(g, tol)
+    # class-major pair keys ((P N_Q + Q) S_L + local_l) S_R + local_r, S = max local + 1
+    n_p, n_q, span_l, span_r = len(left.grams), len(right.grams), int(left.local.max()) + 1, int(right.local.max()) + 1
+    if n_p * n_q * span_l * span_r >= 2**63:
+        raise ValueError(f"pair keys of {n_p} x {n_q} patterns of {span_l} x {span_r} lines overflow int64")
+    stride = span_l * span_r
+    keys = ((left.pattern * n_q * span_l + left.local) * span_r)[left.line][g.index[:, 0]]
+    keys += (right.pattern * stride + right.local)[right.line][g.index[:, 1]]
     # members sharing both lines are multiples of one another: one generator
-    # per distinct pair of lines
-    pairs = np.sort(left.of_word * len(right.pattern) + right.of_word)
-    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
-    a, b = np.divmod(pairs, len(right.pattern))
-    classes = left.pattern[a] * len(right.grams) + right.pattern[b]
-    order = np.argsort(classes, kind="stable")
-    starts = np.flatnonzero(np.r_[True, classes[order][1:] != classes[order][:-1]])
+    # per distinct key, and each (P, Q) class a run of the sorted keys
+    keys.sort()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    bounds = np.searchsorted(keys, np.arange(n_p * n_q + 1) * stride).tolist()
 
     def blocks():
-        for in_class in np.split(order, starts[1:]):
-            p, q = left.pattern[a[in_class[0]]], right.pattern[b[in_class[0]]]
+        for c in np.flatnonzero(np.diff(bounds)).tolist():
+            p, q = divmod(c, n_q)
             # Kronecker spectrum plus interlacing: every eigenvalue of a
             # principal submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
             lo = max(float(left.lo[p]), 0.0) * max(float(right.lo[q]), 0.0)
             hi = float(left.hi[p] * right.hi[q])
-            form = partial(
-                _pair_gram, left.grams[p], right.grams[q], left.local[a[in_class]], right.local[b[in_class]]
-            )
-            yield lo, hi, len(in_class), form
+            in_class = keys[bounds[c] : bounds[c + 1]]
+            yield lo, hi, len(in_class), partial(_pair_gram, left.grams[p], right.grams[q], in_class, stride, span_r)
 
     return _rank_of_grams(blocks(), tol)
 
 
-def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, keys: np.ndarray, stride: int, span_r: int) -> np.ndarray:
     """Gram matrix of the vectors u_a[i] (x) v_b[i], given the Gram matrices
     of the u's and v's: the principal submatrix of gram_l (x) gram_r at the
-    pairs (a[i], b[i])."""
+    pairs a[i] * span_r + b[i] = keys[i] mod stride of one class's pair keys."""
+    a, b = np.divmod(keys % stride, span_r)
     return gram_l[np.ix_(a, a)] * gram_r[np.ix_(b, b)]
 
 
@@ -496,14 +500,14 @@ def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, a: np.ndarray, b: np.ndar
 class _FactorLines:
     """The factor lines of one tensor side of a graph's words.
 
-    of_word[g] is the line of word g's factor on this side. Lines are grouped
-    by row pattern: pattern[l] and local[l] are line l's pattern and its
-    index among that pattern's lines, grams[P] is the Gram matrix of pattern
-    P's normalized lines in that order, and lo[P], hi[P] are its Gershgorin
-    bounds.
+    line[f] (int32) is the line of the side's stored factor f; a word takes
+    its factor's line by index. Lines are grouped by row pattern: pattern[l]
+    and local[l] are line l's pattern and its index among that pattern's
+    lines, grams[P] is the Gram matrix of pattern P's normalized lines in
+    that order, and lo[P], hi[P] are its Gershgorin bounds.
     """
 
-    of_word: np.ndarray
+    line: np.ndarray
     pattern: np.ndarray
     local: np.ndarray
     grams: list[np.ndarray]
@@ -514,24 +518,20 @@ class _FactorLines:
 def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
     """Left and right factor lines of a graph. Each side's distinct factors
     are realized once (weyl_monomial) and grouped into lines chunk by chunk,
-    reading only the realized rows and values, never labels; each word then
-    takes the line of its factor by index. Raises ValueError when two row
-    patterns of one side share a position, since the tensor classes' Grams
-    would then not be blocks of one block-diagonal Gram matrix."""
+    reading only the realized rows and values, never labels, and each stored
+    factor keeps its line. Raises ValueError when two row patterns of one
+    side share a position, since the tensor classes' Grams would then not be
+    blocks of one block-diagonal Gram matrix."""
     sides = []
-    for factors, index in zip(g.factors, g.index.T):
+    for factors in g.factors:
         table = _LineTable(g.n, tol)
-        line = np.concatenate(
-            [
-                table.add(*weyl_monomial(factors[i : i + _WORD_CHUNK], g.n))
-                for i in range(0, len(factors), _WORD_CHUNK)
-            ]
-        )
-        sides.append(_group_lines(table, line[index]))
+        chunks = range(0, len(factors), _WORD_CHUNK)
+        line = np.concatenate([table.add(*weyl_monomial(factors[i : i + _WORD_CHUNK], g.n)) for i in chunks])
+        sides.append(_group_lines(table, line))
     return sides[0], sides[1]
 
 
-def _group_lines(table: _LineTable, of_word: np.ndarray) -> _FactorLines:
+def _group_lines(table: _LineTable, line: np.ndarray) -> _FactorLines:
     """Group a side's lines by row pattern and take each pattern's line Gram
     and Gershgorin bounds."""
     rows, count = table.rows, len(table.rows)
@@ -550,7 +550,7 @@ def _group_lines(table: _LineTable, of_word: np.ndarray) -> _FactorLines:
     local[order] = np.arange(count) - np.repeat(starts, sizes)
     grams = [u @ u.conj().T for u in np.split(table.values[order], starts[1:])]
     lo, hi = np.array([_discs(gram) for gram in grams]).T
-    return _FactorLines(of_word, pattern, local, grams, lo, hi)
+    return _FactorLines(line, pattern, local, grams, lo, hi)
 
 
 class _LineTable:
@@ -578,7 +578,7 @@ class _LineTable:
         steps = np.rint(np.concatenate([values.real, values.imag], axis=1) * _LINE_KEY_STEPS)
         features = np.concatenate([rows, steps.astype(np.int64)], axis=1).view(np.uint64)
         keys = features @ self.mix
-        line = np.full(len(keys), -1)
+        line = np.full(len(keys), -1, dtype=np.int32)
         if len(self.keys):
             pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
             hit = self.keys[pos] == keys

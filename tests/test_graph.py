@@ -642,7 +642,7 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     g, _ = build(arg)
     n = math.isqrt(g.space_dim)
     left, right = graph_module._factor_lines(g, DEFAULT_TOL)
-    line_l, line_r = left.of_word, right.of_word
+    line_l, line_r = left.line[g.index[:, 0]], right.line[g.index[:, 1]]
     classes = left.pattern[line_l] * len(right.grams) + right.pattern[line_r]
     covered = 0
     for c in sorted(set(classes.tolist())):
@@ -659,6 +659,49 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
         covered += len(members)
     assert covered == g.n_generators
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw_factored_tables())
+def test_gram_oracle_matches_dense_on_random_graphs(drawn):
+    # the class-major pair keys against the dense Gram of every realized
+    # generator, on closures of random factor tables
+    n, left, right, index = drawn
+    g = graph_from_factors(n, (left, right), index)
+    assert graph_dim(g, "gram") == _dense_gram_rank(g) == graph_dim(g, "labels")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(raw_factored_tables(), st.integers(0, 2**16))
+def test_gram_oracle_matches_dense_with_a_rephased_repeat(drawn, pick):
+    # a word repeated under a second phase, bypassing the closure, spans no
+    # new direction: both its copies share one pair of lines and one key
+    n, left, right, index = drawn
+    words = graph_from_factors(n, (left, right), index).words
+    repeat = words[pick % len(words)].copy()
+    repeat[2] = (repeat[2] + 1) % n
+    g = OperatorGraph.from_words(n, np.concatenate([words, [repeat]]))
+    assert graph_dim(g, "gram") == _dense_gram_rank(g) == graph_dim(g, "labels") == g.n_generators - 1
+
+
+@pytest.mark.parametrize("right_local, raises", [(2**32 - 2, False), (2**32 - 1, True)], ids=["fits", "overflows"])
+def test_gram_key_overflow_guard(monkeypatch, right_local, raises):
+    # the identity alone has one pair of lines; with their local indices
+    # moved up, the pair keys span 1 * 1 * S_L * S_R = 2^31 (2^32 - 1), whose
+    # largest key fits in int64, or 2^31 * 2^32 = 2^63, which would not
+    g = graph_from_labels(2, np.zeros((0, 6), dtype=int))
+    factor_lines = graph_module._factor_lines
+
+    def spread(g, tol):
+        left, right = factor_lines(g, tol)
+        return replace(left, local=left.local + 2**31 - 1), replace(right, local=right.local + right_local)
+
+    monkeypatch.setattr(graph_module, "_factor_lines", spread)
+    if not raises:
+        assert graph_dim(g, "gram") == 1
+        return
+    with pytest.raises(ValueError, match=r"pair keys of 1 x 1 patterns of 2147483648 x 4294967296 lines overflow int64"):
+        graph_dim(g, "gram")
 
 def _crafted_graph(monkeypatch, realized, words):
     """Graph on C^2 (x) C^2 whose factors (kx, kz, phase) realize as
@@ -789,6 +832,17 @@ def _traced_peak(call):
     finally:
         tracemalloc.stop()
 
+
+
+def test_gram_oracle_memory_is_bounded():
+    # one in-place sort of one int64 pair key per word, and each tensor class
+    # a run of the sorted keys: about 18 MB at n = 32, where the 1,044,481
+    # keys take 8.4 MB; a pair sort, a class argsort and a split over
+    # per-word line ids peak at 73.8 MB
+    g, _ = build_section4(Section4Params(2, 16, 3, 4))
+    dim, peak = _traced_peak(lambda: graph_dim(g, "gram"))
+    assert dim == g.n_generators == 1044481
+    assert peak < 40 * 2**20
 
 def test_closure_memory_is_linear_in_words():
     # the closure holds per-side int32 ids and one sorted array of packed
