@@ -239,7 +239,8 @@ def cmd_demo(args) -> int:
         print("error: --trials must be >= 0", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    s = code.isometry
+    # words and code both in the Fourier product basis
+    s = code.fourier
     names = _code_names(code)
     worst = 0.0
     for trial in range(args.trials):

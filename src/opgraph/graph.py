@@ -12,9 +12,11 @@ through it.
 
 Two independent dimension oracles are available: counting distinct word
 exponents (exact, phases dropped) and the numeric Gram rank of the realized
-generators. Generators are realized per tensor factor in monomial form
-(weyl_monomial), each stored factor once, and every word gathers its two
-by index. The Gram side reads only those realized factors. Every generator
+generators. Generators are realized per tensor factor in monomial form, in
+the Fourier basis (weyl_monomial), each stored factor once, and every word
+gathers its two by index. Conjugation by the unitary F (x) F keeps every
+Hilbert-Schmidt product, so the rank is that of the words themselves. The
+Gram side reads only those realized factors. Every generator
 is alpha * (u (x) v) for a left factor line u and a right one v (a line is
 a realized factor up to a scalar), and since the Hilbert-Schmidt product
 factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
@@ -23,13 +25,14 @@ submatrix of G_P (x) G_Q, the Kronecker product of the two patterns' line
 Grams (each at most n x n). The rank is read off those, one sort of a
 class-major key per word grouping the pairs; no n^2-long row is formed.
 
-Compression realizes the stored factors once, in the Fourier product
-basis f_i (x) f_j when the code carries its coordinates there (the
-constructions' codes do) and in the standard basis otherwise, and gathers
-the words chunk by chunk, each only at the coordinates R where the code is
-nonzero: |R| = p * d of the n^2 for the entangled codes. The anticlique
-verdict streams those chunks into a code_dim^2 x code_dim^2 Gram matrix and
-never holds the compressions.
+Compression uses the same realization of the stored factors, in the
+Fourier product basis f_i (x) f_j, where every code carries its coordinates
+(exact for the constructions' codes, computed from the isometry otherwise).
+It gathers the words chunk by chunk, each only at the coordinates R where
+the code is nonzero: |R| = p * d of the n^2 for the entangled codes, nearly
+all n^2 for a computed code. The anticlique verdict streams those chunks
+into a code_dim^2 x code_dim^2 Gram matrix and never holds the
+compressions.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ __all__ = [
 ]
 
 
-# words gathered, or distinct factors realized, at once by the scans over a
-# graph; bounds peak memory
+# words gathered at once by the compression scan over a graph; bounds peak
+# memory
 _WORD_CHUNK = 1024
 # a factor line's key is a polynomial hash of its features mod 2^64 in this
 # odd multiplier; its normalized values enter rounded to this many steps per
@@ -340,14 +343,17 @@ def _pair_keys(
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """A code subspace, stored as an isometry whose orthonormal columns span it.
+    """A code subspace of C^n (x) C^n, space_dim = n^2, stored as an
+    isometry whose orthonormal columns span it.
 
-    ``fourier``, when given, holds the same columns in the Fourier product
-    basis of C^n (x) C^n, space_dim = n^2: entry (i*n + j, k) is the
-    coefficient of f_i (x) f_j in column k, with f the columns of
-    fourier_basis(n). Codes spanned by Fourier products carry it as exact
-    entries, and compression then reads each word only where the code is
-    nonzero in that basis. It must agree with the isometry within 1e-12.
+    ``fourier`` holds the same columns in the Fourier product basis: entry
+    (i*n + j, k) is the coefficient of f_i (x) f_j in column k, with f the
+    columns of fourier_basis(n). Codes spanned by Fourier products give it
+    as exact entries, which must agree with the isometry's coordinates
+    within 1e-12; when it is not given, it is computed from the isometry.
+    Compression reads each word only where the code is nonzero in that
+    basis. Both are stored as arrays. Raises ValueError when space_dim is
+    not a square.
     """
 
     space_dim: int
@@ -369,10 +375,19 @@ class CodeSpace:
                 f"{len(self.basis_names)} basis names for code dimension {s.shape[1]}; "
                 "give none or one per column"
             )
+        fourier = _fourier_coordinates(s)
         if self.fourier is not None:
-            gap = _fourier_gap(s, np.asarray(self.fourier))
+            given = np.asarray(self.fourier)
+            if given.shape != s.shape:
+                raise ValueError(
+                    f"fourier coordinates of shape {given.shape} do not fit an isometry of shape {s.shape}"
+                )
+            gap = max_abs(given - fourier)
             if gap > 1e-12:
-                raise ValueError(f"fourier coordinates differ from the isometry by {gap:.3e} > 1e-12")
+                raise ValueError(f"fourier coordinates differ from the isometry's by {gap:.3e} > 1e-12")
+            fourier = given
+        object.__setattr__(self, "isometry", s)
+        object.__setattr__(self, "fourier", fourier)
 
     @property
     def code_dim(self) -> int:
@@ -400,20 +415,18 @@ class CodeSpace:
         )
 
 
-def _fourier_gap(isometry: np.ndarray, fourier: np.ndarray) -> float:
-    """Largest entrywise gap between an isometry and the vectors its Fourier
-    coordinates give, taken column by column as F M F^T with M the column's
-    coordinates as an n x n matrix, without forming F (x) F."""
+def _fourier_coordinates(isometry: np.ndarray) -> np.ndarray:
+    """Coordinates of an isometry's columns in the Fourier product basis of
+    C^n (x) C^n. A column reshaped to an n x n matrix M is F C F^T for its
+    coordinates C, so C = F^dag M conj(F), taken column by column without
+    forming F (x) F."""
     n = math.isqrt(isometry.shape[0])
-    if n * n != isometry.shape[0] or fourier.shape != isometry.shape:
-        raise ValueError(
-            f"fourier coordinates of shape {fourier.shape} do not fit an isometry "
-            f"of shape {isometry.shape} on C^n (x) C^n"
-        )
+    if n * n != isometry.shape[0]:
+        raise ValueError(f"isometry rows {isometry.shape[0]} do not fit C^n (x) C^n, which has n^2")
     f = fourier_basis(n)
     code_dim = isometry.shape[1]
-    vectors = f @ fourier.T.reshape(code_dim, n, n) @ f.T
-    return max_abs(vectors.reshape(code_dim, n * n).T - isometry)
+    coordinates = dagger(f) @ isometry.T.reshape(code_dim, n, n) @ f.conj()
+    return np.ascontiguousarray(coordinates.reshape(code_dim, n * n).T)
 
 
 @dataclass(frozen=True)
@@ -431,13 +444,13 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     method "labels": count of distinct exponent quadruples (exact), from one
     packed integer key per word, sorted. method "gram": numeric Gram rank of
     the realized generators, over every generator, read from their factor
-    lines. Each side's distinct factors are realized once and grouped, chunk
-    by chunk, into lines by row pattern and values normalized by column 0,
-    every factor checked against its line's representative within
-    tol.absolute; row patterns of one side that share a position raise
-    ValueError. Each generator is a multiple of u_a (x) v_b, so the span has
-    one dimension per distinct pair (a, b) when each pattern's lines are
-    independent. A word's pair is one int64 key, class-major in its row
+    lines. Each side's distinct factors are realized once, in the Fourier
+    basis, and grouped in one pass into lines by row pattern and values
+    normalized by column 0, every factor checked against its line's
+    representative within tol.absolute; row patterns of one side that share
+    a position raise ValueError. Each generator is a multiple of
+    u_a (x) v_b, so the span has one dimension per distinct pair (a, b) when
+    each pattern's lines are independent. A word's pair is one int64 key, class-major in its row
     patterns (P, Q), summed from one part per factor (ValueError if it would
     overflow); one in-place sort gives the distinct pairs, each (P, Q) a run
     of them: one Gram block, the principal submatrix of G_P (x) G_Q the run
@@ -517,24 +530,51 @@ class _FactorLines:
 
 def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
     """Left and right factor lines of a graph. Each side's distinct factors
-    are realized once (weyl_monomial) and grouped into lines chunk by chunk,
-    reading only the realized rows and values, never labels, and each stored
-    factor keeps its line. Raises ValueError when two row patterns of one
-    side share a position, since the tensor classes' Grams would then not be
-    blocks of one block-diagonal Gram matrix."""
-    sides = []
-    for factors in g.factors:
-        table = _LineTable(g.n, tol)
-        chunks = range(0, len(factors), _WORD_CHUNK)
-        line = np.concatenate([table.add(*weyl_monomial(factors[i : i + _WORD_CHUNK], g.n)) for i in chunks])
-        sides.append(_group_lines(table, line))
-    return sides[0], sides[1]
+    are realized once, through _monomial_factors as the verdict realizes
+    them, and grouped into lines (_lines), reading only the realized rows and
+    values, never labels; each stored factor keeps its line. Raises
+    ValueError when two row patterns of one side share a position, since the
+    tensor classes' Grams would then not be blocks of one block-diagonal
+    Gram matrix."""
+    left, right = (_group_lines(*_lines(*_monomial_factors(factors, g.n), tol)) for factors in g.factors)
+    return left, right
 
 
-def _group_lines(table: _LineTable, line: np.ndarray) -> _FactorLines:
-    """Group a side's lines by row pattern and take each pattern's line Gram
-    and Gershgorin bounds."""
-    rows, count = table.rows, len(table.rows)
+def _lines(rows: np.ndarray, vals: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct lines of realized factors (rows, vals), found in one pass:
+    the int32 line of each factor, and each line's rows and normalized
+    values.
+
+    A line is a realized factor up to a scalar: its row pattern together with
+    its values divided by the column-0 entry. Factors are sorted stably by a
+    hashed key of both, the first of each run of equal keys is a line's
+    representative, and each factor is then checked against its
+    representative: rows equal, values within tol.absolute. A factor that
+    fails the check becomes a line of its own, so a key collision or a
+    rounding boundary may split a line but never merges two.
+    """
+    values = vals * (1 / vals[:, :1])
+    steps = np.rint(np.concatenate([values.real, values.imag], axis=1) * _LINE_KEY_STEPS)
+    features = np.concatenate([rows, steps.astype(np.int64)], axis=1).view(np.uint64)
+    keys = features @ np.cumprod(np.full(features.shape[1], _LINE_HASH, dtype=np.uint64))
+    order = np.argsort(keys, kind="stable")
+    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
+    line = np.empty(len(keys), dtype=np.int32)
+    line[order] = np.cumsum(first) - 1
+    heads = order[first]
+    stray = np.flatnonzero(
+        np.any(rows != rows[heads][line], axis=1)
+        | np.any(np.abs(values - values[heads][line]) > tol.absolute, axis=1)
+    )
+    line[stray] = len(heads) + np.arange(len(stray))
+    kept = np.concatenate([heads, stray])
+    return line, rows[kept], values[kept]
+
+
+def _group_lines(line: np.ndarray, rows: np.ndarray, values: np.ndarray) -> _FactorLines:
+    """Group a side's lines, given by their rows and normalized values, by
+    row pattern and take each pattern's line Gram and Gershgorin bounds."""
+    count = len(rows)
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
@@ -548,64 +588,9 @@ def _group_lines(table: _LineTable, line: np.ndarray) -> _FactorLines:
     pattern[order] = np.repeat(np.arange(len(starts)), sizes)
     local = np.empty(count, dtype=np.int64)
     local[order] = np.arange(count) - np.repeat(starts, sizes)
-    grams = [u @ u.conj().T for u in np.split(table.values[order], starts[1:])]
+    grams = [u @ u.conj().T for u in np.split(values[order], starts[1:])]
     lo, hi = np.array([_discs(gram) for gram in grams]).T
     return _FactorLines(line, pattern, local, grams, lo, hi)
-
-
-class _LineTable:
-    """Distinct factor lines of one tensor side, collected chunk by chunk.
-
-    A line is a realized factor up to a scalar: its row pattern together with
-    its values divided by the column-0 entry. Factors are grouped by a hashed
-    key of both, sorted, and each is then checked against its line's
-    representative: rows equal, values within tol.absolute. A factor that
-    fails the check becomes a line of its own, so a key collision or a
-    rounding boundary may split a line but never merges two.
-    """
-
-    def __init__(self, n: int, tol: Tolerance):
-        self.tol = tol
-        self.mix = np.cumprod(np.full(3 * n, _LINE_HASH, dtype=np.uint64))
-        self.keys = np.zeros(0, dtype=np.uint64)  # sorted
-        self.key_line = np.zeros(0, dtype=np.int64)
-        self.rows = np.zeros((0, n), dtype=np.int64)
-        self.values = np.zeros((0, n), dtype=complex)
-
-    def add(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Line of each realized factor (rows, vals), adding lines not seen yet."""
-        values = vals * (1 / vals[:, :1])
-        steps = np.rint(np.concatenate([values.real, values.imag], axis=1) * _LINE_KEY_STEPS)
-        features = np.concatenate([rows, steps.astype(np.int64)], axis=1).view(np.uint64)
-        keys = features @ self.mix
-        line = np.full(len(keys), -1, dtype=np.int32)
-        if len(self.keys):
-            pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-            hit = self.keys[pos] == keys
-            line[hit] = self.key_line[pos[hit]]
-        new = np.flatnonzero(line < 0)
-        if len(new):
-            new = new[np.argsort(keys[new], kind="stable")]
-            first = np.r_[True, keys[new[1:]] != keys[new[:-1]]]
-            ids = len(self.rows) + np.cumsum(first) - 1
-            line[new] = ids
-            self._append(rows[new[first]], values[new[first]])
-            merged = np.concatenate([self.keys, keys[new[first]]])
-            by_key = np.argsort(merged, kind="stable")
-            self.keys = merged[by_key]
-            self.key_line = np.concatenate([self.key_line, ids[first]])[by_key]
-        stray = np.flatnonzero(
-            np.any(rows != self.rows[line], axis=1)
-            | np.any(np.abs(values - self.values[line]) > self.tol.absolute, axis=1)
-        )
-        if len(stray):
-            line[stray] = len(self.rows) + np.arange(len(stray))
-            self._append(rows[stray], values[stray])
-        return line
-
-    def _append(self, rows: np.ndarray, values: np.ndarray) -> None:
-        self.rows = np.concatenate([self.rows, rows])
-        self.values = np.concatenate([self.values, values])
 
 
 def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -615,21 +600,20 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     shape (len(members), code_dim, code_dim). Every other generator
     compresses to exactly zero.
 
-    Works in the Fourier product basis with S = code.fourier when the code
-    carries it, and in the standard basis with S = code.isometry otherwise.
-    Each side's distinct factors are realized once in full (weyl_monomial in
-    that basis), each checked for rows that are a permutation of range(n),
-    and kept at the columns of R only; each chunk gathers its words' factors
-    by index. With R the rows where S has an exactly nonzero entry, a word
-    realized as V[r(c), c] = v(c) compresses to
-    sum_{c in R} conj(S[r(c), l]) v(c) S[c, k], one matrix product per chunk.
+    Works in the Fourier product basis with S = code.fourier. Each side's
+    distinct factors are realized once in full (_monomial_factors), each
+    checked for rows that are a permutation of range(n), and kept at the
+    columns of R only; each chunk gathers its words' factors by index. With
+    R the rows where S has an exactly nonzero entry, a word realized as
+    V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c), l]) v(c)
+    S[c, k], one matrix product per chunk.
     A word that maps no column of R into R meets only zero rows of S, so it
     is a member only if some r(c) lies in R.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
     n, d = g.n, code.code_dim
-    basis, s = ("standard", code.isometry) if code.fourier is None else ("fourier", code.fourier)
+    s = code.fourier
     in_support = np.any(s != 0, axis=1)
     support = np.flatnonzero(in_support)
     col_l, col_r = np.divmod(support, n)
@@ -638,8 +622,8 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     s_support = s[support]
     # each side's distinct factors, realized once and kept at R's columns
     (factors_l, factors_r), (index_l, index_r) = g.factors, g.index.T
-    rows_l, vals_l = (a[:, col_l] for a in _monomial_factors(factors_l, n, basis))
-    rows_r, vals_r = (a[:, col_r] for a in _monomial_factors(factors_r, n, basis))
+    rows_l, vals_l = (a[:, col_l] for a in _monomial_factors(factors_l, n))
+    rows_r, vals_r = (a[:, col_r] for a in _monomial_factors(factors_r, n))
     for start in range(0, g.n_generators, _WORD_CHUNK):
         at_l, at_r = index_l[start : start + _WORD_CHUNK], index_r[start : start + _WORD_CHUNK]
         rows = rows_l[at_l] * n + rows_r[at_r]
@@ -649,10 +633,10 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
         yield start + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
 
 
-def _monomial_factors(factors: np.ndarray, n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+def _monomial_factors(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """weyl_monomial, raising ValueError unless each factor's rows are a
     permutation of range(n), as a monomial unitary's are."""
-    rows, vals = weyl_monomial(factors, n, basis)
+    rows, vals = weyl_monomial(factors, n)
     # one bin per (factor, row): n * len(rows) entries hit all of them once
     # exactly when every factor's rows are a permutation
     bins = rows + n * np.arange(len(rows))[:, None]
@@ -666,12 +650,11 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     stacked in generator order, shape (n_generators, code_dim, code_dim).
 
     Each result equals P_K V P_K restricted to the code subspace. It is
-    taken chunk by chunk from the monomial realization, in the Fourier
-    product basis on the code's Fourier support when the code carries its
-    Fourier coordinates, and in the standard basis otherwise; onto the whole
-    space (S = I, standard basis) it returns each realized generator
-    exactly. The anticlique verdict does not hold this stack
-    (is_anticlique).
+    taken chunk by chunk from the monomial realization in the Fourier
+    product basis, on the code's Fourier support; onto the whole space with
+    Fourier coordinates the identity (isometry F (x) F) it returns each
+    generator's Fourier realization exactly. The anticlique verdict does not
+    hold this stack (is_anticlique).
     """
     out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
     for members, block in _compressions(g, code):

@@ -12,10 +12,12 @@ integers reduced mod n, so long products and powers carry no numerical drift.
 A set of tensor words is an integer word table of shape (G, 6), one row
 (left kx, left kz, left phase, right kx, right kz, right phase) per word;
 the scalar WeylLabel / WeylLabelPair algebra is the reference it is tested
-against, and word_table converts between the two. Realization is monomial:
-weyl_monomial realizes single-factor words, in the standard or the Fourier
-basis, and pair_monomial a tensor word as the outer product of its two
-factor realizations.
+against, and word_table converts between the two. Realization is monomial
+and in the Fourier basis f_c (the columns of fourier_basis), where the
+constructions' codes are sparse: weyl_monomial realizes single-factor words
+W as F^dag W F, and pair_monomial a tensor word as the outer product of its
+two factor realizations. weyl_dense and pair_dense realize labels in the
+standard basis, as the reference.
 """
 
 from __future__ import annotations
@@ -166,17 +168,13 @@ def word_table(pairs: Sequence[WeylLabelPair]) -> np.ndarray:
     return np.array([_PAIR_FIELDS(p) for p in pairs], dtype=np.int64).reshape(len(pairs), 6)
 
 
-def weyl_monomial(
-    factors: np.ndarray, n: int, basis: str = "standard"
-) -> tuple[np.ndarray, np.ndarray]:
+def weyl_monomial(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial realization of single-factor words w^phase X^kx Z^kz on C^n,
     given as an integer table of shape (G, 3) with rows (kx, kz, phase).
 
     Returns (rows, vals), both of shape (len(factors), n): column c of word g
     has its single nonzero entry at row rows[g, c], with value vals[g, c].
-    basis "standard" realizes the word itself, exactly as in weyl_dense:
-    rows (c - kz) mod n, values w^{phase + kx * row}. basis "fourier"
-    realizes F^dag W F in the Fourier basis f_c (the columns of
+    The realization is F^dag W F in the Fourier basis f_c (the columns of
     fourier_basis), where Z f_c = w^c f_c and X f_c = f_{c+1}: rows
     (c + kx) mod n, values w^{phase + kz * c}. The table is reduced mod n
     once; rows are gathered from an (n, n) table of shifts and values from
@@ -186,16 +184,11 @@ def weyl_monomial(
     e = np.asarray(factors)
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError(f"weyl_monomial needs a factor table of shape (G, 3), got {e.shape}")
-    if basis not in ("standard", "fourier"):
-        raise ValueError(f"unknown basis {basis!r}; expected 'standard' or 'fourier'")
     kx, kz, phase = (e % n).T[:, :, None]
     cols = np.arange(n)
-    # once reduced, exponents phase + k * c are at most n^2 - n; entry j is
+    # once reduced, exponents phase + kz * c are at most n^2 - n; entry j is
     # w^(j mod n), with the same bits as the table of the n roots
     roots = np.exp(2j * np.pi * (np.arange(n * n) % n) / n)
-    if basis == "standard":
-        rows = ((cols - cols[:, None]) % n)[kz[:, 0]]
-        return rows, roots[phase + kx * rows]
     rows = ((cols + cols[:, None]) % n)[kx[:, 0]]
     return rows, roots[phase + kz * cols]
 
@@ -206,9 +199,10 @@ def pair_monomial(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rows, vals), both of shape (len(words), n^2): column c of word g
     has its single nonzero entry at row rows[g, c], with value vals[g, c].
-    Each factor is realized by weyl_monomial and column i*n + j takes the
-    product of left column i and right column j, so scattering (rows, vals)
-    gives exactly pair_dense.
+    Each factor is realized by weyl_monomial, in the Fourier basis, and
+    column i*n + j takes the product of left column i and right column j, so
+    scattering (rows, vals) gives pair_dense conjugated by F (x) F: the
+    coordinates in the Fourier product basis f_i (x) f_j.
     """
     e = np.asarray(words)
     if e.ndim != 2 or e.shape[1] != 6:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opgraph.linalg import DEFAULT_TOL, _discs, _rank_of_grams
+from opgraph.weyl import WeylLabel, WeylLabelPair, label
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -48,3 +49,14 @@ def row_gram(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= rows.shape[1]:
         return rows @ rows.conj().T
     return rows.conj().T @ rows
+
+
+def in_fourier(a):
+    """The label of F^dag W F for the word W of a label, or of each factor of
+    a pair, with F = fourier_basis(n). Since F^dag X F = Z^-1 and
+    F^dag Z F = X, w^p X^a Z^b maps to w^p Z^-a X^b = w^(p - ab) X^b Z^-a.
+    So weyl_dense of the result is the word's Fourier-basis realization."""
+    if isinstance(a, WeylLabelPair):
+        return WeylLabelPair(in_fourier(a.left), in_fourier(a.right))
+    assert isinstance(a, WeylLabel)
+    return label(a.n, a.kz, -a.kx, a.phase - a.kx * a.kz)

@@ -21,6 +21,7 @@ from opgraph import graph as graph_module
 from opgraph.linalg import DEFAULT_TOL, dagger, kron, max_abs
 from opgraph.weyl import (
     WeylLabelPair,
+    fourier_basis,
     label,
     pair_adjoint,
     pair_dense,
@@ -37,7 +38,7 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 
-from conftest import gram_rank, random_complex
+from conftest import gram_rank, in_fourier, random_complex
 
 
 def pair(n, m, k, j, s):
@@ -322,10 +323,14 @@ def test_compress_single_flip_graph():
 
 
 def test_compress_dimension_mismatch():
+    # a code on C^3 (x) C^3 against a graph on C^2 (x) C^2
     g = graph_from_labels(2, word_table([]))
-    code = CodeSpace.from_vectors([np.array([1, 0, 0])])
-    with pytest.raises(ValueError):
+    code = CodeSpace.from_vectors([np.eye(9)[0]])
+    with pytest.raises(ValueError, match="does not match"):
         compress(g, code)
+    # a space of 3 dimensions is no C^n (x) C^n: rejected when constructed
+    with pytest.raises(ValueError, match="do not fit"):
+        CodeSpace.from_vectors([np.array([1, 0, 0])])
 
 
 def test_is_anticlique_negative_control():
@@ -501,6 +506,19 @@ def test_codespace_checks_fourier_coordinates():
         CodeSpace(space_dim=8, isometry=np.eye(8)[:, :1], fourier=np.eye(8)[:, :1])
 
 
+def test_codespace_stores_arrays():
+    # nested lists are stored as arrays, and a code without coordinates gets
+    # the ones its isometry has: e_0 (x) e_0 = sum_ij f_i (x) f_j / n
+    code = CodeSpace(space_dim=4, isometry=[[1.0], [0.0], [0.0], [0.0]])
+    assert isinstance(code.isometry, np.ndarray) and code.code_dim == 1
+    assert isinstance(code.fourier, np.ndarray) and code.fourier.shape == (4, 1)
+    assert max_abs(code.fourier - 0.5) < 1e-15
+    g = graph_from_labels(2, np.array([[1, 0, 0, 0, 0, 0]]))
+    listed = CodeSpace(space_dim=4, isometry=np.eye(4)[:, :1], fourier=code.fourier.tolist())
+    assert isinstance(listed.fourier, np.ndarray)
+    assert max_abs(compress(g, listed) - compress(g, code)) == 0.0
+
+
 def test_codespace_validation():
     with pytest.raises(ValueError):
         CodeSpace(space_dim=4, isometry=np.ones((4, 2)))
@@ -603,34 +621,47 @@ def test_repeated_word_under_two_phases_loses_rank():
     assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
 
 
-@pytest.mark.parametrize(
-    "crafted",
-    [
-        # (side, crafted factor rows of the second word); the identity's
-        # factors realize to rows [0, 1] on both sides
-        ("left", [0, 0]),  # same row in column 0, different elsewhere
-        ("left", [1, 1]),  # different in column 0, same row in column 2
-        ("right", [0, 0]),  # same row in column 0, different elsewhere
-        ("right", [1, 1]),  # different in column 0, same row in column 1
-    ],
-)
-def test_overlapping_supports_raise(monkeypatch, crafted):
-    side, second = crafted
-    n = 2
+def _crafted_rows(monkeypatch, n, side, second):
+    """Graph on C^n (x) C^n of the identity and one word whose factor on one
+    side realizes to the rows ``second`` (values 1), in place of the Weyl
+    realization; the identity's factors realize to rows range(n)."""
     word = pair(n, 1, 0, 0, 0) if side == "left" else pair(n, 0, 0, 1, 0)
-    words = word_table([pair(n, 0, 0, 0, 0), word])
-    rows_of = {(0, 0, 0): [0, 1], (1, 0, 0): second}
+    rows_of = {(0, 0, 0): list(range(n)), (1, 0, 0): second}
 
-    def realize(factors, n, basis="standard"):
+    def realize(factors, n):
         rows = np.array([rows_of[tuple(f)] for f in factors.tolist()]).reshape(len(factors), n)
         return rows, np.ones((len(factors), n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    g = OperatorGraph.from_words(n, words)
-    with pytest.raises(ValueError, match="overlap"):
+    return OperatorGraph.from_words(n, word_table([pair(n, 0, 0, 0, 0), word]))
+
+
+@pytest.mark.parametrize(
+    "crafted",
+    [
+        # (side, crafted factor rows of the second word), a permutation that
+        # shares a position with the identity's rows [0, 1, 2]
+        ("left", [0, 2, 1]),  # same row in column 0, different elsewhere
+        ("left", [2, 1, 0]),  # different in column 0, same row in column 1
+        ("right", [0, 2, 1]),  # same row in column 0, different elsewhere
+        ("right", [1, 0, 2]),  # different in column 0, same row in column 2
+    ],
+)
+def test_overlapping_supports_raise(monkeypatch, crafted):
+    g = _crafted_rows(monkeypatch, 3, *crafted)
+    with pytest.raises(ValueError, match="generator supports overlap without coinciding"):
+        graph_dim(g, "gram")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rows_that_are_no_permutation_raise(monkeypatch, side):
+    # a realized factor holding one row twice is no monomial unitary; both
+    # realization paths reject it
+    g = _crafted_rows(monkeypatch, 2, side, [0, 0])
+    with pytest.raises(ValueError, match="not a permutation of range"):
         graph_dim(g, "gram")
     code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="not a permutation of range"):
         compress(g, code)
 
 
@@ -710,7 +741,7 @@ def _crafted_graph(monkeypatch, realized, words):
     realizations."""
     n = 2
 
-    def realize(factors, n, basis="standard"):
+    def realize(factors, n):
         pairs = [realized[tuple(f)] for f in factors.tolist()]
         rows = np.array([r for r, _ in pairs]).reshape(len(factors), n)
         return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(factors), n)
@@ -798,14 +829,16 @@ def test_label_count_matches_key_set():
 
 
 def test_dense_generators_match_labels():
-    # with the whole space as code, S = I in the standard basis, so compress
-    # returns each realized generator itself, exactly
+    # with the whole space as code and the Fourier product basis as its
+    # isometry, S = I in that basis, so compress returns each generator's
+    # Fourier realization, exactly pair_dense of its Fourier-basis labels
     g, _ = build_section3(4)
-    whole = CodeSpace(space_dim=16, isometry=np.eye(16, dtype=complex))
+    f = fourier_basis(4)
+    whole = CodeSpace(space_dim=16, isometry=kron(f, f), fourier=np.eye(16, dtype=complex))
     realized = compress(g, whole)
     assert realized.shape == (g.n_generators, 16, 16)
     for p, dense in zip(scalar_pairs(g), realized):
-        assert max_abs(dense - pair_dense(p)) == 0.0
+        assert max_abs(dense - pair_dense(in_fourier(p))) == 0.0
 
 
 def test_anticlique_memory_is_bounded():
@@ -891,11 +924,10 @@ def test_distinct_factors_gather_exactly(build, arg):
         keys = (factors[:, 0] * n + factors[:, 1]) * n + factors[:, 2]
         assert np.all(keys[1:] > keys[:-1])
         assert np.bincount(index, minlength=len(factors)).all()
-        for basis in ("standard", "fourier"):
-            rows, vals = weyl_monomial(factors, n, basis)
-            rows_w, vals_w = weyl_monomial(columns, n, basis)
-            assert np.array_equal(rows[index], rows_w)
-            assert np.array_equal(vals[index].view(float), vals_w.view(float))
+        rows, vals = weyl_monomial(factors, n)
+        rows_w, vals_w = weyl_monomial(columns, n)
+        assert np.array_equal(rows[index], rows_w)
+        assert np.array_equal(vals[index].view(float), vals_w.view(float))
 
 
 def test_each_distinct_factor_is_realized_once(monkeypatch):
@@ -905,9 +937,9 @@ def test_each_distinct_factor_is_realized_once(monkeypatch):
     g, code = build_section4(Section4Params(2, 8, 1, 4))
     realized = []
 
-    def counting(factors, n, basis="standard"):
+    def counting(factors, n):
         realized.append(len(factors))
-        return weyl_monomial(factors, n, basis)
+        return weyl_monomial(factors, n)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", counting)
     assert graph_dim(g, "gram") == 64513

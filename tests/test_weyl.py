@@ -21,6 +21,8 @@ from opgraph.weyl import (
     z_matrix,
 )
 
+from conftest import in_fourier
+
 
 def omega(n: int) -> complex:
     return np.exp(2j * np.pi / n)
@@ -97,7 +99,8 @@ def test_weyl_dense_unitary():
 
 def test_weyl_dense_stack_matches_singles():
     # the batched realizer gives each word of a stack as it gives it alone,
-    # and that scatters to the product of the single-factor weyl_dense
+    # and that scatters to the product of the single-factor weyl_dense of
+    # the factors' Fourier-basis labels
     for n in (2, 5, 9):
         labels = [label(n, kx, kz, (kx * kz) % n) for kx in range(n) for kz in range(n)]
         pairs = [WeylLabelPair(a, b) for a, b in zip(labels, reversed(labels))]
@@ -109,11 +112,13 @@ def test_weyl_dense_stack_matches_singles():
             assert np.array_equal(vals[i], single_vals[0])
             dense = np.zeros((n * n, n * n), dtype=complex)
             dense[rows[i], cols] = vals[i]
-            assert np.array_equal(dense, kron(weyl_dense(p.left), weyl_dense(p.right)))
+            fourier = in_fourier(p)
+            assert np.array_equal(dense, kron(weyl_dense(fourier.left), weyl_dense(fourier.right)))
 
 
 def test_pair_monomial_scatters_to_pair_dense():
-    # every tensor word with every pair of phases, exactly
+    # every tensor word with every pair of phases, exactly: the Fourier
+    # product basis realization is pair_dense of the Fourier-basis labels
     for n in (3, 4, 5):
         words = itertools.product(range(n), repeat=6)
         pairs = [WeylLabelPair(label(n, a, b, c), label(n, d, e, f)) for a, b, c, d, e, f in words]
@@ -123,11 +128,12 @@ def test_pair_monomial_scatters_to_pair_dense():
         for p, r, v in zip(pairs, rows, vals):
             dense = np.zeros((n * n, n * n), dtype=complex)
             dense[r, cols] = v
-            assert np.array_equal(dense, pair_dense(p))
+            assert np.array_equal(dense, pair_dense(in_fourier(p)))
 
 
 def test_weyl_monomial_scatters_to_weyl_dense():
-    # every single-factor word with every phase, exactly
+    # every single-factor word with every phase, exactly: the Fourier-basis
+    # realization F^dag W F is weyl_dense of the word's Fourier-basis label
     for n in (2, 3, 4, 5):
         factors = np.array(list(itertools.product(range(n), repeat=3)))
         rows, vals = weyl_monomial(factors, n)
@@ -136,31 +142,25 @@ def test_weyl_monomial_scatters_to_weyl_dense():
         for (kx, kz, phase), r, v in zip(factors.tolist(), rows, vals):
             dense = np.zeros((n, n), dtype=complex)
             dense[r, cols] = v
-            assert np.array_equal(dense, weyl_dense(label(n, kx, kz, phase)))
+            assert np.array_equal(dense, weyl_dense(in_fourier(label(n, kx, kz, phase))))
 
 
-def test_weyl_monomial_fourier_basis_scatters_to_conjugated_weyl_dense():
-    # in the Fourier basis every word is monomial too: F^dag W F has rows
-    # c + kx and values w^{phase + kz c}, for every word and phase
+def test_in_fourier_is_conjugation_by_the_fourier_basis():
+    # the test-side label map against the dense conjugation F^dag W F, for
+    # every word and phase
     for n in (2, 3, 4, 5):
-        factors = np.array(list(itertools.product(range(n), repeat=3)))
-        rows, vals = weyl_monomial(factors, n, "fourier")
-        assert rows.shape == vals.shape == (n**3, n)
         f = fourier_basis(n)
-        cols = np.arange(n)
-        for (kx, kz, phase), r, v in zip(factors.tolist(), rows, vals):
-            dense = np.zeros((n, n), dtype=complex)
-            dense[r, cols] = v
-            assert max_abs(dense - dagger(f) @ weyl_dense(label(n, kx, kz, phase)) @ f) < 1e-12
+        for kx, kz, phase in itertools.product(range(n), repeat=3):
+            a = label(n, kx, kz, phase)
+            assert max_abs(weyl_dense(in_fourier(a)) - dagger(f) @ weyl_dense(a) @ f) < 1e-12
 
 
 def test_weyl_monomial_reduces_its_input():
     # unreduced and negative exponents realize as their residues mod n
     factors = np.array([[7, -1, 5], [-3, 9, -8]])
-    for basis in ("standard", "fourier"):
-        got = weyl_monomial(factors, 4, basis)
-        want = weyl_monomial(factors % 4, 4, basis)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), basis
+    got = weyl_monomial(factors, 4)
+    want = weyl_monomial(factors % 4, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_weyl_monomial_needs_factor_table():
@@ -168,8 +168,6 @@ def test_weyl_monomial_needs_factor_table():
         weyl_monomial(np.zeros((2, 6), dtype=int), 3)
     rows, vals = weyl_monomial(np.zeros((0, 3), dtype=int), 3)
     assert rows.shape == vals.shape == (0, 3)
-    with pytest.raises(ValueError, match="unknown basis"):
-        weyl_monomial(np.zeros((2, 3), dtype=int), 3, "hadamard")
 
 
 def test_pair_monomial_needs_pairs():
