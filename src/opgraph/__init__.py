@@ -24,7 +24,7 @@ from .graph import (
     OperatorGraph,
     compress,
     graph_dim,
-    graph_from_factors,
+    graph_from_mask,
     graph_from_labels,
     is_anticlique,
 )

@@ -10,11 +10,11 @@
   shifts, allowed equal shifts, clock words off the subgroup), with an
   entangled code built from subgroup-supported diagonal vectors.
 
-Each generator family emits its words in factored form (left factors,
-right factors, int32 index pairs) and the builders close them with
-graph_from_factors; the shift families index the n^2 phase-free factors
-X^kx Z^kz at kx * n + kz, so no word table and no search over the words is
-needed.
+Each generator family sets its phase-free words in a boolean mask (see
+graph.OperatorGraph) through its (n, n, n, n) view, indexed by (left kx,
+left kz, right kx, right kz), with one broadcast assignment, and the builders
+close the mask with graph_from_mask; no word table and no search over the
+words is needed.
 
 Closed-form dimension claims are evaluated separately and marked as claims;
 computed ranks are the ground truth the reports compare them against.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import CodeSpace, OperatorGraph, graph_from_factors, graph_from_labels
+from .graph import CodeSpace, OperatorGraph, graph_from_labels, graph_from_mask
 from .linalg import kron
 from .weyl import fourier_basis, x_matrix
 
@@ -47,19 +47,15 @@ __all__ = [
     "enumerate_section4_params",
 ]
 
-# a family of words in factored form: (left, right, index), word g being
-# left[index[g, 0]] (x) right[index[g, 1]] (see graph.graph_from_factors)
-Family = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
     and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1).
 
     At n = 2 the Pauli matrices are Weyl words: sx = Z, sz = X and
-    sy = i XZ, so the graph is the word table [Z(x)I, XZ(x)I, I(x)XZ, I(x)X]
-    in that generator order. The phase i is dropped; it changes neither the
-    span nor the anticlique verdict.
+    sy = i XZ, so the graph is the word table [Z(x)I, XZ(x)I, I(x)XZ, I(x)X],
+    and in mask order its generators are [I, I(x)sz, I(x)sy, sx(x)I,
+    sy(x)I]. The phase i is dropped; it changes neither the span nor the
+    anticlique verdict.
     """
     words = np.array([
         [0, 1, 0, 0, 0, 0],  # Z (x) I = sx (x) I
@@ -74,18 +70,22 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     return g, code
 
 
-def _one_sided_powers(n: int) -> Family:
-    """All nontrivial powers (X Z^k)^s placed on one tensor factor, k-major
-    then s, left factor first: the n(n-1) power factors and the identity,
-    last, on each side. By label_pow's closed form,
-    (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}."""
-    k, s = np.indices((n, n - 1)).reshape(2, -1)
+def _word_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty (n^2, n^2) word mask and its (n, n, n, n) view, indexed by
+    (left kx, left kz, right kx, right kz)."""
+    mask = np.zeros((n * n, n * n), dtype=bool)
+    return mask, mask.reshape(n, n, n, n)
+
+
+def _one_sided_powers(words: np.ndarray) -> None:
+    """Set all nontrivial powers (X Z^k)^s, placed on either tensor factor,
+    in a word mask's (n, n, n, n) view. By label_pow's closed form,
+    (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}, the phase-free word X^s Z^{ks}."""
+    n = len(words)
+    k, s = np.indices((n, n - 1))
     s = s + 1
-    factors = np.concatenate([np.stack([s, k * s, k * (s * (s - 1) // 2)], axis=1) % n, [[0, 0, 0]]])
-    power = np.arange(n * (n - 1), dtype=np.int32)
-    identity = np.full_like(power, n * (n - 1))
-    index = np.concatenate([np.stack([power, identity], axis=1), np.stack([identity, power], axis=1)])
-    return factors, factors, index
+    words[s, k * s % n, 0, 0] = True
+    words[0, 0, s, k * s % n] = True
 
 
 def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeSpace]:
@@ -98,8 +98,9 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
     """
     if n < 2 or (n == 2 and not allow_n2):
         raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
-    left, right, index = _one_sided_powers(n)
-    return graph_from_factors(n, (left, right), index), _fourier_diagonal_code(n)
+    mask, words = _word_mask(n)
+    _one_sided_powers(words)
+    return graph_from_mask(n, mask), _fourier_diagonal_code(n)
 
 
 def _fourier_diagonal_code(n: int) -> CodeSpace:
@@ -226,71 +227,29 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     )
 
 
-def _shift_factors(n: int) -> np.ndarray:
-    """The n^2 phase-free factors X^kx Z^kz, the one at row kx * n + kz."""
-    kx, kz = np.divmod(np.arange(n * n), n)
-    return np.stack([kx, kz, np.zeros_like(kx)], axis=1)
-
-
-def _off_diagonal_shifts(n: int) -> Family:
-    """The off-diagonal shifts X^m Z^k (x) X^j Z^s with m != j, in
-    (m, j, k, s) order, on the shift factors of both sides."""
-    e = np.arange(n, dtype=np.int32)
-    # the n - 1 shifts j != m of each m, increasing: row m of j
-    j = e[:-1] + (e[:-1] >= e[:, None])
-    index = np.empty((n, n - 1, n, n, 2), dtype=np.int32)
-    index[..., 0] = (e * n)[:, None, None, None] + e[:, None]
-    index[..., 1] = (j * n)[:, :, None, None] + e
-    factors = _shift_factors(n)
-    return factors, factors, index.reshape(-1, 2)
-
-
-def _equal_shifts(n: int, shifts: list[int] | np.ndarray, clocks: np.ndarray) -> Family:
-    """The equal shifts X^m Z^k (x) X^m Z^s for each m of shifts and each
-    (k, s) where the n x n mask clocks holds, in (m, k, s) order, on the
-    shift factors of both sides."""
-    k, s = np.nonzero(clocks)
-    at = np.asarray(shifts, dtype=np.int32)[:, None] * n
-    index = np.stack(np.broadcast_arrays(at + k, at + s), axis=-1).reshape(-1, 2).astype(np.int32)
-    factors = _shift_factors(n)
-    return factors, factors, index
-
-
-def _stack_families(*families: Family) -> Family:
-    """One factored table of several families' words, in order: each side's
-    factor tables concatenated, and each family's index offset by the
-    factors before its own."""
-    left, right, index = zip(*families)
-    sizes = np.array([[len(l), len(r)] for l, r in zip(left, right)], dtype=np.int32)
-    offsets = np.cumsum(sizes, axis=0) - sizes
-    stacked = np.concatenate(index)
-    # offset in place: the families' ids take as much memory as the result
-    start = 0
-    for at, offset in zip(index, offsets):
-        stacked[start : start + len(at)] += offset
-        start += len(at)
-    return np.concatenate(left), np.concatenate(right), stacked
-
-
-def _section4_families(params: Section4Params) -> Family:
-    n = params.n
-    a_set = residue_set_A(params.y, params.h, params.d)
-    k, s = np.indices((n, n))
-    return _stack_families(
-        _off_diagonal_shifts(n),
-        # equal shifts with allowed residue
-        _equal_shifts(n, a_set.members(n), np.ones((n, n), dtype=bool)),
-        # equal shifts with clock exponents off the subgroup
-        _equal_shifts(n, np.arange(n), (k + s) % params.p != 0),
-        _one_sided_powers(n),
-    )
+def _off_diagonal_shifts(words: np.ndarray) -> None:
+    """Set the off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, in a word
+    mask's (n, n, n, n) view."""
+    n = len(words)
+    words.transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)] = True
 
 
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
-    build_code_K1."""
-    left, right, index = _section4_families(params)
-    return graph_from_factors(params.n, (left, right), index), build_code_K1(params)
+    build_code_K1. The graph adds to section3's one-sided powers the
+    off-diagonal shifts, every equal shift X^m Z^k (x) X^m Z^s with m in the
+    allowed residue set, and the equal shifts with clock exponents off the
+    subgroup, (k + s) mod p != 0."""
+    n = params.n
+    mask, words = _word_mask(n)
+    _off_diagonal_shifts(words)
+    allowed = residue_set_A(params.y, params.h, params.d).members(n)
+    words[allowed, :, allowed, :] = True
+    e = np.arange(n)
+    k, s = np.indices((n, n))
+    words[e, :, e, :] |= (k + s) % params.p != 0
+    _one_sided_powers(words)
+    return graph_from_mask(n, mask), build_code_K1(params)
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
@@ -299,8 +258,9 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     rejected."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
-    left, right, index = _off_diagonal_shifts(n)
-    return graph_from_factors(n, (left, right), index), _fourier_diagonal_code(n)
+    mask, words = _word_mask(n)
+    _off_diagonal_shifts(words)
+    return graph_from_mask(n, mask), _fourier_diagonal_code(n)
 
 
 def claimed_dim_section2() -> int:

@@ -1,44 +1,47 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
 spaces, compression by an isometry, and anticlique verdicts.
 
-Every graph carries its generators as exact Weyl tensor words (see
-opgraph.weyl) in factored form: each tensor side's distinct factors
-(kx, kz, phase), and an int32 pair of factor indices per word. The 64513
-words of the (2,8,1,4) graph use 264 left and 464 right factors, so the
-graph takes 0.5 MB where the (G, 6) int64 word table takes 3 MB.
-graph_from_factors closes words given in that form under adjoints, sorting
-and searching only the factors; graph_from_labels closes a word table
-through it.
+Every graph is spanned by Weyl tensor words (see opgraph.weyl), and phases
+do not change a span, so a graph is a set of phase-free words
+X^kx Z^kz (x) X^kx' Z^kz'. It is stored as one boolean (n^2, n^2) mask whose
+entry (kx * n + kz, kx' * n + kz') is set exactly when that word is a
+generator, and generators are numbered in row-major mask order. The mask
+takes n^4 bytes whatever the number of words: 65 kB for the 64513 words of
+the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. graph_from_mask
+closes a mask under adjoints with one permutation of its rows and columns;
+graph_from_labels closes a word table through it.
 
-Two independent dimension oracles are available: counting distinct word
-exponents (exact, phases dropped) and the numeric Gram rank of the realized
+Two independent dimension oracles are available: counting the words (the
+mask's popcount, exact) and the numeric Gram rank of the realized
 generators. Generators are realized per tensor factor in monomial form, in
-the Fourier basis (weyl_monomial), each stored factor once, and every word
-gathers its two by index. Conjugation by the unitary F (x) F keeps every
-Hilbert-Schmidt product, so the rank is that of the words themselves. The
-Gram side reads only those realized factors. Every generator
-is alpha * (u (x) v) for a left factor line u and a right one v (a line is
-a realized factor up to a scalar), and since the Hilbert-Schmidt product
-factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the
-Gram block of the pairs (u, v) with row patterns (P, Q) is a principal
-submatrix of G_P (x) G_Q, the Kronecker product of the two patterns' line
-Grams (each at most n x n). The rank is read off those, one sort of a
-class-major key per word grouping the pairs; no n^2-long row is formed.
+the Fourier basis (weyl_monomial), each factor a side uses once.
+Conjugation by the unitary F (x) F keeps every Hilbert-Schmidt product, so
+the rank is that of the words themselves. The Gram side reads only those
+realized factors, and the mask only for which pairs of them occur. Every
+generator is alpha * (u (x) v) for a left factor line u and a right one v (a
+line is a realized factor up to a scalar), and since the Hilbert-Schmidt
+product factorizes over the tensor product, <A (x) B, C (x) D> = <A, C>
+<B, D>, the Gram block of the pairs (u, v) with row patterns (P, Q) is a
+principal submatrix of G_P (x) G_Q, the Kronecker product of the two
+patterns' line Grams (each at most n x n). The mask, OR-reduced to line
+pairs in pattern-major line order, holds each (P, Q) class as a contiguous
+sub-block; no n^2-long row is formed.
 
-Compression uses the same realization of the stored factors, in the
-Fourier product basis f_i (x) f_j, where every code carries its coordinates
-(exact for the constructions' codes, computed from the isometry otherwise).
-It gathers the words chunk by chunk, each only at the coordinates R where
-the code is nonzero: |R| = p * d of the n^2 for the entangled codes, nearly
-all n^2 for a computed code. The anticlique verdict streams those chunks
-into a code_dim^2 x code_dim^2 Gram matrix and never holds the
-compressions.
+Compression uses the same realization of the used factors, in the Fourier
+product basis f_i (x) f_j, where every code carries its coordinates (exact
+for the constructions' codes, computed from the isometry otherwise). It
+gathers the words chunk by chunk of whole mask rows, each only at the
+coordinates R where the code is nonzero: |R| = p * d of the n^2 for the
+entangled codes, nearly all n^2 for a computed code. The anticlique verdict
+streams those chunks into a code_dim^2 x code_dim^2 Gram matrix and never
+holds the compressions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -61,15 +64,15 @@ __all__ = [
     "CompressionReport",
     "GraphDim",
     "graph_from_labels",
-    "graph_from_factors",
+    "graph_from_mask",
     "graph_dim",
     "compress",
     "is_anticlique",
 ]
 
 
-# words gathered at once by the compression scan over a graph; bounds peak
-# memory
+# words gathered at once by the compression scan over a graph, in whole mask
+# rows; bounds peak memory
 _WORD_CHUNK = 1024
 # a factor line's key is a polynomial hash of its features mod 2^64 in this
 # odd multiplier; its normalized values enter rounded to this many steps per
@@ -83,68 +86,28 @@ _LINE_KEY_STEPS = 2.0**24
 class OperatorGraph:
     """Span of generators, closed under adjoints, containing the identity.
 
-    Every generator is a scaled Weyl tensor word on C^n (x) C^n, so
-    space_dim = n^2. The words are stored in factored form: ``factors`` =
-    (left, right) holds each tensor side's distinct factors, integer arrays
-    of shape (F, 3) with rows (kx, kz, phase) in [0, n), strictly increasing
-    by packed key (kx * n + kz) * n + phase, every one used by some word;
-    ``index`` is an int32 array of shape (n_generators, 2), and word g is
-    left[index[g, 0]] (x) right[index[g, 1]]. That is 8 bytes per word.
-    Every realization loop realizes each factor once and gathers it by
-    index; the factor is the realizer's whole input, so the gathered
-    realization is bit-identical to the word's own. Generators are never
-    densified. The graph holds at least one word, since the span contains
-    the identity. ``words`` gathers the word table back, and from_words
-    stores a given table as it is.
+    Every generator is a phase-free Weyl tensor word X^kx Z^kz (x)
+    X^kx' Z^kz' on C^n (x) C^n, so space_dim = n^2. ``mask`` is a read-only
+    boolean array of shape (n^2, n^2) whose entry (kx * n + kz,
+    kx' * n + kz') is set exactly when that word is a generator; generators
+    are numbered in row-major mask order. The mask holds at least one word,
+    since the span contains the identity; graph_from_mask and
+    graph_from_labels close a mask or a word table. Generators are never
+    densified.
     """
 
     n: int
-    factors: tuple[np.ndarray, np.ndarray]
-    index: np.ndarray
+    mask: np.ndarray
+    # _offsets[r]: the generators in mask rows before row r, r <= n^2
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"word dimension must satisfy n >= 1, got n={self.n}")
-        index = self.index
-        if not isinstance(index, np.ndarray) or index.dtype != np.int32 or index.shape[1:] != (2,):
-            raise ValueError(
-                f"expected an int32 index of shape (G, 2), got {np.asarray(index).dtype} {np.shape(index)}"
-            )
-        if len(index) == 0:
-            raise ValueError("index is empty; a graph contains the identity")
-        _check_factored(self.factors, index)
-        for name, factors, at in zip(("left", "right"), self.factors, index.T):
-            if len(factors) and (factors.min() < 0 or factors.max() >= self.n):
-                raise ValueError(
-                    f"{name} factor entries must lie in [0, n) = [0, {self.n}), "
-                    f"got values in [{factors.min()}, {factors.max()}]"
-                )
-            keys = _factor_keys(factors, self.n)
-            if np.any(keys[1:] <= keys[:-1]):
-                raise ValueError(f"{name} factors must be strictly increasing by packed key, so none repeats")
-            if not np.bincount(at, minlength=len(factors)).all():
-                raise ValueError(f"every {name} factor must be used by some word")
-
-    @classmethod
-    def from_words(cls, n: int, words: np.ndarray) -> "OperatorGraph":
-        """Graph whose generators are exactly the words of an integer word
-        table of shape (G, 6), rows (left kx, left kz, left phase, right kx,
-        right kz, right phase), in order: no identity or adjoint is added and
-        nothing is deduplicated (graph_from_labels closes a table). Entries
-        must already lie in [0, n), and the table must hold a word."""
-        _check_word_table(n, words)
-        if len(words) == 0:
-            raise ValueError("word table is empty; a graph contains the identity")
-        # rejected, not reduced: the label oracle packs exponents as stored
-        if words.min() < 0 or words.max() >= n:
-            raise ValueError(
-                f"word table entries must lie in [0, n) = [0, {n}), "
-                f"got values in [{words.min()}, {words.max()}]"
-            )
-        keys = [_factor_keys(words[:, 3 * side : 3 * side + 3], n) for side in (0, 1)]
-        distinct = [_sorted_distinct(side_keys) for side_keys in keys]
-        index = np.stack([np.searchsorted(d, k) for d, k in zip(distinct, keys)], axis=1).astype(np.int32)
-        return cls(n, tuple(_unpack_factors(d, n) for d in distinct), index)
+        _check_mask(self.n, self.mask)
+        offsets = np.concatenate([[0], np.cumsum(np.count_nonzero(self.mask, axis=1))])
+        if offsets[-1] == 0:
+            raise ValueError("mask is empty; a graph contains the identity")
+        self.mask.setflags(write=False)
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def space_dim(self) -> int:
@@ -152,193 +115,76 @@ class OperatorGraph:
 
     @property
     def n_generators(self) -> int:
-        return len(self.index)
+        return int(self._offsets[-1])
 
     @property
     def words(self) -> np.ndarray:
-        """The word table, shape (n_generators, 6), gathered from the factors
-        each time it is read; read-only."""
-        return self.words_at(slice(None))
+        """The word table, shape (n_generators, 6), rows (left kx, left kz,
+        0, right kx, right kz, 0) in generator order, formed each time it is
+        read."""
+        return _word_rows(self.n, *np.nonzero(self.mask))
 
     def words_at(self, at) -> np.ndarray:
-        """Rows ``at`` (an index, a slice or an index array) of the word
-        table, gathered from the factors of those words alone; read-only."""
-        left, right = self.factors
-        pairs = self.index[at]
-        rows = np.concatenate([left[pairs[..., 0]], right[pairs[..., 1]]], axis=-1)
-        rows.setflags(write=False)
-        return rows
+        """Rows ``at`` (a generator id or an array of them) of the word
+        table, found from the per-row counts of the mask without forming
+        the table."""
+        at = np.asarray(at)
+        if np.any((at < 0) | (at >= self.n_generators)):
+            raise IndexError(f"generator ids must lie in [0, {self.n_generators})")
+        row = np.searchsorted(self._offsets, at, side="right") - 1
+        # the column of the row's (at - offset)-th set entry
+        column = np.argmax(np.cumsum(self.mask[row], axis=-1) > (at - self._offsets[row])[..., None], axis=-1)
+        return _word_rows(self.n, row, column)
 
-    def label_keys(self) -> set[tuple[int, int, int, int]]:
-        """Exponent quadruples (left kx, left kz, right kx, right kz) of the
-        words; phases are dropped, matching span-level identity of words."""
-        return set(map(tuple, self.words[:, [0, 1, 3, 4]].tolist()))
 
-    def _label_count(self) -> int:
-        """Number of distinct exponent quadruples, len(label_keys()) without
-        building the set: the distinct values among sorted packed keys, one
-        per word. Not n_generators: from_words keeps a word repeated under
-        two phases."""
-        # not np.unique(keys): in numpy 2.4 it takes a hash-table path that is
-        # about 15x slower at 64513 keys
-        keys = np.sort(_pair_keys(self.n, *self.factors, *self.index.T))
-        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+def _word_rows(n: int, row: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Phase-free word table rows of the mask entries (row, column)."""
+    zero = np.zeros_like(row)
+    return np.stack([*np.divmod(row, n), zero, *np.divmod(column, n), zero], axis=-1)
 
 
 def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
     """Graph on C^n (x) C^n spanned by the words of an integer word table of
-    shape (G, 6), the identity, and the adjoint of every word. The identity
-    comes first and each word is followed by its adjoint; deduplicated by
-    exponent quadruple (phases do not affect the span), the first occurrence
-    wins with its phase. An empty table gives the identity alone.
-
-    The table's two column halves are its factors, and word g pairs row g of
-    each: graph_from_factors closes it.
-    """
+    shape (G, 6), the identity, and the adjoint of every word. Entries are
+    taken mod n and phases are dropped, since they do not change the span;
+    an empty table gives the identity alone."""
     words = np.asarray(words)
-    _check_word_table(n, words)
-    index = np.broadcast_to(np.arange(len(words))[:, None], (len(words), 2))
-    return graph_from_factors(n, (words[:, :3], words[:, 3:]), index)
+    if n < 1:
+        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
+    if words.ndim != 2 or words.shape[1] != 6 or not np.issubdtype(words.dtype, np.integer):
+        raise ValueError(f"expected an integer word table of shape (G, 6), got {words.dtype} {words.shape}")
+    mask = np.zeros((n * n, n * n), dtype=bool)
+    e = words % n
+    mask[e[:, 0] * n + e[:, 1], e[:, 3] * n + e[:, 4]] = True
+    return graph_from_mask(n, mask)
 
 
-def graph_from_factors(n: int, factors: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> OperatorGraph:
-    """Graph on C^n (x) C^n spanned by the words left[index[g, 0]] (x)
-    right[index[g, 1]], the identity, and the adjoint of every word, for
-    factors = (left, right) integer tables of shape (F, 3) with rows
-    (kx, kz, phase), taken mod n and possibly repeated, and an integer index
-    of shape (G, 2). It equals graph_from_labels of the gathered word table.
+def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
+    """Graph on C^n (x) C^n spanned by the words a boolean (n^2, n^2) mask
+    sets (see OperatorGraph), the identity, and the adjoint of every word.
 
-    Only the factors are sorted and searched. Per side, the distinct factors
-    are taken together with their adjoints, a set closed under the adjoint,
-    and each given factor and its adjoint get an int32 id into that set;
-    every word and its adjoint then gather their ids by index. The
-    interleaved sequence of id pairs is deduplicated by one sort of its
-    packed phase-free pair keys with the position in the low bits, which
-    puts each key's first occurrence first and takes memory linear in G;
-    each side then keeps the factors still used. Raises ValueError on
-    malformed factors or index, an index outside its side's table, or pair
-    keys that would overflow int64.
+    The adjoint of X^kx Z^kz is X^-kx Z^-kz up to a phase, so the closure
+    ORs in the mask's (n, n, n, n) view with every exponent negated mod n,
+    and sets the identity.
     """
+    _check_mask(n, mask)
+    words = mask.reshape(n, n, n, n)
+    # exponent -k mod n on every axis: reversed, then rolled on by one
+    adjoint = np.roll(words[::-1, ::-1, ::-1, ::-1], 1, axis=(0, 1, 2, 3))
+    closed = (words | adjoint).reshape(n * n, n * n)
+    closed[0, 0] = True
+    return OperatorGraph(n, closed)
+
+
+def _check_mask(n: int, mask) -> None:
+    """Raise ValueError unless n >= 1 and mask is a boolean array of shape
+    (n^2, n^2)."""
     if n < 1:
         raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
-    factors, index = tuple(map(np.asarray, factors)), np.asarray(index)
-    _check_factored(factors, index)
-    count = 2 * len(index) + 2
-    shift = count.bit_length()
-    if n**4 << shift > 2**63:
-        raise ValueError(f"pair keys of {count} words and adjoints at n={n} overflow int64")
-    sides = []
-    for table, at in zip(factors, index.T):
-        # the identity's factor (0, 0, 0) packs to key 0
-        keys = np.concatenate([[0], _factor_keys(table, n)])
-        distinct = _sorted_distinct(keys)
-        # the adjoint is an involution, so this union is closed under it
-        closed = _sorted_distinct(np.concatenate([distinct, _adjoint_keys(distinct, n)]))
-        ids = np.searchsorted(closed, keys).astype(np.int32)
-        adjoint = np.searchsorted(closed, _adjoint_keys(closed, n)).astype(np.int32)
-        sequence = np.empty(count, dtype=np.int32)
-        sequence[0] = ids[0]
-        sequence[2::2] = ids[1:][at]
-        sequence[1::2] = adjoint[sequence[0::2]]
-        sides.append((_unpack_factors(closed, n), sequence))
-    # sorted with the position in the low bits, each phase-free key's first
-    # occurrence comes first among its equals
-    (left, at_l), (right, at_r) = sides
-    keys = _pair_keys(n, left, right, at_l, at_r, shift)
-    keys |= np.arange(count)
-    keys.sort()
-    # a key differs from its predecessor above the position bits exactly at
-    # a first occurrence
-    low = (1 << shift) - 1
-    head = np.empty(count, dtype=bool)
-    head[0] = True
-    np.greater(keys[1:] ^ keys[:-1], low, out=head[1:])
-    first = keys[head]
-    first &= low
-    first.sort()
-    # the sorted keys go before the graph is built and checked
-    del keys, head
-    factors, index = [], []
-    for closed, sequence in sides:
-        kept = sequence[first]
-        used = np.zeros(len(closed), dtype=bool)
-        used[kept] = True
-        factors.append(closed[used])
-        index.append((np.cumsum(used, dtype=np.int32) - 1)[kept])
-    return OperatorGraph(n, tuple(factors), np.stack(index, axis=1))
-
-
-def _check_factored(factors, index) -> None:
-    """Raise ValueError unless factors = (left, right) are integer arrays of
-    shape (F, 3) and index is an integer array of shape (G, 2) whose columns
-    index them."""
-    if not isinstance(index, np.ndarray) or index.shape[1:] != (2,) or not np.issubdtype(index.dtype, np.integer):
-        raise ValueError(f"expected an integer index of shape (G, 2), got {np.asarray(index).dtype} {np.shape(index)}")
-    if len(factors) != 2:
-        raise ValueError(f"expected factors (left, right), got {len(factors)} sides")
-    for name, table, at in zip(("left", "right"), factors, index.T):
-        if not isinstance(table, np.ndarray) or table.shape[1:] != (3,) or not np.issubdtype(table.dtype, np.integer):
-            raise ValueError(
-                f"expected integer {name} factors of shape (F, 3), got {np.asarray(table).dtype} {np.shape(table)}"
-            )
-        if len(at) and (at.min() < 0 or at.max() >= len(table)):
-            raise ValueError(f"{name} indices must lie in [0, {len(table)}), got values in [{at.min()}, {at.max()}]")
-
-
-def _check_word_table(n: int, words) -> None:
-    """Raise ValueError unless n >= 1 and words is an integer array of shape
-    (G, 6)."""
-    if n < 1:
-        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
-    if (
-        not isinstance(words, np.ndarray)
-        or words.ndim != 2
-        or words.shape[1] != 6
-        or not np.issubdtype(words.dtype, np.integer)
-    ):
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (n * n, n * n):
         raise ValueError(
-            "expected an integer word table of shape (G, 6), "
-            f"got {np.asarray(words).dtype} {np.shape(words)}"
+            f"expected a boolean mask of shape ({n * n}, {n * n}), got {np.asarray(mask).dtype} {np.shape(mask)}"
         )
-
-
-def _factor_keys(factors: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per factor (kx, kz, phase) of an integer table of shape
-    (F, 3), reduced mod n: (kx * n + kz) * n + phase."""
-    kx, kz, phase = (factors[:, c].astype(np.int64) % n for c in range(3))
-    return (kx * n + kz) * n + phase
-
-
-def _unpack_factors(keys: np.ndarray, n: int) -> np.ndarray:
-    """The factors (kx, kz, phase), shape (F, 3), of packed factor keys."""
-    high, phase = np.divmod(keys, n)
-    return np.stack([*np.divmod(high, n), phase], axis=1)
-
-
-def _adjoint_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Packed keys of the adjoints of packed factors:
-    (w^p X^a Z^b)^* = w^{ab-p} X^{-a} Z^{-b}."""
-    kx, kz, phase = _unpack_factors(keys, n).T
-    return _factor_keys(np.stack([-kx, -kz, kx * kz - phase], axis=1), n)
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted."""
-    # not np.unique(keys), which imports numpy.ma in numpy 2.4
-    ordered = np.sort(keys)
-    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-
-
-def _pair_keys(
-    n: int, left: np.ndarray, right: np.ndarray, at_l: np.ndarray, at_r: np.ndarray, shift: int = 0
-) -> np.ndarray:
-    """One int64 key per word left[at_l] (x) right[at_r], packing its
-    exponent quadruple (left kx, left kz, right kx, right kz) and shifted
-    left by shift bits; phases are dropped."""
-    key_l, key_r = (f[:, 0].astype(np.int64) * n + f[:, 1] for f in (left, right))
-    keys = (key_l * (n * n) << shift)[at_l]
-    keys += (key_r << shift)[at_r]
-    return keys
 
 
 @dataclass(frozen=True)
@@ -441,102 +287,108 @@ class GraphDim:
 def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_TOL):
     """Dimension of the span of the graph's generators.
 
-    method "labels": count of distinct exponent quadruples (exact), from one
-    packed integer key per word, sorted. method "gram": numeric Gram rank of
-    the realized generators, over every generator, read from their factor
-    lines. Each side's distinct factors are realized once, in the Fourier
-    basis, and grouped in one pass into lines by row pattern and values
-    normalized by column 0, every factor checked against its line's
-    representative within tol.absolute; row patterns of one side that share
-    a position raise ValueError. Each generator is a multiple of
-    u_a (x) v_b, so the span has one dimension per distinct pair (a, b) when
-    each pattern's lines are independent. A word's pair is one int64 key, class-major in its row
-    patterns (P, Q), summed from one part per factor (ValueError if it would
-    overflow); one in-place sort gives the distinct pairs, each (P, Q) a run
-    of them: one Gram block, the principal submatrix of G_P (x) G_Q the run
-    selects, with eigenvalues in [lo_P lo_Q, hi_P hi_Q] from the Gershgorin
-    bounds of the line Grams (Kronecker spectrum plus interlacing). A block
-    whose lower bound clears the cutoff counts its pairs without being formed
-    or decoded; any other is formed and eigensolved (linalg._rank_of_grams).
-    Distinct Weyl words are Hilbert-Schmidt orthogonal, so every block of
-    every construction is certified. method "both": a GraphDim of both values
-    and an agreement flag.
+    method "labels": the number of distinct phase-free words (exact), the
+    mask's popcount. method "gram": numeric Gram rank of the realized
+    generators, over every generator, read from their factor lines. The
+    factors each side uses are realized once, in the Fourier basis, and
+    grouped in one pass into lines by row pattern and values normalized by
+    column 0, every factor checked against its line's representative within
+    tol.absolute; row patterns of one side that share a position raise
+    ValueError. Each generator is a multiple of u_a (x) v_b, so the span has
+    one dimension per line pair (a, b) some generator takes, when each
+    pattern's lines are independent. The mask OR-reduced to line pairs holds
+    each class of row patterns (P, Q) as a sub-block: one Gram block, the
+    principal submatrix of G_P (x) G_Q at the sub-block's set entries, with
+    eigenvalues in [lo_P lo_Q, hi_P hi_Q] from the Gershgorin bounds of the
+    line Grams (Kronecker spectrum plus interlacing). A block whose lower
+    bound clears the cutoff counts its pairs without being formed; any other
+    is formed and eigensolved (linalg._rank_of_grams). Distinct Weyl words
+    are Hilbert-Schmidt orthogonal, so every block of every construction is
+    certified. method "both": a GraphDim of both values and an agreement
+    flag.
     """
     if method == "labels":
-        return g._label_count()
+        return g.n_generators
     if method == "gram":
         return _gram_dim(g, tol)
     if method == "both":
-        labels = g._label_count()
         gram = _gram_dim(g, tol)
-        return GraphDim(labels=labels, gram=gram, agree=labels == gram)
+        return GraphDim(labels=g.n_generators, gram=gram, agree=g.n_generators == gram)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     left, right = _factor_lines(g, tol)
-    # class-major pair keys ((P N_Q + Q) S_L + local_l) S_R + local_r, S = max local + 1
-    n_p, n_q, span_l, span_r = len(left.grams), len(right.grams), int(left.local.max()) + 1, int(right.local.max()) + 1
-    if n_p * n_q * span_l * span_r >= 2**63:
-        raise ValueError(f"pair keys of {n_p} x {n_q} patterns of {span_l} x {span_r} lines overflow int64")
-    stride = span_l * span_r
-    keys = ((left.pattern * n_q * span_l + left.local) * span_r)[left.line][g.index[:, 0]]
-    keys += (right.pattern * stride + right.local)[right.line][g.index[:, 1]]
-    # members sharing both lines are multiples of one another: one generator
-    # per distinct key, and each (P, Q) class a run of the sorted keys
-    keys.sort()
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    bounds = np.searchsorted(keys, np.arange(n_p * n_q + 1) * stride).tolist()
+    pairs = _line_pairs(g.mask, left, right)
+    starts_l, starts_r = left.starts.tolist(), right.starts.tolist()
 
     def blocks():
-        for c in np.flatnonzero(np.diff(bounds)).tolist():
-            p, q = divmod(c, n_q)
+        for p, q in itertools.product(range(len(left.grams)), range(len(right.grams))):
+            block = pairs[starts_l[p] : starts_l[p + 1], starts_r[q] : starts_r[q + 1]]
+            size = int(np.count_nonzero(block))
+            if not size:
+                continue
             # Kronecker spectrum plus interlacing: every eigenvalue of a
             # principal submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
             lo = max(float(left.lo[p]), 0.0) * max(float(right.lo[q]), 0.0)
             hi = float(left.hi[p] * right.hi[q])
-            in_class = keys[bounds[c] : bounds[c + 1]]
-            yield lo, hi, len(in_class), partial(_pair_gram, left.grams[p], right.grams[q], in_class, stride, span_r)
+            yield lo, hi, size, partial(_pair_gram, left.grams[p], right.grams[q], block)
 
     return _rank_of_grams(blocks(), tol)
 
 
-def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, keys: np.ndarray, stride: int, span_r: int) -> np.ndarray:
-    """Gram matrix of the vectors u_a[i] (x) v_b[i], given the Gram matrices
-    of the u's and v's: the principal submatrix of gram_l (x) gram_r at the
-    pairs a[i] * span_r + b[i] = keys[i] mod stride of one class's pair keys."""
-    a, b = np.divmod(keys % stride, span_r)
+def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Gram matrix of the vectors u_a (x) v_b over the set entries (a, b) of
+    a boolean block, given the Gram matrices of the u's and v's: the
+    principal submatrix of gram_l (x) gram_r at those pairs."""
+    a, b = np.nonzero(block)
     return gram_l[np.ix_(a, a)] * gram_r[np.ix_(b, b)]
+
+
+def _line_pairs(mask: np.ndarray, left: _FactorLines, right: _FactorLines) -> np.ndarray:
+    """The line pairs some generator takes, a boolean array of shape (left
+    lines, right lines): the mask at the used factors, each side's factors
+    sorted by line and OR-reduced over each line's run."""
+    pairs = mask
+    for axis, side in enumerate((left, right)):
+        by_line = np.argsort(side.line, kind="stable")
+        pairs = np.take(pairs, side.ids[by_line], axis=axis)
+        # distinct Weyl factors are never proportional, so a line is one
+        # factor unless a realization merges two, and reduceat over runs of
+        # one would be a slow copy
+        if len(by_line) > side.starts[-1]:
+            runs = np.searchsorted(side.line[by_line], np.arange(side.starts[-1]))
+            pairs = np.logical_or.reduceat(pairs, runs, axis=axis)
+    return pairs
 
 
 @dataclass(frozen=True)
 class _FactorLines:
     """The factor lines of one tensor side of a graph's words.
 
-    line[f] (int32) is the line of the side's stored factor f; a word takes
-    its factor's line by index. Lines are grouped by row pattern: pattern[l]
-    and local[l] are line l's pattern and its index among that pattern's
-    lines, grams[P] is the Gram matrix of pattern P's normalized lines in
+    ids are the mask indices kx * n + kz of the factors the side uses,
+    increasing, and line[f] (int32) is the line of factor ids[f]. Lines are
+    numbered pattern-major: row pattern P holds lines starts[P] up to
+    starts[P + 1], grams[P] is the Gram matrix of its normalized lines in
     that order, and lo[P], hi[P] are its Gershgorin bounds.
     """
 
+    ids: np.ndarray
     line: np.ndarray
-    pattern: np.ndarray
-    local: np.ndarray
+    starts: np.ndarray
     grams: list[np.ndarray]
     lo: np.ndarray
     hi: np.ndarray
 
 
 def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
-    """Left and right factor lines of a graph. Each side's distinct factors
+    """Left and right factor lines of a graph. The factors each side uses
     are realized once, through _monomial_factors as the verdict realizes
     them, and grouped into lines (_lines), reading only the realized rows and
-    values, never labels; each stored factor keeps its line. Raises
-    ValueError when two row patterns of one side share a position, since the
-    tensor classes' Grams would then not be blocks of one block-diagonal
-    Gram matrix."""
-    left, right = (_group_lines(*_lines(*_monomial_factors(factors, g.n), tol)) for factors in g.factors)
+    values, never labels. Raises ValueError when two row patterns of one side
+    share a position, since the tensor classes' Grams would then not be
+    blocks of one block-diagonal Gram matrix."""
+    left, right = (_group_lines(ids, *_lines(rows, vals, tol)) for ids, rows, vals in _realized_factors(g))
     return left, right
 
 
@@ -571,9 +423,10 @@ def _lines(rows: np.ndarray, vals: np.ndarray, tol: Tolerance) -> tuple[np.ndarr
     return line, rows[kept], values[kept]
 
 
-def _group_lines(line: np.ndarray, rows: np.ndarray, values: np.ndarray) -> _FactorLines:
+def _group_lines(ids: np.ndarray, line: np.ndarray, rows: np.ndarray, values: np.ndarray) -> _FactorLines:
     """Group a side's lines, given by their rows and normalized values, by
-    row pattern and take each pattern's line Gram and Gershgorin bounds."""
+    row pattern, number them pattern-major and take each pattern's line Gram
+    and Gershgorin bounds."""
     count = len(rows)
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
@@ -583,14 +436,11 @@ def _group_lines(line: np.ndarray, rows: np.ndarray, values: np.ndarray) -> _Fac
     by_column = np.sort(ordered[starts], axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-    sizes = np.diff(np.r_[starts, count])
-    pattern = np.empty(count, dtype=np.int64)
-    pattern[order] = np.repeat(np.arange(len(starts)), sizes)
-    local = np.empty(count, dtype=np.int64)
-    local[order] = np.arange(count) - np.repeat(starts, sizes)
+    renumber = np.empty(count, dtype=np.int32)
+    renumber[order] = np.arange(count)
     grams = [u @ u.conj().T for u in np.split(values[order], starts[1:])]
     lo, hi = np.array([_discs(gram) for gram in grams]).T
-    return _FactorLines(line, pattern, local, grams, lo, hi)
+    return _FactorLines(ids, renumber[line], np.r_[starts, count], grams, lo, hi)
 
 
 def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -600,15 +450,16 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     shape (len(members), code_dim, code_dim). Every other generator
     compresses to exactly zero.
 
-    Works in the Fourier product basis with S = code.fourier. Each side's
-    distinct factors are realized once in full (_monomial_factors), each
+    Works in the Fourier product basis with S = code.fourier. The factors
+    each side uses are realized once in full (_monomial_factors), each
     checked for rows that are a permutation of range(n), and kept at the
-    columns of R only; each chunk gathers its words' factors by index. With
-    R the rows where S has an exactly nonzero entry, a word realized as
-    V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c), l]) v(c)
-    S[c, k], one matrix product per chunk.
-    A word that maps no column of R into R meets only zero rows of S, so it
-    is a member only if some r(c) lies in R.
+    columns of R only. Each chunk is a run of whole mask rows holding about
+    _WORD_CHUNK words, numbered on from the generators of the rows before
+    it, and gathers its words' factors. With R the rows where S has an
+    exactly nonzero entry, a word realized as V[r(c), c] = v(c) compresses
+    to sum_{c in R} conj(S[r(c), l]) v(c) S[c, k], one matrix product per
+    chunk. A word that maps no column of R into R meets only zero rows of S,
+    so it is a member only if some r(c) lies in R.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -616,21 +467,38 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     s = code.fourier
     in_support = np.any(s != 0, axis=1)
     support = np.flatnonzero(in_support)
-    col_l, col_r = np.divmod(support, n)
     # conj(S)^T, so the gathered rows come out code index first
     s_conj = np.ascontiguousarray(s.conj().T)
     s_support = s[support]
-    # each side's distinct factors, realized once and kept at R's columns
-    (factors_l, factors_r), (index_l, index_r) = g.factors, g.index.T
-    rows_l, vals_l = (a[:, col_l] for a in _monomial_factors(factors_l, n))
-    rows_r, vals_r = (a[:, col_r] for a in _monomial_factors(factors_r, n))
-    for start in range(0, g.n_generators, _WORD_CHUNK):
-        at_l, at_r = index_l[start : start + _WORD_CHUNK], index_r[start : start + _WORD_CHUNK]
+    # each side's used factors, realized once and kept at R's columns, and
+    # the realized row of each mask index
+    sides = []
+    for (ids, rows, vals), columns in zip(_realized_factors(g), np.divmod(support, n)):
+        slot = np.zeros(n * n, dtype=np.int32)
+        slot[ids] = np.arange(len(ids))
+        sides.append((slot, rows[:, columns], vals[:, columns]))
+    (slot_l, rows_l, vals_l), (slot_r, rows_r, vals_r) = sides
+    offsets = g._offsets
+    # the last row boundary at or below each multiple of _WORD_CHUNK words
+    cuts = np.searchsorted(offsets, np.arange(_WORD_CHUNK, g.n_generators, _WORD_CHUNK), side="right") - 1
+    bounds = list(dict.fromkeys([0, *cuts.tolist(), n * n]))
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        row, column = np.nonzero(g.mask[first:last])
+        at_l, at_r = slot_l[first + row], slot_r[column]
         rows = rows_l[at_l] * n + rows_r[at_r]
         hit = np.flatnonzero(in_support[rows].any(axis=1))
         left = s_conj[:, rows[hit]] * (vals_l[at_l[hit]] * vals_r[at_r[hit]])
         block = left.reshape(d * len(hit), len(support)) @ s_support
-        yield start + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
+        yield offsets[first] + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
+
+
+def _realized_factors(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each side, left first: the mask indices kx * n + kz of the
+    factors its words use, increasing, and their realizations (rows, vals)
+    by _monomial_factors, each factor X^kx Z^kz realized once."""
+    for ids in (np.flatnonzero(g.mask.any(axis=1)), np.flatnonzero(g.mask.any(axis=0))):
+        kx, kz = np.divmod(ids, g.n)
+        yield ids, *_monomial_factors(np.stack([kx, kz, np.zeros_like(kx)], axis=1), g.n)
 
 
 def _monomial_factors(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,17 @@ def row_gram(rows: np.ndarray) -> np.ndarray:
     return rows.conj().T @ rows
 
 
+def mask_of(n: int, words) -> np.ndarray:
+    """The boolean (n^2, n^2) word mask of the words of an integer word table
+    of shape (G, 6), entries taken mod n and phases dropped, with no identity
+    or adjoint added: entry (kx * n + kz, kx' * n + kz') is set for each word
+    X^kx Z^kz (x) X^kx' Z^kz' (see opgraph.graph.OperatorGraph)."""
+    e = np.asarray(words, dtype=np.int64).reshape(-1, 6) % n
+    mask = np.zeros((n * n, n * n), dtype=bool)
+    mask[e[:, 0] * n + e[:, 1], e[:, 3] * n + e[:, 4]] = True
+    return mask
+
+
 def in_fourier(a):
     """The label of F^dag W F for the word W of a label, or of each factor of
     a pair, with F = fourier_basis(n). Since F^dag X F = Z^-1 and

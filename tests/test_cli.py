@@ -306,11 +306,16 @@ def test_failed_verdict_names_the_word_and_code_vectors(monkeypatch, capsys):
     report = json.loads(out)
     assert report["anticlique"] is False
     assert report["graph_dim_labels"] == report["graph_dim_gram"] == 64515
-    assert re.fullmatch(
-        r"anticlique fails at generator 6451[34], word \(0, (2|14), 0, 0, 0, 0\): "
-        r"entry \((q_[1-4]), \2\) deviates from c_V \* I by 1\.000e\+00\n",
+    match = re.fullmatch(
+        r"anticlique fails at generator (\d+), word \(0, (2|14), 0, 0, 0, 0\): "
+        r"entry \((q_[1-4]), \3\) deviates from c_V \* I by 1\.000e\+00\n",
         err,
-    ), err
+    )
+    assert match, err
+    # the id of Z^kz (x) I in mask order: its entry (kz, 0) is the first of
+    # its row, after every generator of the rows above
+    g, _ = grown(cli.Section4Params(2, 8, 1, 4))
+    assert int(match[1]) == np.count_nonzero(g.mask[: int(match[2])])
 
 
 def test_sweep_section3_jsonl():

@@ -32,6 +32,8 @@ from opgraph.weyl import (
     z_matrix,
 )
 
+from conftest import mask_of
+
 
 def section3_label_count(n: int) -> int:
     # independent count: powers (X Z^k)^s carry exponents (s, ks), and for
@@ -59,12 +61,13 @@ def test_section2_shape_and_dimension():
 
 def test_section2_generators_are_pauli_words():
     # each realized generator is its Pauli tensor word up to a unit-modulus
-    # scalar, in the documented order [I, sx(x)I, sy(x)I, I(x)sy, I(x)sz]
+    # scalar, in mask order [I, I(x)sz, I(x)sy, sx(x)I, sy(x)I]: the words
+    # I, I(x)X, I(x)XZ, Z(x)I and XZ(x)I at n = 2
     eye = np.eye(2)
     sx = np.array([[0, 1], [1, 0]])
     sy = np.array([[0, -1j], [1j, 0]])
     sz = np.array([[1, 0], [0, -1]])
-    expected = [kron(eye, eye), kron(sx, eye), kron(sy, eye), kron(eye, sy), kron(eye, sz)]
+    expected = [kron(eye, eye), kron(eye, sz), kron(eye, sy), kron(sx, eye), kron(sy, eye)]
     g, _ = build_section2()
     # with the whole space as code, S = I and compress returns each generator
     realized = compress(g, CodeSpace(space_dim=4, isometry=np.eye(4, dtype=complex)))
@@ -251,7 +254,7 @@ def test_section4_contains_section3_span():
     g4, _ = build_section4(params)
     g3, _ = build_section3(params.n)
     combined = graph_from_labels(params.n, np.concatenate([g4.words, g3.words]))
-    assert combined.label_keys() == g4.label_keys()
+    assert np.array_equal(combined.mask, g4.mask)
 
 
 def test_remark2_anticlique_and_dimension():
@@ -356,42 +359,44 @@ def _scalar_section4(params):
     )
 
 
-def _gathered(family):
-    """The word table of a factored family: left[index[:, 0]] beside
-    right[index[:, 1]]."""
-    left, right, index = family
-    assert index.dtype == np.int32 and index.shape[1:] == (2,)
-    return np.concatenate([left[index[:, 0]], right[index[:, 1]]], axis=1)
+def _family_mask(n, family):
+    """The mask of one generator family's words, set through the (n, n, n, n)
+    view of an empty mask."""
+    mask = np.zeros((n * n, n * n), dtype=bool)
+    family(mask.reshape(n, n, n, n))
+    return mask
 
 
 def test_builder_tables_match_scalar_reference():
-    # each family's gathered table equals the scalar words row for row,
-    # phases and order included, and so does the closed graph
+    # each family's mask holds exactly the scalar words' phase-free
+    # exponents, and each built graph is the scalar words with the identity:
+    # every family is adjoint-closed, so the closure adds only the identity
+    def closed(n, reference):
+        mask = mask_of(n, reference)
+        mask[0, 0] = True
+        return mask
+
     for n in range(3, 7):
-        g, _ = build_section3(n)
         reference = word_table(_scalar_one_sided_powers(n))
-        assert np.array_equal(_gathered(constructions._one_sided_powers(n)), reference), n
-        assert np.array_equal(g.words, graph_from_labels(n, reference).words), n
+        assert np.array_equal(_family_mask(n, constructions._one_sided_powers), mask_of(n, reference)), n
+        assert np.array_equal(build_section3(n)[0].mask, closed(n, reference)), n
     for n in range(2, 7):
-        g, _ = build_remark2(n)
         reference = word_table(_scalar_off_diagonal(n))
-        assert np.array_equal(_gathered(constructions._off_diagonal_shifts(n)), reference), n
-        assert np.array_equal(g.words, graph_from_labels(n, reference).words), n
-    for params in enumerate_section4_params(6):
-        g, _ = build_section4(params)
+        assert np.array_equal(_family_mask(n, constructions._off_diagonal_shifts), mask_of(n, reference)), n
+        assert np.array_equal(build_remark2(n)[0].mask, closed(n, reference)), n
+    for params in enumerate_section4_params(8):
         reference = word_table(_scalar_section4(params))
-        assert np.array_equal(_gathered(constructions._section4_families(params)), reference), params
-        assert np.array_equal(g.words, graph_from_labels(params.n, reference).words), params
+        assert np.array_equal(build_section4(params)[0].mask, closed(params.n, reference)), params
 
 
 def test_shift_factor_ids_are_arithmetic():
-    # the phase-free shift X^kx Z^kz sits at row kx * n + kz of its table,
-    # so the shift families' ids come from arithmetic, not a search
+    # the phase-free shift X^kx Z^kz sits at mask index kx * n + kz, so the
+    # off-diagonal shifts m != j fill every n x n block (m, j) off the block
+    # diagonal
     n = 5
-    left, right, index = constructions._off_diagonal_shifts(n)
-    assert np.array_equal(left, right)
-    assert left.tolist() == [[kx, kz, 0] for kx in range(n) for kz in range(n)]
-    assert len(index) == n**3 * (n - 1)
+    mask = _family_mask(n, constructions._off_diagonal_shifts)
+    assert np.array_equal(mask, np.kron(~np.eye(n, dtype=bool), np.ones((n, n), dtype=bool)))
+    assert np.count_nonzero(mask) == n**3 * (n - 1)
 
 
 def test_code_k1_shift_matches_the_kron_reference():

@@ -12,8 +12,8 @@ from opgraph.graph import (
     OperatorGraph,
     compress,
     graph_dim,
-    graph_from_factors,
     graph_from_labels,
+    graph_from_mask,
     is_anticlique,
 )
 from opgraph import constructions
@@ -38,7 +38,7 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 
-from conftest import gram_rank, in_fourier, random_complex
+from conftest import gram_rank, in_fourier, mask_of, random_complex
 
 
 def pair(n, m, k, j, s):
@@ -51,6 +51,12 @@ def scalar_pairs(g):
     return [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in g.words.tolist()]
 
 
+def label_set(words):
+    """The phase-free exponent quadruples (left kx, left kz, right kx, right
+    kz) of a word table's rows."""
+    return set(map(tuple, np.asarray(words)[:, [0, 1, 3, 4]].tolist()))
+
+
 def test_graph_from_labels_empty_is_identity_span():
     g = graph_from_labels(3, word_table([]))
     assert g.n_generators == 1
@@ -60,7 +66,7 @@ def test_graph_from_labels_empty_is_identity_span():
 
 def test_graph_from_labels_adjoint_closure():
     g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0)]))
-    assert g.label_keys() == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
+    assert label_set(g.words) == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
     dims = graph_dim(g, "both")
     assert dims.labels == dims.gram == 3
 
@@ -79,24 +85,23 @@ def test_graph_from_labels_rejects_malformed_table():
             graph_from_labels(3, bad)
     with pytest.raises(ValueError, match="n >= 1"):
         graph_from_labels(0, word_table([]))
-    # packed phase-free keys below n^4 = 2^64, shifted past the positions,
-    # would wrap around in int64
-    with pytest.raises(ValueError, match="overflow int64"):
+    # a mask of n^4 = 2^64 bytes: numpy rejects it before allocating anything
+    with pytest.raises(ValueError, match="array is too big"):
         graph_from_labels(2**16, word_table([]))
 
 
 def scalar_closure(n, pairs):
-    """Reference closure of scalar pairs as a word table: the identity first,
-    each pair followed by its adjoint, and the first occurrence of each
-    exponent quadruple kept with its phase."""
-    seen, kept = set(), []
-    for p in [pair(n, 0, 0, 0, 0), *pairs]:
-        for q in (p, pair_adjoint(p)):
-            key = (q.left.kx, q.left.kz, q.right.kx, q.right.kz)
-            if key not in seen:
-                seen.add(key)
-                kept.append(q)
-    return word_table(kept)
+    """Reference closure of scalar pairs: the sorted phase-free exponent
+    quadruples of the identity, the pairs and their adjoints, which is
+    generator order, since mask order is lexicographic in them."""
+    closed = [pair(n, 0, 0, 0, 0), *pairs, *map(pair_adjoint, pairs)]
+    return sorted({(q.left.kx, q.left.kz, q.right.kx, q.right.kz) for q in closed})
+
+
+def assert_closes_to(g, n, pairs):
+    """g's words are scalar_closure(n, pairs), in that order, phases 0."""
+    assert g.words[:, [0, 1, 3, 4]].tolist() == [list(key) for key in scalar_closure(n, pairs)]
+    assert not g.words[:, [2, 5]].any()
 
 
 def test_graph_from_labels_matches_scalar_closure():
@@ -105,11 +110,10 @@ def test_graph_from_labels_matches_scalar_closure():
         n = int(rng.integers(2, 6))
         factors = rng.integers(0, n, size=(int(rng.integers(0, 30)), 2, 3)).tolist()
         pairs = [WeylLabelPair(label(n, *a), label(n, *b)) for a, b in factors]
-        g = graph_from_labels(n, word_table(pairs))
-        assert np.array_equal(g.words, scalar_closure(n, pairs)), n
-    # unreduced and negative entries are taken mod n
+        assert_closes_to(graph_from_labels(n, word_table(pairs)), n, pairs)
+    # unreduced and negative entries are taken mod n, and phases dropped
     g = graph_from_labels(3, np.array([[4, -1, 7, 0, 3, -3]]))
-    assert g.words.tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 1, 0, 0, 0], [2, 1, 1, 0, 0, 0]]
+    assert g.words.tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0]]
 
 
 @st.composite
@@ -132,80 +136,19 @@ def test_closure_of_random_tables_matches_scalar_closure(drawn):
     n, table = drawn
     g = graph_from_labels(n, table)
     pairs = [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in table.tolist()]
-    assert np.array_equal(g.words, scalar_closure(n, pairs))
+    assert_closes_to(g, n, pairs)
     assert graph_dim(g, "both").agree
 
 
-def _factored(n, left, right, index):
-    """graph_from_factors on integer arrays built from nested lists."""
-    return graph_from_factors(n, (np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)), np.array(index))
-
-
-def test_graph_from_factors_rejects_n_below_one():
-    with pytest.raises(ValueError, match="n >= 1"):
-        _factored(0, [[0, 0, 0]], [[0, 0, 0]], [[0, 0]])
-
-
-def test_graph_from_factors_rejects_malformed_factors():
-    good = np.zeros((1, 3), dtype=int)
-    for bad in (np.zeros((1, 3)), np.zeros((1, 4), dtype=int), np.zeros(3, dtype=int)):
-        with pytest.raises(ValueError, match=r"integer left factors of shape \(F, 3\)"):
-            graph_from_factors(3, (bad, good), np.zeros((1, 2), dtype=int))
-        with pytest.raises(ValueError, match=r"integer right factors of shape \(F, 3\)"):
-            graph_from_factors(3, (good, bad), np.zeros((1, 2), dtype=int))
-    with pytest.raises(ValueError, match=r"factors \(left, right\)"):
-        graph_from_factors(3, (good,), np.zeros((1, 2), dtype=int))
-
-
-def test_graph_from_factors_rejects_malformed_index():
-    factors = (np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int))
-    # a pair of index columns, not a (G, 2) array
-    for bad in (np.zeros((1, 2)), np.zeros((1, 3), dtype=int), np.zeros(2, dtype=int), [np.arange(3), np.arange(3)]):
-        with pytest.raises(ValueError, match=r"integer index of shape \(G, 2\)"):
-            graph_from_factors(3, factors, bad)
-
-
-def test_graph_from_factors_rejects_index_outside_its_side():
-    with pytest.raises(ValueError, match=r"left indices must lie in \[0, 2\)"):
-        _factored(3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 0]], [[0, 0], [2, 0]])
-    with pytest.raises(ValueError, match=r"right indices must lie in \[0, 1\)"):
-        _factored(3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 0]], [[0, 0], [1, -1]])
-
-
-def test_graph_from_factors_rejects_key_overflow():
-    # packed phase-free keys below n^4 = 2^64, shifted past the positions,
-    # would wrap around in int64
-    with pytest.raises(ValueError, match="overflow int64"):
-        _factored(2**16, [[0, 0, 0]], [[0, 0, 0]], np.zeros((0, 2), dtype=int))
-
-
-@st.composite
-def raw_factored_tables(draw):
-    """(n, left, right, index): factor tables on C^n with entries possibly
-    negative or unreduced and rows possibly repeated, and an index into
-    them."""
-    n = draw(st.integers(2, 6))
-    entry = st.integers(-2 * n, 3 * n)
-    sides = []
-    for _ in range(2):
-        rows = draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=1, max_size=8))
-        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
-        sides.append(np.array(rows, dtype=np.int64))
-    left, right = sides
-    pairs = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1))
-    index = np.array(draw(st.lists(pairs, max_size=24)), dtype=np.int32).reshape(-1, 2)
-    return n, left, right, index
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(raw_factored_tables())
-def test_factored_closure_matches_the_gathered_table(drawn):
-    n, left, right, index = drawn
-    g = graph_from_factors(n, (left, right), index)
-    reference = graph_from_labels(n, np.concatenate([left[index[:, 0]], right[index[:, 1]]], axis=1))
-    for got, want in zip(g.factors, reference.factors):
-        assert np.array_equal(got, want)
-    assert np.array_equal(g.index, reference.index)
+def test_closure_is_idempotent():
+    # closing a closed mask, whether built from a table or by a builder,
+    # changes nothing
+    rng = np.random.default_rng(17)
+    graphs = [graph_from_labels(4, rng.integers(0, 4, size=(12, 6))), build_section4(Section4Params(2, 4, 1, 2))[0]]
+    for g in graphs:
+        assert np.array_equal(graph_from_mask(g.n, g.mask).mask, g.mask)
+    # an empty mask closes to the identity alone
+    assert graph_from_mask(3, np.zeros((9, 9), dtype=bool)).words.tolist() == [[0] * 6]
 
 
 def test_off_diagonal_family_is_adjoint_closed():
@@ -232,54 +175,52 @@ def test_graph_dim_rejects_unknown_method():
 def test_graph_requires_some_generators():
     with pytest.raises(TypeError):
         OperatorGraph(n=2)
-    # a graph contains the identity; an empty table would count 0 labels and
+    # a graph contains the identity; an empty mask would count 0 labels and
     # leave the Gram oracle, compress and is_anticlique nothing to index
-    with pytest.raises(ValueError, match="word table is empty"):
-        OperatorGraph.from_words(3, np.zeros((0, 6), dtype=np.int64))
-    # rejected, not reduced: the label oracle packs exponents as stored, and
-    # counted 3 labels for this span of dimension 2
-    unreduced = np.array([[0, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
-    for bad in (unreduced, -unreduced):
-        with pytest.raises(ValueError, match=r"entries must lie in \[0, n\)"):
-            OperatorGraph.from_words(3, bad)
-    dims = graph_dim(OperatorGraph.from_words(3, unreduced % 3), "both")
-    assert dims.labels == dims.gram == 2
-    for bad in (np.zeros((2, 4), dtype=int), np.zeros((2, 6)), np.zeros(6, dtype=int), [[0] * 6]):
-        with pytest.raises(ValueError, match="word table of shape"):
-            OperatorGraph.from_words(3, bad)
-    with pytest.raises(ValueError, match="n >= 1"):
-        OperatorGraph.from_words(0, np.zeros((1, 6), dtype=int))
+    with pytest.raises(ValueError, match="mask is empty"):
+        OperatorGraph(3, np.zeros((9, 9), dtype=bool))
+    good = mask_of(3, [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]])
+    # the closure checks the mask as the graph does, before reading it
+    for make in (OperatorGraph, graph_from_mask):
+        for bad in (good.astype(np.uint8), good.astype(int), good[:8], good.reshape(3, 27), good.ravel(), good.tolist()):
+            with pytest.raises(ValueError, match=r"boolean mask of shape \(9, 9\)"):
+                make(3, bad)
+        with pytest.raises(ValueError, match="n >= 1"):
+            make(0, np.zeros((0, 0), dtype=bool))
+    # a mask is stored as given, with no closure
+    dims = graph_dim(OperatorGraph(3, good), "both")
+    assert dims.labels == dims.gram == 3
+    dims = graph_dim(OperatorGraph(3, mask_of(3, [[1, 0, 0, 0, 0, 0]])), "both")
+    assert dims.labels == dims.gram == 1
 
 
-def test_factored_graph_rejects_broken_invariants():
-    # left factors (0,0,0) (0,1,0) (0,2,0) (1,0,0) (2,0,0); right factors
-    # (0,0,0) (1,1,1) (2,2,0)
-    g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0), pair(3, 0, 1, 2, 2)]))
-    (left, right), index = g.factors, g.index
-    assert len(left) == 5 and len(right) == 3
-    assert OperatorGraph(3, (left, right), index).words.tolist() == g.words.tolist()
-    out_of_range = index.copy()
-    out_of_range[1, 1] = len(right)
-    negative = index.copy()
-    negative[0, 0] = -1
-    broken = [
-        ((0, (left, right), index), "n >= 1"),
-        ((3, (left, right), index[:0]), "index is empty"),
-        ((3, (left, right), index.astype(np.int64)), "int32 index of shape"),
-        ((3, (left, right), index[:, :1]), "int32 index of shape"),
-        ((3, (left[:, :2], right), index), "left factors of shape"),
-        ((3, (left, right.astype(float)), index), "right factors of shape"),
-        ((3, (left, right + 1), index), r"right factor entries must lie in \[0, n\)"),
-        ((3, (left[::-1], right), index), "left factors must be strictly increasing"),
-        ((3, (left, right[[0, 0, 1, 2]]), index), "right factors must be strictly increasing"),
-        ((3, (left, right), out_of_range), r"right indices must lie in \[0, 3\)"),
-        ((3, (left, right), negative), r"left indices must lie in \[0, 5\)"),
-        # the identity alone leaves the other factors unused
-        ((3, (left, right), index[:1]), "every left factor must be used"),
-    ]
-    for (n, factors, at), message in broken:
-        with pytest.raises(ValueError, match=message):
-            OperatorGraph(n, factors, at)
+def test_graph_mask_is_read_only():
+    mask = mask_of(2, [[0, 0, 0, 0, 0, 0]])
+    g = OperatorGraph(2, mask)
+    with pytest.raises(ValueError, match="read-only"):
+        g.mask[0, 1] = True
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    [(build_section2, None), (build_section3, 5), (build_section4, Section4Params(2, 8, 1, 4))],
+    ids=["section2", "section3-5", "section4-2-8-1-4"],
+)
+def test_words_at_finds_the_mask_entries(build, arg):
+    # generator ids number the mask's set entries in row-major order
+    g, _ = build() if arg is None else build(arg)
+    row, column = np.nonzero(g.mask)
+    n, count = g.n, g.n_generators
+    assert len(row) == count
+    ids = np.r_[0, count - 1, np.random.default_rng(2).integers(0, count, size=50)]
+    expected = np.stack([row // n, row % n, 0 * row, column // n, column % n, 0 * row], axis=1)[ids]
+    assert np.array_equal(g.words_at(ids), expected)
+    assert np.array_equal(g.words[ids], expected)
+    for at in (0, count - 1, int(ids[-1])):
+        assert g.words_at(at).tolist() == expected[ids.tolist().index(at)].tolist()
+    for outside in (-1, count):
+        with pytest.raises(IndexError):
+            g.words_at(outside)
 
 
 def test_oracle_equivalence_random_subsets():
@@ -307,7 +248,7 @@ def test_compress_identity_graph():
 
 def test_compress_section2_generator_vanishes():
     g, code = build_section2()
-    # generator order is [I, sx(x)I, sy(x)I, I(x)sy, I(x)sz]
+    # generator order is [I, I(x)sz, I(x)sy, sx(x)I, sy(x)I]
     compressed = compress(g, code)
     assert max_abs(compressed[2]) < 1e-12
     assert max_abs(compressed[0] - np.eye(2)) < 1e-12
@@ -392,7 +333,7 @@ def test_kl_table_section3_word_vanishes():
 def test_kl_table_section2_last_generator_vanishes():
     g, code = build_section2()
     table = compress(g, code)
-    assert max_abs(table[4]) < 1e-12  # I (x) sz over {f+, f-}
+    assert max_abs(table[4]) < 1e-12  # sy (x) I over {f+, f-}
 
 
 def test_true_verdict_implies_kl_structure():
@@ -451,11 +392,16 @@ FOURIER_CODES = (
     "build, arg", FOURIER_CODES, ids=[_point_id(build, arg) for build, arg in FOURIER_CODES]
 )
 def test_fourier_compression_matches_dense_reference(build, arg):
-    # the constructions' codes carry Fourier coordinates, so compress works
-    # in the Fourier product basis on the code's support; it must agree with
-    # S^dag V S from the scalar standard-basis realization
+    # the constructions' codes carry exact sparse Fourier coordinates, so
+    # compress works in the Fourier product basis on the code's support; it
+    # must agree with S^dag V S from the scalar standard-basis realization.
+    # section4's code q_1..q_d sums p products f_c (x) f_c each, scaled by
+    # 1/sqrt(p); section3's and remark2's are the n products themselves
     g, code = build(arg)
-    assert code.fourier is not None
+    p, d = (arg.p, arg.d) if build is build_section4 else (1, arg)
+    support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
+    assert len(support) == p * d
+    assert np.all(code.fourier[code.fourier != 0] == 1 / np.sqrt(p))
     s = code.isometry
     for c, p in zip(compress(g, code), scalar_pairs(g)):
         assert max_abs(c - dagger(s) @ pair_dense(p) @ s) < 1e-12
@@ -479,7 +425,7 @@ def test_word_outside_the_graph_flips_the_verdict():
     params = Section4Params(2, 8, 1, 4)
     g, code = build_section4(params)
     outside = np.array([[0, 2, 0, 0, 0, 0]])
-    assert (0, 2, 0, 0) not in g.label_keys()
+    assert not g.mask[2, 0]
     assert max_abs(compress(graph_from_labels(16, outside), code)[1] - np.diag(1j ** np.arange(4))) < 1e-12
     grown = graph_from_labels(16, np.concatenate([g.words, outside]))
     report = is_anticlique(grown, code)
@@ -487,7 +433,7 @@ def test_word_outside_the_graph_flips_the_verdict():
     assert report.compressed_dim == 3
     assert report.residual == pytest.approx(1.0)
     at, l, k = report.worst
-    assert tuple(grown.words[at, [0, 1, 3, 4]]) in {(0, 2, 0, 0), (0, 14, 0, 0)}
+    assert tuple(grown.words_at(at)[[0, 1, 3, 4]]) in {(0, 2, 0, 0), (0, 14, 0, 0)}
     assert l == k
     # without the word the residual is roundoff
     assert is_anticlique(g, code).residual < 1e-15
@@ -611,16 +557,6 @@ def test_blocked_gram_rank_matches_dense(build, arg):
     assert graph_dim(g, "gram") == _dense_gram_rank(g)
 
 
-def test_repeated_word_under_two_phases_loses_rank():
-    # bypass graph_from_labels, which would drop the repeat by its label
-    n = 3
-    word = WeylLabelPair(label(n, 1, 2, 0), label(n, 2, 1, 0))
-    rephased = WeylLabelPair(label(n, 1, 2, 1), label(n, 2, 1, 0))
-    words = word_table([pair(n, 0, 0, 0, 0), word, rephased])
-    g = OperatorGraph.from_words(n, words)
-    assert graph_dim(g, "gram") == _dense_gram_rank(g) == 2
-
-
 def _crafted_rows(monkeypatch, n, side, second):
     """Graph on C^n (x) C^n of the identity and one word whose factor on one
     side realizes to the rows ``second`` (values 1), in place of the Weyl
@@ -633,7 +569,7 @@ def _crafted_rows(monkeypatch, n, side, second):
         return rows, np.ones((len(factors), n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    return OperatorGraph.from_words(n, word_table([pair(n, 0, 0, 0, 0), word]))
+    return OperatorGraph(n, mask_of(n, word_table([pair(n, 0, 0, 0, 0), word])))
 
 
 @pytest.mark.parametrize(
@@ -671,16 +607,20 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     # G_P (x) G_Q scaled by the members' phases, equals the Gram matrix of
     # the members' full n^2-long realized rows
     g, _ = build(arg)
-    n = math.isqrt(g.space_dim)
+    n = g.n
     left, right = graph_module._factor_lines(g, DEFAULT_TOL)
-    line_l, line_r = left.line[g.index[:, 0]], right.line[g.index[:, 1]]
-    classes = left.pattern[line_l] * len(right.grams) + right.pattern[line_r]
+    row, column = np.nonzero(g.mask)
+    line_l = left.line[np.searchsorted(left.ids, row)]
+    line_r = right.line[np.searchsorted(right.ids, column)]
+    pattern_l = np.searchsorted(left.starts, line_l, side="right") - 1
+    pattern_r = np.searchsorted(right.starts, line_r, side="right") - 1
+    classes = pattern_l * len(right.grams) + pattern_r
     covered = 0
     for c in sorted(set(classes.tolist())):
         members = np.flatnonzero(classes == c)
         p, q = divmod(c, len(right.grams))
         gram_l, gram_r = left.grams[p], right.grams[q]
-        selected = left.local[line_l[members]] * len(gram_r) + right.local[line_r[members]]
+        selected = (line_l[members] - left.starts[p]) * len(gram_r) + line_r[members] - right.starts[q]
         block = np.kron(gram_l, gram_r)[np.ix_(selected, selected)]
         _, vals = pair_monomial(g.words[members], n)
         phase = vals[:, 0]
@@ -691,54 +631,21 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     assert covered == g.n_generators
 
 
-
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(raw_factored_tables())
+@given(raw_word_tables())
 def test_gram_oracle_matches_dense_on_random_graphs(drawn):
-    # the class-major pair keys against the dense Gram of every realized
-    # generator, on closures of random factor tables
-    n, left, right, index = drawn
-    g = graph_from_factors(n, (left, right), index)
+    # the line-pair blocks of the mask against the dense Gram of every
+    # realized generator, on closures of random word tables
+    n, table = drawn
+    g = graph_from_labels(n, table)
     assert graph_dim(g, "gram") == _dense_gram_rank(g) == graph_dim(g, "labels")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(raw_factored_tables(), st.integers(0, 2**16))
-def test_gram_oracle_matches_dense_with_a_rephased_repeat(drawn, pick):
-    # a word repeated under a second phase, bypassing the closure, spans no
-    # new direction: both its copies share one pair of lines and one key
-    n, left, right, index = drawn
-    words = graph_from_factors(n, (left, right), index).words
-    repeat = words[pick % len(words)].copy()
-    repeat[2] = (repeat[2] + 1) % n
-    g = OperatorGraph.from_words(n, np.concatenate([words, [repeat]]))
-    assert graph_dim(g, "gram") == _dense_gram_rank(g) == graph_dim(g, "labels") == g.n_generators - 1
-
-
-@pytest.mark.parametrize("right_local, raises", [(2**32 - 2, False), (2**32 - 1, True)], ids=["fits", "overflows"])
-def test_gram_key_overflow_guard(monkeypatch, right_local, raises):
-    # the identity alone has one pair of lines; with their local indices
-    # moved up, the pair keys span 1 * 1 * S_L * S_R = 2^31 (2^32 - 1), whose
-    # largest key fits in int64, or 2^31 * 2^32 = 2^63, which would not
-    g = graph_from_labels(2, np.zeros((0, 6), dtype=int))
-    factor_lines = graph_module._factor_lines
-
-    def spread(g, tol):
-        left, right = factor_lines(g, tol)
-        return replace(left, local=left.local + 2**31 - 1), replace(right, local=right.local + right_local)
-
-    monkeypatch.setattr(graph_module, "_factor_lines", spread)
-    if not raises:
-        assert graph_dim(g, "gram") == 1
-        return
-    with pytest.raises(ValueError, match=r"pair keys of 1 x 1 patterns of 2147483648 x 4294967296 lines overflow int64"):
-        graph_dim(g, "gram")
-
 def _crafted_graph(monkeypatch, realized, words):
-    """Graph on C^2 (x) C^2 whose factors (kx, kz, phase) realize as
-    realized[factor] = (rows, vals) in place of the Weyl realization, and
-    the plain eigensolve rank of its generators built from those
-    realizations."""
+    """Graph on C^2 (x) C^2 of the words, given in mask order, whose factors
+    (kx, kz, 0) realize as realized[factor] = (rows, vals) in place of the
+    Weyl realization, and the plain eigensolve rank of its generators built
+    from those realizations."""
     n = 2
 
     def realize(factors, n):
@@ -756,7 +663,7 @@ def _crafted_graph(monkeypatch, realized, words):
     flat = dense.reshape(len(words), -1)
     eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    return OperatorGraph.from_words(n, words), int(np.sum(eigs > 1e-9 * eigs[-1]))
+    return OperatorGraph(n, mask_of(n, words)), int(np.sum(eigs > 1e-9 * eigs[-1]))
 
 
 IDENTITY = (0, 0, 0)
@@ -800,32 +707,28 @@ def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank, mix):
     ids=["hashed-merge", "hashed-apart", "hashed-distinct", "one-key-merge", "one-key-apart", "one-key-distinct"],
 )
 def test_one_line_realized_twice(monkeypatch, mix, delta, lines, rank):
-    # the left factors of the last two words are one line up to the scalar
-    # 1j, off by delta: within tol.absolute they merge, beyond it they stay
-    # two lines, and the rank is the plain eigensolve's either way (at
-    # delta = 0.5 they are two distinct lines); the identity's left factor
-    # differs from them in its rows only
+    # the left factors Z and XZ of the last two words are crafted to be one
+    # line up to the scalar 1j, off by delta: within tol.absolute they merge,
+    # beyond it they stay two lines, and the rank is the plain eigensolve's
+    # either way (at delta = 0.5 they are two distinct lines); the
+    # identity's left factor differs from them in its rows only
     monkeypatch.setattr(graph_module, "_LINE_HASH", mix)
     realized = {
         IDENTITY: ([0, 1], [1, 1]),
         (0, 1, 0): ([1, 0], [1, 1]),
-        (0, 1, 1): ([1, 0], [1j, 1j * (1 - delta)]),
+        (1, 1, 0): ([1, 0], [1j, 1j * (1 - delta)]),
     }
-    words = [IDENTITY * 2, (0, 1, 0) + IDENTITY, (0, 1, 1) + IDENTITY]
+    words = [IDENTITY * 2, (0, 1, 0) + IDENTITY, (1, 1, 0) + IDENTITY]
     g, reference = _crafted_graph(monkeypatch, realized, words)
     left, _ = graph_module._factor_lines(g, DEFAULT_TOL)
-    assert len(left.pattern) == lines
+    assert left.starts[-1] == lines
     assert graph_dim(g, "gram") == reference == rank
 
 
 def test_label_count_matches_key_set():
     for build, arg in SMALL_LABEL_GRAPHS:
         g, _ = build(arg)
-        assert graph_dim(g, "labels") == len(g.label_keys())
-    # a table that bypasses graph_from_labels: one word under two phases
-    words = word_table([pair(3, 1, 2, 0, 1), pair(3, 1, 2, 0, 1), pair(3, 0, 0, 0, 0)])
-    words[1, 2] = 2
-    assert graph_dim(OperatorGraph.from_words(3, words), "labels") == 2
+        assert graph_dim(g, "labels") == len(label_set(g.words)) == np.count_nonzero(g.mask)
 
 
 def test_dense_generators_match_labels():
@@ -868,39 +771,29 @@ def _traced_peak(call):
 
 
 def test_gram_oracle_memory_is_bounded():
-    # one in-place sort of one int64 pair key per word, and each tensor class
-    # a run of the sorted keys: about 18 MB at n = 32, where the 1,044,481
-    # keys take 8.4 MB; a pair sort, a class argsort and a split over
-    # per-word line ids peak at 73.8 MB
+    # the Gram oracle holds the mask at the used factors and its line pairs,
+    # n^4 bytes each, and the realized factors: about 4.8 MB at n = 32, where
+    # one int64 pair key per word took 18 MB
     g, _ = build_section4(Section4Params(2, 16, 3, 4))
     dim, peak = _traced_peak(lambda: graph_dim(g, "gram"))
     assert dim == g.n_generators == 1044481
-    assert peak < 40 * 2**20
-
-def test_closure_memory_is_linear_in_words():
-    # the closure holds per-side int32 ids and one sorted array of packed
-    # pair keys, never the (2G, 6) stack of words and adjoints (17.2 MB peak
-    # at this point) nor a table over all n^4 phase-free keys
-    left, right, index = constructions._section4_families(Section4Params(2, 8, 1, 4))
-    g, peak = _traced_peak(lambda: graph_from_factors(16, (left, right), index))
-    assert g.n_generators == 64513
     assert peak < 12 * 2**20
-    # 8 bytes per word and the few distinct factors: 0.5 MB, not the 3 MB of
-    # the (64513, 6) int64 word table
-    assert sum(f.nbytes for f in g.factors) + g.index.nbytes < 2**20
-    # section3 at n = 64 closes 8064 words; an n^4 scratch table of int64
-    # would take 134 MB
-    left, right, index = constructions._one_sided_powers(64)
-    assert len(index) == 8064
-    g, peak = _traced_peak(lambda: graph_from_factors(64, (left, right), index))
+
+
+def test_build_memory_is_a_few_masks():
+    # a graph takes n^4 bytes whatever its size: the (2,24,3,6) build, with
+    # its 5.3 MB mask, peaks at about 15 MB, where packed pair keys took
+    # 305 MB
+    (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 24, 3, 6)))
+    assert g.n_generators == 5294593
+    assert peak < 32 * 2**20
+    # the trade-off: section3 at n = 64 keeps only 5461 words in its 16.7 MB
+    # mask, and its build peaks at a few masks
+    n = 64
+    (g, _), peak = _traced_peak(lambda: build_section3(n))
     assert g.n_generators == 5461
-    assert peak < 5 * 2**20
-    # the whole build, families, closure and code, never holds a (G, 6)
-    # int64 word table: about 5.9 MB here, where building through the
-    # 3 MB table peaks at 8.8 MB
-    (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 8, 1, 4)))
-    assert g.n_generators == 64513
-    assert peak < 7 * 2**20
+    assert g.mask.nbytes == n**4
+    assert peak < 4 * n**4
 
 
 DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2, 8, 1, 4))]
@@ -910,31 +803,29 @@ DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2
     "build, arg", DISTINCT_FACTOR_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS + ["section4-2-8-1-4"]
 )
 def test_distinct_factors_gather_exactly(build, arg):
-    # each side's stored factors are strictly increasing by packed key and
-    # each is used by some word; gathered by the int32 index they give the
-    # word table's columns back, and their realizations gathered the same way
-    # are bit for bit the realizations of the columns themselves
+    # each side's realized factors are distinct, increasing by mask index and
+    # each used by some word; looked up by the words' mask indices they give
+    # the word table's columns back, and their realizations gathered the
+    # same way are bit for bit the realizations of the columns themselves
     g, _ = build(arg)
-    n = g.n
-    assert g.index.dtype == np.int32 and g.index.shape == (g.n_generators, 2)
-    for side in (0, 1):
-        columns = g.words[:, 3 * side : 3 * side + 3]
-        factors, index = g.factors[side], g.index[:, side]
-        assert np.array_equal(factors[index], columns)
-        keys = (factors[:, 0] * n + factors[:, 1]) * n + factors[:, 2]
-        assert np.all(keys[1:] > keys[:-1])
-        assert np.bincount(index, minlength=len(factors)).all()
-        rows, vals = weyl_monomial(factors, n)
-        rows_w, vals_w = weyl_monomial(columns, n)
-        assert np.array_equal(rows[index], rows_w)
-        assert np.array_equal(vals[index].view(float), vals_w.view(float))
+    entries = np.nonzero(g.mask)
+    for side, (ids, rows, vals) in enumerate(graph_module._realized_factors(g)):
+        assert np.all(ids[1:] > ids[:-1])
+        at = np.searchsorted(ids, entries[side])
+        assert np.array_equal(ids[at], entries[side])
+        assert np.bincount(at, minlength=len(ids)).all()
+        rows_w, vals_w = weyl_monomial(g.words[:, 3 * side : 3 * side + 3], g.n)
+        assert np.array_equal(rows[at], rows_w)
+        assert np.array_equal(vals[at].view(float), vals_w.view(float))
 
 
 def test_each_distinct_factor_is_realized_once(monkeypatch):
-    # the (2,8,1,4) graph's 64513 words use 264 distinct left factors and 464
-    # right ones; the Gram oracle and the verdict each realize those 728,
-    # where realizing every word's two factors would take 129026 rows
+    # the Gram oracle and the verdict each realize the factors each side
+    # uses once, where realizing every word's two factors would take 129026
+    # rows at (2,8,1,4)
     g, code = build_section4(Section4Params(2, 8, 1, 4))
+    used = np.count_nonzero(g.mask.any(axis=1)) + np.count_nonzero(g.mask.any(axis=0))
+    assert used == 2 * 16**2
     realized = []
 
     def counting(factors, n):
@@ -943,23 +834,7 @@ def test_each_distinct_factor_is_realized_once(monkeypatch):
 
     monkeypatch.setattr(graph_module, "weyl_monomial", counting)
     assert graph_dim(g, "gram") == 64513
-    assert sum(realized) == 264 + 464
+    assert sum(realized) == used
     realized.clear()
     assert is_anticlique(g, code).verdict
-    assert sum(realized) == 264 + 464
-
-
-def test_factor_key_keeps_the_phase():
-    # negative control at construction scale: at (2,8,1,4) only the identity
-    # has a nonzero c_V. Appending the identity with its right phase raised
-    # to 1, bypassing graph_from_labels, adds a factor that differs from the
-    # identity's only in its phase: the span and the verdict are unchanged,
-    # and its c_V is w = exp(2 pi i / 16), which a factor key without the
-    # phase would read as 1
-    g, code = build_section4(Section4Params(2, 8, 1, 4))
-    rephased = OperatorGraph.from_words(16, np.concatenate([g.words, [[0, 0, 0, 0, 0, 1]]]))
-    dims = graph_dim(rephased, "both")
-    assert dims.labels == dims.gram == 64513
-    report = is_anticlique(rephased, code)
-    assert report.verdict
-    assert abs(report.c_values[-1] - np.exp(2j * np.pi / 16)) < 1e-12
+    assert sum(realized) == used
