@@ -17,24 +17,26 @@ generators. Generators are realized per tensor factor in monomial form, in
 the Fourier basis (weyl_monomial), each factor a side uses once.
 Conjugation by the unitary F (x) F keeps every Hilbert-Schmidt product, so
 the rank is that of the words themselves. The Gram side reads only those
-realized factors, and the mask only for which pairs of them occur. Every
-generator is alpha * (u (x) v) for a left factor line u and a right one v (a
-line is a realized factor up to a scalar), and since the Hilbert-Schmidt
-product factorizes over the tensor product, <A (x) B, C (x) D> = <A, C>
-<B, D>, the Gram block of the pairs (u, v) with row patterns (P, Q) is a
-principal submatrix of G_P (x) G_Q, the Kronecker product of the two
-patterns' line Grams (each at most n x n). The mask, OR-reduced to line
-pairs in pattern-major line order, holds each (P, Q) class as a contiguous
-sub-block; no n^2-long row is formed.
+realized factors, and the mask only for which pairs of them occur. Each
+side's factors are grouped by realized row pattern (where a factor's
+entries sit), and a word whose factors have row patterns (P, Q) lies in the
+tensor class (P, Q). Since the Hilbert-Schmidt product factorizes over the
+tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a
+class is a principal submatrix of G_P (x) G_Q, the Kronecker product of the
+Gram matrices of the two patterns' factors (each at most n x n). The mask,
+taken at the used factors in pattern-major order, holds each class as a
+contiguous sub-block (_classes); no n^2-long row is formed.
 
-Compression uses the same realization of the used factors, in the Fourier
-product basis f_i (x) f_j, where every code carries its coordinates (exact
-for the constructions' codes, computed from the isometry otherwise). It
-gathers the words chunk by chunk of whole mask rows, each only at the
-coordinates R where the code is nonzero: |R| = p * d of the n^2 for the
-entangled codes, nearly all n^2 for a computed code. The anticlique verdict
-streams those chunks into a code_dim^2 x code_dim^2 Gram matrix and never
-holds the compressions.
+Compression walks the same classes, in the Fourier product basis f_i (x)
+f_j, where every code carries its coordinates (exact for the constructions'
+codes, computed from the isometry otherwise). The code is nonzero only at
+the coordinates R: |R| = p * d of the n^2 for the entangled codes, nearly
+all n^2 for a computed code. Every word of a class maps the columns of R to
+the same rows, so one test on the realized row patterns drops a class whose
+words all compress to exactly zero, and a class that reaches the code is
+gathered in one matrix product. The anticlique verdict streams those
+classes into a code_dim^2 x code_dim^2 Gram matrix and never holds the
+compressions.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ __all__ = [
     "compress",
     "is_anticlique",
 ]
-
-
-# words gathered at once by the compression scan over a graph, in whole mask
-# rows; bounds peak memory
-_WORD_CHUNK = 1024
-# a factor line's key is a polynomial hash of its features mod 2^64 in this
-# odd multiplier; its normalized values enter rounded to this many steps per
-# unit. Realizations of one line differ far below a step, and every factor is
-# checked against its line's representative, so the key only orders the scan
-_LINE_HASH = np.uint64(0x9E3779B97F4A7C15)
-_LINE_KEY_STEPS = 2.0**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,23 +280,21 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
     method "labels": the number of distinct phase-free words (exact), the
     mask's popcount. method "gram": numeric Gram rank of the realized
-    generators, over every generator, read from their factor lines. The
+    generators, over every generator, read from their tensor classes. The
     factors each side uses are realized once, in the Fourier basis, and
-    grouped in one pass into lines by row pattern and values normalized by
-    column 0, every factor checked against its line's representative within
-    tol.absolute; row patterns of one side that share a position raise
-    ValueError. Each generator is a multiple of u_a (x) v_b, so the span has
-    one dimension per line pair (a, b) some generator takes, when each
-    pattern's lines are independent. The mask OR-reduced to line pairs holds
-    each class of row patterns (P, Q) as a sub-block: one Gram block, the
-    principal submatrix of G_P (x) G_Q at the sub-block's set entries, with
-    eigenvalues in [lo_P lo_Q, hi_P hi_Q] from the Gershgorin bounds of the
-    line Grams (Kronecker spectrum plus interlacing). A block whose lower
-    bound clears the cutoff counts its pairs without being formed; any other
-    is formed and eigensolved (linalg._rank_of_grams). Distinct Weyl words
-    are Hilbert-Schmidt orthogonal, so every block of every construction is
-    certified. method "both": a GraphDim of both values and an agreement
-    flag.
+    grouped by row pattern; row patterns of one side that share a position
+    raise ValueError. Each class of row patterns (P, Q) is a sub-block of the
+    mask (_classes) and one Gram block, the principal submatrix of G_P (x)
+    G_Q at the sub-block's set entries, where G_P is the Gram matrix of
+    pattern P's realized factors. Its eigenvalues lie in [lo_P lo_Q, hi_P
+    hi_Q], from the Gershgorin bounds of the pattern Grams (Kronecker
+    spectrum plus interlacing). A block whose lower bound clears the cutoff
+    counts its words without being formed; any other is formed and
+    eigensolved (linalg._rank_of_grams). Distinct Weyl words are
+    Hilbert-Schmidt orthogonal, so every block of every construction is
+    certified; factors that are dependent up to roundoff give a singular
+    pattern Gram, whose block is eigensolved. method "both": a GraphDim of
+    both values and an agreement flag.
     """
     if method == "labels":
         return g.n_generators
@@ -318,21 +307,17 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    left, right = _factor_lines(g, tol)
-    pairs = _line_pairs(g.mask, left, right)
-    starts_l, starts_r = left.starts.tolist(), right.starts.tolist()
+    left, right = _patterns(g)
+    (grams_l, bounds_l), (grams_r, bounds_r) = _pattern_grams(left), _pattern_grams(right)
 
     def blocks():
-        for p, q in itertools.product(range(len(left.grams)), range(len(right.grams))):
-            block = pairs[starts_l[p] : starts_l[p + 1], starts_r[q] : starts_r[q + 1]]
-            size = int(np.count_nonzero(block))
-            if not size:
-                continue
+        for p, q, block in _classes(g.mask, left, right):
             # Kronecker spectrum plus interlacing: every eigenvalue of a
             # principal submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
-            lo = max(float(left.lo[p]), 0.0) * max(float(right.lo[q]), 0.0)
-            hi = float(left.hi[p] * right.hi[q])
-            yield lo, hi, size, partial(_pair_gram, left.grams[p], right.grams[q], block)
+            (lo_p, hi_p), (lo_q, hi_q) = bounds_l[p], bounds_r[q]
+            lo = max(lo_p, 0.0) * max(lo_q, 0.0)
+            size = int(np.count_nonzero(block))
+            yield lo, hi_p * hi_q, size, partial(_pair_gram, grams_l[p], grams_r[q], block)
 
     return _rank_of_grams(blocks(), tol)
 
@@ -345,121 +330,81 @@ def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, block: np.ndarray) -> np.
     return gram_l[np.ix_(a, a)] * gram_r[np.ix_(b, b)]
 
 
-def _line_pairs(mask: np.ndarray, left: _FactorLines, right: _FactorLines) -> np.ndarray:
-    """The line pairs some generator takes, a boolean array of shape (left
-    lines, right lines): the mask at the used factors, each side's factors
-    sorted by line and OR-reduced over each line's run."""
-    pairs = mask
-    for axis, side in enumerate((left, right)):
-        by_line = np.argsort(side.line, kind="stable")
-        pairs = np.take(pairs, side.ids[by_line], axis=axis)
-        # distinct Weyl factors are never proportional, so a line is one
-        # factor unless a realization merges two, and reduceat over runs of
-        # one would be a slow copy
-        if len(by_line) > side.starts[-1]:
-            runs = np.searchsorted(side.line[by_line], np.arange(side.starts[-1]))
-            pairs = np.logical_or.reduceat(pairs, runs, axis=axis)
-    return pairs
-
-
 @dataclass(frozen=True)
-class _FactorLines:
-    """The factor lines of one tensor side of a graph's words.
+class _Patterns:
+    """The factors one tensor side of a graph's words uses, grouped by
+    realized row pattern.
 
-    ids are the mask indices kx * n + kz of the factors the side uses,
-    increasing, and line[f] (int32) is the line of factor ids[f]. Lines are
-    numbered pattern-major: row pattern P holds lines starts[P] up to
-    starts[P + 1], grams[P] is the Gram matrix of its normalized lines in
-    that order, and lo[P], hi[P] are its Gershgorin bounds.
+    Pattern P holds the factors at positions starts[P] up to starts[P + 1]:
+    their mask indices kx * n + kz in ids, increasing, and their realized
+    values in vals, each of shape (., n); every one of them realizes at the
+    rows rows[P]. Patterns are in lexicographic order of their rows.
     """
 
     ids: np.ndarray
-    line: np.ndarray
-    starts: np.ndarray
-    grams: list[np.ndarray]
-    lo: np.ndarray
-    hi: np.ndarray
+    starts: list[int]
+    rows: np.ndarray
+    vals: np.ndarray
 
 
-def _factor_lines(g: OperatorGraph, tol: Tolerance) -> tuple[_FactorLines, _FactorLines]:
-    """Left and right factor lines of a graph. The factors each side uses
-    are realized once, through _monomial_factors as the verdict realizes
-    them, and grouped into lines (_lines), reading only the realized rows and
-    values, never labels. Raises ValueError when two row patterns of one side
-    share a position, since the tensor classes' Grams would then not be
-    blocks of one block-diagonal Gram matrix."""
-    left, right = (_group_lines(ids, *_lines(rows, vals, tol)) for ids, rows, vals in _realized_factors(g))
+def _patterns(g: OperatorGraph) -> tuple[_Patterns, _Patterns]:
+    """Left and right factors of a graph's words, grouped by row pattern.
+    The factors each side uses are realized once (_realized_factors), and
+    only their realized rows are read to group them, never labels."""
+    sides = []
+    for ids, rows, vals in _realized_factors(g):
+        # lexsort is stable, so each pattern keeps its ids increasing
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+        sides.append(_Patterns(ids[order], [*starts.tolist(), len(ids)], ordered[starts], vals[order]))
+    left, right = sides
     return left, right
 
 
-def _lines(rows: np.ndarray, vals: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct lines of realized factors (rows, vals), found in one pass:
-    the int32 line of each factor, and each line's rows and normalized
-    values.
-
-    A line is a realized factor up to a scalar: its row pattern together with
-    its values divided by the column-0 entry. Factors are sorted stably by a
-    hashed key of both, the first of each run of equal keys is a line's
-    representative, and each factor is then checked against its
-    representative: rows equal, values within tol.absolute. A factor that
-    fails the check becomes a line of its own, so a key collision or a
-    rounding boundary may split a line but never merges two.
-    """
-    values = vals * (1 / vals[:, :1])
-    steps = np.rint(np.concatenate([values.real, values.imag], axis=1) * _LINE_KEY_STEPS)
-    features = np.concatenate([rows, steps.astype(np.int64)], axis=1).view(np.uint64)
-    keys = features @ np.cumprod(np.full(features.shape[1], _LINE_HASH, dtype=np.uint64))
-    order = np.argsort(keys, kind="stable")
-    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
-    line = np.empty(len(keys), dtype=np.int32)
-    line[order] = np.cumsum(first) - 1
-    heads = order[first]
-    stray = np.flatnonzero(
-        np.any(rows != rows[heads][line], axis=1)
-        | np.any(np.abs(values - values[heads][line]) > tol.absolute, axis=1)
-    )
-    line[stray] = len(heads) + np.arange(len(stray))
-    kept = np.concatenate([heads, stray])
-    return line, rows[kept], values[kept]
-
-
-def _group_lines(ids: np.ndarray, line: np.ndarray, rows: np.ndarray, values: np.ndarray) -> _FactorLines:
-    """Group a side's lines, given by their rows and normalized values, by
-    row pattern, number them pattern-major and take each pattern's line Gram
-    and Gershgorin bounds."""
-    count = len(rows)
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+def _pattern_grams(side: _Patterns) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
+    """Each row pattern's Gram matrix of its factors' realized values, and
+    its Gershgorin bounds (lo, hi). Raises ValueError when two patterns
+    share a position, since the tensor classes' Grams would then not be
+    blocks of one block-diagonal Gram matrix."""
     # two patterns share a position exactly when they hold the same row in
     # some column
-    by_column = np.sort(ordered[starts], axis=0)
+    by_column = np.sort(side.rows, axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-    renumber = np.empty(count, dtype=np.int32)
-    renumber[order] = np.arange(count)
-    grams = [u @ u.conj().T for u in np.split(values[order], starts[1:])]
-    lo, hi = np.array([_discs(gram) for gram in grams]).T
-    return _FactorLines(ids, renumber[line], np.r_[starts, count], grams, lo, hi)
+    grams = [u @ u.conj().T for u in np.split(side.vals, side.starts[1:-1])]
+    return grams, [_discs(gram) for gram in grams]
 
 
-def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Compressions S^dag V S of the graph's generators, one chunk of words
-    at a time: yields (members, block), the indices of the chunk's
-    generators whose compression may be nonzero and their compressions,
-    shape (len(members), code_dim, code_dim). Every other generator
-    compresses to exactly zero.
+def _classes(mask: np.ndarray, left: _Patterns, right: _Patterns) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The tensor classes some word takes: yields (P, Q, block), the left
+    and right row patterns and the class's boolean sub-block of the mask,
+    whose rows are P's factors and columns Q's, so that its set entries run
+    in mask order. The mask is taken once at the used factors in
+    pattern-major order."""
+    pairs = np.take(np.take(mask, left.ids, axis=0), right.ids, axis=1)
+    for p, q in itertools.product(range(len(left.rows)), range(len(right.rows))):
+        block = pairs[left.starts[p] : left.starts[p + 1], right.starts[q] : right.starts[q + 1]]
+        if block.any():
+            yield p, q, block
 
-    Works in the Fourier product basis with S = code.fourier. The factors
-    each side uses are realized once in full (_monomial_factors), each
-    checked for rows that are a permutation of range(n), and kept at the
-    columns of R only. Each chunk is a run of whole mask rows holding about
-    _WORD_CHUNK words, numbered on from the generators of the rows before
-    it, and gathers its words' factors. With R the rows where S has an
-    exactly nonzero entry, a word realized as V[r(c), c] = v(c) compresses
-    to sum_{c in R} conj(S[r(c), l]) v(c) S[c, k], one matrix product per
-    chunk. A word that maps no column of R into R meets only zero rows of S,
-    so it is a member only if some r(c) lies in R.
+
+def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Compressions S^dag V S of the graph's generators, one tensor class
+    at a time: yields (row, column, block), the mask entries of a class's
+    words in mask order and their compressions, shape (len(row), code_dim,
+    code_dim). Every word of a class not yielded compresses to exactly zero.
+
+    Works in the Fourier product basis with S = code.fourier, on the
+    classes of _classes; the factors each side uses are realized once
+    (_monomial_factors), each checked for rows that are a permutation of
+    range(n). With R the rows where S has an exactly nonzero entry, a word
+    realized as V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c),
+    l]) v(c) S[c, k]. Every word of the class (P, Q) has r(c) = P[c_l] * n +
+    Q[c_r] at the column c = c_l * n + c_r, so when no r(c) over the columns
+    of R lies in R, every word of the class meets only zero rows of S and
+    the class is skipped; otherwise its words are gathered in one matrix
+    product.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -467,29 +412,27 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     s = code.fourier
     in_support = np.any(s != 0, axis=1)
     support = np.flatnonzero(in_support)
+    columns_l, columns_r = np.divmod(support, n)
     # conj(S)^T, so the gathered rows come out code index first
     s_conj = np.ascontiguousarray(s.conj().T)
     s_support = s[support]
-    # each side's used factors, realized once and kept at R's columns, and
-    # the realized row of each mask index
-    sides = []
-    for (ids, rows, vals), columns in zip(_realized_factors(g), np.divmod(support, n)):
-        slot = np.zeros(n * n, dtype=np.int32)
-        slot[ids] = np.arange(len(ids))
-        sides.append((slot, rows[:, columns], vals[:, columns]))
-    (slot_l, rows_l, vals_l), (slot_r, rows_r, vals_r) = sides
-    offsets = g._offsets
-    # the last row boundary at or below each multiple of _WORD_CHUNK words
-    cuts = np.searchsorted(offsets, np.arange(_WORD_CHUNK, g.n_generators, _WORD_CHUNK), side="right") - 1
-    bounds = list(dict.fromkeys([0, *cuts.tolist(), n * n]))
-    for first, last in zip(bounds[:-1], bounds[1:]):
-        row, column = np.nonzero(g.mask[first:last])
-        at_l, at_r = slot_l[first + row], slot_r[column]
-        rows = rows_l[at_l] * n + rows_r[at_r]
-        hit = np.flatnonzero(in_support[rows].any(axis=1))
-        left = s_conj[:, rows[hit]] * (vals_l[at_l[hit]] * vals_r[at_r[hit]])
-        block = left.reshape(d * len(hit), len(support)) @ s_support
-        yield offsets[first] + hit, block.reshape(d, len(hit), d).transpose(1, 0, 2)
+    left, right = _patterns(g)
+    # each side's patterns and realized values, kept at R's columns
+    rows_l, rows_r = left.rows[:, columns_l] * n, right.rows[:, columns_r]
+    vals_l, vals_r = left.vals[:, columns_l], right.vals[:, columns_r]
+    # reach[P][Q]: whether the class (P, Q) maps some column of R into R
+    reach = [in_support[row + rows_r].any(axis=1) for row in rows_l]
+    for p, q, block in _classes(g.mask, left, right):
+        if not reach[p][q]:
+            continue
+        rows = rows_l[p] + rows_r[q]
+        at_l, at_r = np.nonzero(block)
+        at_l += left.starts[p]
+        at_r += right.starts[q]
+        values = vals_l[at_l] * vals_r[at_r]
+        gathered = s_conj[:, rows][:, None, :] * values
+        compressed = gathered.reshape(d * len(values), len(support)) @ s_support
+        yield left.ids[at_l], right.ids[at_r], compressed.reshape(d, len(values), d).transpose(1, 0, 2)
 
 
 def _realized_factors(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -518,15 +461,17 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     stacked in generator order, shape (n_generators, code_dim, code_dim).
 
     Each result equals P_K V P_K restricted to the code subspace. It is
-    taken chunk by chunk from the monomial realization in the Fourier
+    taken class by class from the monomial realization in the Fourier
     product basis, on the code's Fourier support; onto the whole space with
     Fourier coordinates the identity (isometry F (x) F) it returns each
     generator's Fourier realization exactly. The anticlique verdict does not
     hold this stack (is_anticlique).
     """
     out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
-    for members, block in _compressions(g, code):
-        out[members] = block
+    # the generator id of every mask entry
+    number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
+    for row, column, block in _compressions(g, code):
+        out[number[row, column]] = block
     return out
 
 
@@ -538,15 +483,12 @@ class CompressionReport:
     multiples of the identity on the code); residual is the worst entrywise
     deviation of any compression from c_V * I with c_V = trace / code_dim,
     and worst = (generator, l, k) is where it peaks: the first generator,
-    and its entry (l, k) between code basis vectors l and k. c_values is a
-    read-only complex array holding each generator's c_V, in generator
-    order.
+    and its entry (l, k) between code basis vectors l and k.
     """
 
     verdict: bool
     compressed_dim: int
     residual: float
-    c_values: np.ndarray
     worst: tuple[int, int, int]
 
 
@@ -555,9 +497,9 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
 
     The verdict comes from the Gram rank of all compressed generators; the
     residual diagnostic cross-checks that each compression is a scalar
-    multiple of the identity on the code. Both are streamed over the chunks
-    of compress's kernel and the (n_generators, code_dim, code_dim) stack is
-    never held: per chunk the c_V, the running worst residual with its
+    multiple of the identity on the code. Both are streamed over the tensor
+    classes of compress's kernel, and the (n_generators, code_dim, code_dim)
+    stack is never held: per class the running worst residual with its
     place, and a running code_dim^2 x code_dim^2 Gram matrix of the
     compressions, which spans the same rank as the generators' Gram matrix
     and is ranked by linalg._rank_of_grams as one block bounded by its
@@ -566,29 +508,28 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     d = code.code_dim
     eye = np.eye(d)
     gram = np.zeros((d * d, d * d), dtype=complex)
-    # a generator the kernel skips compresses to exactly zero: c_V = 0, no
-    # residual, nothing added to the Gram matrix
-    c_values = np.zeros(g.n_generators, dtype=complex)
-    residual, worst = 0.0, (0, 0, 0)
-    for members, block in _compressions(g, code):
-        if not len(members):
-            continue
+    # the peak and its place (mask row, mask column, l, k); classes come out
+    # of mask order, so a tie goes to the smaller place. A generator the
+    # kernel skips compresses to exactly zero: no residual, nothing added to
+    # the Gram matrix
+    residual, place = 0.0, (0, 0, 0, 0)
+    for row, column, block in _compressions(g, code):
         c = np.trace(block, axis1=1, axis2=2) / d
-        c_values[members] = c
         deviation = np.abs(block - c[:, None, None] * eye)
         peak = int(np.argmax(deviation))
-        if deviation.flat[peak] > residual:
-            residual = float(deviation.flat[peak])
-            at, l, k = np.unravel_index(peak, deviation.shape)
-            worst = (int(members[at]), int(l), int(k))
+        at, l, k = np.unravel_index(peak, deviation.shape)
+        candidate = (int(row[at]), int(column[at]), int(l), int(k))
+        value = float(deviation.flat[peak])
+        if value > residual or (value == residual and candidate < place):
+            residual, place = value, candidate
         flat = block.reshape(len(block), d * d)
         gram += flat.conj().T @ flat
     dim = _rank_of_grams([(*_discs(gram), d * d, lambda: gram)], tol)
-    c_values.setflags(write=False)
+    row, column, l, k = place
+    at = int(g._offsets[row]) + int(np.count_nonzero(g.mask[row, :column]))
     return CompressionReport(
         verdict=dim == 1,
         compressed_dim=dim,
         residual=residual,
-        c_values=c_values,
-        worst=worst,
+        worst=(at, l, k),
     )

@@ -18,7 +18,7 @@ from opgraph.graph import (
 )
 from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import DEFAULT_TOL, dagger, kron, max_abs
+from opgraph.linalg import dagger, kron, max_abs
 from opgraph.weyl import (
     WeylLabelPair,
     fourier_basis,
@@ -295,14 +295,12 @@ def test_is_anticlique_section2():
     assert report.verdict
     assert report.compressed_dim == 1
     assert report.residual < 1e-12
-    # c_V is 1 for the identity and 0 for the four error words, one entry
-    # per generator of a read-only complex array
-    c = report.c_values
-    assert c.dtype == complex and c.shape == (g.n_generators,)
+    # c_V = trace / code_dim is 1 for the identity and 0 for the four error
+    # words
+    c = np.trace(compress(g, code), axis1=1, axis2=2) / code.code_dim
+    assert c.shape == (g.n_generators,)
     assert c[0] == pytest.approx(1.0)
     assert max_abs(c[1:]) < 1e-12
-    with pytest.raises(ValueError, match="read-only"):
-        c[0] = 0
 
 
 def test_anticlique_invariant_under_code_basis_change():
@@ -432,11 +430,96 @@ def test_word_outside_the_graph_flips_the_verdict():
     assert not report.verdict
     assert report.compressed_dim == 3
     assert report.residual == pytest.approx(1.0)
-    at, l, k = report.worst
-    assert tuple(grown.words_at(at)[[0, 1, 3, 4]]) in {(0, 2, 0, 0), (0, 14, 0, 0)}
-    assert l == k
+    # the word and its adjoint Z^-p (x) I tie at the peak; the verdict walks
+    # tensor classes out of mask order and names the first in mask order,
+    # generator 497, at its entry (q_1, q_1)
+    assert report.worst == (497, 0, 0)
+    assert tuple(grown.words_at(497)[[0, 1, 3, 4]]) == (0, 2, 0, 0)
+    assert 497 == np.count_nonzero(grown.mask[:2])
     # without the word the residual is roundoff
     assert is_anticlique(g, code).residual < 1e-15
+
+
+def test_worst_breaks_a_tie_across_classes_by_mask_order():
+    # on the whole space at n = 2 (S = I in the Fourier product basis) every
+    # compression is a realized word with entries +-1, so the non-identity
+    # words I (x) X and Z (x) I tie at residual exactly 1. The verdict
+    # visits Z (x) I first, in the class of patterns (0, 0), and I (x) X
+    # after it, in the class (0, 1); I (x) X comes first in mask order, at
+    # entry (0, 2) before (1, 0), so it is named, as generator 1
+    f = fourier_basis(2)
+    whole = CodeSpace(space_dim=4, isometry=kron(f, f), fourier=np.eye(4, dtype=complex))
+    g = graph_from_labels(2, np.array([[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]]))
+    assert np.array_equal(np.argwhere(g.mask), [[0, 0], [0, 2], [1, 0]])
+    visits = [(row.tolist(), column.tolist()) for row, column, _ in graph_module._compressions(g, whole)]
+    assert visits == [([0, 1], [0, 0]), ([0], [2])]
+    report = is_anticlique(g, whole)
+    assert report.residual == 1.0
+    assert report.worst == (1, 0, 1)
+
+
+def _gathered_and_reaching(g, code):
+    """Which generators _compressions gathers, and which map some column of
+    the code's Fourier support R into R, realized word by word; checks that
+    each class comes in mask order."""
+    gathered = np.zeros(g.n_generators, dtype=bool)
+    number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
+    for row, column, block in graph_module._compressions(g, code):
+        assert np.all(np.diff(row * g.space_dim + column) > 0)
+        assert block.shape == (len(row), code.code_dim, code.code_dim)
+        gathered[number[row, column]] = True
+    support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
+    columns_l, columns_r = np.divmod(support, g.n)
+    words = g.words
+    rows = weyl_monomial(words[:, :3], g.n)[0][:, columns_l] * g.n + weyl_monomial(words[:, 3:], g.n)[0][:, columns_r]
+    return gathered, np.isin(rows, support).any(axis=1)
+
+
+@pytest.mark.parametrize("params, reached", [(Section4Params(2, 4, 1, 2), 129), (Section4Params(2, 8, 1, 4), 1025)])
+def test_compressions_skip_classes_that_miss_the_code(params, reached):
+    # the entangled code's Fourier support R holds p * d of the n^2 rows,
+    # and a tensor class whose row patterns map no column of R into R is
+    # skipped whole: of the 3969 and 64513 words only these are gathered.
+    # Every word left out maps R outside R, so it compresses to exactly
+    # zero, and every word gathered maps some column of R into R
+    g, code = build_section4(params)
+    gathered, reaching = _gathered_and_reaching(g, code)
+    assert np.count_nonzero(gathered) == reached
+    assert np.array_equal(gathered, reaching)
+
+
+def test_compressions_test_every_column_of_the_support():
+    # the code of f_0 (x) f_0 and f_1 (x) f_3 at n = 4 has R = {(0, 0),
+    # (1, 3)}. The class of shifts (3, 1) misses R from (0, 0) and reaches
+    # it from (1, 3); on the graph of all 256 words, the classes gathered
+    # are exactly those that reach, and every compression equals S^dag V S
+    # of the dense Fourier realization
+    n = 4
+    f = fourier_basis(n)
+    products = [kron(f[:, 0], f[:, 0]), kron(f[:, 1], f[:, 3])]
+    code = CodeSpace(space_dim=16, isometry=np.column_stack(products), fourier=np.eye(16)[:, [0, 7]])
+    g = graph_from_mask(n, np.ones((16, 16), dtype=bool))
+    gathered, reaching = _gathered_and_reaching(g, code)
+    assert np.array_equal(gathered, reaching)
+    assert reaching[np.flatnonzero(np.all(g.words[:, [0, 3]] == [3, 1], axis=1))].all()
+    rows, vals = pair_monomial(g.words, n)
+    dense = np.zeros((g.n_generators, 16, 16), dtype=complex)
+    dense[np.arange(g.n_generators)[:, None], rows, np.arange(16)] = vals
+    s = code.fourier
+    assert max_abs(compress(g, code) - s.conj().T @ dense @ s) < 1e-12
+
+
+def test_compressions_gather_every_class_a_computed_code_reaches():
+    # section2's Fourier coordinates are computed from its isometry and
+    # nonzero at all 4 rows, so every nonempty tensor class reaches the code
+    # and is gathered, every generator once
+    g, code = build_section2()
+    assert np.all(np.any(code.fourier != 0, axis=1))
+    left, right = graph_module._patterns(g)
+    classes = list(graph_module._classes(g.mask, left, right))
+    gathered = list(graph_module._compressions(g, code))
+    assert len(gathered) == len(classes) > 1
+    assert sum(len(row) for row, _, _ in gathered) == g.n_generators
 
 
 def test_codespace_checks_fourier_coordinates():
@@ -603,32 +686,26 @@ def test_rows_that_are_no_permutation_raise(monkeypatch, side):
 
 @pytest.mark.parametrize("build, arg", SMALL_LABEL_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS)
 def test_factored_gram_blocks_match_full_rows(build, arg):
-    # each tensor class's Gram block, the selected principal submatrix of
-    # G_P (x) G_Q scaled by the members' phases, equals the Gram matrix of
-    # the members' full n^2-long realized rows
+    # each tensor class's Gram block, the principal submatrix of G_P (x)
+    # G_Q at the class's words, equals the Gram matrix of the words' full
+    # n^2-long realized rows; the classes cover every word once
     g, _ = build(arg)
-    n = g.n
-    left, right = graph_module._factor_lines(g, DEFAULT_TOL)
-    row, column = np.nonzero(g.mask)
-    line_l = left.line[np.searchsorted(left.ids, row)]
-    line_r = right.line[np.searchsorted(right.ids, column)]
-    pattern_l = np.searchsorted(left.starts, line_l, side="right") - 1
-    pattern_r = np.searchsorted(right.starts, line_r, side="right") - 1
-    classes = pattern_l * len(right.grams) + pattern_r
-    covered = 0
-    for c in sorted(set(classes.tolist())):
-        members = np.flatnonzero(classes == c)
-        p, q = divmod(c, len(right.grams))
-        gram_l, gram_r = left.grams[p], right.grams[q]
-        selected = (line_l[members] - left.starts[p]) * len(gram_r) + line_r[members] - right.starts[q]
-        block = np.kron(gram_l, gram_r)[np.ix_(selected, selected)]
-        _, vals = pair_monomial(g.words[members], n)
-        phase = vals[:, 0]
+    left, right = graph_module._patterns(g)
+    (grams_l, _), (grams_r, _) = graph_module._pattern_grams(left), graph_module._pattern_grams(right)
+    number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
+    covered = []
+    for p, q, block in graph_module._classes(g.mask, left, right):
+        a, b = np.nonzero(block)
+        members = number[left.ids[left.starts[p] + a], right.ids[right.starts[q] + b]]
+        gram = np.kron(grams_l[p], grams_r[q])
+        selected = a * len(grams_r[q]) + b
+        rows, vals = pair_monomial(g.words[members], g.n)
+        assert np.all(rows == rows[0])
         full = vals @ vals.conj().T
-        scaled = phase[:, None] * block * phase.conj()[None, :]
-        assert max_abs(scaled - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
-        covered += len(members)
-    assert covered == g.n_generators
+        assert max_abs(gram[np.ix_(selected, selected)] - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
+        assert np.array_equal(graph_module._pair_gram(grams_l[p], grams_r[q], block), gram[np.ix_(selected, selected)])
+        covered.extend(members.tolist())
+    assert sorted(covered) == list(range(g.n_generators))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -669,17 +746,9 @@ def _crafted_graph(monkeypatch, realized, words):
 IDENTITY = (0, 0, 0)
 
 
-# a zero hash gives every factor one key, so the check against each line's
-# representative alone decides which factors share a line
-@pytest.mark.parametrize("mix", [graph_module._LINE_HASH, np.uint64(0)], ids=["hashed", "one-key"])
-@pytest.mark.parametrize("eps, rank", [(1e-3, 2), (1e-6, 1)])
-def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank, mix):
-    # two lines of one row pattern, [1, 1] and [1, 1 + eps]: their Gram's
-    # discs reach zero, so the class is eigensolved, above the cutoff at
-    # eps = 1e-3 and below it at eps = 1e-6
-    monkeypatch.setattr(graph_module, "_LINE_HASH", mix)
-    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0, 0): ([0, 1], [1, 1 + eps])}
-    g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0, 0) + IDENTITY])
+def _eigensolved_orders(monkeypatch):
+    """A list that records the order of every matrix np.linalg.eigvalsh
+    solves from now on."""
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -688,31 +757,30 @@ def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank, mix):
         return eigvalsh(gram)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return solved
+
+
+@pytest.mark.parametrize("eps, rank", [(1e-3, 2), (1e-6, 1)])
+def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank):
+    # two factors of one row pattern, [1, 1] and [1, 1 + eps]: their
+    # pattern Gram's discs reach zero, so the class is eigensolved, above the
+    # cutoff at eps = 1e-3 and below it at eps = 1e-6
+    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0, 0): ([0, 1], [1, 1 + eps])}
+    g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0, 0) + IDENTITY])
+    solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
     assert solved[0] == 2
 
 
 @pytest.mark.parametrize(
-    "mix, delta, lines, rank",
-    [
-        (graph_module._LINE_HASH, 1e-14, 2, 2),
-        (graph_module._LINE_HASH, 1e-6, 3, 2),
-        (graph_module._LINE_HASH, 0.5, 3, 3),
-        # under one key the last two fail the check against the identity's
-        # line, and each becomes a line of its own, never merged
-        (np.uint64(0), 1e-14, 3, 2),
-        (np.uint64(0), 1e-6, 3, 2),
-        (np.uint64(0), 0.5, 3, 3),
-    ],
-    ids=["hashed-merge", "hashed-apart", "hashed-distinct", "one-key-merge", "one-key-apart", "one-key-distinct"],
+    "delta, rank", [(1e-14, 2), (1e-6, 2), (0.5, 3)], ids=["roundoff", "near", "distinct"]
 )
-def test_one_line_realized_twice(monkeypatch, mix, delta, lines, rank):
-    # the left factors Z and XZ of the last two words are crafted to be one
-    # line up to the scalar 1j, off by delta: within tol.absolute they merge,
-    # beyond it they stay two lines, and the rank is the plain eigensolve's
-    # either way (at delta = 0.5 they are two distinct lines); the
+def test_one_line_realized_twice(monkeypatch, delta, rank):
+    # the left factors Z and XZ of the last two words are crafted to be
+    # proportional up to the scalar 1j, off by delta: their pattern Gram is
+    # singular up to delta, its block is eigensolved, and the rank is the
+    # plain eigensolve's (at delta = 0.5 they are independent); the
     # identity's left factor differs from them in its rows only
-    monkeypatch.setattr(graph_module, "_LINE_HASH", mix)
     realized = {
         IDENTITY: ([0, 1], [1, 1]),
         (0, 1, 0): ([1, 0], [1, 1]),
@@ -720,9 +788,9 @@ def test_one_line_realized_twice(monkeypatch, mix, delta, lines, rank):
     }
     words = [IDENTITY * 2, (0, 1, 0) + IDENTITY, (1, 1, 0) + IDENTITY]
     g, reference = _crafted_graph(monkeypatch, realized, words)
-    left, _ = graph_module._factor_lines(g, DEFAULT_TOL)
-    assert left.starts[-1] == lines
+    solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
+    assert solved[0] == 2
 
 
 def test_label_count_matches_key_set():
@@ -745,18 +813,17 @@ def test_dense_generators_match_labels():
 
 
 def test_anticlique_memory_is_bounded():
-    # the verdict is streamed chunk by chunk and never holds the
-    # (64513, 4, 4) compression stack (16.5 MB): about 2.6 MB here, 1 MB of
-    # it the c_V array; a c_V tuple of Python complexes would add 2.5 MB
-    g, code = build_section4(Section4Params(2, 8, 1, 4))
-    tracemalloc.start()
-    try:
-        report = is_anticlique(g, code)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.verdict
-    assert peak < 6 * 2**20
+    # the verdict is streamed class by class and holds neither the
+    # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
+    # per-generator array, only the mask at the used factors (n^4 bytes),
+    # each side's realized factors and one class's gather: about 0.6 MB at
+    # n = 16 and 3.3 MB at n = 32, where one complex per generator would
+    # take 16.7 MB
+    for params, bound_mb in ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8)):
+        g, code = build_section4(params)
+        report, peak = _traced_peak(lambda: is_anticlique(g, code))
+        assert report.verdict
+        assert peak < bound_mb * 2**20, params
 
 
 def _traced_peak(call):
