@@ -22,13 +22,13 @@ computed ranks are the ground truth the reports compare them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import CodeSpace, OperatorGraph, graph_from_labels, graph_from_mask
 from .linalg import kron
-from .weyl import fourier_basis, x_matrix
+from .weyl import fourier_basis
 
 __all__ = [
     "build_section2",
@@ -104,14 +104,14 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
 
 
 def _fourier_diagonal_code(n: int) -> CodeSpace:
-    """The code spanned by the n product vectors f_j (x) f_j, with their
-    exact Fourier coordinates."""
+    """The code spanned by the n product vectors f_j (x) f_j, which are
+    orthonormal, with their exact Fourier coordinates."""
     f = fourier_basis(n)
-    vectors = [kron(f[:, j], f[:, j]) for j in range(n)]
-    code = CodeSpace.from_vectors(vectors, names=tuple(f"h_{j + 1}" for j in range(n)))
     fourier = np.zeros((n * n, n), dtype=complex)
     fourier[np.arange(n) * (n + 1), np.arange(n)] = 1
-    return replace(code, fourier=fourier)
+    # column j is f_j (x) f_j
+    isometry = (f[:, None, :] * f).reshape(n * n, n)
+    return CodeSpace(n * n, isometry, tuple(f"h_{j + 1}" for j in range(n)), fourier)
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
         col = f[:, t * params.y]
         q += kron(col, col)
     q /= np.sqrt(params.p)
-    # X is diagonal, so X^{h+1} (x) X^{h+1} acts entrywise by its diagonal
-    xh = np.diagonal(np.linalg.matrix_power(x_matrix(n), params.h + 1))
+    # X is diagonal, so X^{h+1} (x) X^{h+1} acts entrywise by its diagonal w^{(h+1)j}
+    xh = np.exp(2j * np.pi * ((params.h + 1) * np.arange(n) % n) / n)
     shift = kron(xh, xh)
     vectors = [q]
     for _ in range(params.d - 1):

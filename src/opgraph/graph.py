@@ -23,11 +23,11 @@ entries sit), and a word whose factors have row patterns (P, Q) lies in the
 tensor class (P, Q). Since the Hilbert-Schmidt product factorizes over the
 tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a
 class is a principal submatrix of G_P (x) G_Q, the Kronecker product of the
-Gram matrices of the two patterns' factors (each at most n x n). The mask,
-taken at the used factors in pattern-major order, holds each class as a
-contiguous sub-block (_classes); no n^2-long row is formed.
+Gram matrices of the two patterns' factors (each at most n x n). A class is
+the mask's sub-block at P's factors x Q's factors (_block), and one pass
+over the mask counts the words of every class (_class_counts).
 
-Compression walks the same classes, in the Fourier product basis f_i (x)
+Compression works on the same classes, in the Fourier product basis f_i (x)
 f_j, where every code carries its coordinates (exact for the constructions'
 codes, computed from the isometry otherwise). The code is nonzero only at
 the coordinates R: |R| = p * d of the n^2 for the entangled codes, nearly
@@ -41,10 +41,8 @@ compressions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -283,18 +281,19 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     generators, over every generator, read from their tensor classes. The
     factors each side uses are realized once, in the Fourier basis, and
     grouped by row pattern; row patterns of one side that share a position
-    raise ValueError. Each class of row patterns (P, Q) is a sub-block of the
-    mask (_classes) and one Gram block, the principal submatrix of G_P (x)
-    G_Q at the sub-block's set entries, where G_P is the Gram matrix of
-    pattern P's realized factors. Its eigenvalues lie in [lo_P lo_Q, hi_P
-    hi_Q], from the Gershgorin bounds of the pattern Grams (Kronecker
-    spectrum plus interlacing). A block whose lower bound clears the cutoff
-    counts its words without being formed; any other is formed and
-    eigensolved (linalg._rank_of_grams). Distinct Weyl words are
-    Hilbert-Schmidt orthogonal, so every block of every construction is
-    certified; factors that are dependent up to roundoff give a singular
-    pattern Gram, whose block is eigensolved. method "both": a GraphDim of
-    both values and an agreement flag.
+    raise ValueError. Each class of row patterns (P, Q) holding words is one
+    Gram block of their count (_class_counts), the principal submatrix of
+    G_P (x) G_Q at the set entries of its sub-block of the mask (_block),
+    where G_P is the Gram matrix of pattern P's realized factors. Its
+    eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from the Gershgorin bounds of
+    the pattern Grams (Kronecker spectrum plus interlacing). A block whose
+    lower bound clears tol.relative times the largest upper bound counts its
+    words unformed; any other is formed and eigensolved once
+    (linalg._rank_of_grams). Distinct Weyl words are Hilbert-Schmidt
+    orthogonal, so every block of every construction is certified; factors
+    dependent up to roundoff give a singular pattern Gram, whose block is
+    eigensolved. method "both": a GraphDim of both values and an agreement
+    flag.
     """
     if method == "labels":
         return g.n_generators
@@ -309,17 +308,17 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     left, right = _patterns(g)
     (grams_l, bounds_l), (grams_r, bounds_r) = _pattern_grams(left), _pattern_grams(right)
+    counts = _class_counts(g.mask, left, right)
+    p, q = np.nonzero(counts)
+    # Kronecker spectrum plus interlacing: every eigenvalue of a principal
+    # submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
+    lo = np.maximum(bounds_l[p, 0], 0.0) * np.maximum(bounds_r[q, 0], 0.0)
+    hi = bounds_l[p, 1] * bounds_r[q, 1]
 
-    def blocks():
-        for p, q, block in _classes(g.mask, left, right):
-            # Kronecker spectrum plus interlacing: every eigenvalue of a
-            # principal submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
-            (lo_p, hi_p), (lo_q, hi_q) = bounds_l[p], bounds_r[q]
-            lo = max(lo_p, 0.0) * max(lo_q, 0.0)
-            size = int(np.count_nonzero(block))
-            yield lo, hi_p * hi_q, size, partial(_pair_gram, grams_l[p], grams_r[q], block)
+    def form(i: int) -> np.ndarray:
+        return _pair_gram(grams_l[p[i]], grams_r[q[i]], _block(g.mask, left, right, p[i], q[i]))
 
-    return _rank_of_grams(blocks(), tol)
+    return _rank_of_grams(lo, hi, counts[p, q], form, tol)
 
 
 def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -362,31 +361,35 @@ def _patterns(g: OperatorGraph) -> tuple[_Patterns, _Patterns]:
     return left, right
 
 
-def _pattern_grams(side: _Patterns) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
+def _pattern_grams(side: _Patterns) -> tuple[list[np.ndarray], np.ndarray]:
     """Each row pattern's Gram matrix of its factors' realized values, and
-    its Gershgorin bounds (lo, hi). Raises ValueError when two patterns
-    share a position, since the tensor classes' Grams would then not be
-    blocks of one block-diagonal Gram matrix."""
+    its Gershgorin bounds, row P (lo_P, hi_P) of an (n_P, 2) array. Raises
+    ValueError when two patterns share a position, since the tensor classes'
+    Grams would then not be blocks of one block-diagonal Gram matrix."""
     # two patterns share a position exactly when they hold the same row in
     # some column
     by_column = np.sort(side.rows, axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
     grams = [u @ u.conj().T for u in np.split(side.vals, side.starts[1:-1])]
-    return grams, [_discs(gram) for gram in grams]
+    return grams, np.array([_discs(gram) for gram in grams])
 
 
-def _classes(mask: np.ndarray, left: _Patterns, right: _Patterns) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The tensor classes some word takes: yields (P, Q, block), the left
-    and right row patterns and the class's boolean sub-block of the mask,
-    whose rows are P's factors and columns Q's, so that its set entries run
-    in mask order. The mask is taken once at the used factors in
-    pattern-major order."""
-    pairs = np.take(np.take(mask, left.ids, axis=0), right.ids, axis=1)
-    for p, q in itertools.product(range(len(left.rows)), range(len(right.rows))):
-        block = pairs[left.starts[p] : left.starts[p + 1], right.starts[q] : right.starts[q + 1]]
-        if block.any():
-            yield p, q, block
+def _class_counts(mask: np.ndarray, left: _Patterns, right: _Patterns) -> np.ndarray:
+    """The (n_P, n_Q) table of each tensor class's word count: for each left
+    pattern, its rows' column sums added up over each right pattern."""
+    counts = np.empty((len(left.rows), len(right.rows)), dtype=np.intp)
+    for p in range(len(left.rows)):
+        stripe = np.count_nonzero(mask[left.ids[left.starts[p] : left.starts[p + 1]]], axis=0)
+        counts[p] = np.add.reduceat(stripe[right.ids], right.starts[:-1])
+    return counts
+
+
+def _block(mask: np.ndarray, left: _Patterns, right: _Patterns, p: int, q: int) -> np.ndarray:
+    """The tensor class (P, Q) as a boolean sub-block of the mask, whose rows
+    are P's factors and columns Q's, so that its set entries run in mask
+    order."""
+    return mask[np.ix_(left.ids[left.starts[p] : left.starts[p + 1]], right.ids[right.starts[q] : right.starts[q + 1]])]
 
 
 def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -396,15 +399,15 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     code_dim). Every word of a class not yielded compresses to exactly zero.
 
     Works in the Fourier product basis with S = code.fourier, on the
-    classes of _classes; the factors each side uses are realized once
-    (_monomial_factors), each checked for rows that are a permutation of
-    range(n). With R the rows where S has an exactly nonzero entry, a word
+    classes' blocks (_block), in row-major order of (P, Q); the factors each
+    side uses are realized once (_monomial_factors), each checked for rows
+    that are a permutation of range(n). With R the rows where S has an exactly nonzero entry, a word
     realized as V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c),
     l]) v(c) S[c, k]. Every word of the class (P, Q) has r(c) = P[c_l] * n +
     Q[c_r] at the column c = c_l * n + c_r, so when no r(c) over the columns
     of R lies in R, every word of the class meets only zero rows of S and
-    the class is skipped; otherwise its words are gathered in one matrix
-    product.
+    the class is skipped without reading its block; otherwise its words are
+    gathered in one matrix product.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -420,13 +423,13 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     # each side's patterns and realized values, kept at R's columns
     rows_l, rows_r = left.rows[:, columns_l] * n, right.rows[:, columns_r]
     vals_l, vals_r = left.vals[:, columns_l], right.vals[:, columns_r]
-    # reach[P][Q]: whether the class (P, Q) maps some column of R into R
-    reach = [in_support[row + rows_r].any(axis=1) for row in rows_l]
-    for p, q, block in _classes(g.mask, left, right):
-        if not reach[p][q]:
+    # reach[P, Q]: whether the class (P, Q) maps some column of R into R
+    reach = np.array([in_support[row + rows_r].any(axis=1) for row in rows_l])
+    for p, q in np.argwhere(reach):
+        at_l, at_r = np.nonzero(_block(g.mask, left, right, p, q))
+        if len(at_l) == 0:
             continue
         rows = rows_l[p] + rows_r[q]
-        at_l, at_r = np.nonzero(block)
         at_l += left.starts[p]
         at_r += right.starts[q]
         values = vals_l[at_l] * vals_r[at_r]
@@ -524,7 +527,8 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
             residual, place = value, candidate
         flat = block.reshape(len(block), d * d)
         gram += flat.conj().T @ flat
-    dim = _rank_of_grams([(*_discs(gram), d * d, lambda: gram)], tol)
+    lo, hi = _discs(gram)
+    dim = _rank_of_grams([lo], [hi], [d * d], lambda i: gram, tol)
     row, column, l, k = place
     at = int(g._offsets[row]) + int(np.count_nonzero(g.mask[row, :column]))
     return CompressionReport(

@@ -9,7 +9,7 @@ Everything here works on plain numpy arrays of dtype complex128. Matrices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -95,53 +95,39 @@ def _discs(gram: np.ndarray) -> tuple[float, float]:
     return float(np.min(center - radius)), float(np.max(center + radius))
 
 
-def _rank_of_grams(
-    blocks: Iterable[tuple[float, float, int, Callable[[], np.ndarray]]], tol: Tolerance
-) -> int:
+def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolerance) -> int:
     """Rank of a block-diagonal Hermitian PSD Gram matrix given block by
     block, such as the Gram matrix of a family of matrices whose supports
     fall into pairwise disjoint classes.
 
-    Each block comes as (lo, hi, order, form): bounds lo <= lambda <= hi on
-    every eigenvalue of the block, its order, and a zero-argument callable
-    that forms it. The anticlique verdict passes its one block's Gershgorin
-    discs (_discs); the graph oracle passes products of its factor lines'
-    discs, which bound every principal submatrix of a Kronecker product of
-    two line Grams.
+    lo, hi and order hold one entry per block: bounds lo <= lambda <= hi on
+    every eigenvalue of block i, and its order; form(i) forms block i. The
+    anticlique verdict passes its one block's Gershgorin discs (_discs); the
+    graph oracle passes products of its row patterns' discs, which bound
+    every principal submatrix of a Kronecker product of two pattern Grams.
 
-    The spectrum is the union of the block spectra; every eigenvalue is
-    thresholded against Lambda, an upper bound on the largest one over all
-    blocks. A block with lo > tol.relative * Lambda is certified full rank
-    and never formed; every other block is formed and goes to eigvalsh.
-    Lambda is the largest of the eigensolved blocks' top eigenvalues and the
-    certified blocks' hi, so it exceeds the true largest eigenvalue by at
-    most the slack of the certified blocks' hi; a rank can differ from a
-    plain eigensolve only for an eigenvalue that close to the cutoff.
-
-    A block is certified against the Lambda seen so far; one whose lo falls
-    below the final cutoff is formed and eigensolved in a second pass.
+    The spectrum is the union of the block spectra. A block with
+    lo > tol.relative * max(hi) is certified full rank and never formed;
+    every other block is formed and eigensolved once. Every eigenvalue is
+    thresholded at tol.relative * Lambda, with Lambda the largest of the
+    certified blocks' hi and the eigensolved blocks' top eigenvalues. Lambda
+    is an upper bound on lambda_max and at most max(hi), so a certified block
+    clears the cutoff. When the block with the largest hi is certified, as
+    every block of every construction is, Lambda = max(hi). Otherwise Lambda
+    may lie below max(hi); both are upper bounds on lambda_max, and the ranks
+    thresholded against the two differ only by eigenvalues that lie between
+    the two cutoffs.
     """
-    top = 0.0
-    eigs = [np.zeros(0)]
-    certified: list[tuple[float, int, Callable[[], np.ndarray]]] = []
-    for lo, hi, order, form in blocks:
-        if lo > tol.relative * max(top, hi):
-            certified.append((lo, order, form))
-            top = max(top, hi)
-        else:
-            block_eigs = np.linalg.eigvalsh(form())
-            eigs.append(block_eigs)
-            top = max(top, float(block_eigs[-1]))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if len(hi) == 0:
+        return 0
+    certified = lo > tol.relative * hi.max()
+    eigs = [np.linalg.eigvalsh(form(i)) for i in np.flatnonzero(~certified)]
+    top = max([*hi[certified], *(e[-1] for e in eigs)])
     if top <= 0.0:
         return 0
     cut = tol.relative * top
-    rank = 0
-    for lo, order, form in certified:
-        if lo > cut:
-            rank += order
-        else:
-            eigs.append(np.linalg.eigvalsh(form()))
-    return rank + int(np.sum(np.concatenate(eigs) > cut))
+    return int(np.sum(np.asarray(order)[certified])) + sum(int(np.count_nonzero(e > cut)) for e in eigs)
 
 
 def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

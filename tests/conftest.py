@@ -40,7 +40,8 @@ def gram_rank(ops, tol=DEFAULT_TOL) -> int:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
     gram = row_gram(stack.reshape(len(stack), -1))
-    return _rank_of_grams([(*_discs(gram), len(gram), lambda: gram)], tol)
+    lo, hi = _discs(gram)
+    return _rank_of_grams([lo], [hi], [len(gram)], lambda i: gram, tol)
 
 
 def row_gram(rows: np.ndarray) -> np.ndarray:

@@ -516,9 +516,9 @@ def test_compressions_gather_every_class_a_computed_code_reaches():
     g, code = build_section2()
     assert np.all(np.any(code.fourier != 0, axis=1))
     left, right = graph_module._patterns(g)
-    classes = list(graph_module._classes(g.mask, left, right))
+    classes = np.count_nonzero(graph_module._class_counts(g.mask, left, right))
     gathered = list(graph_module._compressions(g, code))
-    assert len(gathered) == len(classes) > 1
+    assert len(gathered) == classes > 1
     assert sum(len(row) for row, _, _ in gathered) == g.n_generators
 
 
@@ -693,8 +693,11 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     left, right = graph_module._patterns(g)
     (grams_l, _), (grams_r, _) = graph_module._pattern_grams(left), graph_module._pattern_grams(right)
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
+    counts = graph_module._class_counts(g.mask, left, right)
     covered = []
-    for p, q, block in graph_module._classes(g.mask, left, right):
+    for p, q in np.argwhere(counts):
+        block = graph_module._block(g.mask, left, right, p, q)
+        assert np.count_nonzero(block) == counts[p, q]
         a, b = np.nonzero(block)
         members = number[left.ids[left.starts[p] + a], right.ids[right.starts[q] + b]]
         gram = np.kron(grams_l[p], grams_r[q])
@@ -711,7 +714,7 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(raw_word_tables())
 def test_gram_oracle_matches_dense_on_random_graphs(drawn):
-    # the line-pair blocks of the mask against the dense Gram of every
+    # the tensor-class blocks of the mask against the dense Gram of every
     # realized generator, on closures of random word tables
     n, table = drawn
     g = graph_from_labels(n, table)
@@ -815,11 +818,13 @@ def test_dense_generators_match_labels():
 def test_anticlique_memory_is_bounded():
     # the verdict is streamed class by class and holds neither the
     # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
-    # per-generator array, only the mask at the used factors (n^4 bytes),
-    # each side's realized factors and one class's gather: about 0.6 MB at
-    # n = 16 and 3.3 MB at n = 32, where one complex per generator would
-    # take 16.7 MB
-    for params, bound_mb in ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8)):
+    # per-generator array, nor any copy of the mask: only each side's
+    # realized factors, and the sub-block and gather of one class that
+    # reaches the code. That is about 0.6 MB at n = 16, 2.9 MB at n = 32 and
+    # 9.7 MB at n = 48, where one complex per generator would take 16.7 MB
+    # and 85 MB
+    cases = ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8), (Section4Params(2, 24, 3, 6), 12))
+    for params, bound_mb in cases:
         g, code = build_section4(params)
         report, peak = _traced_peak(lambda: is_anticlique(g, code))
         assert report.verdict
@@ -838,13 +843,15 @@ def _traced_peak(call):
 
 
 def test_gram_oracle_memory_is_bounded():
-    # the Gram oracle holds the mask at the used factors and its line pairs,
-    # n^4 bytes each, and the realized factors: about 4.8 MB at n = 32, where
-    # one int64 pair key per word took 18 MB
-    g, _ = build_section4(Section4Params(2, 16, 3, 4))
-    dim, peak = _traced_peak(lambda: graph_dim(g, "gram"))
-    assert dim == g.n_generators == 1044481
-    assert peak < 12 * 2**20
+    # the Gram oracle holds the realized factors, the table of class counts
+    # and one left pattern's rows of the mask at a time, and no copy of the
+    # mask: about 2.8 MB at n = 32 and 9.5 MB at n = 48, where one int64
+    # pair key per word took 18 MB and 42 MB
+    for params, words in ((Section4Params(2, 16, 3, 4), 1044481), (Section4Params(2, 24, 3, 6), 5294593)):
+        g, _ = build_section4(params)
+        dim, peak = _traced_peak(lambda: graph_dim(g, "gram"))
+        assert dim == g.n_generators == words
+        assert peak < 12 * 2**20, params
 
 
 def test_build_memory_is_a_few_masks():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,12 +143,10 @@ def test_gram_rank_zero_family():
 
 def rank_of_rows(blocks):
     """Rank of row blocks with pairwise disjoint supports: the rank core
-    over each block's Gram matrix, bounded by its own Gershgorin discs.
-    ``blocks`` is a sequence, or a zero-argument callable returning an
-    iterable of blocks."""
-    walk = blocks if callable(blocks) else (lambda: blocks)
-    grams = map(row_gram, walk())
-    return _rank_of_grams(((*_discs(g), len(g), lambda g=g: g) for g in grams), DEFAULT_TOL)
+    over each block's Gram matrix, bounded by its own Gershgorin discs."""
+    grams = [row_gram(b) for b in blocks]
+    lo, hi = np.array([_discs(g) for g in grams]).reshape(-1, 2).T
+    return _rank_of_grams(lo, hi, [len(g) for g in grams], grams.__getitem__, DEFAULT_TOL)
 
 
 def test_rank_of_rows_thresholds_blocks_against_global_max():
@@ -156,10 +156,10 @@ def test_rank_of_rows_thresholds_blocks_against_global_max():
     small = np.array([[0, 0, 1e-6, 0]])
     assert rank_of_rows([small]) == 1
     assert rank_of_rows([large, small]) == 2
-    # small comes first and clears the cutoff of the largest eigenvalue seen
-    # so far; it must be eigensolved again against the final one
+    # each block is certified against the largest upper bound of all, in
+    # whatever order the blocks come: small, first, is not certified against
+    # its own bound, and is eigensolved against the final cutoff
     assert rank_of_rows([small, large]) == 2
-    assert rank_of_rows(lambda: iter([small, large])) == 2
     assert rank_of_rows([np.vstack([large, small])]) == 2
     assert rank_of_rows([]) == 0
 
@@ -184,6 +184,58 @@ def test_rank_of_rows_eigensolves_only_uncertified_blocks(monkeypatch):
     assert rank_of_rows([orthogonal, dependent]) == 3
     assert solved == [2]
     assert rank_of_rows([np.vstack([orthogonal, dependent])]) == 3
+
+
+@st.composite
+def psd_blocks(draw):
+    """A family of Hermitian PSD blocks, each U diag(eigs) U^dag for a
+    unitary U that mixes the basis not at all, a little or fully, so that
+    some blocks are certified by their discs and some are not. Every
+    eigenvalue is 0 or in [1e-6, 1], so none lies near the rank cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        eigs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=5))
+        mix = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        u, _ = np.linalg.qr(np.eye(len(eigs)) + mix * random_complex(rng, len(eigs), len(eigs)))
+        block = (u * eigs) @ u.conj().T
+        blocks.append((block + block.conj().T) / 2)
+    return blocks
+
+
+def _rank_and_formed(blocks):
+    """_rank_of_grams over the blocks with their own discs, the blocks it
+    formed, and how often it ran eigvalsh."""
+    lo, hi = np.array([_discs(b) for b in blocks]).T
+    formed = []
+
+    def form(i):
+        formed.append(i)
+        return blocks[i]
+
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        rank = _rank_of_grams(lo, hi, [len(b) for b in blocks], form, DEFAULT_TOL)
+    return rank, formed, eigvalsh.call_count
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(psd_blocks(), st.data())
+def test_rank_of_grams_matches_a_plain_eigensolve(blocks, data):
+    whole = np.zeros((sum(map(len, blocks)),) * 2, dtype=complex)
+    at = 0
+    for block in blocks:
+        whole[at : at + len(block), at : at + len(block)] = block
+        at += len(block)
+    eigs = np.linalg.eigvalsh(whole)
+    rank, formed, solves = _rank_and_formed(blocks)
+    assert rank == np.count_nonzero(eigs > DEFAULT_TOL.relative * max(eigs[-1], 0.0))
+    # a block is formed and eigensolved once exactly when its lower bound
+    # does not clear the cutoff of the largest upper bound of all
+    lo, hi = np.array([_discs(b) for b in blocks]).T
+    assert formed == np.flatnonzero(lo <= DEFAULT_TOL.relative * hi.max()).tolist()
+    assert solves == len(formed)
+    order = data.draw(st.permutations(range(len(blocks))))
+    assert _rank_and_formed([blocks[i] for i in order])[0] == rank
 
 
 def test_orthonormalize_two_product_vectors():
