@@ -98,7 +98,9 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     started = time.perf_counter()
     g, code, params_echo, claimed = _build(construction, args)
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    # two calls, not method "both", so a trace times each oracle on its own
+    # two calls, not method "both", so a trace times each oracle on its own;
+    # the Gram oracle also realizes the graph's factors, which the verdict
+    # then reuses, so that cost shows in the Gram oracle's time
     dim_labels = graph_dim(g, "labels")
     dim_gram = graph_dim(g, "gram", tol)
     report_ac = is_anticlique(g, code, tol)

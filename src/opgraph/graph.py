@@ -14,14 +14,15 @@ graph_from_labels closes a word table through it.
 Two independent dimension oracles are available: counting the words (the
 mask's popcount, exact) and the numeric Gram rank of the realized
 generators. Generators are realized per tensor factor in monomial form, in
-the Fourier basis (weyl_monomial), each factor a side uses once.
-Conjugation by the unitary F (x) F keeps every Hilbert-Schmidt product, so
-the rank is that of the words themselves. The Gram side reads only those
-realized factors, and the mask only for which pairs of them occur. Each
-side's factors are grouped by realized row pattern (where a factor's
-entries sit), and a word whose factors have row patterns (P, Q) lies in the
-tensor class (P, Q). Since the Hilbert-Schmidt product factorizes over the
-tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a
+the Fourier basis (weyl_monomial). Conjugation by the unitary F (x) F keeps
+every Hilbert-Schmidt product, so the rank is that of the words themselves.
+The Gram side reads only those realized factors, and the mask only for
+which pairs of them occur. Each side's factors are grouped by realized row
+pattern (where a factor's entries sit), and a word whose factors have row
+patterns (P, Q) lies in the tensor class (P, Q). A graph groups its
+factors once, on first use (OperatorGraph._sides), and both sides share one
+realization when they use the same factors. Since the Hilbert-Schmidt
+product factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a
 class is a principal submatrix of G_P (x) G_Q, the Kronecker product of the
 Gram matrices of the two patterns' factors (each at most n x n). A class is
 the mask's sub-block at P's factors x Q's factors (_block), and one pass
@@ -34,15 +35,16 @@ the coordinates R: |R| = p * d of the n^2 for the entangled codes, nearly
 all n^2 for a computed code. Every word of a class maps the columns of R to
 the same rows, so one test on the realized row patterns drops a class whose
 words all compress to exactly zero, and a class that reaches the code is
-gathered in one matrix product. The anticlique verdict streams those
-classes into a code_dim^2 x code_dim^2 Gram matrix and never holds the
-compressions.
+gathered in one matrix product. The anticlique verdict adds each class's
+closed-form share to a code_dim^2 x code_dim^2 Gram matrix and never holds
+the compressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -97,6 +99,12 @@ class OperatorGraph:
             raise ValueError("mask is empty; a graph contains the identity")
         self.mask.setflags(write=False)
         object.__setattr__(self, "_offsets", offsets)
+
+    @cached_property
+    def _sides(self) -> tuple[_Patterns, _Patterns]:
+        """_patterns of this graph, formed on first use; the mask is
+        read-only, so it stays valid."""
+        return _patterns(self)
 
     @property
     def space_dim(self) -> int:
@@ -279,14 +287,14 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     method "labels": the number of distinct phase-free words (exact), the
     mask's popcount. method "gram": numeric Gram rank of the realized
     generators, over every generator, read from their tensor classes. The
-    factors each side uses are realized once, in the Fourier basis, and
-    grouped by row pattern; row patterns of one side that share a position
-    raise ValueError. Each class of row patterns (P, Q) holding words is one
+    factors are realized once per graph, in the Fourier basis, and grouped
+    by row pattern (OperatorGraph._sides); row patterns of one side that
+    share a position raise ValueError. Each class of row patterns (P, Q) holding words is one
     Gram block of their count (_class_counts), the principal submatrix of
     G_P (x) G_Q at the set entries of its sub-block of the mask (_block),
-    where G_P is the Gram matrix of pattern P's realized factors. Its
-    eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from the Gershgorin bounds of
-    the pattern Grams (Kronecker spectrum plus interlacing). A block whose
+    where G_P is the Gram matrix of pattern P's realized factors
+    (_pattern_grams). Its eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from
+    the Gershgorin bounds of the pattern Grams (Kronecker spectrum plus interlacing). A block whose
     lower bound clears tol.relative times the largest upper bound counts its
     words unformed; any other is formed and eigensolved once
     (linalg._rank_of_grams). Distinct Weyl words are Hilbert-Schmidt
@@ -306,8 +314,9 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    left, right = _patterns(g)
-    (grams_l, bounds_l), (grams_r, bounds_r) = _pattern_grams(left), _pattern_grams(right)
+    left, right = g._sides
+    grams_l, bounds_l = _pattern_grams(left)
+    grams_r, bounds_r = (grams_l, bounds_l) if right is left else _pattern_grams(right)
     counts = _class_counts(g.mask, left, right)
     p, q = np.nonzero(counts)
     # Kronecker spectrum plus interlacing: every eigenvalue of a principal
@@ -347,32 +356,58 @@ class _Patterns:
 
 
 def _patterns(g: OperatorGraph) -> tuple[_Patterns, _Patterns]:
-    """Left and right factors of a graph's words, grouped by row pattern.
-    The factors each side uses are realized once (_realized_factors), and
-    only their realized rows are read to group them, never labels."""
-    sides = []
-    for ids, rows, vals in _realized_factors(g):
-        # lexsort is stable, so each pattern keeps its ids increasing
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-        starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
-        sides.append(_Patterns(ids[order], [*starts.tolist(), len(ids)], ordered[starts], vals[order]))
-    left, right = sides
-    return left, right
+    """Left and right factors of a graph's words, grouped by row pattern
+    (_group); one _Patterns for both when they use the same factors. Only
+    realized rows are read to group them, never labels."""
+    ids_l, ids_r = np.flatnonzero(g.mask.any(axis=1)), np.flatnonzero(g.mask.any(axis=0))
+    left = _group(ids_l, g.n)
+    return left, (left if np.array_equal(ids_l, ids_r) else _group(ids_r, g.n))
 
 
-def _pattern_grams(side: _Patterns) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each row pattern's Gram matrix of its factors' realized values, and
-    its Gershgorin bounds, row P (lo_P, hi_P) of an (n_P, 2) array. Raises
-    ValueError when two patterns share a position, since the tensor classes'
-    Grams would then not be blocks of one block-diagonal Gram matrix."""
+def _group(ids: np.ndarray, n: int) -> _Patterns:
+    """The factors at the increasing mask indices ids = kx * n + kz,
+    realized by weyl_monomial and grouped by row pattern. Raises ValueError
+    unless each pattern, and so each factor's rows, is a permutation of
+    range(n), as a monomial unitary's rows are."""
+    kx, kz = np.divmod(ids, n)
+    rows, vals = weyl_monomial(np.stack([kx, kz, np.zeros_like(kx)], axis=1), n)
+    # lexsort is stable, so each pattern keeps its ids increasing
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    patterns = ordered[starts]
+    if np.any(np.sort(patterns, axis=1) != np.arange(n)):
+        raise ValueError("realized factor rows overlap: not a permutation of range(n)")
+    return _Patterns(ids[order], [*starts.tolist(), len(ids)], patterns, vals[order])
+
+
+def _pattern_grams(side: _Patterns) -> tuple[np.ndarray, np.ndarray]:
+    """Each row pattern's Gram matrix of its factors' realized values, in
+    the leading corner of an (n_P, m, m) stack padded with zeros (m the
+    largest pattern), and its Gershgorin bounds (linalg._discs) over its own
+    rows, row P (lo_P, hi_P) of an (n_P, 2) array. Raises ValueError when
+    two patterns share a position, since the tensor classes' Grams would
+    then not be blocks of one block-diagonal Gram matrix."""
     # two patterns share a position exactly when they hold the same row in
     # some column
     by_column = np.sort(side.rows, axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-    grams = [u @ u.conj().T for u in np.split(side.vals, side.starts[1:-1])]
-    return grams, np.array([_discs(gram) for gram in grams])
+    sizes = np.diff(side.starts)
+    m = sizes.max()
+    # factor i of pattern P goes to slot i - starts[P] of P's padded stack
+    slot = np.arange(len(side.ids)) - np.repeat(side.starts[:-1], sizes)
+    stack = np.zeros((len(sizes), m, side.vals.shape[1]), dtype=complex)
+    stack[np.repeat(np.arange(len(sizes)), sizes), slot] = side.vals
+    grams = stack @ stack.conj().transpose(0, 2, 1)
+    center = np.diagonal(grams, axis1=1, axis2=2).real
+    radius = np.abs(grams)
+    radius[:, range(m), range(m)] = 0.0
+    radius = radius.sum(axis=2)
+    own = np.arange(m) < sizes[:, None]
+    lo = np.where(own, center - radius, np.inf).min(axis=1)
+    hi = np.where(own, center + radius, -np.inf).max(axis=1)
+    return grams, np.stack([lo, hi], axis=1)
 
 
 def _class_counts(mask: np.ndarray, left: _Patterns, right: _Patterns) -> np.ndarray:
@@ -392,22 +427,26 @@ def _block(mask: np.ndarray, left: _Patterns, right: _Patterns, p: int, q: int) 
     return mask[np.ix_(left.ids[left.starts[p] : left.starts[p + 1]], right.ids[right.starts[q] : right.starts[q + 1]])]
 
 
-def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _compressions(
+    g: OperatorGraph, code: CodeSpace
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Compressions S^dag V S of the graph's generators, one tensor class
-    at a time: yields (row, column, block), the mask entries of a class's
-    words in mask order and their compressions, shape (len(row), code_dim,
-    code_dim). Every word of a class not yielded compresses to exactly zero.
+    at a time: yields (row, column, block, gram), the mask entries of a
+    class's words in mask order, their compressions C_w, shape (len(row),
+    code_dim, code_dim), and their Gram share sum_w vec(C_w) vec(C_w)^dag.
+    Every word of a class not yielded compresses to exactly zero.
 
     Works in the Fourier product basis with S = code.fourier, on the
-    classes' blocks (_block), in row-major order of (P, Q); the factors each
-    side uses are realized once (_monomial_factors), each checked for rows
-    that are a permutation of range(n). With R the rows where S has an exactly nonzero entry, a word
-    realized as V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c),
-    l]) v(c) S[c, k]. Every word of the class (P, Q) has r(c) = P[c_l] * n +
-    Q[c_r] at the column c = c_l * n + c_r, so when no r(c) over the columns
-    of R lies in R, every word of the class meets only zero rows of S and
-    the class is skipped without reading its block; otherwise its words are
-    gathered in one matrix product.
+    classes' blocks (_block), in row-major order of (P, Q). With R the rows
+    where S has an exactly nonzero entry, a word realized as V[r(c), c] =
+    v(c) compresses to sum_{c in R} conj(S[r(c), l]) v(c) S[c, k]. Every
+    word of the class (P, Q) has r(c) = P[c_l] * n + Q[c_r] at the column
+    c = c_l * n + c_r, so when no r(c) over the columns of R lies in R,
+    every word of the class meets only zero rows of S and the class is
+    skipped without reading its block; otherwise its words are gathered in
+    one matrix product. The same r(c) give vec(C_w) = v_w M, with v_w the word's values
+    on R and M[c, (l, k)] = conj(S[r(c), l]) S[c, k], so the Gram share is
+    M^dag (V^dag V) M, V stacking the class's v_w.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -419,12 +458,12 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
     # conj(S)^T, so the gathered rows come out code index first
     s_conj = np.ascontiguousarray(s.conj().T)
     s_support = s[support]
-    left, right = _patterns(g)
+    left, right = g._sides
     # each side's patterns and realized values, kept at R's columns
     rows_l, rows_r = left.rows[:, columns_l] * n, right.rows[:, columns_r]
     vals_l, vals_r = left.vals[:, columns_l], right.vals[:, columns_r]
     # reach[P, Q]: whether the class (P, Q) maps some column of R into R
-    reach = np.array([in_support[row + rows_r].any(axis=1) for row in rows_l])
+    reach = in_support[rows_l[:, None] + rows_r[None]].any(axis=-1)
     for p, q in np.argwhere(reach):
         at_l, at_r = np.nonzero(_block(g.mask, left, right, p, q))
         if len(at_l) == 0:
@@ -433,30 +472,13 @@ def _compressions(g: OperatorGraph, code: CodeSpace) -> Iterator[tuple[np.ndarra
         at_l += left.starts[p]
         at_r += right.starts[q]
         values = vals_l[at_l] * vals_r[at_r]
-        gathered = s_conj[:, rows][:, None, :] * values
-        compressed = gathered.reshape(d * len(values), len(support)) @ s_support
-        yield left.ids[at_l], right.ids[at_r], compressed.reshape(d, len(values), d).transpose(1, 0, 2)
-
-
-def _realized_factors(g: OperatorGraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each side, left first: the mask indices kx * n + kz of the
-    factors its words use, increasing, and their realizations (rows, vals)
-    by _monomial_factors, each factor X^kx Z^kz realized once."""
-    for ids in (np.flatnonzero(g.mask.any(axis=1)), np.flatnonzero(g.mask.any(axis=0))):
-        kx, kz = np.divmod(ids, g.n)
-        yield ids, *_monomial_factors(np.stack([kx, kz, np.zeros_like(kx)], axis=1), g.n)
-
-
-def _monomial_factors(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """weyl_monomial, raising ValueError unless each factor's rows are a
-    permutation of range(n), as a monomial unitary's are."""
-    rows, vals = weyl_monomial(factors, n)
-    # one bin per (factor, row): n * len(rows) entries hit all of them once
-    # exactly when every factor's rows are a permutation
-    bins = rows + n * np.arange(len(rows))[:, None]
-    if not np.bincount(bins.ravel(), minlength=rows.size).all():
-        raise ValueError("realized factor rows overlap: not a permutation of range(n)")
-    return rows, vals
+        # take, unlike [:, rows], gives a row-major array, so the product
+        # below reshapes without a copy
+        gather = s_conj.take(rows, axis=1)
+        compressed = (gather[:, None, :] * values).reshape(d * len(values), len(support)) @ s_support
+        lift = (gather.T[:, :, None] * s_support[:, None, :]).reshape(len(support), d * d)
+        gram = lift.conj().T @ (values.conj().T @ values) @ lift
+        yield left.ids[at_l], right.ids[at_r], compressed.reshape(d, len(values), d).transpose(1, 0, 2), gram
 
 
 def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
@@ -473,7 +495,7 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
     out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
     # the generator id of every mask entry
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    for row, column, block in _compressions(g, code):
+    for row, column, block, _ in _compressions(g, code):
         out[number[row, column]] = block
     return out
 
@@ -504,29 +526,30 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     classes of compress's kernel, and the (n_generators, code_dim, code_dim)
     stack is never held: per class the running worst residual with its
     place, and a running code_dim^2 x code_dim^2 Gram matrix of the
-    compressions, which spans the same rank as the generators' Gram matrix
-    and is ranked by linalg._rank_of_grams as one block bounded by its
-    Gershgorin discs.
+    compressions, which spans the same rank as the generators' Gram matrix.
+    Each class adds its closed-form share (_compressions), |R|^2 work per
+    word, not code_dim^4. The Gram matrix is ranked by
+    linalg._rank_of_grams as one block bounded by its Gershgorin discs.
     """
     d = code.code_dim
-    eye = np.eye(d)
     gram = np.zeros((d * d, d * d), dtype=complex)
     # the peak and its place (mask row, mask column, l, k); classes come out
     # of mask order, so a tie goes to the smaller place. A generator the
     # kernel skips compresses to exactly zero: no residual, nothing added to
     # the Gram matrix
     residual, place = 0.0, (0, 0, 0, 0)
-    for row, column, block in _compressions(g, code):
+    for row, column, block, share in _compressions(g, code):
         c = np.trace(block, axis1=1, axis2=2) / d
-        deviation = np.abs(block - c[:, None, None] * eye)
+        # |C_w - c_w I|: only the diagonal moves
+        deviation = np.abs(block, order="C")
+        deviation[:, range(d), range(d)] = np.abs(np.diagonal(block, axis1=1, axis2=2) - c[:, None])
         peak = int(np.argmax(deviation))
         at, l, k = np.unravel_index(peak, deviation.shape)
         candidate = (int(row[at]), int(column[at]), int(l), int(k))
         value = float(deviation.flat[peak])
         if value > residual or (value == residual and candidate < place):
             residual, place = value, candidate
-        flat = block.reshape(len(block), d * d)
-        gram += flat.conj().T @ flat
+        gram += share
     lo, hi = _discs(gram)
     dim = _rank_of_grams([lo], [hi], [d * d], lambda i: gram, tol)
     row, column, l, k = place

@@ -18,7 +18,7 @@ from opgraph.graph import (
 )
 from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import dagger, kron, max_abs
+from opgraph.linalg import _discs, dagger, kron, max_abs
 from opgraph.weyl import (
     WeylLabelPair,
     fourier_basis,
@@ -451,7 +451,7 @@ def test_worst_breaks_a_tie_across_classes_by_mask_order():
     whole = CodeSpace(space_dim=4, isometry=kron(f, f), fourier=np.eye(4, dtype=complex))
     g = graph_from_labels(2, np.array([[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]]))
     assert np.array_equal(np.argwhere(g.mask), [[0, 0], [0, 2], [1, 0]])
-    visits = [(row.tolist(), column.tolist()) for row, column, _ in graph_module._compressions(g, whole)]
+    visits = [(row.tolist(), column.tolist()) for row, column, *_ in graph_module._compressions(g, whole)]
     assert visits == [([0, 1], [0, 0]), ([0], [2])]
     report = is_anticlique(g, whole)
     assert report.residual == 1.0
@@ -464,7 +464,7 @@ def _gathered_and_reaching(g, code):
     each class comes in mask order."""
     gathered = np.zeros(g.n_generators, dtype=bool)
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    for row, column, block in graph_module._compressions(g, code):
+    for row, column, block, _ in graph_module._compressions(g, code):
         assert np.all(np.diff(row * g.space_dim + column) > 0)
         assert block.shape == (len(row), code.code_dim, code.code_dim)
         gathered[number[row, column]] = True
@@ -519,7 +519,7 @@ def test_compressions_gather_every_class_a_computed_code_reaches():
     classes = np.count_nonzero(graph_module._class_counts(g.mask, left, right))
     gathered = list(graph_module._compressions(g, code))
     assert len(gathered) == classes > 1
-    assert sum(len(row) for row, _, _ in gathered) == g.n_generators
+    assert sum(len(row) for row, *_ in gathered) == g.n_generators
 
 
 def test_codespace_checks_fourier_coordinates():
@@ -818,12 +818,12 @@ def test_dense_generators_match_labels():
 def test_anticlique_memory_is_bounded():
     # the verdict is streamed class by class and holds neither the
     # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
-    # per-generator array, nor any copy of the mask: only each side's
+    # per-generator array, nor any copy of the mask: only the graph's
     # realized factors, and the sub-block and gather of one class that
-    # reaches the code. That is about 0.6 MB at n = 16, 2.9 MB at n = 32 and
-    # 9.7 MB at n = 48, where one complex per generator would take 16.7 MB
+    # reaches the code. That is about 0.4 MB at n = 16, 1.6 MB at n = 32 and
+    # 6.6 MB at n = 48, where one complex per generator would take 16.7 MB
     # and 85 MB
-    cases = ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8), (Section4Params(2, 24, 3, 6), 12))
+    cases = ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8), (Section4Params(2, 24, 3, 6), 8))
     for params, bound_mb in cases:
         g, code = build_section4(params)
         report, peak = _traced_peak(lambda: is_anticlique(g, code))
@@ -845,13 +845,13 @@ def _traced_peak(call):
 def test_gram_oracle_memory_is_bounded():
     # the Gram oracle holds the realized factors, the table of class counts
     # and one left pattern's rows of the mask at a time, and no copy of the
-    # mask: about 2.8 MB at n = 32 and 9.5 MB at n = 48, where one int64
+    # mask: about 2.0 MB at n = 32 and 6.8 MB at n = 48, where one int64
     # pair key per word took 18 MB and 42 MB
     for params, words in ((Section4Params(2, 16, 3, 4), 1044481), (Section4Params(2, 24, 3, 6), 5294593)):
         g, _ = build_section4(params)
         dim, peak = _traced_peak(lambda: graph_dim(g, "gram"))
         assert dim == g.n_generators == words
-        assert peak < 12 * 2**20, params
+        assert peak < 8 * 2**20, params
 
 
 def test_build_memory_is_a_few_masks():
@@ -877,29 +877,36 @@ DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2
     "build, arg", DISTINCT_FACTOR_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS + ["section4-2-8-1-4"]
 )
 def test_distinct_factors_gather_exactly(build, arg):
-    # each side's realized factors are distinct, increasing by mask index and
-    # each used by some word; looked up by the words' mask indices they give
-    # the word table's columns back, and their realizations gathered the
-    # same way are bit for bit the realizations of the columns themselves
+    # each side's realized factors are distinct, each used by some word, and
+    # increasing by mask index within each row pattern; looked up by the
+    # words' mask indices they give the word table's columns back, and their
+    # realizations gathered the same way are bit for bit the realizations of
+    # the columns themselves
     g, _ = build(arg)
     entries = np.nonzero(g.mask)
-    for side, (ids, rows, vals) in enumerate(graph_module._realized_factors(g)):
-        assert np.all(ids[1:] > ids[:-1])
-        at = np.searchsorted(ids, entries[side])
-        assert np.array_equal(ids[at], entries[side])
-        assert np.bincount(at, minlength=len(ids)).all()
+    for side, patterns in enumerate(g._sides):
+        starts = patterns.starts
+        assert all(np.all(np.diff(patterns.ids[a:b]) > 0) for a, b in zip(starts[:-1], starts[1:]))
+        order = np.argsort(patterns.ids)
+        assert np.all(np.diff(patterns.ids[order]) > 0)
+        at = order[np.searchsorted(patterns.ids[order], entries[side])]
+        assert np.array_equal(patterns.ids[at], entries[side])
+        assert np.bincount(at, minlength=len(order)).all()
+        rows = np.repeat(patterns.rows, np.diff(starts), axis=0)
         rows_w, vals_w = weyl_monomial(g.words[:, 3 * side : 3 * side + 3], g.n)
         assert np.array_equal(rows[at], rows_w)
-        assert np.array_equal(vals[at].view(float), vals_w.view(float))
+        assert np.array_equal(patterns.vals[at].view(float), vals_w.view(float))
 
 
 def test_each_distinct_factor_is_realized_once(monkeypatch):
-    # the Gram oracle and the verdict each realize the factors each side
-    # uses once, where realizing every word's two factors would take 129026
-    # rows at (2,8,1,4)
+    # one graph run through the Gram oracle and then the verdict realizes
+    # each factor its words use once in total: both sides of the (2,8,1,4)
+    # graph use the same 256 factors and share one realization, where
+    # realizing every word's two factors would take 129026 rows
     g, code = build_section4(Section4Params(2, 8, 1, 4))
-    used = np.count_nonzero(g.mask.any(axis=1)) + np.count_nonzero(g.mask.any(axis=0))
-    assert used == 2 * 16**2
+    assert np.array_equal(g.mask.any(axis=1), g.mask.any(axis=0))
+    used = np.count_nonzero(g.mask.any(axis=1))
+    assert used == 16**2
     realized = []
 
     def counting(factors, n):
@@ -908,7 +915,93 @@ def test_each_distinct_factor_is_realized_once(monkeypatch):
 
     monkeypatch.setattr(graph_module, "weyl_monomial", counting)
     assert graph_dim(g, "gram") == 64513
-    assert sum(realized) == used
-    realized.clear()
     assert is_anticlique(g, code).verdict
     assert sum(realized) == used
+    left, right = g._sides
+    assert left is right
+
+
+def test_patterns_memory_is_bounded():
+    # grouping the factors realizes each used factor once and checks each
+    # row pattern for a permutation, with no bin per realized entry: at
+    # (2,24,3,6) the 2304 factors the two sides share take 2.6 MB realized,
+    # and _patterns peaks at about 5.2 MB, where realizing each side apart
+    # and binning every realized row took 9.5 MB
+    g, _ = build_section4(Section4Params(2, 24, 3, 6))
+    (left, right), peak = _traced_peak(lambda: graph_module._patterns(g))
+    assert left is right and len(left.ids) == 48**2
+    assert peak < 7 * 2**20
+
+
+def _grown_control():
+    """The (2,8,1,4) graph grown by the word Z^p (x) I, which the code does
+    not tolerate (test_word_outside_the_graph_flips_the_verdict), and its
+    code."""
+    g, code = build_section4(Section4Params(2, 8, 1, 4))
+    return graph_from_labels(16, np.concatenate([g.words, [[0, 2, 0, 0, 0, 0]]])), code
+
+
+CLASS_GRAM_CASES = {
+    "section2": build_section2,
+    "section3-5": lambda: build_section3(5),
+    "section4-2-8-1-4": lambda: build_section4(Section4Params(2, 8, 1, 4)),
+    "section4-2-12-0-12": lambda: build_section4(Section4Params(2, 12, 0, 12)),
+    "control-2-8-1-4": _grown_control,
+}
+
+
+@pytest.mark.parametrize("case", CLASS_GRAM_CASES)
+def test_class_grams_sum_to_the_compressions_gram(case):
+    # each class's share M^dag (V^dag V) M of the verdict's Gram matrix is
+    # the Gram matrix sum_w vec(C_w) vec(C_w)^dag of its words'
+    # compressions, the blocks compress scatters into its stack, within
+    # 1e-12 of the top eigenvalue
+    g, code = CLASS_GRAM_CASES[case]()
+    d = code.code_dim
+    gram = want = np.zeros((d * d, d * d), dtype=complex)
+    for *_, block, share in graph_module._compressions(g, code):
+        flat = block.reshape(len(block), d * d)
+        want = want + flat.conj().T @ flat
+        gram = gram + share
+    assert max_abs(gram - want) <= 1e-12 * np.linalg.eigvalsh(want)[-1]
+    if g.n_generators < 10**5:
+        flat = compress(g, code).reshape(g.n_generators, d * d)
+        assert max_abs(flat.conj().T @ flat - want) <= 1e-12 * np.linalg.eigvalsh(want)[-1]
+    report = is_anticlique(g, code)
+    assert (report.verdict, report.compressed_dim) == ((False, 3) if case.startswith("control") else (True, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw_word_tables())
+def test_stacked_pattern_grams_match_each_pattern(drawn):
+    # the stacked Grams and their discs, taken for all row patterns at once
+    # over zero-padded stacks, equal each pattern's own Gram and _discs
+    # within roundoff, also when the patterns hold unequal numbers of factors
+    n, table = drawn
+    for side in graph_from_labels(n, table)._sides:
+        grams, bounds = graph_module._pattern_grams(side)
+        sizes = np.diff(side.starts)
+        assert grams.shape == (len(sizes), sizes.max(), sizes.max())
+        for p, (a, b) in enumerate(zip(side.starts[:-1], side.starts[1:])):
+            u = side.vals[a:b]
+            gram = u @ u.conj().T
+            scale = 1e-12 * max(1.0, np.abs(gram).max())
+            assert max_abs(grams[p, : b - a, : b - a] - gram) <= scale
+            assert not grams[p, b - a :].any() and not grams[p, :, b - a :].any()
+            assert max_abs(bounds[p] - np.array(_discs(gram))) <= scale * len(u)
+
+
+def test_stacked_pattern_grams_pad_unequal_patterns():
+    # the closure of X (x) I and Z (x) I at n = 3: its left factors I, Z and
+    # Z^2 realize at the rows [0, 1, 2], while X and X^2 realize at the rows
+    # [1, 2, 0] and [2, 0, 1] alone, so two of the three Grams are padded;
+    # every factor has norm^2 3 and distinct ones are orthogonal
+    g = graph_from_labels(3, np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]))
+    left, right = g._sides
+    assert left is not right
+    assert np.diff(left.starts).tolist() == [3, 1, 1]
+    grams, bounds = graph_module._pattern_grams(left)
+    assert grams.shape == (3, 3, 3)
+    assert max_abs(grams[0] - 3 * np.eye(3)) < 1e-12
+    assert max_abs(grams[1:, 0, 0] - 3) < 1e-12 and not grams[1:, 1:].any() and not grams[1:, :, 1:].any()
+    assert max_abs(bounds - 3) < 1e-12
