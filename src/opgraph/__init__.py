@@ -1,31 +1,14 @@
 """opgraph: operator graphs, quantum anticliques, and dimension oracles."""
 
-from .linalg import DEFAULT_TOL, Tolerance, hs_inner, kron, max_abs, orthonormalize
-from .weyl import (
-    WeylLabel,
-    WeylLabelPair,
-    fourier_basis,
-    label,
-    label_adjoint,
-    label_mul,
-    label_pow,
-    pair_dense,
-    pair_monomial,
-    weyl_dense,
-    weyl_monomial,
-    word_table,
-    x_matrix,
-    z_matrix,
-)
+from .linalg import DEFAULT_TOL, Tolerance, kron, max_abs
+from .weyl import fourier_basis, pair_monomial, weyl_monomial
 from .graph import (
     CodeSpace,
     CompressionReport,
     GraphDim,
     OperatorGraph,
-    compress,
     graph_dim,
     graph_from_mask,
-    graph_from_labels,
     is_anticlique,
 )
 from .constructions import (

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CodeSpace, OperatorGraph, graph_from_labels, graph_from_mask
+from .graph import CodeSpace, OperatorGraph, graph_from_mask
 from .linalg import kron
 from .weyl import fourier_basis
 
@@ -52,18 +52,16 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1).
 
     At n = 2 the Pauli matrices are Weyl words: sx = Z, sz = X and
-    sy = i XZ, so the graph is the word table [Z(x)I, XZ(x)I, I(x)XZ, I(x)X],
-    and in mask order its generators are [I, I(x)sz, I(x)sy, sx(x)I,
+    sy = i XZ, so the graph is spanned by the words Z(x)I, XZ(x)I, I(x)XZ and
+    I(x)X, and in mask order its generators are [I, I(x)sz, I(x)sy, sx(x)I,
     sy(x)I]. The phase i is dropped; it changes neither the span nor the
     anticlique verdict.
     """
-    words = np.array([
-        [0, 1, 0, 0, 0, 0],  # Z (x) I = sx (x) I
-        [1, 1, 0, 0, 0, 0],  # XZ (x) I = -i sy (x) I
-        [0, 0, 0, 1, 1, 0],  # I (x) XZ = -i I (x) sy
-        [0, 0, 0, 1, 0, 0],  # I (x) X = I (x) sz
-    ])
-    g = graph_from_labels(2, words)
+    mask, words = _word_mask(2)
+    # Z (x) I, XZ (x) I, I (x) XZ and I (x) X, one word per column of the
+    # (left kx, left kz, right kx, right kz) index lists
+    words[[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]] = True
+    g = graph_from_mask(2, mask)
     f_plus = kron(np.array([1, 0]), np.array([1, 1]))
     f_minus = kron(np.array([0, 1]), np.array([1, -1]))
     code = CodeSpace.from_vectors([f_plus, f_minus], names=("f+", "f-"))
@@ -79,7 +77,7 @@ def _word_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _one_sided_powers(words: np.ndarray) -> None:
     """Set all nontrivial powers (X Z^k)^s, placed on either tensor factor,
-    in a word mask's (n, n, n, n) view. By label_pow's closed form,
+    in a word mask's (n, n, n, n) view. In closed form,
     (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}, the phase-free word X^s Z^{ks}."""
     n = len(words)
     k, s = np.indices((n, n - 1))

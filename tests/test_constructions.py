@@ -19,20 +19,23 @@ from opgraph.constructions import (
     enumerate_section4_params,
     residue_set_A,
 )
-from opgraph.graph import CodeSpace, compress, graph_dim, graph_from_labels, is_anticlique
+from opgraph.graph import CodeSpace, graph_dim, is_anticlique
 from opgraph.linalg import kron, max_abs
-from opgraph.weyl import (
+from opgraph.weyl import fourier_basis
+
+from reference import (
     WeylLabelPair,
-    fourier_basis,
+    compress,
+    graph_from_labels,
+    graph_words,
     label,
     label_pow,
+    mask_of,
     weyl_dense,
     word_table,
     x_matrix,
     z_matrix,
 )
-
-from conftest import mask_of
 
 
 def section3_label_count(n: int) -> int:
@@ -253,7 +256,7 @@ def test_section4_contains_section3_span():
     params = Section4Params(2, 3, 0, 2)
     g4, _ = build_section4(params)
     g3, _ = build_section3(params.n)
-    combined = graph_from_labels(params.n, np.concatenate([g4.words, g3.words]))
+    combined = graph_from_labels(params.n, np.concatenate([graph_words(g4), graph_words(g3)]))
     assert np.array_equal(combined.mask, g4.mask)
 
 

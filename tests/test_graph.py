@@ -7,28 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgraph.graph import (
-    CodeSpace,
-    OperatorGraph,
-    compress,
-    graph_dim,
-    graph_from_labels,
-    graph_from_mask,
-    is_anticlique,
-)
+from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, is_anticlique
 from opgraph import constructions
 from opgraph import graph as graph_module
 from opgraph.linalg import _discs, dagger, kron, max_abs
-from opgraph.weyl import (
-    WeylLabelPair,
-    fourier_basis,
-    label,
-    pair_adjoint,
-    pair_dense,
-    pair_monomial,
-    weyl_monomial,
-    word_table,
-)
+from opgraph.weyl import fourier_basis, pair_monomial, weyl_monomial
 from opgraph.constructions import (
     Section4Params,
     build_remark2,
@@ -38,7 +21,18 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 
-from conftest import gram_rank, in_fourier, mask_of, random_complex
+from reference import (
+    WeylLabelPair,
+    compress,
+    graph_from_labels,
+    graph_words,
+    label,
+    mask_of,
+    pair_adjoint,
+    pair_dense,
+    word_table,
+)
+from conftest import gram_rank, in_fourier, random_complex
 
 
 def pair(n, m, k, j, s):
@@ -48,7 +42,7 @@ def pair(n, m, k, j, s):
 def scalar_pairs(g):
     """The graph's words as scalar reference pairs, in generator order."""
     n = math.isqrt(g.space_dim)
-    return [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in g.words.tolist()]
+    return [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in graph_words(g).tolist()]
 
 
 def label_set(words):
@@ -66,7 +60,7 @@ def test_graph_from_labels_empty_is_identity_span():
 
 def test_graph_from_labels_adjoint_closure():
     g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0)]))
-    assert label_set(g.words) == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
+    assert label_set(graph_words(g)) == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
     dims = graph_dim(g, "both")
     assert dims.labels == dims.gram == 3
 
@@ -100,8 +94,8 @@ def scalar_closure(n, pairs):
 
 def assert_closes_to(g, n, pairs):
     """g's words are scalar_closure(n, pairs), in that order, phases 0."""
-    assert g.words[:, [0, 1, 3, 4]].tolist() == [list(key) for key in scalar_closure(n, pairs)]
-    assert not g.words[:, [2, 5]].any()
+    assert graph_words(g)[:, [0, 1, 3, 4]].tolist() == [list(key) for key in scalar_closure(n, pairs)]
+    assert not graph_words(g)[:, [2, 5]].any()
 
 
 def test_graph_from_labels_matches_scalar_closure():
@@ -113,7 +107,7 @@ def test_graph_from_labels_matches_scalar_closure():
         assert_closes_to(graph_from_labels(n, word_table(pairs)), n, pairs)
     # unreduced and negative entries are taken mod n, and phases dropped
     g = graph_from_labels(3, np.array([[4, -1, 7, 0, 3, -3]]))
-    assert g.words.tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0]]
+    assert graph_words(g).tolist() == [[0, 0, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0]]
 
 
 @st.composite
@@ -148,7 +142,7 @@ def test_closure_is_idempotent():
     for g in graphs:
         assert np.array_equal(graph_from_mask(g.n, g.mask).mask, g.mask)
     # an empty mask closes to the identity alone
-    assert graph_from_mask(3, np.zeros((9, 9), dtype=bool)).words.tolist() == [[0] * 6]
+    assert graph_words(graph_from_mask(3, np.zeros((9, 9), dtype=bool))).tolist() == [[0] * 6]
 
 
 def test_off_diagonal_family_is_adjoint_closed():
@@ -215,7 +209,7 @@ def test_words_at_finds_the_mask_entries(build, arg):
     ids = np.r_[0, count - 1, np.random.default_rng(2).integers(0, count, size=50)]
     expected = np.stack([row // n, row % n, 0 * row, column // n, column % n, 0 * row], axis=1)[ids]
     assert np.array_equal(g.words_at(ids), expected)
-    assert np.array_equal(g.words[ids], expected)
+    assert np.array_equal(graph_words(g)[ids], expected)
     for at in (0, count - 1, int(ids[-1])):
         assert g.words_at(at).tolist() == expected[ids.tolist().index(at)].tolist()
     for outside in (-1, count):
@@ -323,7 +317,7 @@ def test_kl_table_section3_word_vanishes():
     n = 3
     g, code = build_section3(n)
     # first non-identity generator is (X Z^0)^1 on the left factor
-    idx = g.words[:, [0, 1, 3, 4]].tolist().index([1, 0, 0, 0])
+    idx = graph_words(g)[:, [0, 1, 3, 4]].tolist().index([1, 0, 0, 0])
     table = compress(g, code)
     assert max_abs(table[idx]) < 1e-12
 
@@ -425,7 +419,7 @@ def test_word_outside_the_graph_flips_the_verdict():
     outside = np.array([[0, 2, 0, 0, 0, 0]])
     assert not g.mask[2, 0]
     assert max_abs(compress(graph_from_labels(16, outside), code)[1] - np.diag(1j ** np.arange(4))) < 1e-12
-    grown = graph_from_labels(16, np.concatenate([g.words, outside]))
+    grown = graph_from_labels(16, np.concatenate([graph_words(g), outside]))
     report = is_anticlique(grown, code)
     assert not report.verdict
     assert report.compressed_dim == 3
@@ -438,6 +432,35 @@ def test_word_outside_the_graph_flips_the_verdict():
     assert 497 == np.count_nonzero(grown.mask[:2])
     # without the word the residual is roundoff
     assert is_anticlique(g, code).residual < 1e-15
+
+
+def _shift_control(params):
+    """The section4 graph grown by the code's own shift X^{h+1} (x) X^{h+1},
+    set in a copy of its mask, and its code."""
+    g, code = build_section4(params)
+    n, m = params.n, params.h + 1
+    mask = g.mask.copy()
+    mask[m * n, m * n] = True
+    return graph_from_mask(n, mask), code
+
+
+@pytest.mark.parametrize("params, dim", [((2, 8, 1, 4), 3), ((2, 4, 1, 2), 2), ((3, 8, 1, 4), 3)])
+def test_code_shift_flips_the_verdict(params, dim):
+    # Z^p (x) I only tests the diagonal of the compressions. The code's own
+    # shift X^{h+1} (x) X^{h+1} maps q_k onto q_{k+1}, cyclically since
+    # y = (h+1)d at these points, so it compresses to a permutation off the
+    # diagonal. It is outside the graph: h+1 is not an allowed residue and
+    # its clock exponents (0, 0) sum to 0 mod p. With its adjoint and the
+    # identity it spans 3 dimensions, or 2 at d = 2, where the shift swaps
+    # q_1 and q_2 and is its own adjoint
+    params = Section4Params(*params)
+    g, _ = build_section4(params)
+    grown, code = _shift_control(params)
+    assert grown.n_generators == g.n_generators + 2
+    report = is_anticlique(grown, code)
+    assert (report.verdict, report.compressed_dim) == (False, dim)
+    assert abs(report.residual - 1.0) <= 1e-12
+    assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 0, 2, 0, 0)
 
 
 def test_worst_breaks_a_tie_across_classes_by_mask_order():
@@ -470,7 +493,7 @@ def _gathered_and_reaching(g, code):
         gathered[number[row, column]] = True
     support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
     columns_l, columns_r = np.divmod(support, g.n)
-    words = g.words
+    words = graph_words(g)
     rows = weyl_monomial(words[:, :3], g.n)[0][:, columns_l] * g.n + weyl_monomial(words[:, 3:], g.n)[0][:, columns_r]
     return gathered, np.isin(rows, support).any(axis=1)
 
@@ -501,8 +524,8 @@ def test_compressions_test_every_column_of_the_support():
     g = graph_from_mask(n, np.ones((16, 16), dtype=bool))
     gathered, reaching = _gathered_and_reaching(g, code)
     assert np.array_equal(gathered, reaching)
-    assert reaching[np.flatnonzero(np.all(g.words[:, [0, 3]] == [3, 1], axis=1))].all()
-    rows, vals = pair_monomial(g.words, n)
+    assert reaching[np.flatnonzero(np.all(graph_words(g)[:, [0, 3]] == [3, 1], axis=1))].all()
+    rows, vals = pair_monomial(graph_words(g), n)
     dense = np.zeros((g.n_generators, 16, 16), dtype=complex)
     dense[np.arange(g.n_generators)[:, None], rows, np.arange(16)] = vals
     s = code.fourier
@@ -596,7 +619,7 @@ def test_full_oracle_agreement_n16():
 def _dense_gram_rank(g):
     """Gram rank of the realized generators scattered into dense matrices,
     with no use of the support blocks."""
-    rows, vals = pair_monomial(g.words, math.isqrt(g.space_dim))
+    rows, vals = pair_monomial(graph_words(g), math.isqrt(g.space_dim))
     dim = g.space_dim
     dense = np.zeros((len(rows), dim, dim), dtype=complex)
     dense[np.arange(len(rows))[:, None], rows, np.arange(dim)] = vals
@@ -702,7 +725,7 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
         members = number[left.ids[left.starts[p] + a], right.ids[right.starts[q] + b]]
         gram = np.kron(grams_l[p], grams_r[q])
         selected = a * len(grams_r[q]) + b
-        rows, vals = pair_monomial(g.words[members], g.n)
+        rows, vals = pair_monomial(graph_words(g)[members], g.n)
         assert np.all(rows == rows[0])
         full = vals @ vals.conj().T
         assert max_abs(gram[np.ix_(selected, selected)] - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
@@ -799,7 +822,7 @@ def test_one_line_realized_twice(monkeypatch, delta, rank):
 def test_label_count_matches_key_set():
     for build, arg in SMALL_LABEL_GRAPHS:
         g, _ = build(arg)
-        assert graph_dim(g, "labels") == len(label_set(g.words)) == np.count_nonzero(g.mask)
+        assert graph_dim(g, "labels") == len(label_set(graph_words(g))) == np.count_nonzero(g.mask)
 
 
 def test_dense_generators_match_labels():
@@ -820,10 +843,10 @@ def test_anticlique_memory_is_bounded():
     # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
     # per-generator array, nor any copy of the mask: only the graph's
     # realized factors, and the sub-block and gather of one class that
-    # reaches the code. That is about 0.4 MB at n = 16, 1.6 MB at n = 32 and
-    # 6.6 MB at n = 48, where one complex per generator would take 16.7 MB
-    # and 85 MB
-    cases = ((Section4Params(2, 8, 1, 4), 6), (Section4Params(2, 16, 3, 4), 8), (Section4Params(2, 24, 3, 6), 8))
+    # reaches the code. That is about 0.42 MB at n = 16, 1.6 MB at n = 32 and
+    # 6.0 MB at n = 48, where one complex per generator would take 1.0 MB,
+    # 16.7 MB and 85 MB
+    cases = ((Section4Params(2, 8, 1, 4), 1), (Section4Params(2, 16, 3, 4), 3), (Section4Params(2, 24, 3, 6), 8))
     for params, bound_mb in cases:
         g, code = build_section4(params)
         report, peak = _traced_peak(lambda: is_anticlique(g, code))
@@ -893,7 +916,7 @@ def test_distinct_factors_gather_exactly(build, arg):
         assert np.array_equal(patterns.ids[at], entries[side])
         assert np.bincount(at, minlength=len(order)).all()
         rows = np.repeat(patterns.rows, np.diff(starts), axis=0)
-        rows_w, vals_w = weyl_monomial(g.words[:, 3 * side : 3 * side + 3], g.n)
+        rows_w, vals_w = weyl_monomial(graph_words(g)[:, 3 * side : 3 * side + 3], g.n)
         assert np.array_equal(rows[at], rows_w)
         assert np.array_equal(patterns.vals[at].view(float), vals_w.view(float))
 
@@ -938,7 +961,7 @@ def _grown_control():
     not tolerate (test_word_outside_the_graph_flips_the_verdict), and its
     code."""
     g, code = build_section4(Section4Params(2, 8, 1, 4))
-    return graph_from_labels(16, np.concatenate([g.words, [[0, 2, 0, 0, 0, 0]]])), code
+    return graph_from_labels(16, np.concatenate([graph_words(g), [[0, 2, 0, 0, 0, 0]]])), code
 
 
 CLASS_GRAM_CASES = {
@@ -947,6 +970,7 @@ CLASS_GRAM_CASES = {
     "section4-2-8-1-4": lambda: build_section4(Section4Params(2, 8, 1, 4)),
     "section4-2-12-0-12": lambda: build_section4(Section4Params(2, 12, 0, 12)),
     "control-2-8-1-4": _grown_control,
+    "control-shift-2-8-1-4": lambda: _shift_control(Section4Params(2, 8, 1, 4)),
 }
 
 

@@ -1,0 +1,28 @@
+"""The package exports what the CLI and the library example run; the label
+algebra, the dense realizers, word tables and the compression stack live in
+tests/reference.py."""
+
+import importlib
+
+import pytest
+
+from opgraph.graph import OperatorGraph
+
+import reference
+
+MOVED = [
+    "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
+    "weyl_dense", "pair_adjoint", "pair_dense", "word_table", "x_matrix", "z_matrix",
+    "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress",
+]
+
+
+@pytest.mark.parametrize("module", ["opgraph", "opgraph.weyl", "opgraph.linalg", "opgraph.graph"])
+def test_moved_names_are_not_in_the_package(module):
+    package = importlib.import_module(module)
+    assert [name for name in MOVED if hasattr(package, name)] == []
+
+
+def test_moved_names_are_in_reference():
+    assert all(callable(getattr(reference, name)) for name in [*MOVED, "graph_words"])
+    assert not hasattr(OperatorGraph, "words")

@@ -3,24 +3,24 @@ import itertools
 import numpy as np
 import pytest
 
-from opgraph.linalg import dagger, hs_inner, is_unitary, kron, max_abs
-from opgraph.weyl import (
+from opgraph.linalg import dagger, kron, max_abs
+from opgraph.weyl import fourier_basis, pair_monomial, weyl_monomial
+
+from reference import (
     WeylLabelPair,
-    fourier_basis,
+    hs_inner,
+    is_unitary,
     label,
     label_adjoint,
     label_mul,
     label_pow,
     pair_adjoint,
     pair_dense,
-    pair_monomial,
     weyl_dense,
-    weyl_monomial,
     word_table,
     x_matrix,
     z_matrix,
 )
-
 from conftest import in_fourier
 
 
