@@ -1,7 +1,7 @@
 """opgraph: operator graphs, quantum anticliques, and dimension oracles."""
 
 from .linalg import DEFAULT_TOL, Tolerance, kron, max_abs
-from .weyl import fourier_basis, pair_monomial, weyl_monomial
+from .weyl import fourier_basis, weyl_monomial
 from .graph import (
     CodeSpace,
     CompressionReport,

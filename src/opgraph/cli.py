@@ -6,7 +6,8 @@ agreement of the two dimension oracles over every generator, and
 max_residual <= --tol-abs; a mismatch between computed dimension and the
 claimed closed form is reported via ``formula_match`` but is never fatal.
 A failed anticlique verdict also prints one line to stderr naming the
-generator's word and the code basis vectors where the residual peaks.
+generator's word X^kx Z^kz (x) X^kx' Z^kz' as (kx, kz, kx', kz') and the
+code basis vectors where the residual peaks.
 
 CSV columns (fixed order):
     construction,n,p,y,h,d,space_dim,code_dim,graph_dim_labels,
@@ -40,7 +41,7 @@ from .constructions import (
 )
 from .graph import graph_dim, is_anticlique
 from .linalg import Tolerance
-from .weyl import pair_monomial
+from .weyl import weyl_monomial
 
 CSV_COLUMNS = [
     "construction",
@@ -248,12 +249,14 @@ def cmd_demo(args) -> int:
     for trial in range(args.trials):
         gen_idx = int(rng.integers(g.n_generators))
         word_idx = int(rng.integers(code.code_dim))
-        # realize only the sampled generator, V[rows[c], c] = vals[c], and
-        # apply it to the codeword as a scatter; graphs can be large
-        rows, vals = pair_monomial(g.words_at([gen_idx]), g.n)
-        image = np.zeros(g.space_dim, dtype=complex)
-        image[rows[0]] = vals[0] * s[:, word_idx]
-        column = s.conj().T @ image
+        # realize only the sampled generator, one factor per side with
+        # V[r[c], c] = v[c], and apply it to the codeword, viewed as an
+        # n x n array, as a scatter; graphs can be large
+        word = g.words_at(gen_idx)
+        (row_l, row_r), (val_l, val_r) = weyl_monomial(word[0::2], word[1::2], g.n)
+        image = np.zeros((g.n, g.n), dtype=complex)
+        image[np.ix_(row_l, row_r)] = val_l[:, None] * val_r * s[:, word_idx].reshape(g.n, g.n)
+        column = s.conj().T @ image.ravel()
         cross = np.abs(column)
         cross[word_idx] = 0.0
         cross_talk = float(cross.max()) if cross.size else 0.0

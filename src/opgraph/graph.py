@@ -8,7 +8,8 @@ entry (kx * n + kz, kx' * n + kz') is set exactly when that word is a
 generator, and generators are numbered in row-major mask order. The mask
 takes n^4 bytes whatever the number of words: 65 kB for the 64513 words of
 the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. graph_from_mask
-closes a mask under adjoints with one permutation of its rows and columns.
+closes a mask under adjoints by ORing the mask with every exponent negated
+into one copy of it.
 
 Two independent dimension oracles are available: counting the words (the
 mask's popcount, exact) and the numeric Gram rank of the realized
@@ -41,6 +42,7 @@ the compressions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,21 +114,15 @@ class OperatorGraph:
 
     def words_at(self, at) -> np.ndarray:
         """The words of generators ``at`` (a generator id or an array of
-        them) as word table rows (left kx, left kz, 0, right kx, right kz,
-        0), found from the per-row counts of the mask."""
+        them) as exponent rows (left kx, left kz, right kx, right kz), found
+        from the per-row counts of the mask."""
         at = np.asarray(at)
         if np.any((at < 0) | (at >= self.n_generators)):
             raise IndexError(f"generator ids must lie in [0, {self.n_generators})")
         row = np.searchsorted(self._offsets, at, side="right") - 1
         # the column of the row's (at - offset)-th set entry
         column = np.argmax(np.cumsum(self.mask[row], axis=-1) > (at - self._offsets[row])[..., None], axis=-1)
-        return _word_rows(self.n, row, column)
-
-
-def _word_rows(n: int, row: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Phase-free word table rows of the mask entries (row, column)."""
-    zero = np.zeros_like(row)
-    return np.stack([*np.divmod(row, n), zero, *np.divmod(column, n), zero], axis=-1)
+        return np.stack([*np.divmod(row, self.n), *np.divmod(column, self.n)], axis=-1)
 
 
 def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
@@ -134,14 +130,20 @@ def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
     sets (see OperatorGraph), the identity, and the adjoint of every word.
 
     The adjoint of X^kx Z^kz is X^-kx Z^-kz up to a phase, so the closure
-    ORs in the mask's (n, n, n, n) view with every exponent negated mod n,
-    and sets the identity.
+    ORs the mask's (n, n, n, n) view, with every exponent negated mod n,
+    into one copy of the mask, and sets the identity. Negation mod n fixes
+    index 0 and reverses 1..n-1, so the negated mask is 16 slice views of
+    the caller's mask, which is only read; no further copy is made.
     """
     _check_mask(n, mask)
     words = mask.reshape(n, n, n, n)
-    # exponent -k mod n on every axis: reversed, then rolled on by one
-    adjoint = np.roll(words[::-1, ::-1, ::-1, ::-1], 1, axis=(0, 1, 2, 3))
-    closed = (words | adjoint).reshape(n * n, n * n)
+    closed = mask.copy()
+    view = closed.reshape(n, n, n, n)
+    # (target, source) on one axis: 0 from 0, and 1.. from n-1..1
+    axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for picks in itertools.product(axis, repeat=4):
+        to, source = zip(*picks)
+        view[to] |= words[source]
     closed[0, 0] = True
     return OperatorGraph(n, closed)
 
@@ -342,8 +344,7 @@ def _group(ids: np.ndarray, n: int) -> _Patterns:
     realized by weyl_monomial and grouped by row pattern. Raises ValueError
     unless each pattern, and so each factor's rows, is a permutation of
     range(n), as a monomial unitary's rows are."""
-    kx, kz = np.divmod(ids, n)
-    rows, vals = weyl_monomial(np.stack([kx, kz, np.zeros_like(kx)], axis=1), n)
+    rows, vals = weyl_monomial(*np.divmod(ids, n), n)
     # lexsort is stable, so each pattern keeps its ids increasing
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]

@@ -7,21 +7,18 @@ Z f_j = w^j f_j. Under these definitions X shifts the Fourier basis,
 X f_j = f_{j+1 mod n}, and the commutation rule is Z X = w X Z. Note this is
 the reverse of the more common shift/clock assignment.
 
-A word w^phase X^kx Z^kz is given by its integer exponents, reduced mod n:
-single-factor words as a table of shape (G, 3), rows (kx, kz, phase), and
-tensor words as a word table of shape (G, 6), one row (left kx, left kz,
-left phase, right kx, right kz, right phase) per word. Realization is
-monomial and in the Fourier basis f_c (the columns of fourier_basis), where
-the constructions' codes are sparse: weyl_monomial realizes single-factor
-words W as F^dag W F, and pair_monomial a tensor word as the outer product
-of its two factor realizations.
+Phases never change a span, so a word is the phase-free X^kx Z^kz, given by
+its two integer exponents, reduced mod n. weyl_monomial realizes words in
+monomial form in the Fourier basis f_c (the columns of fourier_basis), where
+the constructions' codes are sparse: as F^dag W F, one nonzero entry per
+column. A tensor word X^kx Z^kz (x) X^kx' Z^kz' is realized factor by factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fourier_basis", "pair_monomial", "weyl_monomial"]
+__all__ = ["fourier_basis", "weyl_monomial"]
 
 
 def fourier_basis(n: int) -> np.ndarray:
@@ -33,47 +30,25 @@ def fourier_basis(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (j * k % n) / n) / np.sqrt(n)
 
 
-def weyl_monomial(factors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial realization of single-factor words w^phase X^kx Z^kz on C^n,
-    given as an integer table of shape (G, 3) with rows (kx, kz, phase).
+def weyl_monomial(kx, kz, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial realization of the words X^kx Z^kz on C^n, given by two
+    integer exponent arrays of shape (G,).
 
-    Returns (rows, vals), both of shape (len(factors), n): column c of word g
-    has its single nonzero entry at row rows[g, c], with value vals[g, c].
-    The realization is F^dag W F in the Fourier basis f_c (the columns of
+    Returns (rows, vals), both of shape (G, n): column c of word g has its
+    single nonzero entry at row rows[g, c], with value vals[g, c]. The
+    realization is F^dag W F in the Fourier basis f_c (the columns of
     fourier_basis), where Z f_c = w^c f_c and X f_c = f_{c+1}: rows
-    (c + kx) mod n, values w^{phase + kz * c}. The table is reduced mod n
-    once; rows are gathered from an (n, n) table of shifts and values from
-    a table of length n^2 holding the n roots of unity n times over, so no
-    per-entry remainder is taken.
+    (c + kx) mod n, values w^{kz * c}. The exponents are reduced mod n once;
+    rows are gathered from an (n, n) table of shifts and values from a table
+    of length n^2 holding the n roots of unity n times over, so no per-entry
+    remainder is taken.
     """
-    e = np.asarray(factors)
-    if e.ndim != 2 or e.shape[1] != 3:
-        raise ValueError(f"weyl_monomial needs a factor table of shape (G, 3), got {e.shape}")
-    kx, kz, phase = (e % n).T[:, :, None]
+    kx, kz = np.asarray(kx), np.asarray(kz)
+    if kx.ndim != 1 or kx.shape != kz.shape:
+        raise ValueError(f"weyl_monomial needs two exponent arrays of one shape (G,), got {kx.shape} and {kz.shape}")
     cols = np.arange(n)
-    # once reduced, exponents phase + kz * c are at most n^2 - n; entry j is
+    # once reduced, exponents kz * c are at most (n - 1)^2; entry j is
     # w^(j mod n), with the same bits as the table of the n roots
     roots = np.exp(2j * np.pi * (np.arange(n * n) % n) / n)
-    rows = ((cols + cols[:, None]) % n)[kx[:, 0]]
-    return rows, roots[phase + kz * cols]
-
-
-def pair_monomial(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial realization of the tensor words of a word table on
-    C^n (x) C^n, without forming dense matrices.
-
-    Returns (rows, vals), both of shape (len(words), n^2): column c of word g
-    has its single nonzero entry at row rows[g, c], with value vals[g, c].
-    Each factor is realized by weyl_monomial, in the Fourier basis, and
-    column i*n + j takes the product of left column i and right column j, so
-    scattering (rows, vals) gives the word's matrix conjugated by F (x) F:
-    its coordinates in the Fourier product basis f_i (x) f_j.
-    """
-    e = np.asarray(words)
-    if e.ndim != 2 or e.shape[1] != 6:
-        raise ValueError(f"pair_monomial needs a word table of shape (G, 6), got {e.shape}")
-    row_l, val_l = weyl_monomial(e[:, :3], n)
-    row_r, val_r = weyl_monomial(e[:, 3:], n)
-    rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(e), n * n)
-    vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(e), n * n)
-    return rows, vals
+    rows = ((cols + cols[:, None]) % n)[kx % n]
+    return rows, roots[(kz % n)[:, None] * cols]

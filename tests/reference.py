@@ -1,15 +1,17 @@
 """Reference implementations the tests check opgraph against.
 
-opgraph stores a graph as an exponent mask and realizes words only in
-monomial form (opgraph.weyl.weyl_monomial). This module keeps the slower,
-more literal forms the tests compare that with:
+opgraph stores a graph as a phase-free exponent mask and realizes words
+only in monomial form, from their two exponents (opgraph.weyl.weyl_monomial).
+This module keeps the slower, more literal forms the tests compare that
+with, and the only phase-carrying word forms:
 
 * the exact scalar label algebra: WeylLabel (w^phase X^kx Z^kz, exponents
   mod n), WeylLabelPair (a tensor word), products, powers and adjoints;
 * dense realizations in the standard basis: x_matrix, z_matrix, weyl_dense
   and pair_dense;
 * word tables, integer arrays of shape (G, 6) with rows (left kx, left kz,
-  left phase, right kx, right kz, right phase): word_table, mask_of,
+  left phase, right kx, right kz, right phase): word_table, pair_monomial
+  (their monomial realization, phases included), mask_of,
   graph_from_labels and graph_words;
 * Hilbert-Schmidt products, a unitarity check and Gram-Schmidt;
 * compress, the full stack of compressions, scattered in generator order
@@ -29,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from opgraph.graph import CodeSpace, OperatorGraph, _compressions, _word_rows, graph_from_mask
+from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
 from opgraph.linalg import DEFAULT_TOL, Tolerance, _gram_schmidt, dagger, kron, max_abs
+from opgraph.weyl import weyl_monomial
 
 
 def x_matrix(n: int) -> np.ndarray:
@@ -143,6 +146,36 @@ def word_table(pairs: Sequence[WeylLabelPair]) -> np.ndarray:
     return np.array([_PAIR_FIELDS(p) for p in pairs], dtype=np.int64).reshape(len(pairs), 6)
 
 
+def pair_monomial(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial realization of the tensor words of a word table on
+    C^n (x) C^n, phases included, without forming dense matrices.
+
+    Returns (rows, vals), both of shape (len(words), n^2): column c of word g
+    has its single nonzero entry at row rows[g, c], with value vals[g, c].
+    Each factor w^phase X^kx Z^kz takes its rows from weyl_monomial, in the
+    Fourier basis, and its values w^{phase + kz * c} from the n roots
+    weyl_monomial realizes Z with: the phase is multiplied in as a sum of
+    exponents, so a phase-free factor keeps weyl_monomial's values bit for
+    bit. Column i*n + j takes the product of left column i and right column
+    j, so scattering (rows, vals) gives the word's matrix conjugated by
+    F (x) F: its coordinates in the Fourier product basis f_i (x) f_j.
+    """
+    e = np.asarray(words)
+    if e.ndim != 2 or e.shape[1] != 6:
+        raise ValueError(f"pair_monomial needs a word table of shape (G, 6), got {e.shape}")
+    e = e % n
+    # w^j at j, the values weyl_monomial gives Z
+    roots = weyl_monomial([0], [1], n)[1][0]
+    cols = np.arange(n)
+    (row_l, val_l), (row_r, val_r) = (
+        (weyl_monomial(kx, kz, n)[0], roots[(phase[:, None] + kz[:, None] * cols) % n])
+        for kx, kz, phase in (e[:, :3].T, e[:, 3:].T)
+    )
+    rows = (row_l[:, :, None] * n + row_r[:, None, :]).reshape(len(e), n * n)
+    vals = (val_l[:, :, None] * val_r[:, None, :]).reshape(len(e), n * n)
+    return rows, vals
+
+
 def mask_of(n: int, words) -> np.ndarray:
     """The boolean (n^2, n^2) word mask of the words of an integer word table
     of shape (G, 6), entries taken mod n and phases dropped, with no identity
@@ -170,7 +203,9 @@ def graph_from_labels(n: int, words: np.ndarray) -> OperatorGraph:
 def graph_words(g: OperatorGraph) -> np.ndarray:
     """The graph's word table, shape (n_generators, 6), rows (left kx,
     left kz, 0, right kx, right kz, 0) in generator order."""
-    return _word_rows(g.n, *np.nonzero(g.mask))
+    row, column = np.nonzero(g.mask)
+    zero = np.zeros_like(row)
+    return np.stack([*np.divmod(row, g.n), zero, *np.divmod(column, g.n), zero], axis=1)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

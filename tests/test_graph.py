@@ -11,7 +11,7 @@ from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, 
 from opgraph import constructions
 from opgraph import graph as graph_module
 from opgraph.linalg import _discs, dagger, kron, max_abs
-from opgraph.weyl import fourier_basis, pair_monomial, weyl_monomial
+from opgraph.weyl import fourier_basis, weyl_monomial
 from opgraph.constructions import (
     Section4Params,
     build_remark2,
@@ -30,6 +30,7 @@ from reference import (
     mask_of,
     pair_adjoint,
     pair_dense,
+    pair_monomial,
     word_table,
 )
 from conftest import gram_rank, in_fourier, random_complex
@@ -207,9 +208,9 @@ def test_words_at_finds_the_mask_entries(build, arg):
     n, count = g.n, g.n_generators
     assert len(row) == count
     ids = np.r_[0, count - 1, np.random.default_rng(2).integers(0, count, size=50)]
-    expected = np.stack([row // n, row % n, 0 * row, column // n, column % n, 0 * row], axis=1)[ids]
+    expected = np.stack([row // n, row % n, column // n, column % n], axis=1)[ids]
     assert np.array_equal(g.words_at(ids), expected)
-    assert np.array_equal(graph_words(g)[ids], expected)
+    assert np.array_equal(graph_words(g)[ids][:, [0, 1, 3, 4]], expected)
     for at in (0, count - 1, int(ids[-1])):
         assert g.words_at(at).tolist() == expected[ids.tolist().index(at)].tolist()
     for outside in (-1, count):
@@ -428,7 +429,7 @@ def test_word_outside_the_graph_flips_the_verdict():
     # tensor classes out of mask order and names the first in mask order,
     # generator 497, at its entry (q_1, q_1)
     assert report.worst == (497, 0, 0)
-    assert tuple(grown.words_at(497)[[0, 1, 3, 4]]) == (0, 2, 0, 0)
+    assert tuple(grown.words_at(497)) == (0, 2, 0, 0)
     assert 497 == np.count_nonzero(grown.mask[:2])
     # without the word the residual is roundoff
     assert is_anticlique(g, code).residual < 1e-15
@@ -460,7 +461,7 @@ def test_code_shift_flips_the_verdict(params, dim):
     report = is_anticlique(grown, code)
     assert (report.verdict, report.compressed_dim) == (False, dim)
     assert abs(report.residual - 1.0) <= 1e-12
-    assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 0, 2, 0, 0)
+    assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 2, 0)
 
 
 def test_worst_breaks_a_tie_across_classes_by_mask_order():
@@ -494,7 +495,8 @@ def _gathered_and_reaching(g, code):
     support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
     columns_l, columns_r = np.divmod(support, g.n)
     words = graph_words(g)
-    rows = weyl_monomial(words[:, :3], g.n)[0][:, columns_l] * g.n + weyl_monomial(words[:, 3:], g.n)[0][:, columns_r]
+    rows = weyl_monomial(words[:, 0], words[:, 1], g.n)[0][:, columns_l] * g.n
+    rows = rows + weyl_monomial(words[:, 3], words[:, 4], g.n)[0][:, columns_r]
     return gathered, np.isin(rows, support).any(axis=1)
 
 
@@ -668,11 +670,11 @@ def _crafted_rows(monkeypatch, n, side, second):
     side realizes to the rows ``second`` (values 1), in place of the Weyl
     realization; the identity's factors realize to rows range(n)."""
     word = pair(n, 1, 0, 0, 0) if side == "left" else pair(n, 0, 0, 1, 0)
-    rows_of = {(0, 0, 0): list(range(n)), (1, 0, 0): second}
+    rows_of = {(0, 0): list(range(n)), (1, 0): second}
 
-    def realize(factors, n):
-        rows = np.array([rows_of[tuple(f)] for f in factors.tolist()]).reshape(len(factors), n)
-        return rows, np.ones((len(factors), n), dtype=complex)
+    def realize(kx, kz, n):
+        rows = np.array([rows_of[f] for f in zip(kx.tolist(), kz.tolist())]).reshape(len(kx), n)
+        return rows, np.ones((len(kx), n), dtype=complex)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
     return OperatorGraph(n, mask_of(n, word_table([pair(n, 0, 0, 0, 0), word])))
@@ -745,20 +747,20 @@ def test_gram_oracle_matches_dense_on_random_graphs(drawn):
 
 
 def _crafted_graph(monkeypatch, realized, words):
-    """Graph on C^2 (x) C^2 of the words, given in mask order, whose factors
-    (kx, kz, 0) realize as realized[factor] = (rows, vals) in place of the
-    Weyl realization, and the plain eigensolve rank of its generators built
-    from those realizations."""
+    """Graph on C^2 (x) C^2 of the words (kx, kz, kx', kz'), given in mask
+    order, whose factors (kx, kz) realize as realized[factor] = (rows, vals)
+    in place of the Weyl realization, and the plain eigensolve rank of its
+    generators built from those realizations."""
     n = 2
 
-    def realize(factors, n):
-        pairs = [realized[tuple(f)] for f in factors.tolist()]
-        rows = np.array([r for r, _ in pairs]).reshape(len(factors), n)
-        return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(factors), n)
+    def realize(kx, kz, n):
+        pairs = [realized[f] for f in zip(kx.tolist(), kz.tolist())]
+        rows = np.array([r for r, _ in pairs]).reshape(len(kx), n)
+        return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(kx), n)
 
     words = np.array(words)
-    rows_l, vals_l = realize(words[:, :3], n)
-    rows_r, vals_r = realize(words[:, 3:], n)
+    rows_l, vals_l = realize(words[:, 0], words[:, 1], n)
+    rows_r, vals_r = realize(words[:, 2], words[:, 3], n)
     rows = (rows_l[:, :, None] * n + rows_r[:, None, :]).reshape(len(words), n * n)
     vals = (vals_l[:, :, None] * vals_r[:, None, :]).reshape(len(words), n * n)
     dense = np.zeros((len(words), n * n, n * n), dtype=complex)
@@ -766,10 +768,12 @@ def _crafted_graph(monkeypatch, realized, words):
     flat = dense.reshape(len(words), -1)
     eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
-    return OperatorGraph(n, mask_of(n, words)), int(np.sum(eigs > 1e-9 * eigs[-1]))
+    mask = np.zeros((n * n, n * n), dtype=bool)
+    mask[words[:, 0] * n + words[:, 1], words[:, 2] * n + words[:, 3]] = True
+    return OperatorGraph(n, mask), int(np.sum(eigs > 1e-9 * eigs[-1]))
 
 
-IDENTITY = (0, 0, 0)
+IDENTITY = (0, 0)
 
 
 def _eigensolved_orders(monkeypatch):
@@ -791,8 +795,8 @@ def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank):
     # two factors of one row pattern, [1, 1] and [1, 1 + eps]: their
     # pattern Gram's discs reach zero, so the class is eigensolved, above the
     # cutoff at eps = 1e-3 and below it at eps = 1e-6
-    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0, 0): ([0, 1], [1, 1 + eps])}
-    g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0, 0) + IDENTITY])
+    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0): ([0, 1], [1, 1 + eps])}
+    g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0) + IDENTITY])
     solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
     assert solved[0] == 2
@@ -809,10 +813,10 @@ def test_one_line_realized_twice(monkeypatch, delta, rank):
     # identity's left factor differs from them in its rows only
     realized = {
         IDENTITY: ([0, 1], [1, 1]),
-        (0, 1, 0): ([1, 0], [1, 1]),
-        (1, 1, 0): ([1, 0], [1j, 1j * (1 - delta)]),
+        (0, 1): ([1, 0], [1, 1]),
+        (1, 1): ([1, 0], [1j, 1j * (1 - delta)]),
     }
-    words = [IDENTITY * 2, (0, 1, 0) + IDENTITY, (1, 1, 0) + IDENTITY]
+    words = [IDENTITY * 2, (0, 1) + IDENTITY, (1, 1) + IDENTITY]
     g, reference = _crafted_graph(monkeypatch, realized, words)
     solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
@@ -893,6 +897,25 @@ def test_build_memory_is_a_few_masks():
     assert peak < 4 * n**4
 
 
+def test_build_memory_is_bounded():
+    # the closure ORs each word's adjoint into one copy of the mask through
+    # slice views, with no rolled copy: the (2,32,3,8) build, with its
+    # 16 MiB mask, peaks at about 35 MiB, where rolling took 48 MiB
+    (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 32, 3, 8)))
+    assert g.mask.nbytes == 16 * 2**20
+    assert peak < 2.5 * g.mask.nbytes
+    # the caller's mask is only read, so a read-only one is taken and left
+    # as it was; at n = 1 every exponent is its own negation
+    rng = np.random.default_rng(8)
+    for n in (1, 5):
+        mask = rng.random((n * n, n * n)) < 0.1
+        given = mask.copy()
+        mask.setflags(write=False)
+        closed = graph_from_mask(n, mask).mask
+        assert np.array_equal(mask, given)
+        assert closed[0, 0] and np.all(closed[mask])
+
+
 DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2, 8, 1, 4))]
 
 
@@ -916,7 +939,7 @@ def test_distinct_factors_gather_exactly(build, arg):
         assert np.array_equal(patterns.ids[at], entries[side])
         assert np.bincount(at, minlength=len(order)).all()
         rows = np.repeat(patterns.rows, np.diff(starts), axis=0)
-        rows_w, vals_w = weyl_monomial(graph_words(g)[:, 3 * side : 3 * side + 3], g.n)
+        rows_w, vals_w = weyl_monomial(*graph_words(g)[:, [3 * side, 3 * side + 1]].T, g.n)
         assert np.array_equal(rows[at], rows_w)
         assert np.array_equal(patterns.vals[at].view(float), vals_w.view(float))
 
@@ -932,9 +955,9 @@ def test_each_distinct_factor_is_realized_once(monkeypatch):
     assert used == 16**2
     realized = []
 
-    def counting(factors, n):
-        realized.append(len(factors))
-        return weyl_monomial(factors, n)
+    def counting(kx, kz, n):
+        realized.append(len(kx))
+        return weyl_monomial(kx, kz, n)
 
     monkeypatch.setattr(graph_module, "weyl_monomial", counting)
     assert graph_dim(g, "gram") == 64513

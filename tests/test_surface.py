@@ -1,6 +1,6 @@
 """The package exports what the CLI and the library example run; the label
-algebra, the dense realizers, word tables and the compression stack live in
-tests/reference.py."""
+algebra, the dense realizers, word tables (with their phase-carrying
+monomial realization) and the compression stack live in tests/reference.py."""
 
 import importlib
 
@@ -13,7 +13,7 @@ import reference
 MOVED = [
     "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
     "weyl_dense", "pair_adjoint", "pair_dense", "word_table", "x_matrix", "z_matrix",
-    "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress",
+    "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress", "pair_monomial",
 ]
 
 

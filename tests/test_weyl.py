@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opgraph.linalg import dagger, kron, max_abs
-from opgraph.weyl import fourier_basis, pair_monomial, weyl_monomial
+from opgraph.weyl import fourier_basis, weyl_monomial
 
 from reference import (
     WeylLabelPair,
@@ -16,6 +16,7 @@ from reference import (
     label_pow,
     pair_adjoint,
     pair_dense,
+    pair_monomial,
     weyl_dense,
     word_table,
     x_matrix,
@@ -132,17 +133,17 @@ def test_pair_monomial_scatters_to_pair_dense():
 
 
 def test_weyl_monomial_scatters_to_weyl_dense():
-    # every single-factor word with every phase, exactly: the Fourier-basis
-    # realization F^dag W F is weyl_dense of the word's Fourier-basis label
+    # every single-factor word, exactly: the Fourier-basis realization
+    # F^dag W F is weyl_dense of the word's Fourier-basis label
     for n in (2, 3, 4, 5):
-        factors = np.array(list(itertools.product(range(n), repeat=3)))
-        rows, vals = weyl_monomial(factors, n)
-        assert rows.shape == vals.shape == (n**3, n)
+        kx, kz = np.array(list(itertools.product(range(n), repeat=2))).T
+        rows, vals = weyl_monomial(kx, kz, n)
+        assert rows.shape == vals.shape == (n**2, n)
         cols = np.arange(n)
-        for (kx, kz, phase), r, v in zip(factors.tolist(), rows, vals):
+        for a, b, r, v in zip(kx.tolist(), kz.tolist(), rows, vals):
             dense = np.zeros((n, n), dtype=complex)
             dense[r, cols] = v
-            assert np.array_equal(dense, weyl_dense(in_fourier(label(n, kx, kz, phase))))
+            assert np.array_equal(dense, weyl_dense(in_fourier(label(n, a, b))))
 
 
 def test_in_fourier_is_conjugation_by_the_fourier_basis():
@@ -157,16 +158,20 @@ def test_in_fourier_is_conjugation_by_the_fourier_basis():
 
 def test_weyl_monomial_reduces_its_input():
     # unreduced and negative exponents realize as their residues mod n
-    factors = np.array([[7, -1, 5], [-3, 9, -8]])
-    got = weyl_monomial(factors, 4)
-    want = weyl_monomial(factors % 4, 4)
+    kx, kz = np.array([7, -3, 0]), np.array([-1, 9, -8])
+    got = weyl_monomial(kx, kz, 4)
+    want = weyl_monomial(kx % 4, kz % 4, 4)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_weyl_monomial_needs_factor_table():
-    with pytest.raises(ValueError, match="factor table"):
-        weyl_monomial(np.zeros((2, 6), dtype=int), 3)
-    rows, vals = weyl_monomial(np.zeros((0, 3), dtype=int), 3)
+    # two exponent arrays of one shape (G,); a (G, 3) table with a phase
+    # column is no longer taken
+    with pytest.raises(ValueError, match="exponent arrays"):
+        weyl_monomial(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), 3)
+    with pytest.raises(ValueError, match="exponent arrays"):
+        weyl_monomial(np.zeros(2, dtype=int), np.zeros(3, dtype=int), 3)
+    rows, vals = weyl_monomial(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 3)
     assert rows.shape == vals.shape == (0, 3)
 
 
