@@ -34,10 +34,12 @@ codes, computed from the isometry otherwise). The code is nonzero only at
 the coordinates R: |R| = p * d of the n^2 for the entangled codes, nearly
 all n^2 for a computed code. Every word of a class maps the columns of R to
 the same rows, so one test on the realized row patterns drops a class whose
-words all compress to exactly zero, and a class that reaches the code is
-gathered in one matrix product. The anticlique verdict adds each class's
-closed-form share to a code_dim^2 x code_dim^2 Gram matrix and never holds
-the compressions.
+words all compress to exactly zero. A class that reaches the code is
+compressed in one matrix product, on only the slots (entries) of a
+code_dim x code_dim compression that it can reach. The anticlique verdict
+reads each word's residual and the class's share of a code_dim^2 x
+code_dim^2 Gram matrix from that product, and holds the compressions of
+one class at a time.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class CodeSpace:
     within 1e-12; when it is not given, it is computed from the isometry.
     Compression reads each word only where the code is nonzero in that
     basis. Both are stored as arrays. Raises ValueError when space_dim is
-    not a square.
+    not a square or an entry of either is not finite.
     """
 
     space_dim: int
@@ -181,6 +183,9 @@ class CodeSpace:
 
     def __post_init__(self):
         s = np.asarray(self.isometry)
+        # a comparison with nan is false, so nan would pass every check below
+        if not (np.isfinite(s).all() and (self.fourier is None or np.isfinite(self.fourier).all())):
+            raise ValueError("isometry and fourier coordinates must be finite")
         if s.ndim != 2 or s.shape[0] != self.space_dim:
             raise ValueError(f"isometry shape {s.shape} does not match space_dim {self.space_dim}")
         if s.shape[1] < 1:
@@ -405,10 +410,12 @@ def _compressions(
     g: OperatorGraph, code: CodeSpace
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Compressions S^dag V S of the graph's generators, one tensor class
-    at a time: yields (row, column, block, gram), the mask entries of a
-    class's words in mask order, their compressions C_w, shape (len(row),
-    code_dim, code_dim), and their Gram share sum_w vec(C_w) vec(C_w)^dag.
-    Every word of a class not yielded compresses to exactly zero.
+    at a time: yields (row, column, slots, x), the mask entries of a class's
+    words in mask order, the increasing slots l * code_dim + k of a
+    code_dim x code_dim compression that the class can reach, always with
+    the diagonal ones, and x, shape (len(row), len(slots)), each word's
+    compression C_w at those slots. C_w is exactly zero at every other slot,
+    and every word of a class not yielded compresses to exactly zero.
 
     Works in the Fourier product basis with S = code.fourier, on the
     classes' blocks (_block), in row-major order of (P, Q). With R the rows
@@ -417,10 +424,10 @@ def _compressions(
     word of the class (P, Q) has r(c) = P[c_l] * n + Q[c_r] at the column
     c = c_l * n + c_r, so when no r(c) over the columns of R lies in R,
     every word of the class meets only zero rows of S and the class is
-    skipped without reading its block; otherwise its words are gathered in
-    one matrix product. The same r(c) give vec(C_w) = v_w M, with v_w the word's values
-    on R and M[c, (l, k)] = conj(S[r(c), l]) S[c, k], so the Gram share is
-    M^dag (V^dag V) M, V stacking the class's v_w.
+    skipped without reading its block. Otherwise the same r(c) give
+    vec(C_w) = v_w M, with v_w the word's values on R and the lift
+    M[c, l * code_dim + k] = conj(S[r(c), l]) S[c, k], and a slot whose
+    column of M is zero is never reached; one product per class gives x.
     """
     if g.space_dim != code.space_dim:
         raise ValueError(f"graph dim {g.space_dim} does not match code space dim {code.space_dim}")
@@ -429,9 +436,8 @@ def _compressions(
     in_support = np.any(s != 0, axis=1)
     support = np.flatnonzero(in_support)
     columns_l, columns_r = np.divmod(support, n)
-    # conj(S)^T, so the gathered rows come out code index first
-    s_conj = np.ascontiguousarray(s.conj().T)
-    s_support = s[support]
+    s_conj, s_support = s.conj(), s[support]
+    diagonal = np.arange(d * d) % (d + 1) == 0
     left, right = g._sides
     # each side's patterns and realized values, kept at R's columns
     rows_l, rows_r = left.rows[:, columns_l] * n, right.rows[:, columns_r]
@@ -446,13 +452,9 @@ def _compressions(
         at_l += left.starts[p]
         at_r += right.starts[q]
         values = vals_l[at_l] * vals_r[at_r]
-        # take, unlike [:, rows], gives a row-major array, so the product
-        # below reshapes without a copy
-        gather = s_conj.take(rows, axis=1)
-        compressed = (gather[:, None, :] * values).reshape(d * len(values), len(support)) @ s_support
-        lift = (gather.T[:, :, None] * s_support[:, None, :]).reshape(len(support), d * d)
-        gram = lift.conj().T @ (values.conj().T @ values) @ lift
-        yield left.ids[at_l], right.ids[at_r], compressed.reshape(d, len(values), d).transpose(1, 0, 2), gram
+        lift = (s_conj[rows][:, :, None] * s_support[:, None, :]).reshape(len(support), d * d)
+        slots = np.flatnonzero(lift.any(axis=0) | diagonal)
+        yield left.ids[at_l], right.ids[at_r], slots, values @ lift[:, slots]
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +484,13 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     stack is never held: per class the running worst residual with its
     place, and a running code_dim^2 x code_dim^2 Gram matrix of the
     compressions, which spans the same rank as the generators' Gram matrix.
-    Each class adds its closed-form share (_compressions), |R|^2 work per
-    word, not code_dim^4. The Gram matrix is ranked by
-    linalg._rank_of_grams as one block bounded by its Gershgorin discs.
+    Both read each class's compressions x at its slots (_compressions):
+    c_w is the mean of x over the diagonal slots (trace / code_dim), the
+    residual is |x - c_w| on the diagonal and |x| off it, and the class
+    adds x^dag x to the Gram matrix at its slots x slots, |slots|^2 work
+    per word and code_dim^4 only where a class reaches every slot. The Gram
+    matrix is ranked by linalg._rank_of_grams as one block bounded by its
+    Gershgorin discs.
     """
     d = code.code_dim
     gram = np.zeros((d * d, d * d), dtype=complex)
@@ -493,18 +499,18 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     # kernel skips compresses to exactly zero: no residual, nothing added to
     # the Gram matrix
     residual, place = 0.0, (0, 0, 0, 0)
-    for row, column, block, share in _compressions(g, code):
-        c = np.trace(block, axis1=1, axis2=2) / d
-        # |C_w - c_w I|: only the diagonal moves
-        deviation = np.abs(block, order="C")
-        deviation[:, range(d), range(d)] = np.abs(np.diagonal(block, axis1=1, axis2=2) - c[:, None])
-        peak = int(np.argmax(deviation))
-        at, l, k = np.unravel_index(peak, deviation.shape)
-        candidate = (int(row[at]), int(column[at]), int(l), int(k))
-        value = float(deviation.flat[peak])
+    for row, column, slots, x in _compressions(g, code):
+        # the slots l * d + l; every slot left out is off the diagonal and zero
+        diagonal = slots % (d + 1) == 0
+        c = x[:, diagonal].sum(axis=1) / d
+        # |C_w - c_w I|; slots increase, so argmax keeps the row-major tie rule
+        deviation = np.abs(x - c[:, None] * diagonal)
+        at, slot = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+        candidate = (int(row[at]), int(column[at]), *divmod(int(slots[slot]), d))
+        value = float(deviation[at, slot])
         if value > residual or (value == residual and candidate < place):
             residual, place = value, candidate
-        gram += share
+        gram[np.ix_(slots, slots)] += x.conj().T @ x
     lo, hi = _discs(gram)
     dim = _rank_of_grams([lo], [hi], [d * d], lambda i: gram, tol)
     row, column, l, k = place

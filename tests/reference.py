@@ -241,14 +241,15 @@ def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:
 
     Each result equals P_K V P_K restricted to the code subspace. It is
     scattered from opgraph.graph._compressions, which works class by class
-    on the code's Fourier support; onto the whole space with Fourier
-    coordinates the identity (isometry F (x) F) it returns each generator's
-    Fourier realization exactly. A generator that kernel skips compresses
-    to exactly zero.
+    on the code's Fourier support and the slots each class reaches; onto
+    the whole space with Fourier coordinates the identity (isometry
+    F (x) F) it returns each generator's Fourier realization exactly. A
+    generator that kernel skips compresses to exactly zero.
     """
-    out = np.zeros((g.n_generators, code.code_dim, code.code_dim), dtype=complex)
+    d = code.code_dim
+    out = np.zeros((g.n_generators, d * d), dtype=complex)
     # the generator id of every mask entry
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    for row, column, block, _ in _compressions(g, code):
-        out[number[row, column]] = block
-    return out
+    for row, column, slots, x in _compressions(g, code):
+        out[np.ix_(number[row, column], slots)] = x
+    return out.reshape(g.n_generators, d, d)

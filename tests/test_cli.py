@@ -418,6 +418,15 @@ def test_sweep_section4_n12_matches_committed_report():
         assert row == want
 
 
+def test_sweep_goldens_are_prefixes_of_the_n64_golden():
+    # a sweep visits its points in order of n, so each smaller committed
+    # sweep is the first rows of the 810-point n <= 64 one, byte for byte
+    whole = (DATA / "sweep_section4_n64.csv").read_bytes()
+    assert whole.count(b"\n") == 1 + 810
+    for n in (12, 32, 48):
+        assert whole.startswith((DATA / f"sweep_section4_n{n}.csv").read_bytes()), n
+
+
 def test_demo_section3():
     result = run_cli(
         "demo", "--construction", "section3", "--n", "4", "--trials", "100", "--seed", "7"

@@ -488,9 +488,12 @@ def _gathered_and_reaching(g, code):
     each class comes in mask order."""
     gathered = np.zeros(g.n_generators, dtype=bool)
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    for row, column, block, _ in graph_module._compressions(g, code):
+    d = code.code_dim
+    for row, column, slots, x in graph_module._compressions(g, code):
         assert np.all(np.diff(row * g.space_dim + column) > 0)
-        assert block.shape == (len(row), code.code_dim, code.code_dim)
+        assert x.shape == (len(row), len(slots))
+        assert np.all(np.diff(slots) > 0)
+        assert np.isin(np.arange(d) * (d + 1), slots).all()
         gathered[number[row, column]] = True
     support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
     columns_l, columns_r = np.divmod(support, g.n)
@@ -580,6 +583,20 @@ def test_codespace_validation():
         CodeSpace(space_dim=4, isometry=np.eye(3))
     with pytest.raises(ValueError):
         CodeSpace.from_vectors([np.zeros(4)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_codespace_rejects_non_finite_entries(bad):
+    # every comparison with nan is false, so a nan entry would pass the
+    # orthonormality and coordinate checks and fail only inside the verdict's
+    # eigensolver; inf is named the same way
+    _, code = build_section4(Section4Params(2, 4, 1, 2))
+    isometry, fourier = code.isometry.copy(), code.fourier.copy()
+    isometry[0, 0] = bad
+    fourier[np.flatnonzero(fourier[:, 0])[0], 0] = bad
+    for bad_isometry, bad_fourier in ((isometry, None), (isometry, code.fourier), (code.isometry, fourier)):
+        with pytest.raises(ValueError, match="isometry and fourier coordinates must be finite"):
+            CodeSpace(space_dim=code.space_dim, isometry=bad_isometry, fourier=bad_fourier)
 
 
 def test_codespace_from_vectors_drops_names_of_dependent_vectors():
@@ -845,17 +862,36 @@ def test_dense_generators_match_labels():
 def test_anticlique_memory_is_bounded():
     # the verdict is streamed class by class and holds neither the
     # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
-    # per-generator array, nor any copy of the mask: only the graph's
-    # realized factors, and the sub-block and gather of one class that
-    # reaches the code. That is about 0.42 MB at n = 16, 1.6 MB at n = 32 and
-    # 6.0 MB at n = 48, where one complex per generator would take 1.0 MB,
-    # 16.7 MB and 85 MB
-    cases = ((Section4Params(2, 8, 1, 4), 1), (Section4Params(2, 16, 3, 4), 3), (Section4Params(2, 24, 3, 6), 8))
+    # per-generator array, nor any copy of the mask: beyond the graph's
+    # realized factors (test_patterns_memory_is_bounded), only the sub-block,
+    # lift and slot compressions of one class that reaches the code and the
+    # code_dim^2 x code_dim^2 Gram matrix. That is about 2.3 MB at
+    # (2,24,3,6), where one complex per generator would take 85 MB, and
+    # 14 MB at (2,24,0,24), where the compressions on every slot, with their
+    # closed-form Gram share, took 61 MB
+    cases = (
+        (Section4Params(2, 8, 1, 4), 1),
+        (Section4Params(2, 16, 3, 4), 3),
+        (Section4Params(2, 24, 3, 6), 3),
+        (Section4Params(2, 24, 0, 24), 24),
+    )
     for params, bound_mb in cases:
         g, code = build_section4(params)
+        g._sides  # realized before tracing, bounded on its own
         report, peak = _traced_peak(lambda: is_anticlique(g, code))
         assert report.verdict
         assert peak < bound_mb * 2**20, params
+
+
+def test_classes_reach_few_slots():
+    # with one nonzero Fourier coordinate per support row, each valid column
+    # of a class adds to one slot of the compression: at (2,24,0,24) every
+    # class reaches at most 2 code_dim = 48 of the 576 slots, diagonal
+    # included, and the verdict's products and Gram shares stay that small
+    g, code = build_section4(Section4Params(2, 24, 0, 24))
+    d = code.code_dim
+    reached = [len(slots) for _, _, slots, _ in graph_module._compressions(g, code)]
+    assert reached and max(reached) <= 2 * d < d * d
 
 
 def _traced_peak(call):
@@ -999,21 +1035,25 @@ CLASS_GRAM_CASES = {
 
 @pytest.mark.parametrize("case", CLASS_GRAM_CASES)
 def test_class_grams_sum_to_the_compressions_gram(case):
-    # each class's share M^dag (V^dag V) M of the verdict's Gram matrix is
-    # the Gram matrix sum_w vec(C_w) vec(C_w)^dag of its words'
-    # compressions, the blocks compress scatters into its stack, within
-    # 1e-12 of the top eigenvalue
+    # each class's x^dag x at its slots sums to the Gram matrix
+    # sum_w vec(C_w) vec(C_w)^dag of the compressions compress scatters into
+    # its stack, within 1e-12 of the top eigenvalue. Words left out compress
+    # to exactly zero, and the words yielded are closed under adjoints, so
+    # the graph of those words has the same Gram matrix; compress takes the
+    # whole graph too when it has fewer than 10^5 words
     g, code = CLASS_GRAM_CASES[case]()
     d = code.code_dim
-    gram = want = np.zeros((d * d, d * d), dtype=complex)
-    for *_, block, share in graph_module._compressions(g, code):
-        flat = block.reshape(len(block), d * d)
-        want = want + flat.conj().T @ flat
-        gram = gram + share
-    assert max_abs(gram - want) <= 1e-12 * np.linalg.eigvalsh(want)[-1]
-    if g.n_generators < 10**5:
-        flat = compress(g, code).reshape(g.n_generators, d * d)
-        assert max_abs(flat.conj().T @ flat - want) <= 1e-12 * np.linalg.eigvalsh(want)[-1]
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    yielded = np.zeros_like(g.mask)
+    for row, column, slots, x in graph_module._compressions(g, code):
+        gram[np.ix_(slots, slots)] += x.conj().T @ x
+        yielded[row, column] = True
+    reached = graph_from_mask(g.n, yielded)
+    assert np.array_equal(reached.mask, yielded)
+    for whole in (reached, g) if g.n_generators < 10**5 else (reached,):
+        flat = compress(whole, code).reshape(whole.n_generators, d * d)
+        want = flat.conj().T @ flat
+        assert max_abs(gram - want) <= 1e-12 * np.linalg.eigvalsh(want)[-1]
     report = is_anticlique(g, code)
     assert (report.verdict, report.compressed_dim) == ((False, 3) if case.startswith("control") else (True, 1))
 
