@@ -5,7 +5,6 @@ from .weyl import fourier_basis, weyl_monomial
 from .graph import (
     CodeSpace,
     CompressionReport,
-    GraphDim,
     OperatorGraph,
     graph_dim,
     graph_from_mask,

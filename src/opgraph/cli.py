@@ -64,12 +64,34 @@ CSV_COLUMNS = [
 ]
 
 
+# the construction flags each construction reads; setting one that it does
+# not read is an error, never ignored
+READS = {
+    "section2": (),
+    "section3": ("--n", "--allow-n2"),
+    "section4": ("--p", "--y", "--h", "--d", "--allow-d1"),
+    "remark2": ("--n",),
+}
+SWEEP_READS = {"section3": ("--n",), "section4": ("--n-max",)}
+
+
 class UsageError(Exception):
     pass
 
 
+def _reject_unread(construction: str, args, reads: dict[str, tuple[str, ...]]) -> None:
+    """Raise UsageError when args sets a flag of ``reads`` that the
+    construction does not read. A flag is set when its value is neither of
+    the parser's defaults, None and False."""
+    for flag in sum(reads.values(), ()):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if flag not in reads[construction] and value is not None and value is not False:
+            raise UsageError(f"{construction} does not read {flag}")
+
+
 def _build(construction: str, args) -> tuple:
     """Returns (graph, code, params_echo, claimed_dim)."""
+    _reject_unread(construction, args, READS)
     if construction == "section2":
         g, code = build_section2()
         return g, code, {}, claimed_dim_section2()
@@ -85,12 +107,11 @@ def _build(construction: str, args) -> tuple:
         g, code = build_section4(params)
         echo = {"p": params.p, "y": params.y, "h": params.h, "d": params.d, "n": params.n}
         return g, code, echo, claimed_dim_section4(params)
-    if construction == "remark2":
-        if args.n is None:
-            raise UsageError("remark2 requires --n")
-        g, code = build_remark2(args.n)
-        return g, code, {"n": args.n}, claimed_dim_remark2(args.n)
-    raise UsageError(f"unknown construction {construction!r}")
+    # remark2, the one construction left among the parser's choices
+    if args.n is None:
+        raise UsageError("remark2 requires --n")
+    g, code = build_remark2(args.n)
+    return g, code, {"n": args.n}, claimed_dim_remark2(args.n)
 
 
 def run_verification(construction: str, args) -> tuple[dict, bool]:
@@ -99,8 +120,8 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     started = time.perf_counter()
     g, code, params_echo, claimed = _build(construction, args)
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    # two calls, not method "both", so a trace times each oracle on its own;
-    # the Gram oracle also realizes the graph's factors, which the verdict
+    # one call per oracle, so a trace times each on its own; the Gram
+    # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
     dim_labels = graph_dim(g, "labels")
     dim_gram = graph_dim(g, "gram", tol)
@@ -161,11 +182,7 @@ def _print_report_text(report: dict, hard_ok: bool) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report, hard_ok = run_verification(args.construction, args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report, hard_ok = run_verification(args.construction, args)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -181,44 +198,30 @@ def _parse_range(text: str) -> range:
         raise UsageError(f"bad range {text!r}, expected A..B") from exc
 
 
-def _sweep_points(args) -> list[tuple[str, argparse.Namespace]]:
-    points = []
+def _sweep_points(args) -> list[argparse.Namespace]:
+    """One namespace per sweep point: args with the point's construction
+    flags set."""
+    _reject_unread(args.construction, args, SWEEP_READS)
     if args.construction == "section3":
-        if args.n_range is None:
+        if args.n is None:
             raise UsageError("sweep section3 requires --n A..B")
-        for n in _parse_range(args.n_range):
-            ns = argparse.Namespace(**vars(args))
-            ns.n = n
-            points.append(("section3", ns))
-    elif args.construction == "section4":
+        points = [{"n": n} for n in _parse_range(args.n)]
+    else:
         if args.n_max is None:
             raise UsageError("sweep section4 requires --n-max")
-        for params in enumerate_section4_params(args.n_max):
-            ns = argparse.Namespace(**vars(args))
-            ns.p, ns.y, ns.h, ns.d = params.p, params.y, params.h, params.d
-            points.append(("section4", ns))
-    else:
-        raise UsageError(f"sweep does not support construction {args.construction!r}")
+        points = [{"p": q.p, "y": q.y, "h": q.h, "d": q.d} for q in enumerate_section4_params(args.n_max)]
     if not points:
         raise UsageError("empty parameter range")
-    return points
+    return [argparse.Namespace(**{**vars(args), **point}) for point in points]
 
 
 def cmd_sweep(args) -> int:
-    try:
-        Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-        points = _sweep_points(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
+    points = _sweep_points(args)
     all_ok = True
     writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, restval="", extrasaction="ignore")
-    for index, (construction, ns) in enumerate(points):
-        try:
-            report, hard_ok = run_verification(construction, ns)
-        except (UsageError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    for index, ns in enumerate(points):
+        report, hard_ok = run_verification(args.construction, ns)
         all_ok = all_ok and hard_ok
         if args.format == "jsonl":
             print(json.dumps(report))
@@ -232,15 +235,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    try:
-        tol = Tolerance(absolute=args.tol_abs)
-        g, code, _, _ = _build(args.construction, args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tol = Tolerance(absolute=args.tol_abs)
+    g, code, _, _ = _build(args.construction, args)
     if args.trials < 0:
-        print("error: --trials must be >= 0", file=sys.stderr)
-        return 2
+        raise UsageError("--trials must be >= 0")
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
     s = code.fourier
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="verify a parameter range, one report row per point")
     sweep.add_argument("construction", choices=["section3", "section4"])
-    sweep.add_argument("--n", dest="n_range", default=None, help="inclusive range A..B (section3)")
+    sweep.add_argument("--n", default=None, help="inclusive range A..B (section3)")
     sweep.add_argument("--n-max", type=int, default=None,
                        help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -330,15 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"verify": cmd_verify, "sweep": cmd_sweep, "demo": cmd_demo}
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input from any of them prints ``error: ...`` to
+    stderr and exits 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "demo":
-        return cmd_demo(args)
-    raise AssertionError("unreachable")
+    try:
+        return COMMANDS[args.command](args)
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

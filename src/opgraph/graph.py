@@ -55,7 +55,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    _discs,
     _gram_schmidt,
     _rank_of_grams,
     dagger,
@@ -67,7 +66,6 @@ __all__ = [
     "OperatorGraph",
     "CodeSpace",
     "CompressionReport",
-    "GraphDim",
     "graph_from_mask",
     "graph_dim",
     "is_anticlique",
@@ -252,17 +250,9 @@ def _fourier_coordinates(isometry: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coordinates.reshape(code_dim, n * n).T)
 
 
-@dataclass(frozen=True)
-class GraphDim:
-    """Result of running both dimension oracles."""
-
-    labels: int
-    gram: int
-    agree: bool
-
-
-def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_TOL):
-    """Dimension of the span of the graph's generators.
+def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Dimension of the span of the graph's generators, by one of two
+    independent oracles; method is "labels" or "gram".
 
     method "labels": the number of distinct phase-free words (exact), the
     mask's popcount. method "gram": numeric Gram rank of the realized
@@ -280,16 +270,12 @@ def graph_dim(g: OperatorGraph, method: str = "both", tol: Tolerance = DEFAULT_T
     (linalg._rank_of_grams). Distinct Weyl words are Hilbert-Schmidt
     orthogonal, so every block of every construction is certified; factors
     dependent up to roundoff give a singular pattern Gram, whose block is
-    eigensolved. method "both": a GraphDim of both values and an agreement
-    flag.
+    eigensolved. Any other method raises ValueError.
     """
     if method == "labels":
         return g.n_generators
     if method == "gram":
         return _gram_dim(g, tol)
-    if method == "both":
-        gram = _gram_dim(g, tol)
-        return GraphDim(labels=g.n_generators, gram=gram, agree=g.n_generators == gram)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -363,10 +349,10 @@ def _group(ids: np.ndarray, n: int) -> _Patterns:
 def _pattern_grams(side: _Patterns) -> tuple[np.ndarray, np.ndarray]:
     """Each row pattern's Gram matrix of its factors' realized values, in
     the leading corner of an (n_P, m, m) stack padded with zeros (m the
-    largest pattern), and its Gershgorin bounds (linalg._discs) over its own
-    rows, row P (lo_P, hi_P) of an (n_P, 2) array. Raises ValueError when
-    two patterns share a position, since the tensor classes' Grams would
-    then not be blocks of one block-diagonal Gram matrix."""
+    largest pattern), and its Gershgorin bounds over its own rows, row P
+    (lo_P, hi_P) of an (n_P, 2) array. Raises ValueError when two patterns
+    share a position, since the tensor classes' Grams would then not be
+    blocks of one block-diagonal Gram matrix."""
     # two patterns share a position exactly when they hold the same row in
     # some column
     by_column = np.sort(side.rows, axis=0)
@@ -489,8 +475,9 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     residual is |x - c_w| on the diagonal and |x| off it, and the class
     adds x^dag x to the Gram matrix at its slots x slots, |slots|^2 work
     per word and code_dim^4 only where a class reaches every slot. The Gram
-    matrix is ranked by linalg._rank_of_grams as one block bounded by its
-    Gershgorin discs.
+    matrix is ranked by linalg._rank_of_grams as one block: it is PSD, so its
+    spectrum lies in [0, trace], bounds that never certify, and it is always
+    eigensolved.
     """
     d = code.code_dim
     gram = np.zeros((d * d, d * d), dtype=complex)
@@ -511,8 +498,7 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
         if value > residual or (value == residual and candidate < place):
             residual, place = value, candidate
         gram[np.ix_(slots, slots)] += x.conj().T @ x
-    lo, hi = _discs(gram)
-    dim = _rank_of_grams([lo], [hi], [d * d], lambda i: gram, tol)
+    dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram, tol)
     row, column, l, k = place
     at = int(g._offsets[row]) + int(np.count_nonzero(g.mask[row, :column]))
     return CompressionReport(

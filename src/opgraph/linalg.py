@@ -54,16 +54,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _discs(gram: np.ndarray) -> tuple[float, float]:
-    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian matrix G:
-    lo = min_i(G_ii - r_i), hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|."""
-    center = gram.diagonal().real
-    radius = np.abs(gram)
-    np.fill_diagonal(radius, 0.0)
-    radius = radius.sum(axis=1)
-    return float(np.min(center - radius)), float(np.max(center + radius))
-
-
 def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolerance) -> int:
     """Rank of a block-diagonal Hermitian PSD Gram matrix given block by
     block, such as the Gram matrix of a family of matrices whose supports
@@ -71,9 +61,10 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
 
     lo, hi and order hold one entry per block: bounds lo <= lambda <= hi on
     every eigenvalue of block i, and its order; form(i) forms block i. The
-    anticlique verdict passes its one block's Gershgorin discs (_discs); the
-    graph oracle passes products of its row patterns' discs, which bound
-    every principal submatrix of a Kronecker product of two pattern Grams.
+    anticlique verdict passes its one block's PSD bounds [0, trace], which
+    never certify; the graph oracle passes products of its row patterns'
+    Gershgorin discs, which bound every principal submatrix of a Kronecker
+    product of two pattern Grams.
 
     The spectrum is the union of the block spectra. A block with
     lo > tol.relative * max(hi) is certified full rank and never formed;

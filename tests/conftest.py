@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from opgraph.linalg import DEFAULT_TOL, _discs, _rank_of_grams
-from reference import WeylLabel, WeylLabelPair, label
+from opgraph.linalg import DEFAULT_TOL, _rank_of_grams
+from reference import WeylLabel, WeylLabelPair, _discs, label
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

@@ -13,7 +13,8 @@ with, and the only phase-carrying word forms:
   left phase, right kx, right kz, right phase): word_table, pair_monomial
   (their monomial realization, phases included), mask_of,
   graph_from_labels and graph_words;
-* Hilbert-Schmidt products, a unitarity check and Gram-Schmidt;
+* Hilbert-Schmidt products, a unitarity check, Gershgorin bounds of one
+  Hermitian matrix (_discs) and Gram-Schmidt;
 * compress, the full stack of compressions, scattered in generator order
   from the same per-class kernel the anticlique verdict streams
   (opgraph.graph._compressions).
@@ -227,6 +228,16 @@ def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return max_abs(m @ dagger(m) - np.eye(m.shape[0])) < tol.absolute
+
+
+def _discs(gram: np.ndarray) -> tuple[float, float]:
+    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian matrix G:
+    lo = min_i(G_ii - r_i), hi = max_i(G_ii + r_i), r_i = sum_{j != i} |G_ij|."""
+    center = gram.diagonal().real
+    radius = np.abs(gram)
+    np.fill_diagonal(radius, 0.0)
+    radius = radius.sum(axis=1)
+    return float(np.min(center - radius)), float(np.max(center + radius))
 
 
 def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

@@ -80,15 +80,39 @@ def test_verify_section4_n16_matches_committed_report():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify section4 --p 2 --y 8 --h 1 --d 4 --n 99", "section4 does not read --n"),
+        ("verify section2 --n 7", "section2 does not read --n"),
+        ("verify section2 --n 0", "section2 does not read --n"),
+        ("verify section3 --n 3 --p 5 --allow-d1", "section3 does not read --p"),
+        ("verify section3 --n 3 --allow-d1", "section3 does not read --allow-d1"),
+        ("verify section4 --p 2 --y 4 --h 1 --d 2 --allow-n2", "section4 does not read --allow-n2"),
+        ("verify remark2 --n 4 --d 2", "remark2 does not read --d"),
+        ("demo --construction section2 --h 1", "section2 does not read --h"),
+        ("sweep section4 --n-max 12 --n 3..5", "section4 does not read --n"),
+        ("sweep section3 --n 3..5 --n-max 9", "section3 does not read --n-max"),
+    ],
+)
+def test_flag_the_construction_does_not_read_exits_two(argv, message, capsys):
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "golden, args",
     [
         ("verify_section2.json", ["section2"]),
         ("verify_section3_n5.json", ["section3", "--n", "5"]),
         ("verify_remark2_n8.json", ["remark2", "--n", "8"]),
+        ("verify_section4_2_24_0_24.json", ["section4", "--p", "2", "--y", "24", "--h", "0", "--d", "24"]),
     ],
 )
 def test_verify_matches_committed_report(golden, args):
-    # the constructions outside section4, pinned byte for byte like it
+    # every construction, pinned byte for byte; the d = 24 code gives the
+    # verdict a Gram matrix of order 576, which it eigensolves
     result = run_cli("verify", *args, "--json", "--deterministic")
     assert result.returncode == 0
     assert result.stderr == b""

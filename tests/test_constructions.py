@@ -144,8 +144,8 @@ def test_section3_label_count_matches_independent_count():
 def test_section3_oracles_agree():
     for n in range(3, 7):
         g, _ = build_section3(n)
-        dims = graph_dim(g, "both")
-        assert dims.agree, n
+        labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+        assert labels == gram, n
 
 
 def test_residue_set_examples():
@@ -248,8 +248,8 @@ def test_section4_label_count_matches_independent_count():
 def test_section4_oracles_agree_small():
     for params in enumerate_section4_params(6):
         g, _ = build_section4(params)
-        dims = graph_dim(g, "both")
-        assert dims.agree, params
+        labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+        assert labels == gram, params
 
 
 def test_section4_contains_section3_span():
@@ -278,8 +278,9 @@ def test_remark2_rejects_n_below_two():
 
 def test_remark2_oracles_agree():
     for n in (3, 4):
-        dims = graph_dim(build_remark2(n)[0], "both")
-        assert dims.agree, n
+        g = build_remark2(n)[0]
+        labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+        assert labels == gram, n
 
 
 def test_predicted_dims_reference_values():

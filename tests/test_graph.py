@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, is_anticlique
 from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import _discs, dagger, kron, max_abs
+from opgraph.linalg import dagger, kron, max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 from opgraph.constructions import (
     Section4Params,
@@ -23,6 +23,7 @@ from opgraph.constructions import (
 
 from reference import (
     WeylLabelPair,
+    _discs,
     compress,
     graph_from_labels,
     graph_words,
@@ -62,8 +63,8 @@ def test_graph_from_labels_empty_is_identity_span():
 def test_graph_from_labels_adjoint_closure():
     g = graph_from_labels(3, word_table([pair(3, 1, 0, 0, 0)]))
     assert label_set(graph_words(g)) == {(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)}
-    dims = graph_dim(g, "both")
-    assert dims.labels == dims.gram == 3
+    labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+    assert labels == gram == 3
 
 
 def test_graph_from_labels_rejects_malformed_table():
@@ -132,7 +133,7 @@ def test_closure_of_random_tables_matches_scalar_closure(drawn):
     g = graph_from_labels(n, table)
     pairs = [WeylLabelPair(label(n, *row[:3]), label(n, *row[3:])) for row in table.tolist()]
     assert_closes_to(g, n, pairs)
-    assert graph_dim(g, "both").agree
+    assert graph_dim(g, "labels") == graph_dim(g, "gram")
 
 
 def test_closure_is_idempotent():
@@ -183,10 +184,12 @@ def test_graph_requires_some_generators():
         with pytest.raises(ValueError, match="n >= 1"):
             make(0, np.zeros((0, 0), dtype=bool))
     # a mask is stored as given, with no closure
-    dims = graph_dim(OperatorGraph(3, good), "both")
-    assert dims.labels == dims.gram == 3
-    dims = graph_dim(OperatorGraph(3, mask_of(3, [[1, 0, 0, 0, 0, 0]])), "both")
-    assert dims.labels == dims.gram == 1
+    g = OperatorGraph(3, good)
+    labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+    assert labels == gram == 3
+    g = OperatorGraph(3, mask_of(3, [[1, 0, 0, 0, 0, 0]]))
+    labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+    assert labels == gram == 1
 
 
 def test_graph_mask_is_read_only():
@@ -228,8 +231,8 @@ def test_oracle_equivalence_random_subsets():
             for _ in range(size)
         ]
         g = graph_from_labels(n, word_table(pairs))
-        dims = graph_dim(g, "both")
-        assert dims.agree, (n, size)
+        labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+        assert labels == gram, (n, size)
 
 
 def test_compress_identity_graph():
@@ -282,6 +285,30 @@ def test_is_anticlique_negative_control():
     compressed = compress(g, code)
     w = np.exp(2j * np.pi / n)
     assert max_abs(compressed[1] - np.diag([1, w])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, make_code, dim, residual, worst",
+    [
+        (2, lambda: build_section2()[1], 4, "0x1.ffffffffffffcp-1", (1, 0, 0)),
+        (3, lambda: build_section3(3)[1], 9, "0x1.0000000000001p+0", (10, 1, 1)),
+        (4, lambda: constructions.build_code_K1(Section4Params(2, 2, 0, 2)), 4, "0x1.ffffffffffffep-1", (2, 0, 0)),
+    ],
+)
+def test_verdict_ranks_a_scalar_gram_of_all_words(n, make_code, dim, residual, worst):
+    # every word on C^n (x) C^n against a small code: the compressions span
+    # all code_dim^2 matrices, and their Gram matrix is a multiple of I, so
+    # its Gershgorin discs collapse to one point and would certify it full
+    # rank unformed. The verdict eigensolves it; the report is pinned whole
+    g = graph_from_mask(n, np.ones((n * n, n * n), dtype=bool))
+    code = make_code()
+    stack = compress(g, code).reshape(g.n_generators, -1)
+    gram = stack.conj().T @ stack
+    lo, hi = _discs(gram)
+    assert max_abs(gram - np.eye(len(gram)) * gram[0, 0]) < 1e-12 and lo > 1e-9 * hi
+    report = is_anticlique(g, code)
+    assert (report.verdict, report.compressed_dim, report.worst) == (False, dim, worst)
+    assert report.residual.hex() == residual
 
 
 def test_is_anticlique_section2():
@@ -625,14 +652,14 @@ def test_codespace_from_vectors_normalizes():
 
 def test_full_oracle_agreement_n12():
     g, _ = build_section4(Section4Params(3, 4, 1, 2))
-    dims = graph_dim(g, "both")
-    assert dims.labels == dims.gram == g.n_generators == 20449
+    labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+    assert labels == gram == g.n_generators == 20449
 
 
 def test_full_oracle_agreement_n16():
     g, _ = build_section4(Section4Params(2, 8, 1, 4))
-    dims = graph_dim(g, "both")
-    assert dims.labels == dims.gram == g.n_generators == 64513
+    labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
+    assert labels == gram == g.n_generators == 64513
 
 
 def _dense_gram_rank(g):

@@ -14,6 +14,7 @@ MOVED = [
     "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
     "weyl_dense", "pair_adjoint", "pair_dense", "word_table", "x_matrix", "z_matrix",
     "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress", "pair_monomial",
+    "_discs",
 ]
 
 
@@ -26,3 +27,9 @@ def test_moved_names_are_not_in_the_package(module):
 def test_moved_names_are_in_reference():
     assert all(callable(getattr(reference, name)) for name in [*MOVED, "graph_words"])
     assert not hasattr(OperatorGraph, "words")
+
+
+@pytest.mark.parametrize("module", ["opgraph", "opgraph.graph"])
+def test_graph_dim_result_type_is_gone(module):
+    # graph_dim returns one int per method; no type pairs the two oracles
+    assert not hasattr(importlib.import_module(module), "GraphDim")
