@@ -11,8 +11,8 @@ from .graph import (
     is_anticlique,
 )
 from .constructions import (
-    ResidueSetA,
     Section4Params,
+    allowed_shifts,
     baseline_bounds,
     build_code_K1,
     build_remark2,
@@ -24,7 +24,6 @@ from .constructions import (
     claimed_dim_section3,
     claimed_dim_section4,
     enumerate_section4_params,
-    residue_set_A,
 )
 
 __version__ = "0.1.0"

@@ -332,12 +332,12 @@ COMMANDS = {"verify": cmd_verify, "sweep": cmd_sweep, "demo": cmd_demo}
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; bad input from any of them prints ``error: ...`` to
-    stderr and exits 2."""
+    """Run one command; bad input from any of them, or a point too large to
+    allocate, prints ``error: ...`` to stderr and exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,13 @@
 * section3: C^n (x) C^n, graph spanned by all powers of the one-sided words
   (X Z^k (x) I) and (I (x) X Z^k), code spanned by the diagonal Fourier
   products f_j (x) f_j.
-* section4: the section3 graph enlarged by three label families (off-diagonal
-  shifts, allowed equal shifts, clock words off the subgroup), with an
-  entangled code built from subgroup-supported diagonal vectors.
+* section4: the off-diagonal shifts (which hold section3's powers), the
+  equal shifts at allowed_shifts and the clock words off the subgroup, with
+  an entangled code built from subgroup-supported diagonal vectors.
+
+Both codes, and remark2's, come from one builder (_diagonal_code): vector k
+sums f_c (x) f_c / sqrt(p) over c = t*y + step*k mod n, t < p, and section3's
+code is its p = 1, step 1 case.
 
 Each generator family sets its phase-free words in a boolean mask (see
 graph.OperatorGraph) through its (n, n, n, n) view, indexed by (left kx,
@@ -34,8 +38,7 @@ __all__ = [
     "build_section2",
     "build_section3",
     "Section4Params",
-    "ResidueSetA",
-    "residue_set_A",
+    "allowed_shifts",
     "build_code_K1",
     "build_section4",
     "build_remark2",
@@ -98,18 +101,26 @@ def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeS
         raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
     mask, words = _word_mask(n)
     _one_sided_powers(words)
-    return graph_from_mask(n, mask), _fourier_diagonal_code(n)
+    return graph_from_mask(n, mask), _diagonal_code(n, 1, 1, n, "h")
 
 
-def _fourier_diagonal_code(n: int) -> CodeSpace:
-    """The code spanned by the n product vectors f_j (x) f_j, which are
-    orthonormal, with their exact Fourier coordinates."""
-    f = fourier_basis(n)
-    fourier = np.zeros((n * n, n), dtype=complex)
-    fourier[np.arange(n) * (n + 1), np.arange(n)] = 1
-    # column j is f_j (x) f_j
-    isometry = (f[:, None, :] * f).reshape(n * n, n)
-    return CodeSpace(n * n, isometry, tuple(f"h_{j + 1}" for j in range(n)), fourier)
+def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
+    """The d orthonormal vectors name_1..name_d on C^n (x) C^n, with their
+    exact Fourier coordinates: vector k sums f_c (x) f_c / sqrt(p) over
+    c = t*y + step*k mod n for t < p, with y = n / p. Vector 0 is formed from
+    the Fourier basis and each next one by the diagonal shift
+    X^step (x) X^step, since X f_j = f_{j+1}."""
+    k, t = np.indices((d, p)).reshape(2, -1)
+    c = (t * (n // p) + step * k) % n
+    fourier = np.zeros((n * n, d), dtype=complex)
+    fourier[c * n + c, k] = 1 / np.sqrt(p)
+    vectors = [sum(kron(col, col) for col in fourier_basis(n)[:, c[:p]].T) / np.sqrt(p)]
+    # X is diagonal, so X^step (x) X^step acts entrywise by its diagonal w^{step j}
+    xs = np.exp(2j * np.pi * (step * np.arange(n) % n) / n)
+    shift = kron(xs, xs)
+    for _ in range(d - 1):
+        vectors.append(shift * vectors[-1])
+    return CodeSpace(n * n, np.column_stack(vectors), tuple(f"{name}_{j + 1}" for j in range(d)), fourier)
 
 
 @dataclass(frozen=True)
@@ -155,41 +166,14 @@ class Section4Params:
         return self.p * self.y
 
 
-@dataclass(frozen=True)
-class ResidueSetA:
-    """Shift residues mod y whose diagonal translations move every code
-    vector's support off every other code vector's support.
-
-    A residue r is allowed iff r != (d-j)(h+1) mod y and
-    r != y+(j-d)(h+1) mod y for every j in 1..d; residue 0 is never allowed.
-    Membership of an integer m depends only on m mod y.
-    """
-
-    y: int
-    h: int
-    d: int
-    allowed: frozenset[int]
-
-    def __contains__(self, m: int) -> bool:
-        return m % self.y in self.allowed
-
-    def members(self, limit: int) -> list[int]:
-        """All allowed m in [0, limit)."""
-        return [m for m in range(limit) if m in self]
-
-    def count_strict(self, n: int) -> int:
-        """Number of allowed m with 1 <= m < n."""
-        return len([m for m in range(1, n) if m in self])
-
-
-def residue_set_A(y: int, h: int, d: int) -> ResidueSetA:
-    """Enumerate the two exclusion families over j in 1..d, reduced mod y."""
-    excluded = set()
-    for j in range(1, d + 1):
-        excluded.add(((d - j) * (h + 1)) % y)
-        excluded.add((y + (j - d) * (h + 1)) % y)
-    allowed = frozenset(r for r in range(y) if r not in excluded)
-    return ResidueSetA(y=y, h=h, d=d, allowed=allowed)
+def allowed_shifts(params: Section4Params) -> np.ndarray:
+    """The shifts 0 <= m < n whose diagonal translation X^m (x) X^m moves
+    every code vector off the code: m mod y avoids +-i(h+1) mod y for every
+    i < d, so 0 is never allowed."""
+    steps = np.arange(params.d) * (params.h + 1)
+    excluded = np.zeros(params.y, dtype=bool)
+    excluded[steps % params.y] = excluded[-steps % params.y] = True
+    return np.flatnonzero(np.tile(~excluded, params.p))
 
 
 def build_code_K1(params: Section4Params) -> CodeSpace:
@@ -199,30 +183,7 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     {0, y, ..., (p-1)y} of Z_n; each following vector applies the diagonal
     shift X^{h+1} (x) X^{h+1}. All are normalized by 1/sqrt(p).
     """
-    n = params.n
-    f = fourier_basis(n)
-    q = np.zeros(n * n, dtype=complex)
-    for t in range(params.p):
-        col = f[:, t * params.y]
-        q += kron(col, col)
-    q /= np.sqrt(params.p)
-    # X is diagonal, so X^{h+1} (x) X^{h+1} acts entrywise by its diagonal w^{(h+1)j}
-    xh = np.exp(2j * np.pi * ((params.h + 1) * np.arange(n) % n) / n)
-    shift = kron(xh, xh)
-    vectors = [q]
-    for _ in range(params.d - 1):
-        vectors.append(shift * vectors[-1])
-    # q_{k+1} sums f_c (x) f_c over c = t*y + (h+1)*k, since X f_j = f_{j+1}
-    fourier = np.zeros((n * n, params.d), dtype=complex)
-    k, t = np.indices((params.d, params.p)).reshape(2, -1)
-    c = (t * params.y + (params.h + 1) * k) % n
-    fourier[c * n + c, k] = 1 / np.sqrt(params.p)
-    return CodeSpace(
-        space_dim=n * n,
-        isometry=np.column_stack(vectors),
-        basis_names=tuple(f"q_{k + 1}" for k in range(params.d)),
-        fourier=fourier,
-    )
+    return _diagonal_code(params.n, params.p, params.h + 1, params.d, "q")
 
 
 def _off_diagonal_shifts(words: np.ndarray) -> None:
@@ -234,19 +195,19 @@ def _off_diagonal_shifts(words: np.ndarray) -> None:
 
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
-    build_code_K1. The graph adds to section3's one-sided powers the
-    off-diagonal shifts, every equal shift X^m Z^k (x) X^m Z^s with m in the
-    allowed residue set, and the equal shifts with clock exponents off the
-    subgroup, (k + s) mod p != 0."""
+    build_code_K1. The graph holds the off-diagonal shifts, every equal
+    shift X^m Z^k (x) X^m Z^s with m in allowed_shifts, and the equal shifts
+    with clock exponents off the subgroup, (k + s) mod p != 0. Section3's
+    powers X^s Z^{ks} on either side (s >= 1) shift one side only, so the
+    off-diagonal shifts already hold them."""
     n = params.n
     mask, words = _word_mask(n)
     _off_diagonal_shifts(words)
-    allowed = residue_set_A(params.y, params.h, params.d).members(n)
+    allowed = allowed_shifts(params)
     words[allowed, :, allowed, :] = True
     e = np.arange(n)
     k, s = np.indices((n, n))
     words[e, :, e, :] |= (k + s) % params.p != 0
-    _one_sided_powers(words)
     return graph_from_mask(n, mask), build_code_K1(params)
 
 
@@ -258,7 +219,7 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
     mask, words = _word_mask(n)
     _off_diagonal_shifts(words)
-    return graph_from_mask(n, mask), _fourier_diagonal_code(n)
+    return graph_from_mask(n, mask), _diagonal_code(n, 1, 1, n, "h")
 
 
 def claimed_dim_section2() -> int:
@@ -272,9 +233,9 @@ def claimed_dim_section3(n: int) -> int:
 
 def claimed_dim_section4(params: Section4Params) -> int:
     """Claimed closed form for the section4 graph dimension; the count of
-    allowed strict shifts enters as #A' and its complement as n - #A'."""
+    allowed shifts (none is 0) enters as #A' and its complement as n - #A'."""
     n = params.n
-    a_strict = residue_set_A(params.y, params.h, params.d).count_strict(n)
+    a_strict = len(allowed_shifts(params))
     r_a = n - a_strict
     tail = (params.y * (params.p - 1) * (params.p + 2)) // 2 + (n * (params.y - 1)) // 2
     return n**3 * (n - 1) + a_strict * n**2 + r_a * tail + 1

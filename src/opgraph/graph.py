@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -87,16 +87,12 @@ class OperatorGraph:
 
     n: int
     mask: np.ndarray
-    # _offsets[r]: the generators in mask rows before row r, r <= n^2
-    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_mask(self.n, self.mask)
-        offsets = np.concatenate([[0], np.cumsum(np.count_nonzero(self.mask, axis=1))])
-        if offsets[-1] == 0:
+        if not self.mask.any():
             raise ValueError("mask is empty; a graph contains the identity")
         self.mask.setflags(write=False)
-        object.__setattr__(self, "_offsets", offsets)
 
     @cached_property
     def _sides(self) -> tuple[_Patterns, _Patterns]:
@@ -104,13 +100,20 @@ class OperatorGraph:
         read-only, so it stays valid."""
         return _patterns(self)
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """_offsets[r]: the generators in mask rows before row r, r <= n^2,
+        formed on first use."""
+        return np.concatenate([[0], np.cumsum(np.count_nonzero(self.mask, axis=1))])
+
     @property
     def space_dim(self) -> int:
         return self.n * self.n
 
-    @property
+    @cached_property
     def n_generators(self) -> int:
-        return int(self._offsets[-1])
+        """The mask's popcount, counted on first use."""
+        return int(np.count_nonzero(self.mask))
 
     def words_at(self, at) -> np.ndarray:
         """The words of generators ``at`` (a generator id or an array of
@@ -500,7 +503,7 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
         gram[np.ix_(slots, slots)] += x.conj().T @ x
     dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram, tol)
     row, column, l, k = place
-    at = int(g._offsets[row]) + int(np.count_nonzero(g.mask[row, :column]))
+    at = int(np.count_nonzero(g.mask[:row])) + int(np.count_nonzero(g.mask[row, :column]))
     return CompressionReport(
         verdict=dim == 1,
         compressed_dim=dim,

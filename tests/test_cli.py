@@ -164,6 +164,16 @@ def test_verify_invalid_params_exit_two():
     assert b"unrecognized arguments: --tol-rel" in result.stderr
 
 
+def test_point_too_large_to_allocate_exits_two():
+    # n = 20000: the n^4 = 1.6e17-byte mask exceeds any address space, so
+    # its allocation fails at once
+    result = run_cli("verify", "section4", "--p", "2", "--y", "10000", "--h", "0", "--d", "10000")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_non_finite_tol_abs_exits_two():
     # nan would fail every residual check and inf pass every one
     for value in ("nan", "inf"):
@@ -271,6 +281,14 @@ def test_sweep_section3_csv():
     assert all(row["anticlique"] == "True" for row in rows)
     matches = {row["n"]: row["formula_match"] for row in rows}
     assert matches == {"3": "True", "4": "False", "5": "True", "6": "False"}
+
+
+def test_sweep_section3_matches_committed_report():
+    # every section3 code from n = 3 to 24, pinned byte for byte
+    result = run_cli("sweep", "section3", "--n", "3..24", "--deterministic")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == (DATA / "sweep_section3_n3_24.csv").read_bytes()
 
 
 def test_sweep_section3_csv_bytes():

@@ -7,6 +7,7 @@ import pytest
 from opgraph import constructions
 from opgraph.constructions import (
     Section4Params,
+    allowed_shifts,
     baseline_bounds,
     build_code_K1,
     build_remark2,
@@ -17,7 +18,6 @@ from opgraph.constructions import (
     claimed_dim_section3,
     claimed_dim_section4,
     enumerate_section4_params,
-    residue_set_A,
 )
 from opgraph.graph import CodeSpace, graph_dim, is_anticlique
 from opgraph.linalg import kron, max_abs
@@ -49,8 +49,7 @@ def section4_label_count(params: Section4Params) -> int:
     # each allowed equal shift contributes n^2 clock pairs; every other equal
     # shift contributes only the pairs with k+s off the subgroup
     n = params.n
-    a = residue_set_A(params.y, params.h, params.d)
-    a_strict = a.count_strict(n)
+    a_strict = len(allowed_shifts(params))
     off_subgroup_pairs = n * n - n * params.y
     return n**3 * (n - 1) + a_strict * n**2 + (n - a_strict) * off_subgroup_pairs + 1
 
@@ -149,25 +148,26 @@ def test_section3_oracles_agree():
 
 
 def test_residue_set_examples():
-    a = residue_set_A(4, 1, 2)
-    assert a.allowed == frozenset({1, 3})
-    assert a.members(8) == [1, 3, 5, 7]
-    assert a.count_strict(8) == 4
-    assert residue_set_A(2, 0, 2).allowed == frozenset()
+    # shifts in [0, n), not residues mod y: at (2,4,1,2) the residues 1 and 3
+    # are allowed, so the shifts 5 and 7 are too
+    allowed = allowed_shifts(Section4Params(2, 4, 1, 2))
+    assert allowed.dtype.kind == "i"
+    assert allowed.tolist() == [1, 3, 5, 7]
+    assert allowed_shifts(Section4Params(2, 2, 0, 2)).tolist() == []
 
 
 def test_residue_zero_never_allowed():
     for params in enumerate_section4_params(12):
-        a = residue_set_A(params.y, params.h, params.d)
-        assert 0 not in a
+        allowed = allowed_shifts(params)
+        assert np.all((allowed >= 1) & (allowed < params.n)), params
 
 
 def test_residue_set_symmetric():
-    # allowed residues come in pairs r, y-r, matching adjoint closure of the
+    # allowed shifts come in pairs m, n-m, matching adjoint closure of the
     # equal-shift family
     for params in enumerate_section4_params(12):
-        a = residue_set_A(params.y, params.h, params.d)
-        assert all((params.y - r) % params.y in a.allowed for r in a.allowed)
+        allowed = allowed_shifts(params)
+        assert sorted((params.n - allowed) % params.n) == allowed.tolist(), params
 
 
 def test_code_k1_expected_supports():
@@ -199,19 +199,19 @@ def test_code_k1_period_invariance():
 
 
 def test_allowed_shifts_move_code_off_itself():
-    # for m in the allowed set, the diagonal shift by m maps every code
-    # vector orthogonally to the whole code
-    for params in enumerate_section4_params(10):
+    # a shift 1 <= m < n is allowed iff the diagonal shift by m maps every
+    # code vector orthogonally to the whole code; an excluded shift maps some
+    # code vector onto another one
+    for params in enumerate_section4_params(12):
         n = params.n
-        a = residue_set_A(params.y, params.h, params.d)
+        allowed = allowed_shifts(params).tolist()
         code = build_code_K1(params)
         x = x_matrix(n)
         for m in range(1, n):
-            if m not in a:
-                continue
             xm = np.linalg.matrix_power(x, m)
             shifted = kron(xm, xm) @ code.isometry
-            assert max_abs(code.isometry.conj().T @ shifted) < 1e-12, (params, m)
+            overlap = max_abs(code.isometry.conj().T @ shifted)
+            assert (overlap < 1e-12) == (m in allowed), (params, m, overlap)
 
 
 def test_clock_words_off_subgroup_annihilate_q1():
@@ -288,7 +288,7 @@ def test_predicted_dims_reference_values():
     assert claimed_dim_section3(4) == 25  # differs from the computed 21
     params = Section4Params(2, 4, 1, 2)
     assert claimed_dim_section4(params) == 3921
-    assert residue_set_A(params.y, params.h, params.d).count_strict(params.n) == 4
+    assert len(allowed_shifts(params)) == 4
     assert claimed_dim_section3(params.n) == 113
 
 
@@ -353,11 +353,11 @@ def _scalar_off_diagonal(n):
 
 def _scalar_section4(params):
     n = params.n
-    a_set = residue_set_A(params.y, params.h, params.d)
+    allowed = allowed_shifts(params).tolist()
     equal = [(m, k, s) for m in range(n) for k in range(n) for s in range(n)]
     return (
         _scalar_off_diagonal(n)
-        + [WeylLabelPair(label(n, m, k), label(n, m, s)) for m, k, s in equal if m >= 1 and m in a_set]
+        + [WeylLabelPair(label(n, m, k), label(n, m, s)) for m, k, s in equal if m >= 1 and m in allowed]
         + [WeylLabelPair(label(n, m, k), label(n, m, s)) for m, k, s in equal if (k + s) % params.p]
         + _scalar_one_sided_powers(n)
     )

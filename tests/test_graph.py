@@ -491,6 +491,19 @@ def test_code_shift_flips_the_verdict(params, dim):
     assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 2, 0)
 
 
+def test_generator_offsets_are_formed_only_when_asked():
+    # the verdict numbers its worst place from two popcounts of the mask,
+    # in any mask layout, and only words_at forms the per-row counts
+    grown, code = _shift_control(Section4Params(2, 8, 1, 4))
+    report = is_anticlique(grown, code)
+    assert "_offsets" not in vars(grown)
+    fortran = OperatorGraph(grown.n, np.asfortranarray(grown.mask))
+    assert is_anticlique(fortran, code).worst == report.worst
+    assert "_offsets" not in vars(fortran)
+    assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 2, 0)
+    assert "_offsets" in vars(grown)
+
+
 def test_worst_breaks_a_tie_across_classes_by_mask_order():
     # on the whole space at n = 2 (S = I in the Fourier product basis) every
     # compression is a realized word with entries +-1, so the non-identity

@@ -33,3 +33,10 @@ def test_moved_names_are_in_reference():
 def test_graph_dim_result_type_is_gone(module):
     # graph_dim returns one int per method; no type pairs the two oracles
     assert not hasattr(importlib.import_module(module), "GraphDim")
+
+
+@pytest.mark.parametrize("module", ["opgraph", "opgraph.constructions"])
+def test_construction_duplicates_are_gone(module):
+    # one diagonal-code builder, and the allowed shifts as one array
+    package = importlib.import_module(module)
+    assert [name for name in ("ResidueSetA", "residue_set_A", "_fourier_diagonal_code") if hasattr(package, name)] == []
