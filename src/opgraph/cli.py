@@ -64,12 +64,13 @@ CSV_COLUMNS = [
 ]
 
 
-# the construction flags each construction reads; setting one that it does
-# not read is an error, never ignored
+# the construction flags each construction reads, keyed by the parser's
+# construction choices; setting one that it does not read is an error, never
+# ignored
 READS = {
     "section2": (),
-    "section3": ("--n", "--allow-n2"),
-    "section4": ("--p", "--y", "--h", "--d", "--allow-d1"),
+    "section3": ("--n",),
+    "section4": ("--p", "--y", "--h", "--d"),
     "remark2": ("--n",),
 }
 SWEEP_READS = {"section3": ("--n",), "section4": ("--n-max",)}
@@ -81,11 +82,10 @@ class UsageError(Exception):
 
 def _reject_unread(construction: str, args, reads: dict[str, tuple[str, ...]]) -> None:
     """Raise UsageError when args sets a flag of ``reads`` that the
-    construction does not read. A flag is set when its value is neither of
-    the parser's defaults, None and False."""
+    construction does not read. A flag is set when its value is not the
+    parser's default, None."""
     for flag in sum(reads.values(), ()):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if flag not in reads[construction] and value is not None and value is not False:
+        if flag not in reads[construction] and getattr(args, flag[2:].replace("-", "_"), None) is not None:
             raise UsageError(f"{construction} does not read {flag}")
 
 
@@ -98,12 +98,12 @@ def _build(construction: str, args) -> tuple:
     if construction == "section3":
         if args.n is None:
             raise UsageError("section3 requires --n")
-        g, code = build_section3(args.n, allow_n2=args.allow_n2)
+        g, code = build_section3(args.n)
         return g, code, {"n": args.n}, claimed_dim_section3(args.n)
     if construction == "section4":
         if None in (args.p, args.y, args.h, args.d):
             raise UsageError("section4 requires --p --y --h --d")
-        params = Section4Params(p=args.p, y=args.y, h=args.h, d=args.d, allow_d1=args.allow_d1)
+        params = Section4Params(p=args.p, y=args.y, h=args.h, d=args.d)
         g, code = build_section4(params)
         echo = {"p": params.p, "y": params.y, "h": params.h, "d": params.d, "n": params.n}
         return g, code, echo, claimed_dim_section4(params)
@@ -236,9 +236,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_demo(args) -> int:
     tol = Tolerance(absolute=args.tol_abs)
-    g, code, _, _ = _build(args.construction, args)
+    # before the build, which may take long or fail to allocate
     if args.trials < 0:
         raise UsageError("--trials must be >= 0")
+    g, code, _, _ = _build(args.construction, args)
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
     s = code.fourier
@@ -288,10 +289,6 @@ def _add_construction_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--y", type=int, default=None, help="subgroup index (n = p*y)")
     parser.add_argument("--h", type=int, default=None, help="shift step minus one")
     parser.add_argument("--d", type=int, default=None, help="code dimension")
-    parser.add_argument("--allow-n2", action="store_true",
-                        help="permit the degenerate n=2 product construction")
-    parser.add_argument("--allow-d1", action="store_true",
-                        help="permit a one-dimensional code (below one qubit)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,23 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="verify one construction and print a report")
-    verify.add_argument("construction", choices=["section2", "section3", "section4", "remark2"])
+    verify.add_argument("construction", choices=list(READS))
     _add_construction_params(verify)
     _add_check_flags(verify)
     verify.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     sweep = sub.add_parser("sweep", help="verify a parameter range, one report row per point")
-    sweep.add_argument("construction", choices=["section3", "section4"])
+    sweep.add_argument("construction", choices=list(SWEEP_READS))
     sweep.add_argument("--n", default=None, help="inclusive range A..B (section3)")
     sweep.add_argument("--n-max", type=int, default=None,
                        help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
     sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     _add_check_flags(sweep)
-    sweep.set_defaults(allow_n2=False, allow_d1=False)
 
     demo = sub.add_parser("demo", help="seeded random error-word distinguishability transcript")
-    demo.add_argument("--construction", required=True,
-                      choices=["section2", "section3", "section4"])
+    demo.add_argument("--construction", required=True, choices=list(READS))
     _add_construction_params(demo)
     demo.add_argument("--trials", type=int, default=20)
     demo.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,8 @@
 """Builders for the three verified constructions and their claimed dimensions.
 
 * section2: C^2 (x) C^2, graph spanned by five Pauli tensor words, the n = 2
-  case of the Weyl words, two-dimensional code from a pair of product
-  vectors.
+  case of the Weyl words, two-dimensional code whose isometry is a pair of
+  orthogonal product vectors, normalized.
 * section3: C^n (x) C^n, graph spanned by all powers of the one-sided words
   (X Z^k (x) I) and (I (x) X Z^k), code spanned by the diagonal Fourier
   products f_j (x) f_j.
@@ -52,7 +52,9 @@ __all__ = [
 
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
-    and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1).
+    and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1),
+    which are orthogonal: its isometry is the two divided by sqrt(2), named
+    f+ and f-, and its Fourier coordinates are computed from the isometry.
 
     At n = 2 the Pauli matrices are Weyl words: sx = Z, sz = X and
     sy = i XZ, so the graph is spanned by the words Z(x)I, XZ(x)I, I(x)XZ and
@@ -67,8 +69,7 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     g = graph_from_mask(2, mask)
     f_plus = kron(np.array([1, 0]), np.array([1, 1]))
     f_minus = kron(np.array([0, 1]), np.array([1, -1]))
-    code = CodeSpace.from_vectors([f_plus, f_minus], names=("f+", "f-"))
-    return g, code
+    return g, CodeSpace(np.column_stack([f_plus, f_minus]) / np.sqrt(2), ("f+", "f-"))
 
 
 def _word_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,16 +90,16 @@ def _one_sided_powers(words: np.ndarray) -> None:
     words[0, 0, s, k * s % n] = True
 
 
-def build_section3(n: int, allow_n2: bool = False) -> tuple[OperatorGraph, CodeSpace]:
+def build_section3(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """Product-vector construction on C^n (x) C^n.
 
     Graph: span of (X Z^k)^s on either factor for 0 <= k <= n-1 and
     1 <= s <= n-1, plus identity, adjoint-closed at label level. Code: the n
-    vectors f_j (x) f_j. n = 2 degenerates and is rejected without the
-    override flag.
+    vectors f_j (x) f_j. The construction needs n > 2 (n = 2 degenerates),
+    and any smaller n raises ValueError.
     """
-    if n < 2 or (n == 2 and not allow_n2):
-        raise ValueError(f"construction requires n > 2 (got n={n}); pass allow_n2 to override n=2")
+    if n <= 2:
+        raise ValueError(f"construction requires n > 2 (got n={n})")
     mask, words = _word_mask(n)
     _one_sided_powers(words)
     return graph_from_mask(n, mask), _diagonal_code(n, 1, 1, n, "h")
@@ -120,23 +121,22 @@ def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
     shift = kron(xs, xs)
     for _ in range(d - 1):
         vectors.append(shift * vectors[-1])
-    return CodeSpace(n * n, np.column_stack(vectors), tuple(f"{name}_{j + 1}" for j in range(d)), fourier)
+    return CodeSpace(np.column_stack(vectors), tuple(f"{name}_{j + 1}" for j in range(d)), fourier)
 
 
 @dataclass(frozen=True)
 class Section4Params:
     """Parameters (p, y, h, d) of the entangled-code construction, n = p*y.
 
-    Validity needs p, y >= 2, h >= 0, and (h+1)(d+1) >= y >= (h+1)d. The
-    default d >= 2 keeps the code at least one qubit wide; d = 1 is allowed
-    only behind the explicit override.
+    Validity needs p, y >= 2, h >= 0, d >= 2 (a code at least one qubit
+    wide) and (h+1)(d+1) >= y >= (h+1)d; any other point raises ValueError
+    naming the condition it violates.
     """
 
     p: int
     y: int
     h: int
     d: int
-    allow_d1: bool = False
 
     def __post_init__(self):
         if self.p < 2:
@@ -145,11 +145,8 @@ class Section4Params:
             raise ValueError(f"requires y >= 2 (got y={self.y})")
         if self.h < 0:
             raise ValueError(f"requires h >= 0 (got h={self.h})")
-        if self.d < 1 or (self.d == 1 and not self.allow_d1):
-            raise ValueError(
-                f"requires d >= 2 (got d={self.d}); a d=1 code is below one qubit, "
-                "pass allow_d1 to override"
-            )
+        if self.d < 2:
+            raise ValueError(f"requires d >= 2 (got d={self.d}); a smaller code is below one qubit")
         if not (self.h + 1) * (self.d + 1) >= self.y:
             raise ValueError(
                 f"requires (h+1)(d+1) >= y: ({self.h}+1)({self.d}+1) = "

@@ -28,18 +28,20 @@ Gram matrices of the two patterns' factors (each at most n x n). A class is
 the mask's sub-block at P's factors x Q's factors (_block), and one pass
 over the mask counts the words of every class (_class_counts).
 
+A code space is one isometry (CodeSpace), whose n^2 rows fix its space.
 Compression works on the same classes, in the Fourier product basis f_i (x)
-f_j, where every code carries its coordinates (exact for the constructions'
-codes, computed from the isometry otherwise). The code is nonzero only at
-the coordinates R: |R| = p * d of the n^2 for the entangled codes, nearly
-all n^2 for a computed code. Every word of a class maps the columns of R to
-the same rows, so one test on the realized row patterns drops a class whose
-words all compress to exactly zero. A class that reaches the code is
-compressed in one matrix product, on only the slots (entries) of a
-code_dim x code_dim compression that it can reach. The anticlique verdict
-reads each word's residual and the class's share of a code_dim^2 x
-code_dim^2 Gram matrix from that product, and holds the compressions of
-one class at a time.
+f_j, where every code carries its coordinates: exact for the constructions'
+diagonal codes, computed from the isometry for section2 or any code given
+only its isometry. The code is nonzero only at the coordinates R:
+|R| = p * d of the n^2 for the entangled codes, nearly all n^2 for a
+computed code.
+Every word of a class maps the columns of R to the same rows, so one test
+on the realized row patterns drops a class whose words all compress to
+exactly zero. A class that reaches the code is compressed in one matrix
+product, on only the slots (entries) of a code_dim x code_dim compression
+that it can reach. The anticlique verdict reads each word's residual and
+the class's share of a code_dim^2 x code_dim^2 Gram matrix from that
+product, and holds the compressions of one class at a time.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    _gram_schmidt,
     _rank_of_grams,
     dagger,
     max_abs,
@@ -164,8 +165,8 @@ def _check_mask(n: int, mask) -> None:
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """A code subspace of C^n (x) C^n, space_dim = n^2, stored as an
-    isometry whose orthonormal columns span it.
+    """A code subspace of C^n (x) C^n, stored as an isometry whose
+    orthonormal columns span it; space_dim = n^2 is the isometry's row count.
 
     ``fourier`` holds the same columns in the Fourier product basis: entry
     (i*n + j, k) is the coefficient of f_i (x) f_j in column k, with f the
@@ -173,11 +174,11 @@ class CodeSpace:
     as exact entries, which must agree with the isometry's coordinates
     within 1e-12; when it is not given, it is computed from the isometry.
     Compression reads each word only where the code is nonzero in that
-    basis. Both are stored as arrays. Raises ValueError when space_dim is
-    not a square or an entry of either is not finite.
+    basis. Both are stored as arrays. Raises ValueError unless the isometry
+    is a matrix with n^2 rows and orthonormal columns, every entry of either
+    is finite, and ``basis_names`` is empty or names every column.
     """
 
-    space_dim: int
     isometry: np.ndarray
     basis_names: tuple[str, ...] = ()
     fourier: np.ndarray | None = None
@@ -187,8 +188,8 @@ class CodeSpace:
         # a comparison with nan is false, so nan would pass every check below
         if not (np.isfinite(s).all() and (self.fourier is None or np.isfinite(self.fourier).all())):
             raise ValueError("isometry and fourier coordinates must be finite")
-        if s.ndim != 2 or s.shape[0] != self.space_dim:
-            raise ValueError(f"isometry shape {s.shape} does not match space_dim {self.space_dim}")
+        if s.ndim != 2:
+            raise ValueError(f"isometry must be a matrix, got shape {s.shape}")
         if s.shape[1] < 1:
             raise ValueError("code dimension must be >= 1")
         gram = dagger(s) @ s
@@ -214,29 +215,12 @@ class CodeSpace:
         object.__setattr__(self, "fourier", fourier)
 
     @property
+    def space_dim(self) -> int:
+        return self.isometry.shape[0]
+
+    @property
     def code_dim(self) -> int:
         return self.isometry.shape[1]
-
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: list[np.ndarray],
-        names: Iterable[str] = (),
-        tol: Tolerance = DEFAULT_TOL,
-    ) -> "CodeSpace":
-        """Code spanned by the vectors, orthonormalized in order. A vector
-        dependent on the earlier ones is dropped together with its name."""
-        names = tuple(names)
-        if names and len(names) != len(vectors):
-            raise ValueError(f"{len(names)} names for {len(vectors)} vectors")
-        basis, kept = _gram_schmidt(vectors, tol)
-        if not basis:
-            raise ValueError("vectors span the zero subspace")
-        return cls(
-            space_dim=basis[0].shape[0],
-            isometry=np.column_stack(basis),
-            basis_names=tuple(names[i] for i in kept) if names else (),
-        )
 
 
 def _fourier_coordinates(isometry: np.ndarray) -> np.ndarray:

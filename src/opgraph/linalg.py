@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: Kronecker products, tolerance-based rank of
-block-diagonal Gram matrices, and Gram-Schmidt orthonormalization.
+"""Dense complex linear algebra: Kronecker products and tolerance-based rank
+of block-diagonal Gram matrices.
 
 Everything here works on plain numpy arrays of dtype complex128. Matrices are
 2-d arrays, vectors 1-d. All functions are pure.
@@ -88,24 +88,3 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
         return 0
     cut = tol.relative * top
     return int(np.sum(np.asarray(order)[certified])) + sum(int(np.count_nonzero(e > cut)) for e in eigs)
-
-
-def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.ndarray], list[int]]:
-    """Stabilized Gram-Schmidt. Returns an orthonormal family spanning the
-    same subspace, processing inputs in order, and the indices of the input
-    vectors kept, one per basis vector; vectors whose residual after
-    projection falls below ``tol.absolute`` are dropped."""
-    basis: list[np.ndarray] = []
-    kept: list[int] = []
-    for i, v in enumerate(vectors):
-        w = np.asarray(v, dtype=complex).copy()
-        # two projection passes keep orthogonality at roundoff level
-        for _ in range(2):
-            for u in basis:
-                w = w - np.vdot(u, w) * u
-        norm = float(np.linalg.norm(w))
-        if norm < tol.absolute:
-            continue
-        basis.append(w / norm)
-        kept.append(i)
-    return basis, kept

@@ -14,7 +14,8 @@ with, and the only phase-carrying word forms:
   (their monomial realization, phases included), mask_of,
   graph_from_labels and graph_words;
 * Hilbert-Schmidt products, a unitarity check, Gershgorin bounds of one
-  Hermitian matrix (_discs) and Gram-Schmidt;
+  Hermitian matrix (_discs) and Gram-Schmidt (_gram_schmidt, behind
+  orthonormalize);
 * compress, the full stack of compressions, scattered in generator order
   from the same per-class kernel the anticlique verdict streams
   (opgraph.graph._compressions).
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
-from opgraph.linalg import DEFAULT_TOL, Tolerance, _gram_schmidt, dagger, kron, max_abs
+from opgraph.linalg import DEFAULT_TOL, Tolerance, dagger, kron, max_abs
 from opgraph.weyl import weyl_monomial
 
 
@@ -240,9 +241,30 @@ def _discs(gram: np.ndarray) -> tuple[float, float]:
     return float(np.min(center - radius)), float(np.max(center + radius))
 
 
+def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.ndarray], list[int]]:
+    """Stabilized Gram-Schmidt. Returns an orthonormal family spanning the
+    same subspace, processing inputs in order, and the indices of the input
+    vectors kept, one per basis vector; vectors whose residual after
+    projection falls below ``tol.absolute`` are dropped."""
+    basis: list[np.ndarray] = []
+    kept: list[int] = []
+    for i, v in enumerate(vectors):
+        w = np.asarray(v, dtype=complex).copy()
+        # two projection passes keep orthogonality at roundoff level
+        for _ in range(2):
+            for u in basis:
+                w = w - np.vdot(u, w) * u
+        norm = float(np.linalg.norm(w))
+        if norm < tol.absolute:
+            continue
+        basis.append(w / norm)
+        kept.append(i)
+    return basis, kept
+
+
 def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """The orthonormal family opgraph.linalg._gram_schmidt keeps, without
-    the indices of the kept inputs."""
+    """The orthonormal family _gram_schmidt keeps, without the indices of
+    the kept inputs."""
     return _gram_schmidt(vectors, tol)[0]
 
 

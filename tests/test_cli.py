@@ -85,9 +85,9 @@ def test_verify_section4_n16_matches_committed_report():
         ("verify section4 --p 2 --y 8 --h 1 --d 4 --n 99", "section4 does not read --n"),
         ("verify section2 --n 7", "section2 does not read --n"),
         ("verify section2 --n 0", "section2 does not read --n"),
-        ("verify section3 --n 3 --p 5 --allow-d1", "section3 does not read --p"),
-        ("verify section3 --n 3 --allow-d1", "section3 does not read --allow-d1"),
-        ("verify section4 --p 2 --y 4 --h 1 --d 2 --allow-n2", "section4 does not read --allow-n2"),
+        ("verify section3 --n 3 --p 5 --d 2", "section3 does not read --p"),
+        ("verify section3 --n 3 --d 2", "section3 does not read --d"),
+        ("verify section4 --p 2 --y 4 --h 1 --d 2 --n 8", "section4 does not read --n"),
         ("verify remark2 --n 4 --d 2", "remark2 does not read --d"),
         ("demo --construction section2 --h 1", "section2 does not read --h"),
         ("sweep section4 --n-max 12 --n 3..5", "section4 does not read --n"),
@@ -139,6 +139,8 @@ def test_verify_invalid_params_exit_two():
         result = run_cli("verify", "section3", "--n", n)
         assert result.returncode == 2, n
         assert b"n > 2" in result.stderr
+        # no flag overrides the condition, and none is suggested
+        assert b"override" not in result.stderr
 
     result = run_cli("verify", "section4", "--p", "2", "--y", "4", "--h", "0", "--d", "2")
     assert result.returncode == 2
@@ -147,6 +149,7 @@ def test_verify_invalid_params_exit_two():
     result = run_cli("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "1")
     assert result.returncode == 2
     assert b"d >= 2" in result.stderr
+    assert b"override" not in result.stderr
 
     result = run_cli("verify", "section3")
     assert result.returncode == 2
@@ -162,6 +165,17 @@ def test_verify_invalid_params_exit_two():
                      "--tol-rel", "2")
     assert result.returncode == 2
     assert b"unrecognized arguments: --tol-rel" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify section3 --n 2 --allow-n2", "verify section4 --p 2 --y 2 --h 1 --d 1 --allow-d1"]
+)
+def test_allow_flags_are_unrecognized(argv, capsys):
+    # n = 2 and d = 1 are rejected outright; no flag lets them through
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-" in capsys.readouterr().err
 
 
 def test_point_too_large_to_allocate_exits_two():
@@ -490,6 +504,15 @@ def test_demo_section3_is_exact(n, seed):
     assert last == "max cross-talk over 20 trials: 0.000e+00 -> pass"
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_demo_remark2_is_exact(n, capsys):
+    # remark2's code is section3's f_j (x) f_j code, with the same exact
+    # coordinates, so its cross-talk is exactly zero too
+    assert cli.main(["demo", "--construction", "remark2", "--n", str(n)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "max cross-talk over 20 trials: 0.000e+00 -> pass"
+
+
 def test_demo_section2_and_reproducibility():
     first = run_cli("demo", "--construction", "section2", "--trials", "50", "--seed", "1")
     second = run_cli("demo", "--construction", "section2", "--trials", "50", "--seed", "1")
@@ -506,6 +529,15 @@ def test_demo_zero_trials():
 def test_demo_invalid_params():
     result = run_cli("demo", "--construction", "section4", "--trials", "5")
     assert result.returncode == 2
+
+
+def test_demo_rejects_negative_trials_before_building(capsys):
+    # the point's n^4-byte mask could not be allocated; --trials is checked first
+    argv = "demo --construction section4 --p 2 --y 10000 --h 0 --d 10000 --trials -1"
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --trials must be >= 0\n"
 
 
 def test_help_documents_csv_columns():

@@ -29,6 +29,7 @@ from reference import (
     graph_words,
     label,
     mask_of,
+    orthonormalize,
     pair_adjoint,
     pair_dense,
     pair_monomial,
@@ -238,7 +239,7 @@ def test_oracle_equivalence_random_subsets():
 def test_compress_identity_graph():
     g = graph_from_labels(2, word_table([]))
     f = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    code = CodeSpace.from_vectors([f])
+    code = CodeSpace(f[:, None])
     out = compress(g, code)
     assert len(out) == 1
     assert max_abs(out[0] - np.eye(1)) < 1e-14
@@ -256,7 +257,7 @@ def test_compress_single_flip_graph():
     # I (x) sx is the word I (x) Z at n = 2
     g = graph_from_labels(2, np.array([[0, 0, 0, 0, 1, 0]]))
     e = np.eye(2)
-    code = CodeSpace.from_vectors([kron(e[0], e[0]), kron(e[1], e[0])])
+    code = CodeSpace(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
     compressed = compress(g, code)
     assert max_abs(compressed[1]) < 1e-14
 
@@ -264,12 +265,12 @@ def test_compress_single_flip_graph():
 def test_compress_dimension_mismatch():
     # a code on C^3 (x) C^3 against a graph on C^2 (x) C^2
     g = graph_from_labels(2, word_table([]))
-    code = CodeSpace.from_vectors([np.eye(9)[0]])
+    code = CodeSpace(np.eye(9)[:, :1])
     with pytest.raises(ValueError, match="does not match"):
         compress(g, code)
     # a space of 3 dimensions is no C^n (x) C^n: rejected when constructed
     with pytest.raises(ValueError, match="do not fit"):
-        CodeSpace.from_vectors([np.array([1, 0, 0])])
+        CodeSpace(np.eye(3)[:, :1])
 
 
 def test_is_anticlique_negative_control():
@@ -278,7 +279,7 @@ def test_is_anticlique_negative_control():
     n = 3
     g = graph_from_labels(n, word_table([pair(n, 1, 0, 0, 0)]))
     e = np.eye(n)
-    code = CodeSpace.from_vectors([kron(e[0], e[0]), kron(e[1], e[0])])
+    code = CodeSpace(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
     report = is_anticlique(g, code)
     assert not report.verdict
     assert report.compressed_dim > 1
@@ -330,7 +331,7 @@ def test_anticlique_invariant_under_code_basis_change():
     rng = np.random.default_rng(5)
     m = random_complex(rng, code.code_dim, code.code_dim)
     q, _ = np.linalg.qr(m)
-    rotated = CodeSpace(code.space_dim, code.isometry @ q, code.basis_names)
+    rotated = CodeSpace(code.isometry @ q, code.basis_names)
     assert is_anticlique(g, rotated).verdict
 
 
@@ -374,7 +375,7 @@ def test_compress_is_linear():
     # generator against the scalar pair_dense realization
     rng = np.random.default_rng(11)
     g, _ = build_section3(4)
-    code = CodeSpace.from_vectors([random_complex(rng, 16), random_complex(rng, 16)])
+    code = CodeSpace(np.column_stack(orthonormalize([random_complex(rng, 16), random_complex(rng, 16)])))
     s = code.isometry
     compressed = compress(g, code)
     assert compressed.shape == (g.n_generators, 2, 2)
@@ -512,7 +513,7 @@ def test_worst_breaks_a_tie_across_classes_by_mask_order():
     # after it, in the class (0, 1); I (x) X comes first in mask order, at
     # entry (0, 2) before (1, 0), so it is named, as generator 1
     f = fourier_basis(2)
-    whole = CodeSpace(space_dim=4, isometry=kron(f, f), fourier=np.eye(4, dtype=complex))
+    whole = CodeSpace(kron(f, f), fourier=np.eye(4, dtype=complex))
     g = graph_from_labels(2, np.array([[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]]))
     assert np.array_equal(np.argwhere(g.mask), [[0, 0], [0, 2], [1, 0]])
     visits = [(row.tolist(), column.tolist()) for row, column, *_ in graph_module._compressions(g, whole)]
@@ -565,7 +566,7 @@ def test_compressions_test_every_column_of_the_support():
     n = 4
     f = fourier_basis(n)
     products = [kron(f[:, 0], f[:, 0]), kron(f[:, 1], f[:, 3])]
-    code = CodeSpace(space_dim=16, isometry=np.column_stack(products), fourier=np.eye(16)[:, [0, 7]])
+    code = CodeSpace(np.column_stack(products), fourier=np.eye(16)[:, [0, 7]])
     g = graph_from_mask(n, np.ones((16, 16), dtype=bool))
     gathered, reaching = _gathered_and_reaching(g, code)
     assert np.array_equal(gathered, reaching)
@@ -600,29 +601,33 @@ def test_codespace_checks_fourier_coordinates():
     with pytest.raises(ValueError, match="do not fit"):
         replace(code, fourier=code.fourier[:-1])
     with pytest.raises(ValueError, match="do not fit"):
-        CodeSpace(space_dim=8, isometry=np.eye(8)[:, :1], fourier=np.eye(8)[:, :1])
+        CodeSpace(np.eye(8)[:, :1], fourier=np.eye(8)[:, :1])
 
 
 def test_codespace_stores_arrays():
     # nested lists are stored as arrays, and a code without coordinates gets
     # the ones its isometry has: e_0 (x) e_0 = sum_ij f_i (x) f_j / n
-    code = CodeSpace(space_dim=4, isometry=[[1.0], [0.0], [0.0], [0.0]])
-    assert isinstance(code.isometry, np.ndarray) and code.code_dim == 1
+    code = CodeSpace([[1.0], [0.0], [0.0], [0.0]])
+    assert isinstance(code.isometry, np.ndarray) and (code.space_dim, code.code_dim) == (4, 1)
     assert isinstance(code.fourier, np.ndarray) and code.fourier.shape == (4, 1)
     assert max_abs(code.fourier - 0.5) < 1e-15
     g = graph_from_labels(2, np.array([[1, 0, 0, 0, 0, 0]]))
-    listed = CodeSpace(space_dim=4, isometry=np.eye(4)[:, :1], fourier=code.fourier.tolist())
+    listed = CodeSpace(np.eye(4)[:, :1], fourier=code.fourier.tolist())
     assert isinstance(listed.fourier, np.ndarray)
     assert max_abs(compress(g, listed) - compress(g, code)) == 0.0
 
 
 def test_codespace_validation():
     with pytest.raises(ValueError):
-        CodeSpace(space_dim=4, isometry=np.ones((4, 2)))
+        CodeSpace(np.ones((4, 2)))
     with pytest.raises(ValueError):
-        CodeSpace(space_dim=4, isometry=np.eye(3))
-    with pytest.raises(ValueError):
-        CodeSpace.from_vectors([np.zeros(4)])
+        CodeSpace(np.eye(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        CodeSpace(np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="must be a matrix"):
+        CodeSpace(np.eye(4)[0])
+    with pytest.raises(ValueError, match="code dimension must be >= 1"):
+        CodeSpace(np.zeros((4, 0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -636,31 +641,13 @@ def test_codespace_rejects_non_finite_entries(bad):
     fourier[np.flatnonzero(fourier[:, 0])[0], 0] = bad
     for bad_isometry, bad_fourier in ((isometry, None), (isometry, code.fourier), (code.isometry, fourier)):
         with pytest.raises(ValueError, match="isometry and fourier coordinates must be finite"):
-            CodeSpace(space_dim=code.space_dim, isometry=bad_isometry, fourier=bad_fourier)
-
-
-def test_codespace_from_vectors_drops_names_of_dependent_vectors():
-    a, b, c = np.eye(4)[:3]
-    code = CodeSpace.from_vectors([a, b, a + b], names=("a", "b", "c"))
-    assert code.code_dim == 2
-    assert code.basis_names == ("a", "b")
-    code = CodeSpace.from_vectors([a, 2 * a, c], names=("a", "b", "c"))
-    assert code.basis_names == ("a", "c")
-    assert CodeSpace.from_vectors([a, 2 * a]).basis_names == ()
-    with pytest.raises(ValueError):
-        CodeSpace.from_vectors([a, b], names=("a",))
+            CodeSpace(bad_isometry, fourier=bad_fourier)
 
 
 def test_codespace_rejects_basis_names_of_wrong_length():
     with pytest.raises(ValueError, match="basis names"):
-        CodeSpace(space_dim=4, isometry=np.eye(4)[:, :2], basis_names=("a", "b", "c"))
-    assert CodeSpace(space_dim=4, isometry=np.eye(4)[:, :2], basis_names=("a", "b")).code_dim == 2
-
-
-def test_codespace_from_vectors_normalizes():
-    code = CodeSpace.from_vectors([np.array([2.0, 0, 0, 0]), np.array([0, 3.0, 0, 0])])
-    assert code.code_dim == 2
-    assert max_abs(dagger(code.isometry) @ code.isometry - np.eye(2)) < 1e-12
+        CodeSpace(np.eye(4)[:, :2], basis_names=("a", "b", "c"))
+    assert CodeSpace(np.eye(4)[:, :2], basis_names=("a", "b")).code_dim == 2
 
 
 def test_full_oracle_agreement_n12():
@@ -761,7 +748,7 @@ def test_rows_that_are_no_permutation_raise(monkeypatch, side):
     g = _crafted_rows(monkeypatch, 2, side, [0, 0])
     with pytest.raises(ValueError, match="not a permutation of range"):
         graph_dim(g, "gram")
-    code = CodeSpace.from_vectors([np.array([1.0, 0, 0, 0])])
+    code = CodeSpace(np.eye(4)[:, :1])
     with pytest.raises(ValueError, match="not a permutation of range"):
         compress(g, code)
 
@@ -892,7 +879,7 @@ def test_dense_generators_match_labels():
     # Fourier realization, exactly pair_dense of its Fourier-basis labels
     g, _ = build_section3(4)
     f = fourier_basis(4)
-    whole = CodeSpace(space_dim=16, isometry=kron(f, f), fourier=np.eye(16, dtype=complex))
+    whole = CodeSpace(kron(f, f), fourier=np.eye(16, dtype=complex))
     realized = compress(g, whole)
     assert realized.shape == (g.n_generators, 16, 16)
     for p, dense in zip(scalar_pairs(g), realized):

@@ -3,10 +3,12 @@ algebra, the dense realizers, word tables (with their phase-carrying
 monomial realization) and the compression stack live in tests/reference.py."""
 
 import importlib
+import inspect
 
 import pytest
 
-from opgraph.graph import OperatorGraph
+from opgraph.constructions import Section4Params, build_section3
+from opgraph.graph import CodeSpace, OperatorGraph
 
 import reference
 
@@ -14,7 +16,7 @@ MOVED = [
     "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
     "weyl_dense", "pair_adjoint", "pair_dense", "word_table", "x_matrix", "z_matrix",
     "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress", "pair_monomial",
-    "_discs",
+    "_discs", "_gram_schmidt",
 ]
 
 
@@ -40,3 +42,12 @@ def test_construction_duplicates_are_gone(module):
     # one diagonal-code builder, and the allowed shifts as one array
     package = importlib.import_module(module)
     assert [name for name in ("ResidueSetA", "residue_set_A", "_fourier_diagonal_code") if hasattr(package, name)] == []
+
+
+def test_code_space_and_degenerate_point_overrides_are_gone():
+    # one CodeSpace constructor, whose space_dim is the isometry's row count,
+    # and no override of section3's n > 2 or section4's d >= 2
+    assert not hasattr(CodeSpace, "from_vectors")
+    assert list(inspect.signature(CodeSpace).parameters) == ["isometry", "basis_names", "fourier"]
+    assert "allow_d1" not in inspect.signature(Section4Params).parameters
+    assert "allow_n2" not in inspect.signature(build_section3).parameters
