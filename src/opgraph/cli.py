@@ -118,8 +118,9 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     """Build one construction, run both oracles and the anticlique check,
     and assemble the report. Returns (report, hard_checks_passed)."""
     started = time.perf_counter()
-    g, code, params_echo, claimed = _build(construction, args)
+    # before the build, which may take long or fail to allocate
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
+    g, code, params_echo, claimed = _build(construction, args)
     # one call per oracle, so a trace times each on its own; the Gram
     # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
@@ -128,13 +129,13 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     report_ac = is_anticlique(g, code, tol)
     if not report_ac.verdict:
         at, l, k = report_ac.worst
-        names = _code_names(code)
+        names = code.basis_names
         print(
             f"anticlique fails at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
             f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
             file=sys.stderr,
         )
-    bounds = baseline_bounds(g.space_dim, code.code_dim) if code.code_dim >= 2 else None
+    bounds = baseline_bounds(g.space_dim, code.code_dim)
 
     runtime_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
     report = {
@@ -156,11 +157,6 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
     }
     hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= tol.absolute
     return report, hard_ok
-
-
-def _code_names(code) -> tuple[str, ...]:
-    """The code's basis names, or v_1, v_2, ... when it has none."""
-    return code.basis_names or tuple(f"v_{j + 1}" for j in range(code.code_dim))
 
 
 def _print_report_text(report: dict, hard_ok: bool) -> None:
@@ -216,7 +212,6 @@ def _sweep_points(args) -> list[argparse.Namespace]:
 
 
 def cmd_sweep(args) -> int:
-    Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     points = _sweep_points(args)
     all_ok = True
     writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, restval="", extrasaction="ignore")
@@ -230,7 +225,7 @@ def cmd_sweep(args) -> int:
         # it leaves stdout empty
         if index == 0:
             writer.writeheader()
-        writer.writerow({**report, **report["params"], **(report["bounds"] or {})})
+        writer.writerow({**report, **report["params"], **report["bounds"]})
     return 0 if all_ok else 1
 
 
@@ -243,7 +238,6 @@ def cmd_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
     s = code.fourier
-    names = _code_names(code)
     worst = 0.0
     for trial in range(args.trials):
         gen_idx = int(rng.integers(g.n_generators))
@@ -262,7 +256,7 @@ def cmd_demo(args) -> int:
         worst = max(worst, cross_talk)
         c_v = column[word_idx]
         print(
-            f"trial {trial}: generator {gen_idx}, codeword {names[word_idx]}: "
+            f"trial {trial}: generator {gen_idx}, codeword {code.basis_names[word_idx]}: "
             f"cross-talk {cross_talk:.3e}, c_V {c_v.real:+.6f}{c_v.imag:+.6f}j"
         )
     ok = worst < tol.absolute

@@ -1,8 +1,8 @@
 """Builders for the three verified constructions and their claimed dimensions.
 
 * section2: C^2 (x) C^2, graph spanned by five Pauli tensor words, the n = 2
-  case of the Weyl words, two-dimensional code whose isometry is a pair of
-  orthogonal product vectors, normalized.
+  case of the Weyl words, two-dimensional code spanned by a pair of
+  orthogonal product vectors, given by its Fourier coordinates.
 * section3: C^n (x) C^n, graph spanned by all powers of the one-sided words
   (X Z^k (x) I) and (I (x) X Z^k), code spanned by the diagonal Fourier
   products f_j (x) f_j.
@@ -12,7 +12,8 @@
 
 Both codes, and remark2's, come from one builder (_diagonal_code): vector k
 sums f_c (x) f_c / sqrt(p) over c = t*y + step*k mod n, t < p, and section3's
-code is its p = 1, step 1 case.
+code is its p = 1, step 1 case. Every code is built as its exact
+coordinates in the Fourier product basis (see graph.CodeSpace).
 
 Each generator family sets its phase-free words in a boolean mask (see
 graph.OperatorGraph) through its (n, n, n, n) view, indexed by (left kx,
@@ -31,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CodeSpace, OperatorGraph, graph_from_mask
-from .linalg import kron
-from .weyl import fourier_basis
 
 __all__ = [
     "build_section2",
@@ -53,8 +52,10 @@ __all__ = [
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
     and the two-dimensional code spanned by e1(x)(1,1) and e2(x)(1,-1),
-    which are orthogonal: its isometry is the two divided by sqrt(2), named
-    f+ and f-, and its Fourier coordinates are computed from the isometry.
+    which are orthogonal, each divided by sqrt(2) and named f+ and f-. With
+    f_0 = (1,1)/sqrt(2) and f_1 = (1,-1)/sqrt(2), e1 = (f_0 + f_1)/sqrt(2)
+    and e2 = (f_0 - f_1)/sqrt(2), so in the Fourier product basis
+    f+ = (f_0(x)f_0 + f_1(x)f_0)/sqrt(2) and f- = (f_0(x)f_1 - f_1(x)f_1)/sqrt(2).
 
     At n = 2 the Pauli matrices are Weyl words: sx = Z, sz = X and
     sy = i XZ, so the graph is spanned by the words Z(x)I, XZ(x)I, I(x)XZ and
@@ -66,10 +67,8 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     # Z (x) I, XZ (x) I, I (x) XZ and I (x) X, one word per column of the
     # (left kx, left kz, right kx, right kz) index lists
     words[[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]] = True
-    g = graph_from_mask(2, mask)
-    f_plus = kron(np.array([1, 0]), np.array([1, 1]))
-    f_minus = kron(np.array([0, 1]), np.array([1, -1]))
-    return g, CodeSpace(np.column_stack([f_plus, f_minus]) / np.sqrt(2), ("f+", "f-"))
+    fourier = np.array([[1, 0], [0, 1], [1, 0], [0, -1]]) / np.sqrt(2)
+    return graph_from_mask(2, mask), CodeSpace(fourier, ("f+", "f-"))
 
 
 def _word_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,22 +105,15 @@ def build_section3(n: int) -> tuple[OperatorGraph, CodeSpace]:
 
 
 def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
-    """The d orthonormal vectors name_1..name_d on C^n (x) C^n, with their
-    exact Fourier coordinates: vector k sums f_c (x) f_c / sqrt(p) over
-    c = t*y + step*k mod n for t < p, with y = n / p. Vector 0 is formed from
-    the Fourier basis and each next one by the diagonal shift
-    X^step (x) X^step, since X f_j = f_{j+1}."""
+    """The d orthonormal vectors name_1..name_d on C^n (x) C^n, given by
+    their exact Fourier coordinates: vector k sums f_c (x) f_c / sqrt(p) over
+    c = t*y + step*k mod n for t < p, with y = n / p. Since X f_j = f_{j+1},
+    each vector is the one before it shifted by X^step (x) X^step."""
     k, t = np.indices((d, p)).reshape(2, -1)
     c = (t * (n // p) + step * k) % n
     fourier = np.zeros((n * n, d), dtype=complex)
     fourier[c * n + c, k] = 1 / np.sqrt(p)
-    vectors = [sum(kron(col, col) for col in fourier_basis(n)[:, c[:p]].T) / np.sqrt(p)]
-    # X is diagonal, so X^step (x) X^step acts entrywise by its diagonal w^{step j}
-    xs = np.exp(2j * np.pi * (step * np.arange(n) % n) / n)
-    shift = kron(xs, xs)
-    for _ in range(d - 1):
-        vectors.append(shift * vectors[-1])
-    return CodeSpace(np.column_stack(vectors), tuple(f"{name}_{j + 1}" for j in range(d)), fourier)
+    return CodeSpace(fourier, tuple(f"{name}_{j + 1}" for j in range(d)))
 
 
 @dataclass(frozen=True)

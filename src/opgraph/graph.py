@@ -1,5 +1,5 @@
 """Operator graphs (adjoint-closed spans containing the identity), code
-spaces, compression by an isometry, and anticlique verdicts.
+spaces, compression onto a code, and anticlique verdicts.
 
 Every graph is spanned by Weyl tensor words (see opgraph.weyl), and phases
 do not change a span, so a graph is a set of phase-free words
@@ -28,13 +28,11 @@ Gram matrices of the two patterns' factors (each at most n x n). A class is
 the mask's sub-block at P's factors x Q's factors (_block), and one pass
 over the mask counts the words of every class (_class_counts).
 
-A code space is one isometry (CodeSpace), whose n^2 rows fix its space.
-Compression works on the same classes, in the Fourier product basis f_i (x)
-f_j, where every code carries its coordinates: exact for the constructions'
-diagonal codes, computed from the isometry for section2 or any code given
-only its isometry. The code is nonzero only at the coordinates R:
-|R| = p * d of the n^2 for the entangled codes, nearly all n^2 for a
-computed code.
+A code space is its orthonormal columns' coordinates in the Fourier
+product basis f_i (x) f_j (CodeSpace), whose n^2 rows fix its space.
+Compression works on the same classes, in that basis. The code is nonzero
+only at the coordinates R: |R| = p * d of the n^2 for the entangled codes,
+all 4 for section2's.
 Every word of a class maps the columns of R to the same rows, so one test
 on the realized row patterns drops a class whose words all compress to
 exactly zero. A class that reaches the code is compressed in one matrix
@@ -61,7 +59,7 @@ from .linalg import (
     dagger,
     max_abs,
 )
-from .weyl import fourier_basis, weyl_monomial
+from .weyl import weyl_monomial
 
 __all__ = [
     "OperatorGraph",
@@ -165,76 +163,48 @@ def _check_mask(n: int, mask) -> None:
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """A code subspace of C^n (x) C^n, stored as an isometry whose
-    orthonormal columns span it; space_dim = n^2 is the isometry's row count.
-
-    ``fourier`` holds the same columns in the Fourier product basis: entry
-    (i*n + j, k) is the coefficient of f_i (x) f_j in column k, with f the
-    columns of fourier_basis(n). Codes spanned by Fourier products give it
-    as exact entries, which must agree with the isometry's coordinates
-    within 1e-12; when it is not given, it is computed from the isometry.
+    """A code subspace of C^n (x) C^n, stored as the coordinates of
+    orthonormal columns spanning it in the Fourier product basis: entry
+    (i*n + j, k) of ``fourier`` is the coefficient of f_i (x) f_j in column
+    k, with f the columns of fourier_basis(n). F (x) F is unitary, so the
+    columns are orthonormal exactly when the vectors they give are;
+    space_dim = n^2 is the row count. Stored as a complex array.
     Compression reads each word only where the code is nonzero in that
-    basis. Both are stored as arrays. Raises ValueError unless the isometry
-    is a matrix with n^2 rows and orthonormal columns, every entry of either
-    is finite, and ``basis_names`` is empty or names every column.
+    basis. Raises ValueError unless every entry is finite, the coordinates
+    form a matrix with a square number of rows, at least one column and
+    orthonormal columns, and ``basis_names`` is empty or names every column.
     """
 
-    isometry: np.ndarray
+    fourier: np.ndarray
     basis_names: tuple[str, ...] = ()
-    fourier: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.isometry)
+        s = np.asarray(self.fourier, dtype=complex)
         # a comparison with nan is false, so nan would pass every check below
-        if not (np.isfinite(s).all() and (self.fourier is None or np.isfinite(self.fourier).all())):
-            raise ValueError("isometry and fourier coordinates must be finite")
+        if not np.isfinite(s).all():
+            raise ValueError("fourier coordinates must be finite")
         if s.ndim != 2:
-            raise ValueError(f"isometry must be a matrix, got shape {s.shape}")
+            raise ValueError(f"fourier coordinates must be a matrix, got shape {s.shape}")
+        if math.isqrt(s.shape[0]) ** 2 != s.shape[0]:
+            raise ValueError(f"{s.shape[0]} rows do not fit C^n (x) C^n, which has n^2")
         if s.shape[1] < 1:
             raise ValueError("code dimension must be >= 1")
-        gram = dagger(s) @ s
-        if max_abs(gram - np.eye(s.shape[1])) > 1e-10:
-            raise ValueError("isometry columns are not orthonormal")
+        if max_abs(dagger(s) @ s - np.eye(s.shape[1])) > 1e-10:
+            raise ValueError("code columns are not orthonormal")
         if len(self.basis_names) not in (0, s.shape[1]):
             raise ValueError(
                 f"{len(self.basis_names)} basis names for code dimension {s.shape[1]}; "
                 "give none or one per column"
             )
-        fourier = _fourier_coordinates(s)
-        if self.fourier is not None:
-            given = np.asarray(self.fourier)
-            if given.shape != s.shape:
-                raise ValueError(
-                    f"fourier coordinates of shape {given.shape} do not fit an isometry of shape {s.shape}"
-                )
-            gap = max_abs(given - fourier)
-            if gap > 1e-12:
-                raise ValueError(f"fourier coordinates differ from the isometry's by {gap:.3e} > 1e-12")
-            fourier = given
-        object.__setattr__(self, "isometry", s)
-        object.__setattr__(self, "fourier", fourier)
+        object.__setattr__(self, "fourier", s)
 
     @property
     def space_dim(self) -> int:
-        return self.isometry.shape[0]
+        return self.fourier.shape[0]
 
     @property
     def code_dim(self) -> int:
-        return self.isometry.shape[1]
-
-
-def _fourier_coordinates(isometry: np.ndarray) -> np.ndarray:
-    """Coordinates of an isometry's columns in the Fourier product basis of
-    C^n (x) C^n. A column reshaped to an n x n matrix M is F C F^T for its
-    coordinates C, so C = F^dag M conj(F), taken column by column without
-    forming F (x) F."""
-    n = math.isqrt(isometry.shape[0])
-    if n * n != isometry.shape[0]:
-        raise ValueError(f"isometry rows {isometry.shape[0]} do not fit C^n (x) C^n, which has n^2")
-    f = fourier_basis(n)
-    code_dim = isometry.shape[1]
-    coordinates = dagger(f) @ isometry.T.reshape(code_dim, n, n) @ f.conj()
-    return np.ascontiguousarray(coordinates.reshape(code_dim, n * n).T)
+        return self.fourier.shape[1]
 
 
 def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -16,6 +16,8 @@ with, and the only phase-carrying word forms:
 * Hilbert-Schmidt products, a unitarity check, Gershgorin bounds of one
   Hermitian matrix (_discs) and Gram-Schmidt (_gram_schmidt, behind
   orthonormalize);
+* a code's columns in the standard basis (isometry), and the code of
+  columns given in it (code_from_isometry);
 * compress, the full stack of compressions, scattered in generator order
   from the same per-class kernel the anticlique verdict streams
   (opgraph.graph._compressions).
@@ -27,6 +29,7 @@ Z X = w X Z.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +38,7 @@ import numpy as np
 
 from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
 from opgraph.linalg import DEFAULT_TOL, Tolerance, dagger, kron, max_abs
-from opgraph.weyl import weyl_monomial
+from opgraph.weyl import fourier_basis, weyl_monomial
 
 
 def x_matrix(n: int) -> np.ndarray:
@@ -266,6 +269,29 @@ def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> l
     """The orthonormal family _gram_schmidt keeps, without the indices of
     the kept inputs."""
     return _gram_schmidt(vectors, tol)[0]
+
+
+def isometry(code: CodeSpace) -> np.ndarray:
+    """The code's orthonormal columns in the standard basis of C^n (x) C^n,
+    shape (n^2, code_dim): column k reshaped to an n x n matrix is
+    F C_k F^T, with C_k column k of code.fourier reshaped the same way."""
+    n = math.isqrt(code.space_dim)
+    f = fourier_basis(n)
+    coordinates = code.fourier.T.reshape(code.code_dim, n, n)
+    return (f @ coordinates @ f.T).reshape(code.code_dim, n * n).T
+
+
+def code_from_isometry(vectors, basis_names: tuple[str, ...] = ()) -> CodeSpace:
+    """The CodeSpace of orthonormal columns given in the standard basis of
+    C^n (x) C^n. A column reshaped to an n x n matrix M is F C F^T for its
+    coordinates C, so C = F^dag M conj(F), taken column by column without
+    forming F (x) F."""
+    vectors = np.asarray(vectors)
+    n = math.isqrt(vectors.shape[0])
+    f = fourier_basis(n)
+    code_dim = vectors.shape[1]
+    coordinates = dagger(f) @ vectors.T.reshape(code_dim, n, n) @ f.conj()
+    return CodeSpace(np.ascontiguousarray(coordinates.reshape(code_dim, n * n).T), basis_names)
 
 
 def compress(g: OperatorGraph, code: CodeSpace) -> np.ndarray:

@@ -36,6 +36,7 @@ from reference import (
     compress,
     graph_from_labels,
     hs_inner,
+    isometry,
     label,
     label_adjoint,
     label_mul,
@@ -110,7 +111,8 @@ def test_criterion_4_entangled_reference_point():
     params = Section4Params(2, 4, 1, 2)
     code = build_code_K1(params)
     assert code.code_dim == 2
-    assert max_abs(dagger(code.isometry) @ code.isometry - np.eye(2)) < 1e-12
+    s = isometry(code)
+    assert max_abs(dagger(s) @ s - np.eye(2)) < 1e-12
 
     g, code = build_section4(params)
     report = is_anticlique(g, code)
@@ -145,7 +147,7 @@ def test_criterion_5_sweep():
         g, code = build_section4(params)
         assert is_anticlique(g, code).verdict, params
 
-        s = code.isometry
+        s = isometry(code)
         x = x_matrix(n)
         # allowed diagonal shifts move the code off itself
         for m in allowed_shifts(params):

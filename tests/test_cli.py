@@ -504,11 +504,21 @@ def test_demo_section3_is_exact(n, seed):
     assert last == "max cross-talk over 20 trials: 0.000e+00 -> pass"
 
 
-@pytest.mark.parametrize("n", [3, 4, 8])
-def test_demo_remark2_is_exact(n, capsys):
+EXACT_DEMOS = {
+    "3": "remark2 --n 3",
+    "4": "remark2 --n 4",
+    "8": "remark2 --n 8",
+    "section2-0": "section2 --seed 0",
+    "section2-1": "section2 --seed 1",
+}
+
+
+@pytest.mark.parametrize("point", EXACT_DEMOS.values(), ids=EXACT_DEMOS.keys())
+def test_demo_remark2_is_exact(point, capsys):
     # remark2's code is section3's f_j (x) f_j code, with the same exact
-    # coordinates, so its cross-talk is exactly zero too
-    assert cli.main(["demo", "--construction", "remark2", "--n", str(n)]) == 0
+    # coordinates, so its cross-talk is exactly zero too. Section2's
+    # closed-form coordinates, 0 and +-1/sqrt(2), let no roundoff in either
+    assert cli.main(["demo", "--construction", *point.split()]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "max cross-talk over 20 trials: 0.000e+00 -> pass"
 
@@ -529,6 +539,16 @@ def test_demo_zero_trials():
 def test_demo_invalid_params():
     result = run_cli("demo", "--construction", "section4", "--trials", "5")
     assert result.returncode == 2
+
+
+def test_verify_rejects_a_bad_tolerance_before_building(capsys):
+    # the point's n^4-byte mask could not be allocated; the tolerance is
+    # checked first
+    argv = "verify section4 --p 2 --y 10000 --h 0 --d 10000 --tol-rel 2"
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: relative tolerance must satisfy 0 < relative < 1, got 2.0\n"
 
 
 def test_demo_rejects_negative_trials_before_building(capsys):

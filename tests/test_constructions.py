@@ -19,15 +19,17 @@ from opgraph.constructions import (
     claimed_dim_section4,
     enumerate_section4_params,
 )
-from opgraph.graph import CodeSpace, graph_dim, is_anticlique
+from opgraph.graph import graph_dim, is_anticlique
 from opgraph.linalg import kron, max_abs
 from opgraph.weyl import fourier_basis
 
 from reference import (
     WeylLabelPair,
+    code_from_isometry,
     compress,
     graph_from_labels,
     graph_words,
+    isometry,
     label,
     label_pow,
     mask_of,
@@ -71,13 +73,24 @@ def test_section2_generators_are_pauli_words():
     sz = np.array([[1, 0], [0, -1]])
     expected = [kron(eye, eye), kron(eye, sz), kron(eye, sy), kron(sx, eye), kron(sy, eye)]
     g, _ = build_section2()
-    # with the whole space as code, S = I and compress returns each generator
-    realized = compress(g, CodeSpace(np.eye(4, dtype=complex)))
+    # with the whole space as code, S = I in the standard basis and compress
+    # returns each generator
+    realized = compress(g, code_from_isometry(np.eye(4, dtype=complex)))
     assert len(realized) == len(expected)
     for v, ref in zip(realized, expected):
         scale = np.vdot(ref, v) / 4
         assert abs(abs(scale) - 1) < 1e-12
         assert max_abs(v - scale * ref) < 1e-12
+
+
+def test_section2_code_is_its_product_vectors():
+    # the closed-form Fourier coordinates are those of e1 (x) (1,1)/sqrt(2)
+    # and e2 (x) (1,-1)/sqrt(2), converted from the standard basis
+    _, code = build_section2()
+    e = np.eye(2)
+    vectors = np.column_stack([kron(e[0], [1, 1]), kron(e[1], [1, -1])]) / np.sqrt(2)
+    assert max_abs(code.fourier - code_from_isometry(vectors).fourier) < 1e-15
+    assert code.basis_names == ("f+", "f-")
 
 
 def test_section2_orthogonality_table():
@@ -174,14 +187,15 @@ def test_code_k1_expected_supports():
     f = fourier_basis(8)
     q1 = (kron(f[:, 0], f[:, 0]) + kron(f[:, 4], f[:, 4])) / np.sqrt(2)
     q2 = (kron(f[:, 2], f[:, 2]) + kron(f[:, 6], f[:, 6])) / np.sqrt(2)
-    assert np.linalg.norm(code.isometry[:, 0] - q1) < 1e-12
-    assert np.linalg.norm(code.isometry[:, 1] - q2) < 1e-12
+    s = isometry(code)
+    assert np.linalg.norm(s[:, 0] - q1) < 1e-12
+    assert np.linalg.norm(s[:, 1] - q2) < 1e-12
 
 
 def test_code_k1_orthonormal_all_params():
     for params in enumerate_section4_params(12):
-        code = build_code_K1(params)
-        gram = code.isometry.conj().T @ code.isometry
+        s = isometry(build_code_K1(params))
+        gram = s.conj().T @ s
         assert max_abs(gram - np.eye(params.d)) < 1e-12, params
 
 
@@ -192,7 +206,8 @@ def test_code_k1_period_invariance():
         code = build_code_K1(params)
         xy = np.linalg.matrix_power(x_matrix(n), params.y)
         shift = kron(xy, xy)
-        assert max_abs(shift @ code.isometry - code.isometry) < 1e-12, params
+        s = isometry(code)
+        assert max_abs(shift @ s - s) < 1e-12, params
 
 
 def test_allowed_shifts_move_code_off_itself():
@@ -202,12 +217,12 @@ def test_allowed_shifts_move_code_off_itself():
     for params in enumerate_section4_params(12):
         n = params.n
         allowed = allowed_shifts(params).tolist()
-        code = build_code_K1(params)
+        s = isometry(build_code_K1(params))
         x = x_matrix(n)
         for m in range(1, n):
             xm = np.linalg.matrix_power(x, m)
-            shifted = kron(xm, xm) @ code.isometry
-            overlap = max_abs(code.isometry.conj().T @ shifted)
+            shifted = kron(xm, xm) @ s
+            overlap = max_abs(s.conj().T @ shifted)
             assert (overlap < 1e-12) == (m in allowed), (params, m, overlap)
 
 
@@ -216,7 +231,7 @@ def test_clock_words_off_subgroup_annihilate_q1():
     for params in enumerate_section4_params(10):
         n = params.n
         code = build_code_K1(params)
-        q1 = code.isometry[:, 0]
+        q1 = isometry(code)[:, 0]
         z = z_matrix(n)
         for r in range(1, n):
             if r % params.p == 0:
@@ -395,17 +410,19 @@ def test_shift_factor_ids_are_arithmetic():
 
 
 def test_code_k1_shift_matches_the_kron_reference():
-    # the diagonal shift X^{h+1} (x) X^{h+1} applied entrywise gives the
-    # vectors the dense n^2 x n^2 matrix gives, within roundoff
+    # X f_j = f_{j+1}, so the diagonal shift X^{h+1} (x) X^{h+1} moves the
+    # coefficient of f_i (x) f_j to f_{i+h+1} (x) f_{j+h+1}: each code
+    # column is the one before it with its rows permuted that way, exactly.
+    # The dense shift itself is checked against the standard-basis vectors
+    # by test_code_k1_period_invariance and
+    # test_allowed_shifts_move_code_off_itself
     for params in enumerate_section4_params(12):
-        n = params.n
+        n, step = params.n, params.h + 1
         code = build_code_K1(params)
-        xh = np.linalg.matrix_power(x_matrix(n), params.h + 1)
-        shift = kron(xh, xh)
-        vectors = [code.isometry[:, 0]]
-        for _ in range(params.d - 1):
-            vectors.append(shift @ vectors[-1])
-        assert max_abs(code.isometry - np.column_stack(vectors)) < 1e-15, params
+        i, j = np.divmod(np.arange(n * n), n)
+        shifted = np.empty_like(code.fourier[:, 1:])
+        shifted[(i + step) % n * n + (j + step) % n] = code.fourier[:, :-1]
+        assert np.array_equal(code.fourier[:, 1:], shifted), params
 
 
 def test_code_k1_holds_no_dense_shift():

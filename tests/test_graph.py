@@ -11,7 +11,7 @@ from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, 
 from opgraph import constructions
 from opgraph import graph as graph_module
 from opgraph.linalg import dagger, kron, max_abs
-from opgraph.weyl import fourier_basis, weyl_monomial
+from opgraph.weyl import weyl_monomial
 from opgraph.constructions import (
     Section4Params,
     build_remark2,
@@ -24,9 +24,11 @@ from opgraph.constructions import (
 from reference import (
     WeylLabelPair,
     _discs,
+    code_from_isometry,
     compress,
     graph_from_labels,
     graph_words,
+    isometry,
     label,
     mask_of,
     orthonormalize,
@@ -239,7 +241,7 @@ def test_oracle_equivalence_random_subsets():
 def test_compress_identity_graph():
     g = graph_from_labels(2, word_table([]))
     f = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    code = CodeSpace(f[:, None])
+    code = code_from_isometry(f[:, None])
     out = compress(g, code)
     assert len(out) == 1
     assert max_abs(out[0] - np.eye(1)) < 1e-14
@@ -257,7 +259,7 @@ def test_compress_single_flip_graph():
     # I (x) sx is the word I (x) Z at n = 2
     g = graph_from_labels(2, np.array([[0, 0, 0, 0, 1, 0]]))
     e = np.eye(2)
-    code = CodeSpace(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
+    code = code_from_isometry(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
     compressed = compress(g, code)
     assert max_abs(compressed[1]) < 1e-14
 
@@ -279,7 +281,7 @@ def test_is_anticlique_negative_control():
     n = 3
     g = graph_from_labels(n, word_table([pair(n, 1, 0, 0, 0)]))
     e = np.eye(n)
-    code = CodeSpace(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
+    code = code_from_isometry(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
     report = is_anticlique(g, code)
     assert not report.verdict
     assert report.compressed_dim > 1
@@ -288,12 +290,19 @@ def test_is_anticlique_negative_control():
     assert max_abs(compressed[1] - np.diag([1, w])) < 1e-12
 
 
+# section2's code as its standard-basis vectors e1 (x) (1,1) and
+# e2 (x) (1,-1), normalized; converted to Fourier coordinates, they carry a
+# roundoff that section2's closed-form coordinates do not
+SECTION2_VECTORS = np.array([[1, 0], [1, 0], [0, 1], [0, -1]]) / np.sqrt(2)
+
+
 @pytest.mark.parametrize(
     "n, make_code, dim, residual, worst",
     [
-        (2, lambda: build_section2()[1], 4, "0x1.ffffffffffffcp-1", (1, 0, 0)),
+        (2, lambda: code_from_isometry(SECTION2_VECTORS), 4, "0x1.ffffffffffffcp-1", (1, 0, 0)),
         (3, lambda: build_section3(3)[1], 9, "0x1.0000000000001p+0", (10, 1, 1)),
         (4, lambda: constructions.build_code_K1(Section4Params(2, 2, 0, 2)), 4, "0x1.ffffffffffffep-1", (2, 0, 0)),
+        (2, lambda: build_section2()[1], 4, "0x1.ffffffffffffep-1", (1, 0, 0)),
     ],
 )
 def test_verdict_ranks_a_scalar_gram_of_all_words(n, make_code, dim, residual, worst):
@@ -331,7 +340,7 @@ def test_anticlique_invariant_under_code_basis_change():
     rng = np.random.default_rng(5)
     m = random_complex(rng, code.code_dim, code.code_dim)
     q, _ = np.linalg.qr(m)
-    rotated = CodeSpace(code.isometry @ q, code.basis_names)
+    rotated = CodeSpace(code.fourier @ q, code.basis_names)
     assert is_anticlique(g, rotated).verdict
 
 
@@ -375,8 +384,8 @@ def test_compress_is_linear():
     # generator against the scalar pair_dense realization
     rng = np.random.default_rng(11)
     g, _ = build_section3(4)
-    code = CodeSpace(np.column_stack(orthonormalize([random_complex(rng, 16), random_complex(rng, 16)])))
-    s = code.isometry
+    s = np.column_stack(orthonormalize([random_complex(rng, 16), random_complex(rng, 16)]))
+    code = code_from_isometry(s)
     compressed = compress(g, code)
     assert compressed.shape == (g.n_generators, 2, 2)
     for c, p in zip(compressed, scalar_pairs(g)):
@@ -423,7 +432,7 @@ def test_fourier_compression_matches_dense_reference(build, arg):
     support = np.flatnonzero(np.any(code.fourier != 0, axis=1))
     assert len(support) == p * d
     assert np.all(code.fourier[code.fourier != 0] == 1 / np.sqrt(p))
-    s = code.isometry
+    s = isometry(code)
     for c, p in zip(compress(g, code), scalar_pairs(g)):
         assert max_abs(c - dagger(s) @ pair_dense(p) @ s) < 1e-12
 
@@ -512,8 +521,7 @@ def test_worst_breaks_a_tie_across_classes_by_mask_order():
     # visits Z (x) I first, in the class of patterns (0, 0), and I (x) X
     # after it, in the class (0, 1); I (x) X comes first in mask order, at
     # entry (0, 2) before (1, 0), so it is named, as generator 1
-    f = fourier_basis(2)
-    whole = CodeSpace(kron(f, f), fourier=np.eye(4, dtype=complex))
+    whole = CodeSpace(np.eye(4))
     g = graph_from_labels(2, np.array([[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]]))
     assert np.array_equal(np.argwhere(g.mask), [[0, 0], [0, 2], [1, 0]])
     visits = [(row.tolist(), column.tolist()) for row, column, *_ in graph_module._compressions(g, whole)]
@@ -564,9 +572,7 @@ def test_compressions_test_every_column_of_the_support():
     # are exactly those that reach, and every compression equals S^dag V S
     # of the dense Fourier realization
     n = 4
-    f = fourier_basis(n)
-    products = [kron(f[:, 0], f[:, 0]), kron(f[:, 1], f[:, 3])]
-    code = CodeSpace(np.column_stack(products), fourier=np.eye(16)[:, [0, 7]])
+    code = CodeSpace(np.eye(16)[:, [0, 7]])
     g = graph_from_mask(n, np.ones((16, 16), dtype=bool))
     gathered, reaching = _gathered_and_reaching(g, code)
     assert np.array_equal(gathered, reaching)
@@ -579,9 +585,10 @@ def test_compressions_test_every_column_of_the_support():
 
 
 def test_compressions_gather_every_class_a_computed_code_reaches():
-    # section2's Fourier coordinates are computed from its isometry and
-    # nonzero at all 4 rows, so every nonempty tensor class reaches the code
-    # and is gathered, every generator once
+    # section2's Fourier coordinates are nonzero at all 4 rows, as those of
+    # any code not built as a sum of Fourier products would nearly all be,
+    # so every nonempty tensor class reaches the code and is gathered, every
+    # generator once
     g, code = build_section2()
     assert np.all(np.any(code.fourier != 0, axis=1))
     left, right = graph_module._patterns(g)
@@ -592,27 +599,24 @@ def test_compressions_gather_every_class_a_computed_code_reaches():
 
 
 def test_codespace_checks_fourier_coordinates():
+    # the coordinates need n^2 rows, one per product f_i (x) f_j
     _, code = build_section4(Section4Params(2, 4, 1, 2))
-    off = code.fourier.copy()
-    off[0, 0] += 1e-9
-    for bad in (code.fourier[:, ::-1], off):
-        with pytest.raises(ValueError, match="fourier coordinates differ"):
-            replace(code, fourier=bad)
     with pytest.raises(ValueError, match="do not fit"):
         replace(code, fourier=code.fourier[:-1])
     with pytest.raises(ValueError, match="do not fit"):
-        CodeSpace(np.eye(8)[:, :1], fourier=np.eye(8)[:, :1])
+        CodeSpace(np.eye(8)[:, :1])
 
 
 def test_codespace_stores_arrays():
-    # nested lists are stored as arrays, and a code without coordinates gets
-    # the ones its isometry has: e_0 (x) e_0 = sum_ij f_i (x) f_j / n
-    code = CodeSpace([[1.0], [0.0], [0.0], [0.0]])
-    assert isinstance(code.isometry, np.ndarray) and (code.space_dim, code.code_dim) == (4, 1)
-    assert isinstance(code.fourier, np.ndarray) and code.fourier.shape == (4, 1)
+    # nested lists, real ones too, are stored as complex arrays; e_0 (x) e_0
+    # has the coordinates sum_ij f_i (x) f_j / n
+    code = code_from_isometry([[1.0], [0.0], [0.0], [0.0]])
     assert max_abs(code.fourier - 0.5) < 1e-15
+    real = CodeSpace([[0.5], [0.5], [0.5], [0.5]])
+    assert isinstance(real.fourier, np.ndarray) and real.fourier.dtype == complex
+    assert (real.space_dim, real.code_dim) == (4, 1)
     g = graph_from_labels(2, np.array([[1, 0, 0, 0, 0, 0]]))
-    listed = CodeSpace(np.eye(4)[:, :1], fourier=code.fourier.tolist())
+    listed = CodeSpace(code.fourier.tolist())
     assert isinstance(listed.fourier, np.ndarray)
     assert max_abs(compress(g, listed) - compress(g, code)) == 0.0
 
@@ -633,15 +637,15 @@ def test_codespace_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_codespace_rejects_non_finite_entries(bad):
     # every comparison with nan is false, so a nan entry would pass the
-    # orthonormality and coordinate checks and fail only inside the verdict's
-    # eigensolver; inf is named the same way
+    # orthonormality check and fail only inside the verdict's eigensolver;
+    # inf is named the same way. Both are caught on the code's support and
+    # off it
     _, code = build_section4(Section4Params(2, 4, 1, 2))
-    isometry, fourier = code.isometry.copy(), code.fourier.copy()
-    isometry[0, 0] = bad
-    fourier[np.flatnonzero(fourier[:, 0])[0], 0] = bad
-    for bad_isometry, bad_fourier in ((isometry, None), (isometry, code.fourier), (code.isometry, fourier)):
-        with pytest.raises(ValueError, match="isometry and fourier coordinates must be finite"):
-            CodeSpace(bad_isometry, fourier=bad_fourier)
+    for row in (np.flatnonzero(code.fourier[:, 0])[0], np.flatnonzero(code.fourier[:, 0] == 0)[0]):
+        fourier = code.fourier.copy()
+        fourier[row, 0] = bad
+        with pytest.raises(ValueError, match="fourier coordinates must be finite"):
+            CodeSpace(fourier)
 
 
 def test_codespace_rejects_basis_names_of_wrong_length():
@@ -874,12 +878,11 @@ def test_label_count_matches_key_set():
 
 
 def test_dense_generators_match_labels():
-    # with the whole space as code and the Fourier product basis as its
-    # isometry, S = I in that basis, so compress returns each generator's
-    # Fourier realization, exactly pair_dense of its Fourier-basis labels
+    # with the whole space as code, S = I in the Fourier product basis, so
+    # compress returns each generator's Fourier realization, exactly
+    # pair_dense of its Fourier-basis labels
     g, _ = build_section3(4)
-    f = fourier_basis(4)
-    whole = CodeSpace(kron(f, f), fourier=np.eye(16, dtype=complex))
+    whole = CodeSpace(np.eye(16))
     realized = compress(g, whole)
     assert realized.shape == (g.n_generators, 16, 16)
     for p, dense in zip(scalar_pairs(g), realized):

@@ -7,6 +7,7 @@ import inspect
 
 import pytest
 
+from opgraph import graph
 from opgraph.constructions import Section4Params, build_section3
 from opgraph.graph import CodeSpace, OperatorGraph
 
@@ -45,9 +46,12 @@ def test_construction_duplicates_are_gone(module):
 
 
 def test_code_space_and_degenerate_point_overrides_are_gone():
-    # one CodeSpace constructor, whose space_dim is the isometry's row count,
-    # and no override of section3's n > 2 or section4's d >= 2
+    # one CodeSpace constructor, from Fourier coordinates alone, with no
+    # standard-basis isometry and nothing converting one; and no override of
+    # section3's n > 2 or section4's d >= 2
     assert not hasattr(CodeSpace, "from_vectors")
-    assert list(inspect.signature(CodeSpace).parameters) == ["isometry", "basis_names", "fourier"]
+    assert list(inspect.signature(CodeSpace).parameters) == ["fourier", "basis_names"]
+    assert not hasattr(build_section3(3)[1], "isometry")
+    assert not hasattr(graph, "_fourier_coordinates")
     assert "allow_d1" not in inspect.signature(Section4Params).parameters
     assert "allow_n2" not in inspect.signature(build_section3).parameters
