@@ -234,6 +234,8 @@ def cmd_demo(args) -> int:
     # before the build, which may take long or fail to allocate
     if args.trials < 0:
         raise UsageError("--trials must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     g, code, _, _ = _build(args.construction, args)
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis

@@ -27,6 +27,7 @@ computed ranks are the ground truth the reports compare them against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,12 +243,10 @@ def baseline_bounds(dim_h: int, dim_k: int) -> dict[str, int]:
         raise ValueError(f"requires dim_k >= 2 (got {dim_k})")
     if dim_h < dim_k:
         raise ValueError(f"requires dim_h >= dim_k (got {dim_h} < {dim_k})")
-    ratio = dim_h / dim_k
-    v = 0
-    while (v + 1) * (v + 2) <= ratio:
-        v += 1
+    # v(v+1) is an integer, so v(v+1) <= dim_h/dim_k exactly when it is at
+    # most dim_h // dim_k
     return {
-        "knill_max": v,
+        "knill_max": (math.isqrt(4 * (dim_h // dim_k) + 1) - 1) // 2,
         "commutative_max": (dim_h - dim_k) // (dim_k - 1),
     }
 

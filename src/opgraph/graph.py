@@ -17,14 +17,15 @@ generators. Generators are realized per tensor factor in monomial form, in
 the Fourier basis (weyl_monomial). Conjugation by the unitary F (x) F keeps
 every Hilbert-Schmidt product, so the rank is that of the words themselves.
 The Gram side reads only those realized factors, and the mask only for
-which pairs of them occur. Each side's factors are grouped by realized row
-pattern (where a factor's entries sit), and a word whose factors have row
-patterns (P, Q) lies in the tensor class (P, Q). A graph groups its
-factors once, on first use (OperatorGraph._sides), and both sides share one
-realization when they use the same factors. Since the Hilbert-Schmidt
-product factorizes over the tensor product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a
-class is a principal submatrix of G_P (x) G_Q, the Kronecker product of the
-Gram matrices of the two patterns' factors (each at most n x n). A class is
+which pairs of them occur. Either side of a word is one of the n^2 words
+of C^n, and a graph realizes all of them once, on first use
+(OperatorGraph._factors), grouped by realized row pattern (where a
+factor's entries sit): n patterns, the shifts by kx, of n factors each. A
+word whose factors have row patterns (P, Q) lies in the tensor class
+(P, Q). Since the Hilbert-Schmidt product factorizes over the tensor
+product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a class is
+a principal submatrix of G_P (x) G_Q, the Kronecker product of the Gram
+matrices of the two patterns' factors (each n x n). A class is
 the mask's sub-block at P's factors x Q's factors (_block), and one pass
 over the mask counts the words of every class (_class_counts).
 
@@ -94,10 +95,9 @@ class OperatorGraph:
         self.mask.setflags(write=False)
 
     @cached_property
-    def _sides(self) -> tuple[_Patterns, _Patterns]:
-        """_patterns of this graph, formed on first use; the mask is
-        read-only, so it stays valid."""
-        return _patterns(self)
+    def _factors(self) -> _Factors:
+        """_factor_table(n), formed on first use."""
+        return _factor_table(self.n)
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -214,15 +214,17 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
     method "labels": the number of distinct phase-free words (exact), the
     mask's popcount. method "gram": numeric Gram rank of the realized
     generators, over every generator, read from their tensor classes. The
-    factors are realized once per graph, in the Fourier basis, and grouped
-    by row pattern (OperatorGraph._sides); row patterns of one side that
-    share a position raise ValueError. Each class of row patterns (P, Q) holding words is one
-    Gram block of their count (_class_counts), the principal submatrix of
-    G_P (x) G_Q at the set entries of its sub-block of the mask (_block),
-    where G_P is the Gram matrix of pattern P's realized factors
-    (_pattern_grams). Its eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from
-    the Gershgorin bounds of the pattern Grams (Kronecker spectrum plus interlacing). A block whose
-    lower bound clears tol.relative times the largest upper bound counts its
+    n^2 words of C^n are realized once per graph, in the Fourier basis, and
+    grouped into equal row patterns (OperatorGraph._factors); a
+    realization whose patterns are not permutations, share a position or
+    hold unequal numbers of factors raises ValueError. Each class of row
+    patterns (P, Q) holding words is one Gram block of their count
+    (_class_counts), the principal submatrix of G_P (x) G_Q at the set
+    entries of its sub-block of the mask (_block), where G_P is the Gram
+    matrix of pattern P's realized factors (_pattern_grams). Its
+    eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from the Gershgorin bounds
+    of the pattern Grams (Kronecker spectrum plus interlacing). A block
+    whose lower bound clears tol.relative times the largest upper bound counts its
     words unformed; any other is formed and eigensolved once
     (linalg._rank_of_grams). Distinct Weyl words are Hilbert-Schmidt
     orthogonal, so every block of every construction is certified; factors
@@ -237,18 +239,17 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
 
 
 def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
-    left, right = g._sides
-    grams_l, bounds_l = _pattern_grams(left)
-    grams_r, bounds_r = (grams_l, bounds_l) if right is left else _pattern_grams(right)
-    counts = _class_counts(g.mask, left, right)
+    factors = g._factors
+    grams, bounds = _pattern_grams(factors)
+    counts = _class_counts(g.mask, factors)
     p, q = np.nonzero(counts)
     # Kronecker spectrum plus interlacing: every eigenvalue of a principal
     # submatrix of G_P (x) G_Q lies in [lo_P lo_Q, hi_P hi_Q]
-    lo = np.maximum(bounds_l[p, 0], 0.0) * np.maximum(bounds_r[q, 0], 0.0)
-    hi = bounds_l[p, 1] * bounds_r[q, 1]
+    lo = np.maximum(bounds[p, 0], 0.0) * np.maximum(bounds[q, 0], 0.0)
+    hi = bounds[p, 1] * bounds[q, 1]
 
     def form(i: int) -> np.ndarray:
-        return _pair_gram(grams_l[p[i]], grams_r[q[i]], _block(g.mask, left, right, p[i], q[i]))
+        return _pair_gram(grams[p[i]], grams[q[i]], _block(g.mask, factors, p[i], q[i]))
 
     return _rank_of_grams(lo, hi, counts[p, q], form, tol)
 
@@ -262,91 +263,76 @@ def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, block: np.ndarray) -> np.
 
 
 @dataclass(frozen=True)
-class _Patterns:
-    """The factors one tensor side of a graph's words uses, grouped by
-    realized row pattern.
+class _Factors:
+    """Every word X^kx Z^kz of C^n, realized and grouped by realized row
+    pattern; either tensor side of a word is one of them.
 
-    Pattern P holds the factors at positions starts[P] up to starts[P + 1]:
-    their mask indices kx * n + kz in ids, increasing, and their realized
-    values in vals, each of shape (., n); every one of them realizes at the
-    rows rows[P]. Patterns are in lexicographic order of their rows.
+    Pattern P is row P of each array: ids, shape (n_P, m), holds the mask
+    indices kx * n + kz of its m factors, increasing; rows, shape (n_P, n),
+    the rows where every one of them realizes; and vals, shape (n_P, m, n),
+    their realized values. Patterns are in lexicographic order of their
+    rows; the Weyl realization gives n_P = m = n.
     """
 
     ids: np.ndarray
-    starts: list[int]
     rows: np.ndarray
     vals: np.ndarray
 
 
-def _patterns(g: OperatorGraph) -> tuple[_Patterns, _Patterns]:
-    """Left and right factors of a graph's words, grouped by row pattern
-    (_group); one _Patterns for both when they use the same factors. Only
-    realized rows are read to group them, never labels."""
-    ids_l, ids_r = np.flatnonzero(g.mask.any(axis=1)), np.flatnonzero(g.mask.any(axis=0))
-    left = _group(ids_l, g.n)
-    return left, (left if np.array_equal(ids_l, ids_r) else _group(ids_r, g.n))
-
-
-def _group(ids: np.ndarray, n: int) -> _Patterns:
-    """The factors at the increasing mask indices ids = kx * n + kz,
-    realized by weyl_monomial and grouped by row pattern. Raises ValueError
-    unless each pattern, and so each factor's rows, is a permutation of
-    range(n), as a monomial unitary's rows are."""
-    rows, vals = weyl_monomial(*np.divmod(ids, n), n)
-    # lexsort is stable, so each pattern keeps its ids increasing
+def _factor_table(n: int) -> _Factors:
+    """The n^2 words of C^n, realized by weyl_monomial and grouped by row
+    pattern. Raises ValueError unless each pattern, and so each factor's
+    rows, is a permutation of range(n), as a monomial unitary's rows are;
+    no two patterns share a position, so that the tensor classes' Grams
+    are blocks of one block-diagonal Gram matrix; and every pattern holds
+    the same number of factors."""
+    rows, vals = weyl_monomial(*np.divmod(np.arange(n * n), n), n)
+    # the factors' mask indices in pattern order; lexsort is stable, so
+    # each pattern keeps them increasing
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
     patterns = ordered[starts]
     if np.any(np.sort(patterns, axis=1) != np.arange(n)):
         raise ValueError("realized factor rows overlap: not a permutation of range(n)")
-    return _Patterns(ids[order], [*starts.tolist(), len(ids)], patterns, vals[order])
-
-
-def _pattern_grams(side: _Patterns) -> tuple[np.ndarray, np.ndarray]:
-    """Each row pattern's Gram matrix of its factors' realized values, in
-    the leading corner of an (n_P, m, m) stack padded with zeros (m the
-    largest pattern), and its Gershgorin bounds over its own rows, row P
-    (lo_P, hi_P) of an (n_P, 2) array. Raises ValueError when two patterns
-    share a position, since the tensor classes' Grams would then not be
-    blocks of one block-diagonal Gram matrix."""
     # two patterns share a position exactly when they hold the same row in
     # some column
-    by_column = np.sort(side.rows, axis=0)
+    by_column = np.sort(patterns, axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-    sizes = np.diff(side.starts)
-    m = sizes.max()
-    # factor i of pattern P goes to slot i - starts[P] of P's padded stack
-    slot = np.arange(len(side.ids)) - np.repeat(side.starts[:-1], sizes)
-    stack = np.zeros((len(sizes), m, side.vals.shape[1]), dtype=complex)
-    stack[np.repeat(np.arange(len(sizes)), sizes), slot] = side.vals
-    grams = stack @ stack.conj().transpose(0, 2, 1)
+    sizes = np.diff(np.r_[starts, n * n])
+    if np.any(sizes != sizes[0]):
+        raise ValueError(f"row patterns hold unequal numbers of factors: {sizes.tolist()}")
+    return _Factors(order.reshape(-1, sizes[0]), patterns, vals[order].reshape(-1, sizes[0], n))
+
+
+def _pattern_grams(factors: _Factors) -> tuple[np.ndarray, np.ndarray]:
+    """Each row pattern's Gram matrix of its factors' realized values, as
+    an (n_P, m, m) stack, and its Gershgorin bounds, row P (lo_P, hi_P) of
+    an (n_P, 2) array."""
+    grams = factors.vals @ factors.vals.conj().transpose(0, 2, 1)
+    m = grams.shape[1]
     center = np.diagonal(grams, axis1=1, axis2=2).real
     radius = np.abs(grams)
     radius[:, range(m), range(m)] = 0.0
     radius = radius.sum(axis=2)
-    own = np.arange(m) < sizes[:, None]
-    lo = np.where(own, center - radius, np.inf).min(axis=1)
-    hi = np.where(own, center + radius, -np.inf).max(axis=1)
-    return grams, np.stack([lo, hi], axis=1)
+    return grams, np.stack([(center - radius).min(axis=1), (center + radius).max(axis=1)], axis=1)
 
 
-def _class_counts(mask: np.ndarray, left: _Patterns, right: _Patterns) -> np.ndarray:
-    """The (n_P, n_Q) table of each tensor class's word count: for each left
-    pattern, its rows' column sums added up over each right pattern."""
-    counts = np.empty((len(left.rows), len(right.rows)), dtype=np.intp)
-    for p in range(len(left.rows)):
-        stripe = np.count_nonzero(mask[left.ids[left.starts[p] : left.starts[p + 1]]], axis=0)
-        counts[p] = np.add.reduceat(stripe[right.ids], right.starts[:-1])
+def _class_counts(mask: np.ndarray, factors: _Factors) -> np.ndarray:
+    """The (n_P, n_P) table of each tensor class's word count: for each
+    left pattern, its rows' column sums added up over each right pattern."""
+    counts = np.empty((len(factors.ids), len(factors.ids)), dtype=np.intp)
+    for p, ids in enumerate(factors.ids):
+        counts[p] = np.count_nonzero(mask[ids], axis=0)[factors.ids].sum(axis=1)
     return counts
 
 
-def _block(mask: np.ndarray, left: _Patterns, right: _Patterns, p: int, q: int) -> np.ndarray:
+def _block(mask: np.ndarray, factors: _Factors, p: int, q: int) -> np.ndarray:
     """The tensor class (P, Q) as a boolean sub-block of the mask, whose rows
     are P's factors and columns Q's, so that its set entries run in mask
     order."""
-    return mask[np.ix_(left.ids[left.starts[p] : left.starts[p + 1]], right.ids[right.starts[q] : right.starts[q + 1]])]
+    return mask[np.ix_(factors.ids[p], factors.ids[q])]
 
 
 def _compressions(
@@ -381,23 +367,21 @@ def _compressions(
     columns_l, columns_r = np.divmod(support, n)
     s_conj, s_support = s.conj(), s[support]
     diagonal = np.arange(d * d) % (d + 1) == 0
-    left, right = g._sides
+    factors = g._factors
     # each side's patterns and realized values, kept at R's columns
-    rows_l, rows_r = left.rows[:, columns_l] * n, right.rows[:, columns_r]
-    vals_l, vals_r = left.vals[:, columns_l], right.vals[:, columns_r]
+    rows_l, rows_r = factors.rows[:, columns_l] * n, factors.rows[:, columns_r]
+    vals_l, vals_r = factors.vals[:, :, columns_l], factors.vals[:, :, columns_r]
     # reach[P, Q]: whether the class (P, Q) maps some column of R into R
     reach = in_support[rows_l[:, None] + rows_r[None]].any(axis=-1)
     for p, q in np.argwhere(reach):
-        at_l, at_r = np.nonzero(_block(g.mask, left, right, p, q))
+        at_l, at_r = np.nonzero(_block(g.mask, factors, p, q))
         if len(at_l) == 0:
             continue
         rows = rows_l[p] + rows_r[q]
-        at_l += left.starts[p]
-        at_r += right.starts[q]
-        values = vals_l[at_l] * vals_r[at_r]
+        values = vals_l[p, at_l] * vals_r[q, at_r]
         lift = (s_conj[rows][:, :, None] * s_support[:, None, :]).reshape(len(support), d * d)
         slots = np.flatnonzero(lift.any(axis=0) | diagonal)
-        yield left.ids[at_l], right.ids[at_r], slots, values @ lift[:, slots]
+        yield factors.ids[p, at_l], factors.ids[q, at_r], slots, values @ lift[:, slots]
 
 
 @dataclass(frozen=True, eq=False)

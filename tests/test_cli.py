@@ -560,6 +560,15 @@ def test_demo_rejects_negative_trials_before_building(capsys):
     assert err == "error: --trials must be >= 0\n"
 
 
+def test_demo_rejects_negative_seed_before_building(capsys):
+    # the point's n^4-byte mask could not be allocated; --seed is checked first
+    argv = "demo --construction section4 --p 2 --y 10000 --h 0 --d 10000 --seed -1"
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seed must be >= 0\n"
+
+
 def test_help_documents_csv_columns():
     result = run_cli("--help")
     assert result.returncode == 0

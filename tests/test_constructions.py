@@ -338,6 +338,20 @@ def test_baseline_bounds_cases():
         baseline_bounds(2, 4)
 
 
+def _knill_max_by_search(dim_h, dim_k):
+    """The largest v with v(v+1) <= dim_h/dim_k, found by counting up."""
+    v = 0
+    while (v + 1) * (v + 2) <= dim_h / dim_k:
+        v += 1
+    return v
+
+
+def test_knill_max_closed_form_matches_the_search():
+    for dim_k in range(2, 61):
+        for dim_h in range(dim_k, 3000):
+            assert baseline_bounds(dim_h, dim_k)["knill_max"] == _knill_max_by_search(dim_h, dim_k), (dim_h, dim_k)
+
+
 # scalar reference builders: one WeylLabelPair per word, in the order the
 # families are defined
 def _scalar_one_sided_powers(n):

@@ -591,8 +591,7 @@ def test_compressions_gather_every_class_a_computed_code_reaches():
     # generator once
     g, code = build_section2()
     assert np.all(np.any(code.fourier != 0, axis=1))
-    left, right = graph_module._patterns(g)
-    classes = np.count_nonzero(graph_module._class_counts(g.mask, left, right))
+    classes = np.count_nonzero(graph_module._class_counts(g.mask, g._factors))
     gathered = list(graph_module._compressions(g, code))
     assert len(gathered) == classes > 1
     assert sum(len(row) for row, *_ in gathered) == g.n_generators
@@ -714,15 +713,17 @@ def test_blocked_gram_rank_matches_dense(build, arg):
 
 
 def _crafted_rows(monkeypatch, n, side, second):
-    """Graph on C^n (x) C^n of the identity and one word whose factor on one
-    side realizes to the rows ``second`` (values 1), in place of the Weyl
-    realization; the identity's factors realize to rows range(n)."""
+    """Graph on C^n (x) C^n of the identity and one word whose factor X on
+    one side realizes, like every X Z^k, to the rows ``second`` in place of
+    the Weyl realization's; every other factor keeps the Weyl realization,
+    so the identity's factors realize to rows range(n), and every row
+    pattern holds n factors."""
     word = pair(n, 1, 0, 0, 0) if side == "left" else pair(n, 0, 0, 1, 0)
-    rows_of = {(0, 0): list(range(n)), (1, 0): second}
 
     def realize(kx, kz, n):
-        rows = np.array([rows_of[f] for f in zip(kx.tolist(), kz.tolist())]).reshape(len(kx), n)
-        return rows, np.ones((len(kx), n), dtype=complex)
+        rows, vals = weyl_monomial(kx, kz, n)
+        rows[kx == 1] = second
+        return rows, vals
 
     monkeypatch.setattr(graph_module, "weyl_monomial", realize)
     return OperatorGraph(n, mask_of(n, word_table([pair(n, 0, 0, 0, 0), word])))
@@ -747,8 +748,8 @@ def test_overlapping_supports_raise(monkeypatch, crafted):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_rows_that_are_no_permutation_raise(monkeypatch, side):
-    # a realized factor holding one row twice is no monomial unitary; both
-    # realization paths reject it
+    # a realized factor holding one row twice is no monomial unitary; the
+    # Gram oracle and the verdict both reject it
     g = _crafted_rows(monkeypatch, 2, side, [0, 0])
     with pytest.raises(ValueError, match="not a permutation of range"):
         graph_dim(g, "gram")
@@ -763,23 +764,23 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     # G_Q at the class's words, equals the Gram matrix of the words' full
     # n^2-long realized rows; the classes cover every word once
     g, _ = build(arg)
-    left, right = graph_module._patterns(g)
-    (grams_l, _), (grams_r, _) = graph_module._pattern_grams(left), graph_module._pattern_grams(right)
+    factors = g._factors
+    grams, _ = graph_module._pattern_grams(factors)
     number = np.cumsum(g.mask).reshape(g.mask.shape) - 1
-    counts = graph_module._class_counts(g.mask, left, right)
+    counts = graph_module._class_counts(g.mask, factors)
     covered = []
     for p, q in np.argwhere(counts):
-        block = graph_module._block(g.mask, left, right, p, q)
+        block = graph_module._block(g.mask, factors, p, q)
         assert np.count_nonzero(block) == counts[p, q]
         a, b = np.nonzero(block)
-        members = number[left.ids[left.starts[p] + a], right.ids[right.starts[q] + b]]
-        gram = np.kron(grams_l[p], grams_r[q])
-        selected = a * len(grams_r[q]) + b
+        members = number[factors.ids[p, a], factors.ids[q, b]]
+        gram = np.kron(grams[p], grams[q])
+        selected = a * len(grams[q]) + b
         rows, vals = pair_monomial(graph_words(g)[members], g.n)
         assert np.all(rows == rows[0])
         full = vals @ vals.conj().T
         assert max_abs(gram[np.ix_(selected, selected)] - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
-        assert np.array_equal(graph_module._pair_gram(grams_l[p], grams_r[q], block), gram[np.ix_(selected, selected)])
+        assert np.array_equal(graph_module._pair_gram(grams[p], grams[q], block), gram[np.ix_(selected, selected)])
         covered.extend(members.tolist())
     assert sorted(covered) == list(range(g.n_generators))
 
@@ -796,15 +797,18 @@ def test_gram_oracle_matches_dense_on_random_graphs(drawn):
 
 def _crafted_graph(monkeypatch, realized, words):
     """Graph on C^2 (x) C^2 of the words (kx, kz, kx', kz'), given in mask
-    order, whose factors (kx, kz) realize as realized[factor] = (rows, vals)
-    in place of the Weyl realization, and the plain eigensolve rank of its
-    generators built from those realizations."""
+    order, whose factors (kx, kz) listed in realized realize as
+    realized[factor] = (rows, vals) in place of the Weyl realization, which
+    the others keep, and the plain eigensolve rank of its generators built
+    from those realizations."""
     n = 2
 
     def realize(kx, kz, n):
-        pairs = [realized[f] for f in zip(kx.tolist(), kz.tolist())]
-        rows = np.array([r for r, _ in pairs]).reshape(len(kx), n)
-        return rows, np.array([v for _, v in pairs], dtype=complex).reshape(len(kx), n)
+        rows, vals = weyl_monomial(kx, kz, n)
+        for at, f in enumerate(zip(kx.tolist(), kz.tolist())):
+            if f in realized:
+                rows[at], vals[at] = realized[f]
+        return rows, vals
 
     words = np.array(words)
     rows_l, vals_l = realize(words[:, 0], words[:, 1], n)
@@ -842,8 +846,9 @@ def _eigensolved_orders(monkeypatch):
 def test_near_dependent_lines_are_eigensolved(monkeypatch, eps, rank):
     # two factors of one row pattern, [1, 1] and [1, 1 + eps]: their
     # pattern Gram's discs reach zero, so the class is eigensolved, above the
-    # cutoff at eps = 1e-3 and below it at eps = 1e-6
-    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0): ([0, 1], [1, 1 + eps])}
+    # cutoff at eps = 1e-3 and below it at eps = 1e-6. Z is moved to the
+    # rows of XZ, so that both row patterns hold two factors
+    realized = {IDENTITY: ([0, 1], [1, 1]), (1, 0): ([0, 1], [1, 1 + eps]), (0, 1): ([1, 0], [1, 1])}
     g, reference = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0) + IDENTITY])
     solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
@@ -858,9 +863,12 @@ def test_one_line_realized_twice(monkeypatch, delta, rank):
     # proportional up to the scalar 1j, off by delta: their pattern Gram is
     # singular up to delta, its block is eigensolved, and the rank is the
     # plain eigensolve's (at delta = 0.5 they are independent); the
-    # identity's left factor differs from them in its rows only
+    # identity's left factor differs from them in its rows only. X is moved
+    # to the identity's rows, orthogonal to it, so that both row patterns
+    # hold two factors
     realized = {
         IDENTITY: ([0, 1], [1, 1]),
+        (1, 0): ([0, 1], [1, -1]),
         (0, 1): ([1, 0], [1, 1]),
         (1, 1): ([1, 0], [1j, 1j * (1 - delta)]),
     }
@@ -869,6 +877,19 @@ def test_one_line_realized_twice(monkeypatch, delta, rank):
     solved = _eigensolved_orders(monkeypatch)
     assert graph_dim(g, "gram") == reference == rank
     assert solved[0] == 2
+
+
+def test_unequal_row_patterns_raise(monkeypatch):
+    # X crafted to realize at the identity's rows leaves the row patterns
+    # [0, 1] with I, Z and X and [1, 0] with XZ alone; the factor table
+    # holds equal patterns only, so both the Gram oracle and the verdict
+    # reject it
+    realized = {(1, 0): ([0, 1], [1, -1])}
+    g, _ = _crafted_graph(monkeypatch, realized, [IDENTITY * 2, (1, 0) + IDENTITY])
+    with pytest.raises(ValueError, match=r"unequal numbers of factors: \[3, 1\]"):
+        graph_dim(g, "gram")
+    with pytest.raises(ValueError, match="unequal numbers of factors"):
+        is_anticlique(g, CodeSpace(np.eye(4)[:, :1]))
 
 
 def test_label_count_matches_key_set():
@@ -893,7 +914,7 @@ def test_anticlique_memory_is_bounded():
     # the verdict is streamed class by class and holds neither the
     # compression stack ((64513, 4, 4) at n = 16, 16.5 MB) nor any
     # per-generator array, nor any copy of the mask: beyond the graph's
-    # realized factors (test_patterns_memory_is_bounded), only the sub-block,
+    # factor table (test_patterns_memory_is_bounded), only the sub-block,
     # lift and slot compressions of one class that reaches the code and the
     # code_dim^2 x code_dim^2 Gram matrix. That is about 2.3 MB at
     # (2,24,3,6), where one complex per generator would take 85 MB, and
@@ -907,7 +928,7 @@ def test_anticlique_memory_is_bounded():
     )
     for params, bound_mb in cases:
         g, code = build_section4(params)
-        g._sides  # realized before tracing, bounded on its own
+        g._factors  # realized before tracing, bounded on its own
         report, peak = _traced_peak(lambda: is_anticlique(g, code))
         assert report.verdict
         assert peak < bound_mb * 2**20, params
@@ -989,32 +1010,33 @@ DISTINCT_FACTOR_GRAPHS = SMALL_LABEL_GRAPHS + [(build_section4, Section4Params(2
     "build, arg", DISTINCT_FACTOR_GRAPHS, ids=SMALL_LABEL_GRAPH_IDS + ["section4-2-8-1-4"]
 )
 def test_distinct_factors_gather_exactly(build, arg):
-    # each side's realized factors are distinct, each used by some word, and
-    # increasing by mask index within each row pattern; looked up by the
-    # words' mask indices they give the word table's columns back, and their
-    # realizations gathered the same way are bit for bit the realizations of
-    # the columns themselves
+    # the factor table's ids are a permutation of the n^2 mask indices,
+    # increasing within each row pattern; looked up by the words' mask
+    # indices on either side they give the word table's columns back, and
+    # their realizations gathered the same way are bit for bit the
+    # realizations of the columns themselves
     g, _ = build(arg)
     entries = np.nonzero(g.mask)
-    for side, patterns in enumerate(g._sides):
-        starts = patterns.starts
-        assert all(np.all(np.diff(patterns.ids[a:b]) > 0) for a, b in zip(starts[:-1], starts[1:]))
-        order = np.argsort(patterns.ids)
-        assert np.all(np.diff(patterns.ids[order]) > 0)
-        at = order[np.searchsorted(patterns.ids[order], entries[side])]
-        assert np.array_equal(patterns.ids[at], entries[side])
-        assert np.bincount(at, minlength=len(order)).all()
-        rows = np.repeat(patterns.rows, np.diff(starts), axis=0)
+    factors = g._factors
+    assert np.all(np.diff(factors.ids, axis=1) > 0)
+    ids = factors.ids.ravel()
+    assert np.array_equal(np.sort(ids), np.arange(g.n**2))
+    rows = np.repeat(factors.rows, factors.ids.shape[1], axis=0)
+    vals = factors.vals.reshape(-1, g.n)
+    order = np.argsort(ids)
+    for side in (0, 1):
+        at = order[entries[side]]
+        assert np.array_equal(ids[at], entries[side])
         rows_w, vals_w = weyl_monomial(*graph_words(g)[:, [3 * side, 3 * side + 1]].T, g.n)
         assert np.array_equal(rows[at], rows_w)
-        assert np.array_equal(patterns.vals[at].view(float), vals_w.view(float))
+        assert np.array_equal(vals[at].view(float), vals_w.view(float))
 
 
 def test_each_distinct_factor_is_realized_once(monkeypatch):
     # one graph run through the Gram oracle and then the verdict realizes
-    # each factor its words use once in total: both sides of the (2,8,1,4)
-    # graph use the same 256 factors and share one realization, where
-    # realizing every word's two factors would take 129026 rows
+    # each factor once in total: both sides of the (2,8,1,4) graph use all
+    # 256 words of C^16, realized once in one table, where realizing every
+    # word's two factors would take 129026 rows
     g, code = build_section4(Section4Params(2, 8, 1, 4))
     assert np.array_equal(g.mask.any(axis=1), g.mask.any(axis=0))
     used = np.count_nonzero(g.mask.any(axis=1))
@@ -1029,19 +1051,18 @@ def test_each_distinct_factor_is_realized_once(monkeypatch):
     assert graph_dim(g, "gram") == 64513
     assert is_anticlique(g, code).verdict
     assert sum(realized) == used
-    left, right = g._sides
-    assert left is right
+    assert g._factors.ids.shape == (16, 16)
 
 
 def test_patterns_memory_is_bounded():
-    # grouping the factors realizes each used factor once and checks each
-    # row pattern for a permutation, with no bin per realized entry: at
-    # (2,24,3,6) the 2304 factors the two sides share take 2.6 MB realized,
-    # and _patterns peaks at about 5.2 MB, where realizing each side apart
+    # the factor table realizes each of the n^2 words of C^n once and
+    # checks each row pattern for a permutation, with no bin per realized
+    # entry: at (2,24,3,6) the 2304 factors take 2.6 MB realized, and
+    # _factor_table peaks at about 5.1 MB, where realizing each side apart
     # and binning every realized row took 9.5 MB
     g, _ = build_section4(Section4Params(2, 24, 3, 6))
-    (left, right), peak = _traced_peak(lambda: graph_module._patterns(g))
-    assert left is right and len(left.ids) == 48**2
+    factors, peak = _traced_peak(lambda: g._factors)
+    assert factors.ids.shape == (48, 48)
     assert peak < 7 * 2**20
 
 
@@ -1091,34 +1112,14 @@ def test_class_grams_sum_to_the_compressions_gram(case):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(raw_word_tables())
 def test_stacked_pattern_grams_match_each_pattern(drawn):
-    # the stacked Grams and their discs, taken for all row patterns at once
-    # over zero-padded stacks, equal each pattern's own Gram and _discs
-    # within roundoff, also when the patterns hold unequal numbers of factors
+    # the stacked Grams and their discs, taken for all row patterns at once,
+    # equal each pattern's own Gram and _discs within roundoff
     n, table = drawn
-    for side in graph_from_labels(n, table)._sides:
-        grams, bounds = graph_module._pattern_grams(side)
-        sizes = np.diff(side.starts)
-        assert grams.shape == (len(sizes), sizes.max(), sizes.max())
-        for p, (a, b) in enumerate(zip(side.starts[:-1], side.starts[1:])):
-            u = side.vals[a:b]
-            gram = u @ u.conj().T
-            scale = 1e-12 * max(1.0, np.abs(gram).max())
-            assert max_abs(grams[p, : b - a, : b - a] - gram) <= scale
-            assert not grams[p, b - a :].any() and not grams[p, :, b - a :].any()
-            assert max_abs(bounds[p] - np.array(_discs(gram))) <= scale * len(u)
-
-
-def test_stacked_pattern_grams_pad_unequal_patterns():
-    # the closure of X (x) I and Z (x) I at n = 3: its left factors I, Z and
-    # Z^2 realize at the rows [0, 1, 2], while X and X^2 realize at the rows
-    # [1, 2, 0] and [2, 0, 1] alone, so two of the three Grams are padded;
-    # every factor has norm^2 3 and distinct ones are orthogonal
-    g = graph_from_labels(3, np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]))
-    left, right = g._sides
-    assert left is not right
-    assert np.diff(left.starts).tolist() == [3, 1, 1]
-    grams, bounds = graph_module._pattern_grams(left)
-    assert grams.shape == (3, 3, 3)
-    assert max_abs(grams[0] - 3 * np.eye(3)) < 1e-12
-    assert max_abs(grams[1:, 0, 0] - 3) < 1e-12 and not grams[1:, 1:].any() and not grams[1:, :, 1:].any()
-    assert max_abs(bounds - 3) < 1e-12
+    factors = graph_from_labels(n, table)._factors
+    grams, bounds = graph_module._pattern_grams(factors)
+    assert grams.shape == (n, n, n)
+    for p, u in enumerate(factors.vals):
+        gram = u @ u.conj().T
+        scale = 1e-12 * max(1.0, np.abs(gram).max())
+        assert max_abs(grams[p] - gram) <= scale
+        assert max_abs(bounds[p] - np.array(_discs(gram))) <= scale * len(u)

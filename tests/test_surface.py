@@ -55,3 +55,11 @@ def test_code_space_and_degenerate_point_overrides_are_gone():
     assert not hasattr(graph, "_fourier_coordinates")
     assert "allow_d1" not in inspect.signature(Section4Params).parameters
     assert "allow_n2" not in inspect.signature(build_section3).parameters
+
+
+def test_one_factor_table_serves_both_sides():
+    # one table of the n^2 words of C^n in equal row patterns: no per-side
+    # pattern sets, no pattern offsets and no padding
+    assert [name for name in ("_patterns", "_group", "_Patterns") if hasattr(graph, name)] == []
+    assert not hasattr(OperatorGraph, "_sides")
+    assert list(inspect.signature(graph._Factors).parameters) == ["ids", "rows", "vals"]
