@@ -254,7 +254,7 @@ def cmd_demo(args) -> int:
         column = s.conj().T @ image.ravel()
         cross = np.abs(column)
         cross[word_idx] = 0.0
-        cross_talk = float(cross.max()) if cross.size else 0.0
+        cross_talk = float(cross.max())
         worst = max(worst, cross_talk)
         c_v = column[word_idx]
         print(

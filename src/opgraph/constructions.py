@@ -15,11 +15,13 @@ sums f_c (x) f_c / sqrt(p) over c = t*y + step*k mod n, t < p, and section3's
 code is its p = 1, step 1 case. Every code is built as its exact
 coordinates in the Fourier product basis (see graph.CodeSpace).
 
-Each generator family sets its phase-free words in a boolean mask (see
-graph.OperatorGraph) through its (n, n, n, n) view, indexed by (left kx,
-left kz, right kx, right kz), with one broadcast assignment, and the builders
-close the mask with graph_from_mask; no word table and no search over the
-words is needed.
+Every graph is a boolean mask of phase-free words (see graph.OperatorGraph),
+read through its (n, n, n, n) view, indexed by the word exponents (left kx,
+left kz, right kx, right kz), and closed by graph_from_mask; no word table
+and no search over the words is needed. The sparse graphs (section2's words
+and section3's powers) are set in an empty mask by one broadcast assignment;
+the dense ones (section4's and remark2's) are one boolean expression over
+open grids of the four exponents.
 
 Closed-form dimension claims are evaluated separately and marked as claims;
 computed ranks are the ground truth the reports compare them against.
@@ -176,40 +178,29 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     return _diagonal_code(params.n, params.p, params.h + 1, params.d, "q")
 
 
-def _off_diagonal_shifts(words: np.ndarray) -> None:
-    """Set the off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, in a word
-    mask's (n, n, n, n) view."""
-    n = len(words)
-    words.transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)] = True
-
-
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
-    build_code_K1. The graph holds the off-diagonal shifts, every equal
-    shift X^m Z^k (x) X^m Z^s with m in allowed_shifts, and the equal shifts
-    with clock exponents off the subgroup, (k + s) mod p != 0. Section3's
+    build_code_K1. The graph holds every word X^m Z^k (x) X^j Z^s with
+    m != j (the off-diagonal shifts), m in allowed_shifts, or clock exponents
+    off the subgroup, (k + s) mod p != 0; the first term sets every
+    off-diagonal word, so the other two need no m == j guard. Section3's
     powers X^s Z^{ks} on either side (s >= 1) shift one side only, so the
     off-diagonal shifts already hold them."""
     n = params.n
-    mask, words = _word_mask(n)
-    _off_diagonal_shifts(words)
-    allowed = allowed_shifts(params)
-    words[allowed, :, allowed, :] = True
-    e = np.arange(n)
-    k, s = np.indices((n, n))
-    words[e, :, e, :] |= (k + s) % params.p != 0
-    return graph_from_mask(n, mask), build_code_K1(params)
+    m, k, j, s = np.ix_(*[np.arange(n)] * 4)
+    words = (m != j) | np.isin(m, allowed_shifts(params)) | ((k + s) % params.p != 0)
+    return graph_from_mask(n, words.reshape(n * n, n * n)), build_code_K1(params)
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
-    """Off-diagonal-shift family plus identity, against the f_j (x) f_j code.
-    n < 2 leaves no off-diagonal shift and a one-dimensional code, and is
-    rejected."""
+    """The off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, for every k and
+    s, plus identity, against the f_j (x) f_j code. n < 2 leaves no
+    off-diagonal shift and a one-dimensional code, and is rejected."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
-    mask, words = _word_mask(n)
-    _off_diagonal_shifts(words)
-    return graph_from_mask(n, mask), _diagonal_code(n, 1, 1, n, "h")
+    m, _, j, _ = np.ix_(*[np.arange(n)] * 4)
+    words = np.broadcast_to(m != j, (n, n, n, n))
+    return graph_from_mask(n, words.reshape(n * n, n * n)), _diagonal_code(n, 1, 1, n, "h")
 
 
 def claimed_dim_section2() -> int:

@@ -117,8 +117,11 @@ class OperatorGraph:
     def words_at(self, at) -> np.ndarray:
         """The words of generators ``at`` (a generator id or an array of
         them) as exponent rows (left kx, left kz, right kx, right kz), found
-        from the per-row counts of the mask."""
+        from the per-row counts of the mask. Ids of any dtype but an integer
+        one (bool included) raise TypeError."""
         at = np.asarray(at)
+        if not np.issubdtype(at.dtype, np.integer):
+            raise TypeError(f"generator ids must be integers, got dtype {at.dtype}")
         if np.any((at < 0) | (at >= self.n_generators)):
             raise IndexError(f"generator ids must lie in [0, {self.n_generators})")
         row = np.searchsorted(self._offsets, at, side="right") - 1

@@ -102,6 +102,24 @@ def test_flag_the_construction_does_not_read_exits_two(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify section3", "section3 requires --n"),
+        ("verify section4 --p 2", "section4 requires --p --y --h --d"),
+        ("verify remark2", "remark2 requires --n"),
+        ("demo --construction section4 --p 2 --y 4", "section4 requires --p --y --h --d"),
+        ("sweep section3", "sweep section3 requires --n A..B"),
+        ("sweep section4", "sweep section4 requires --n-max"),
+    ],
+)
+def test_missing_flag_the_construction_needs_exits_two(argv, message, capsys):
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "golden, args",
     [
         ("verify_section2.json", ["section2"]),

@@ -406,7 +406,6 @@ def test_builder_tables_match_scalar_reference():
         assert np.array_equal(build_section3(n)[0].mask, closed(n, reference)), n
     for n in range(2, 7):
         reference = word_table(_scalar_off_diagonal(n))
-        assert np.array_equal(_family_mask(n, constructions._off_diagonal_shifts), mask_of(n, reference)), n
         assert np.array_equal(build_remark2(n)[0].mask, closed(n, reference)), n
     for params in enumerate_section4_params(8):
         reference = word_table(_scalar_section4(params))
@@ -416,9 +415,10 @@ def test_builder_tables_match_scalar_reference():
 def test_shift_factor_ids_are_arithmetic():
     # the phase-free shift X^kx Z^kz sits at mask index kx * n + kz, so the
     # off-diagonal shifts m != j fill every n x n block (m, j) off the block
-    # diagonal
+    # diagonal; remark2's graph is those shifts and the identity
     n = 5
-    mask = _family_mask(n, constructions._off_diagonal_shifts)
+    mask = build_remark2(n)[0].mask.copy()
+    mask[0, 0] = False
     assert np.array_equal(mask, np.kron(~np.eye(n, dtype=bool), np.ones((n, n), dtype=bool)))
     assert np.count_nonzero(mask) == n**3 * (n - 1)
 

@@ -224,6 +224,17 @@ def test_words_at_finds_the_mask_entries(build, arg):
             g.words_at(outside)
 
 
+@pytest.mark.parametrize(
+    "at",
+    [1.5, True, np.array([0.2, 3.7]), np.array([True, False])],
+    ids=["float", "bool", "float-array", "bool-array"],
+)
+def test_words_at_rejects_ids_that_are_not_integers(at):
+    g, _ = build_section4(Section4Params(2, 4, 1, 2))
+    with pytest.raises(TypeError, match="generator ids must be integers"):
+        g.words_at(at)
+
+
 def test_oracle_equivalence_random_subsets():
     rng = np.random.default_rng(7)
     for _ in range(10):
