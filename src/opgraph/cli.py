@@ -80,47 +80,44 @@ class UsageError(Exception):
     pass
 
 
-def _reject_unread(construction: str, args, reads: dict[str, tuple[str, ...]]) -> None:
-    """Raise UsageError when args sets a flag of ``reads`` that the
-    construction does not read. A flag is set when its value is not the
-    parser's default, None."""
-    for flag in sum(reads.values(), ()):
-        if flag not in reads[construction] and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+def _read(construction: str, args, reads: dict[str, tuple[str, ...]], requires: str | None = None) -> dict:
+    """The values of the flags of ``reads`` that the construction reads,
+    keyed by argparse destination in ``reads`` order. Raise UsageError when
+    args sets a flag that the construction does not read (a flag is set when
+    its value is not the parser's default, None), or leaves one that it reads
+    unset; the second message is ``requires``, by default
+    "<construction> requires <its flags>"."""
+    dests = {flag: flag[2:].replace("-", "_") for flag in sum(reads.values(), ())}
+    for flag, dest in dests.items():
+        if flag not in reads[construction] and getattr(args, dest) is not None:
             raise UsageError(f"{construction} does not read {flag}")
+    values = {dests[flag]: getattr(args, dests[flag]) for flag in reads[construction]}
+    if None in values.values():
+        raise UsageError(requires or f"{construction} requires {' '.join(reads[construction])}")
+    return values
 
 
-def _build(construction: str, args) -> tuple:
-    """Returns (graph, code, params_echo, claimed_dim)."""
-    _reject_unread(construction, args, READS)
+def _build(construction: str, values: dict) -> tuple:
+    """Build one point from the values of the flags its construction reads
+    (see READS and _read). Returns (graph, code, params_echo, claimed_dim)."""
     if construction == "section2":
-        g, code = build_section2()
-        return g, code, {}, claimed_dim_section2()
-    if construction == "section3":
-        if args.n is None:
-            raise UsageError("section3 requires --n")
-        g, code = build_section3(args.n)
-        return g, code, {"n": args.n}, claimed_dim_section3(args.n)
+        return *build_section2(), {}, claimed_dim_section2()
     if construction == "section4":
-        if None in (args.p, args.y, args.h, args.d):
-            raise UsageError("section4 requires --p --y --h --d")
-        params = Section4Params(p=args.p, y=args.y, h=args.h, d=args.d)
-        g, code = build_section4(params)
-        echo = {"p": params.p, "y": params.y, "h": params.h, "d": params.d, "n": params.n}
-        return g, code, echo, claimed_dim_section4(params)
+        params = Section4Params(**values)
+        return *build_section4(params), {**values, "n": params.n}, claimed_dim_section4(params)
+    if construction == "section3":
+        return *build_section3(values["n"]), values, claimed_dim_section3(values["n"])
     # remark2, the one construction left among the parser's choices
-    if args.n is None:
-        raise UsageError("remark2 requires --n")
-    g, code = build_remark2(args.n)
-    return g, code, {"n": args.n}, claimed_dim_remark2(args.n)
+    return *build_remark2(values["n"]), values, claimed_dim_remark2(values["n"])
 
 
-def run_verification(construction: str, args) -> tuple[dict, bool]:
-    """Build one construction, run both oracles and the anticlique check,
-    and assemble the report. Returns (report, hard_checks_passed)."""
+def run_verification(construction: str, values: dict, tol: Tolerance, deterministic: bool) -> tuple[dict, bool]:
+    """Build one point from its flag values (see _build), run both oracles
+    and the anticlique check at tolerance ``tol``, and assemble the report;
+    ``deterministic`` zeroes its runtime_ms. Returns (report,
+    hard_checks_passed)."""
     started = time.perf_counter()
-    # before the build, which may take long or fail to allocate
-    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    g, code, params_echo, claimed = _build(construction, args)
+    g, code, params_echo, claimed = _build(construction, values)
     # one call per oracle, so a trace times each on its own; the Gram
     # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
@@ -137,7 +134,7 @@ def run_verification(construction: str, args) -> tuple[dict, bool]:
         )
     bounds = baseline_bounds(g.space_dim, code.code_dim)
 
-    runtime_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
+    runtime_ms = 0 if deterministic else int((time.perf_counter() - started) * 1000)
     report = {
         "schema": 1,
         "construction": construction,
@@ -178,7 +175,10 @@ def _print_report_text(report: dict, hard_ok: bool) -> None:
 
 
 def cmd_verify(args) -> int:
-    report, hard_ok = run_verification(args.construction, args)
+    # both before the build, which may take long or fail to allocate
+    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
+    values = _read(args.construction, args, READS)
+    report, hard_ok = run_verification(args.construction, values, tol, args.deterministic)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -194,29 +194,23 @@ def _parse_range(text: str) -> range:
         raise UsageError(f"bad range {text!r}, expected A..B") from exc
 
 
-def _sweep_points(args) -> list[argparse.Namespace]:
-    """One namespace per sweep point: args with the point's construction
-    flags set."""
-    _reject_unread(args.construction, args, SWEEP_READS)
-    if args.construction == "section3":
-        if args.n is None:
-            raise UsageError("sweep section3 requires --n A..B")
-        points = [{"n": n} for n in _parse_range(args.n)]
+def cmd_sweep(args) -> int:
+    construction = args.construction
+    usage = {"section3": "--n A..B", "section4": "--n-max"}[construction]
+    values = _read(construction, args, SWEEP_READS, f"sweep {construction} requires {usage}")
+    if construction == "section3":
+        points = [{"n": n} for n in _parse_range(values["n"])]
     else:
-        if args.n_max is None:
-            raise UsageError("sweep section4 requires --n-max")
-        points = [{"p": q.p, "y": q.y, "h": q.h, "d": q.d} for q in enumerate_section4_params(args.n_max)]
+        # a point's fields p, y, h, d are the flags verify section4 reads
+        points = [vars(q) for q in enumerate_section4_params(values["n_max"])]
     if not points:
         raise UsageError("empty parameter range")
-    return [argparse.Namespace(**{**vars(args), **point}) for point in points]
-
-
-def cmd_sweep(args) -> int:
-    points = _sweep_points(args)
+    # before the first build
+    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     all_ok = True
     writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, restval="", extrasaction="ignore")
-    for index, ns in enumerate(points):
-        report, hard_ok = run_verification(args.construction, ns)
+    for index, point in enumerate(points):
+        report, hard_ok = run_verification(construction, point, tol, args.deterministic)
         all_ok = all_ok and hard_ok
         if args.format == "jsonl":
             print(json.dumps(report))
@@ -236,7 +230,7 @@ def cmd_demo(args) -> int:
         raise UsageError("--trials must be >= 0")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    g, code, _, _ = _build(args.construction, args)
+    g, code, _, _ = _build(args.construction, _read(args.construction, args, READS))
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
     s = code.fourier

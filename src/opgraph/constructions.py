@@ -21,7 +21,9 @@ left kz, right kx, right kz), and closed by graph_from_mask; no word table
 and no search over the words is needed. The sparse graphs (section2's words
 and section3's powers) are set in an empty mask by one broadcast assignment;
 the dense ones (section4's and remark2's) are one boolean expression over
-open grids of the four exponents.
+open grids of the four exponents, written into an empty mask that is each
+build's first allocation (_dense_graph), so a point too large to allocate
+fails at once.
 
 Closed-form dimension claims are evaluated separately and marked as claims;
 computed ranks are the ground truth the reports compare them against.
@@ -178,29 +180,42 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
     return _diagonal_code(params.n, params.p, params.h + 1, params.d, "q")
 
 
+def _dense_graph(n: int, write) -> OperatorGraph:
+    """The graph of the words that ``write(words, m, k, j, s)`` sets in an
+    empty (n, n, n, n) word mask (indexed as in _word_mask), given open
+    grids of the exponents (m, k, j, s). The mask is the build's first
+    allocation, so a point too large to allocate fails before any other
+    array sized by n is made, and it is freed once the graph is closed,
+    before the caller builds its code."""
+    words = np.zeros((n, n, n, n), dtype=bool)
+    write(words, *np.ix_(*[np.arange(n)] * 4))
+    return graph_from_mask(n, words.reshape(n * n, n * n))
+
+
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
     build_code_K1. The graph holds every word X^m Z^k (x) X^j Z^s with
     m != j (the off-diagonal shifts), m in allowed_shifts, or clock exponents
     off the subgroup, (k + s) mod p != 0; the first term sets every
-    off-diagonal word, so the other two need no m == j guard. Section3's
+    off-diagonal word, so the other two need no m == j guard. The three
+    terms are ORed straight into the mask (see _dense_graph). Section3's
     powers X^s Z^{ks} on either side (s >= 1) shift one side only, so the
     off-diagonal shifts already hold them."""
-    n = params.n
-    m, k, j, s = np.ix_(*[np.arange(n)] * 4)
-    words = (m != j) | np.isin(m, allowed_shifts(params)) | ((k + s) % params.p != 0)
-    return graph_from_mask(n, words.reshape(n * n, n * n)), build_code_K1(params)
+    graph = _dense_graph(params.n, lambda words, m, k, j, s: np.logical_or(
+        (m != j) | np.isin(m, allowed_shifts(params)), (k + s) % params.p != 0, out=words
+    ))
+    return graph, build_code_K1(params)
 
 
 def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """The off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, for every k and
-    s, plus identity, against the f_j (x) f_j code. n < 2 leaves no
-    off-diagonal shift and a one-dimensional code, and is rejected."""
+    s, plus identity, against the f_j (x) f_j code; m != j is written
+    straight into the mask (see _dense_graph). n < 2 leaves no off-diagonal
+    shift and a one-dimensional code, and is rejected."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
-    m, _, j, _ = np.ix_(*[np.arange(n)] * 4)
-    words = np.broadcast_to(m != j, (n, n, n, n))
-    return graph_from_mask(n, words.reshape(n * n, n * n)), _diagonal_code(n, 1, 1, n, "h")
+    graph = _dense_graph(n, lambda words, m, k, j, s: np.not_equal(m, j, out=words))
+    return graph, _diagonal_code(n, 1, 1, n, "h")
 
 
 def claimed_dim_section2() -> int:

@@ -196,14 +196,39 @@ def test_allow_flags_are_unrecognized(argv, capsys):
     assert "unrecognized arguments: --allow-" in capsys.readouterr().err
 
 
-def test_point_too_large_to_allocate_exits_two():
-    # n = 20000: the n^4 = 1.6e17-byte mask exceeds any address space, so
-    # its allocation fails at once
-    result = run_cli("verify", "section4", "--p", "2", "--y", "10000", "--h", "0", "--d", "10000")
+# n = 20000: the n^4 = 1.6e17-byte mask exceeds any address space, and it
+# is each build's first allocation, so it fails at once
+TOO_LARGE = {
+    "section4": ["verify", "section4", "--p", "2", "--y", "10000", "--h", "0", "--d", "10000"],
+    "remark2": ["verify", "remark2", "--n", "20000"],
+}
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE.values(), ids=TOO_LARGE)
+def test_point_too_large_to_allocate_exits_two(argv):
+    result = run_cli(*argv)
     assert result.returncode == 2
     assert result.stdout == b""
     lines = result.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), lines
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE.values(), ids=TOO_LARGE)
+def test_point_too_large_to_allocate_peaks_small(argv):
+    # nothing sized by n is made before the mask fails to allocate; forming
+    # section4's n^2 clock sums first peaked at 6.5 GB. tracemalloc would
+    # count the failed request, so the child reports its own peak RSS
+    # (ru_maxrss, in KiB on Linux)
+    script = (
+        "import resource, sys\n"
+        "from opgraph import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, timeout=600)
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 2, result.stderr
+    assert peak_kib < 100 * 1000 * 1000 / 1024, peak_kib
 
 
 def test_non_finite_tol_abs_exits_two():
@@ -448,6 +473,20 @@ def test_sweep_section3_jsonl():
     reports = [json.loads(line) for line in result.stdout.splitlines()]
     assert [r["params"]["n"] for r in reports] == [3, 4]
     assert all(r["anticlique"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "sweep, rows", [("section4 --n-max 8", 8), ("section3 --n 3..6", 4)], ids=["section4", "section3"]
+)
+def test_sweep_row_is_the_verify_report_of_its_point(sweep, rows, capsys):
+    assert cli.main(["sweep", *sweep.split(), "--format", "jsonl", "--deterministic"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(reports) == rows
+    for report in reports:
+        construction = report["construction"]
+        flags = [f"{flag}={report['params'][flag[2:]]}" for flag in cli.READS[construction]]
+        assert cli.main(["verify", construction, *flags, "--json", "--deterministic"]) == 0
+        assert json.loads(capsys.readouterr().out) == report
 
 
 def test_sweep_empty_range_exit_two():

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from opgraph import graph
+from opgraph import cli, graph
 from opgraph.constructions import Section4Params, build_section3
 from opgraph.graph import CodeSpace, OperatorGraph
 
@@ -63,3 +63,11 @@ def test_one_factor_table_serves_both_sides():
     assert [name for name in ("_patterns", "_group", "_Patterns") if hasattr(graph, name)] == []
     assert not hasattr(OperatorGraph, "_sides")
     assert list(inspect.signature(graph._Factors).parameters) == ["ids", "rows", "vals"]
+
+
+def test_commands_alone_read_the_flags():
+    # cmd_verify, cmd_sweep and cmd_demo read each flag once; the build and
+    # the verification take plain values, and no sweep point is a namespace
+    assert [name for name in ("_reject_unread", "_sweep_points") if hasattr(cli, name)] == []
+    assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "tol", "deterministic"]
+    assert list(inspect.signature(cli._build).parameters) == ["construction", "values"]
