@@ -1,6 +1,6 @@
 """opgraph: operator graphs, quantum anticliques, and dimension oracles."""
 
-from .linalg import DEFAULT_TOL, Tolerance, kron, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, max_abs
 from .weyl import fourier_basis, weyl_monomial
 from .graph import (
     CodeSpace,

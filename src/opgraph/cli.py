@@ -5,9 +5,11 @@ Exit codes: 0 = all hard checks passed, 1 = a mathematical check failed,
 agreement of the two dimension oracles over every generator, and
 max_residual <= --tol-abs; a mismatch between computed dimension and the
 claimed closed form is reported via ``formula_match`` but is never fatal.
-A failed anticlique verdict also prints one line to stderr naming the
-generator's word X^kx Z^kz (x) X^kx' Z^kz' as (kx, kz, kx', kz') and the
-code basis vectors where the residual peaks.
+A failed anticlique verdict, or else a residual above --tol-abs, also
+prints one line to stderr naming the generator's word
+X^kx Z^kz (x) X^kx' Z^kz' as (kx, kz, kx', kz') and the code basis vectors
+where the residual peaks; oracles that disagree print one line giving both
+dimensions.
 
 CSV columns (fixed order):
     construction,n,p,y,h,d,space_dim,code_dim,graph_dim_labels,
@@ -124,14 +126,17 @@ def run_verification(construction: str, values: dict, tol: Tolerance, determinis
     dim_labels = graph_dim(g, "labels")
     dim_gram = graph_dim(g, "gram", tol)
     report_ac = is_anticlique(g, code, tol)
-    if not report_ac.verdict:
+    if not report_ac.verdict or report_ac.residual > tol.absolute:
         at, l, k = report_ac.worst
         names = code.basis_names
+        failed = "anticlique fails" if not report_ac.verdict else f"max_residual exceeds --tol-abs {tol.absolute:g}"
         print(
-            f"anticlique fails at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
+            f"{failed} at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
             f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
             file=sys.stderr,
         )
+    if dim_labels != dim_gram:
+        print(f"dimension oracles disagree: labels {dim_labels}, gram {dim_gram}", file=sys.stderr)
     bounds = baseline_bounds(g.space_dim, code.code_dim)
 
     runtime_ms = 0 if deterministic else int((time.perf_counter() - started) * 1000)

@@ -17,13 +17,16 @@ coordinates in the Fourier product basis (see graph.CodeSpace).
 
 Every graph is a boolean mask of phase-free words (see graph.OperatorGraph),
 read through its (n, n, n, n) view, indexed by the word exponents (left kx,
-left kz, right kx, right kz), and closed by graph_from_mask; no word table
-and no search over the words is needed. The sparse graphs (section2's words
-and section3's powers) are set in an empty mask by one broadcast assignment;
-the dense ones (section4's and remark2's) are one boolean expression over
-open grids of the four exponents, written into an empty mask that is each
+left kz, right kx, right kz); no word table and no search over the words is
+needed. Every builder writes its family into an empty mask that is the
 build's first allocation (_dense_graph), so a point too large to allocate
-fails at once.
+fails at once: section2's, section4's and remark2's as one boolean
+expression over open grids of the four exponents, section3's powers by one
+broadcast assignment. The adjoint of a word is the word with every exponent
+negated mod n, up to a phase, and negation maps each family onto itself
+(each builder's docstring says why), so the mask as written, with the
+identity set, is closed, and no builder calls graph.graph_from_mask, which
+closes a mask built elsewhere.
 
 Closed-form dimension claims are evaluated separately and marked as claims;
 computed ranks are the ground truth the reports compare them against.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CodeSpace, OperatorGraph, graph_from_mask
+from .graph import CodeSpace, OperatorGraph
 
 __all__ = [
     "build_section2",
@@ -66,26 +69,22 @@ def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     sy = i XZ, so the graph is spanned by the words Z(x)I, XZ(x)I, I(x)XZ and
     I(x)X, and in mask order its generators are [I, I(x)sz, I(x)sy, sx(x)I,
     sy(x)I]. The phase i is dropped; it changes neither the span nor the
-    anticlique verdict.
+    anticlique verdict. Negation mod 2 fixes every exponent, so the family
+    is closed.
     """
-    mask, words = _word_mask(2)
-    # Z (x) I, XZ (x) I, I (x) XZ and I (x) X, one word per column of the
-    # (left kx, left kz, right kx, right kz) index lists
-    words[[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]] = True
+    # Z (x) I and XZ (x) I have left kz = 1 and the identity on the right;
+    # I (x) XZ and I (x) X have right kx = 1 and the identity on the left
+    graph = _dense_graph(2, lambda words, m, k, j, s: np.logical_or(
+        (k == 1) & (j == 0) & (s == 0), (j == 1) & (m == 0) & (k == 0), out=words
+    ))
     fourier = np.array([[1, 0], [0, 1], [1, 0], [0, -1]]) / np.sqrt(2)
-    return graph_from_mask(2, mask), CodeSpace(fourier, ("f+", "f-"))
+    return graph, CodeSpace(fourier, ("f+", "f-"))
 
 
-def _word_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An empty (n^2, n^2) word mask and its (n, n, n, n) view, indexed by
-    (left kx, left kz, right kx, right kz)."""
-    mask = np.zeros((n * n, n * n), dtype=bool)
-    return mask, mask.reshape(n, n, n, n)
-
-
-def _one_sided_powers(words: np.ndarray) -> None:
+def _one_sided_powers(words: np.ndarray, *grids) -> None:
     """Set all nontrivial powers (X Z^k)^s, placed on either tensor factor,
-    in a word mask's (n, n, n, n) view. In closed form,
+    in a word mask's (n, n, n, n) view; a write for _dense_graph, which
+    needs no exponent grids. In closed form,
     (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}, the phase-free word X^s Z^{ks}."""
     n = len(words)
     k, s = np.indices((n, n - 1))
@@ -98,15 +97,14 @@ def build_section3(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """Product-vector construction on C^n (x) C^n.
 
     Graph: span of (X Z^k)^s on either factor for 0 <= k <= n-1 and
-    1 <= s <= n-1, plus identity, adjoint-closed at label level. Code: the n
-    vectors f_j (x) f_j. The construction needs n > 2 (n = 2 degenerates),
-    and any smaller n raises ValueError.
+    1 <= s <= n-1, plus identity. Code: the n vectors f_j (x) f_j. The
+    construction needs n > 2 (n = 2 degenerates), and any smaller n raises
+    ValueError. Negating X^s Z^{ks} gives X^{n-s} Z^{k(n-s)}, the power at
+    n - s, so the family is closed.
     """
     if n <= 2:
         raise ValueError(f"construction requires n > 2 (got n={n})")
-    mask, words = _word_mask(n)
-    _one_sided_powers(words)
-    return graph_from_mask(n, mask), _diagonal_code(n, 1, 1, n, "h")
+    return _dense_graph(n, _one_sided_powers), _diagonal_code(n, 1, 1, n, "h")
 
 
 def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
@@ -181,15 +179,17 @@ def build_code_K1(params: Section4Params) -> CodeSpace:
 
 
 def _dense_graph(n: int, write) -> OperatorGraph:
-    """The graph of the words that ``write(words, m, k, j, s)`` sets in an
-    empty (n, n, n, n) word mask (indexed as in _word_mask), given open
-    grids of the exponents (m, k, j, s). The mask is the build's first
+    """The graph of the identity and the words that ``write(words, m, k, j,
+    s)`` sets in an empty (n, n, n, n) word mask, indexed by (left kx,
+    left kz, right kx, right kz), given open grids of the exponents
+    (m, k, j, s). The family written must be closed under negating all four
+    exponents; the mask is not closed here. It is the build's first
     allocation, so a point too large to allocate fails before any other
-    array sized by n is made, and it is freed once the graph is closed,
-    before the caller builds its code."""
+    array sized by n is made, and the graph holds it without a copy."""
     words = np.zeros((n, n, n, n), dtype=bool)
     write(words, *np.ix_(*[np.arange(n)] * 4))
-    return graph_from_mask(n, words.reshape(n * n, n * n))
+    words[0, 0, 0, 0] = True
+    return OperatorGraph(n, words.reshape(n * n, n * n))
 
 
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
@@ -200,7 +200,9 @@ def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     off-diagonal word, so the other two need no m == j guard. The three
     terms are ORed straight into the mask (see _dense_graph). Section3's
     powers X^s Z^{ks} on either side (s >= 1) shift one side only, so the
-    off-diagonal shifts already hold them."""
+    off-diagonal shifts already hold them. Negation keeps m != j, maps
+    allowed_shifts onto itself and keeps (k + s) mod p != 0, since p divides
+    n, so the family is closed."""
     graph = _dense_graph(params.n, lambda words, m, k, j, s: np.logical_or(
         (m != j) | np.isin(m, allowed_shifts(params)), (k + s) % params.p != 0, out=words
     ))
@@ -211,7 +213,8 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """The off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, for every k and
     s, plus identity, against the f_j (x) f_j code; m != j is written
     straight into the mask (see _dense_graph). n < 2 leaves no off-diagonal
-    shift and a one-dimensional code, and is rejected."""
+    shift and a one-dimensional code, and is rejected. Negation keeps
+    m != j, so the family is closed."""
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
     graph = _dense_graph(n, lambda words, m, k, j, s: np.not_equal(m, j, out=words))

@@ -7,9 +7,10 @@ X^kx Z^kz (x) X^kx' Z^kz'. It is stored as one boolean (n^2, n^2) mask whose
 entry (kx * n + kz, kx' * n + kz') is set exactly when that word is a
 generator, and generators are numbered in row-major mask order. The mask
 takes n^4 bytes whatever the number of words: 65 kB for the 64513 words of
-the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. graph_from_mask
-closes a mask under adjoints by ORing the mask with every exponent negated
-into one copy of it.
+the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. The builders of
+opgraph.constructions write closed masks; graph_from_mask closes any other
+mask under adjoints by ORing the mask with every exponent negated into one
+copy of it.
 
 Two independent dimension oracles are available: counting the words (the
 mask's popcount, exact) and the numeric Gram rank of the realized
@@ -81,8 +82,9 @@ class OperatorGraph:
     boolean array of shape (n^2, n^2) whose entry (kx * n + kz,
     kx' * n + kz') is set exactly when that word is a generator; generators
     are numbered in row-major mask order. The mask holds at least one word,
-    since the span contains the identity; graph_from_mask closes a mask.
-    Generators are never densified.
+    since the span contains the identity, and is taken as closed under
+    adjoints: the builders write it closed, and graph_from_mask closes a mask
+    built elsewhere. Generators are never densified.
     """
 
     n: int

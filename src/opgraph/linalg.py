@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: Kronecker products and tolerance-based rank
-of block-diagonal Gram matrices.
+"""Dense complex linear algebra: tolerance-based rank of block-diagonal Gram
+matrices.
 
 Everything here works on plain numpy arrays of dtype complex128. Matrices are
 2-d arrays, vectors 1-d. All functions are pure.
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "kron", "dagger", "max_abs"]
+__all__ = ["Tolerance", "DEFAULT_TOL", "dagger", "max_abs"]
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors, as 1-column blocks)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

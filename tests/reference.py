@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
-from opgraph.linalg import DEFAULT_TOL, Tolerance, dagger, kron, max_abs
+from opgraph.linalg import DEFAULT_TOL, Tolerance, dagger, max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 
 
@@ -137,7 +137,7 @@ def pair_adjoint(p: WeylLabelPair) -> WeylLabelPair:
 
 
 def pair_dense(p: WeylLabelPair) -> np.ndarray:
-    return kron(weyl_dense(p.left), weyl_dense(p.right))
+    return np.kron(weyl_dense(p.left), weyl_dense(p.right))
 
 
 _PAIR_FIELDS = operator.attrgetter(

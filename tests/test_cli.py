@@ -266,6 +266,13 @@ def test_verify_tol_abs_bounds_the_residual():
     assert strict_report.pop("tolerance") == {"absolute": 1e-30, "relative": 1e-9}
     default_report.pop("tolerance")
     assert strict_report == default_report
+    # the verdict holds, so the failed residual check names the word and
+    # entry where the residual peaks
+    assert default.stderr == b""
+    assert strict.stderr.decode() == (
+        "max_residual exceeds --tol-abs 1e-30 at generator 1009, word (2, 0, 2, 1): entry (q_2, q_1) "
+        f"deviates from c_V * I by {strict_report['max_residual']:.3e}\n"
+    )
 
 
 def test_sweep_bad_tolerance_exits_before_any_output():
@@ -405,6 +412,15 @@ def test_sweep_point_failing_midway_prints_every_row(monkeypatch, capsys):
     # the failed verdict, and only it, names where its residual peaks
     assert len(err.splitlines()) == 1
     assert err.startswith("anticlique fails at generator ")
+
+
+def test_oracle_disagreement_names_both_dimensions(monkeypatch, capsys):
+    real = cli.graph_dim
+    monkeypatch.setattr(cli, "graph_dim", lambda g, method, *tol: real(g, method, *tol) - (method == "gram"))
+    assert cli.main(["verify", "section3", "--n", "5", "--json", "--deterministic"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["graph_dim_gram"] == 40
+    assert err == "dimension oracles disagree: labels 41, gram 40\n"
 
 
 def test_failed_verdict_names_the_word_and_code_vectors(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 from opgraph.graph import graph_dim, is_anticlique
-from opgraph.linalg import kron, max_abs
+from opgraph.linalg import max_abs
 from opgraph.weyl import fourier_basis
 
 from reference import (
@@ -71,7 +71,7 @@ def test_section2_generators_are_pauli_words():
     sx = np.array([[0, 1], [1, 0]])
     sy = np.array([[0, -1j], [1j, 0]])
     sz = np.array([[1, 0], [0, -1]])
-    expected = [kron(eye, eye), kron(eye, sz), kron(eye, sy), kron(sx, eye), kron(sy, eye)]
+    expected = [np.kron(eye, eye), np.kron(eye, sz), np.kron(eye, sy), np.kron(sx, eye), np.kron(sy, eye)]
     g, _ = build_section2()
     # with the whole space as code, S = I in the standard basis and compress
     # returns each generator
@@ -88,7 +88,7 @@ def test_section2_code_is_its_product_vectors():
     # and e2 (x) (1,-1)/sqrt(2), converted from the standard basis
     _, code = build_section2()
     e = np.eye(2)
-    vectors = np.column_stack([kron(e[0], [1, 1]), kron(e[1], [1, -1])]) / np.sqrt(2)
+    vectors = np.column_stack([np.kron(e[0], [1, 1]), np.kron(e[1], [1, -1])]) / np.sqrt(2)
     assert max_abs(code.fourier - code_from_isometry(vectors).fourier) < 1e-15
     assert code.basis_names == ("f+", "f-")
 
@@ -126,14 +126,14 @@ def test_section3_error_words_vanish_on_code():
     # <h_j, (X Z^k)^s h_m> = 0 on either factor for every 1 <= s <= n-1
     for n in (3, 4, 5, 6):
         f = fourier_basis(n)
-        h = [kron(f[:, j], f[:, j]) for j in range(n)]
+        h = [np.kron(f[:, j], f[:, j]) for j in range(n)]
         eye = np.eye(n)
         for k in range(n):
             base = weyl_dense(label(n, 1, k))
             power = np.eye(n, dtype=complex)
             for _ in range(1, n):
                 power = power @ base
-                for side in (kron(power, eye), kron(eye, power)):
+                for side in (np.kron(power, eye), np.kron(eye, power)):
                     table = np.array([[np.vdot(hj, side @ hm) for hm in h] for hj in h])
                     assert max_abs(table) < 1e-12, (n, k)
 
@@ -185,8 +185,8 @@ def test_code_k1_expected_supports():
     code = build_code_K1(params)
     assert code.code_dim == 2
     f = fourier_basis(8)
-    q1 = (kron(f[:, 0], f[:, 0]) + kron(f[:, 4], f[:, 4])) / np.sqrt(2)
-    q2 = (kron(f[:, 2], f[:, 2]) + kron(f[:, 6], f[:, 6])) / np.sqrt(2)
+    q1 = (np.kron(f[:, 0], f[:, 0]) + np.kron(f[:, 4], f[:, 4])) / np.sqrt(2)
+    q2 = (np.kron(f[:, 2], f[:, 2]) + np.kron(f[:, 6], f[:, 6])) / np.sqrt(2)
     s = isometry(code)
     assert np.linalg.norm(s[:, 0] - q1) < 1e-12
     assert np.linalg.norm(s[:, 1] - q2) < 1e-12
@@ -205,7 +205,7 @@ def test_code_k1_period_invariance():
         n = params.n
         code = build_code_K1(params)
         xy = np.linalg.matrix_power(x_matrix(n), params.y)
-        shift = kron(xy, xy)
+        shift = np.kron(xy, xy)
         s = isometry(code)
         assert max_abs(shift @ s - s) < 1e-12, params
 
@@ -221,7 +221,7 @@ def test_allowed_shifts_move_code_off_itself():
         x = x_matrix(n)
         for m in range(1, n):
             xm = np.linalg.matrix_power(x, m)
-            shifted = kron(xm, xm) @ s
+            shifted = np.kron(xm, xm) @ s
             overlap = max_abs(s.conj().T @ shifted)
             assert (overlap < 1e-12) == (m in allowed), (params, m, overlap)
 
@@ -236,7 +236,7 @@ def test_clock_words_off_subgroup_annihilate_q1():
         for r in range(1, n):
             if r % params.p == 0:
                 continue
-            op = kron(np.eye(n), np.linalg.matrix_power(z, r))
+            op = np.kron(np.eye(n), np.linalg.matrix_power(z, r))
             assert abs(np.vdot(op @ q1, q1)) < 1e-12, (params, r)
 
 
@@ -394,7 +394,7 @@ def _family_mask(n, family):
 def test_builder_tables_match_scalar_reference():
     # each family's mask holds exactly the scalar words' phase-free
     # exponents, and each built graph is the scalar words with the identity:
-    # every family is adjoint-closed, so the closure adds only the identity
+    # every family is adjoint-closed, and the builder adds only the identity
     def closed(n, reference):
         mask = mask_of(n, reference)
         mask[0, 0] = True

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, is_anticlique
 from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import dagger, kron, max_abs
+from opgraph.linalg import dagger, max_abs
 from opgraph.weyl import weyl_monomial
 from opgraph.constructions import (
     Section4Params,
@@ -141,11 +141,20 @@ def test_closure_of_random_tables_matches_scalar_closure(drawn):
 
 def test_closure_is_idempotent():
     # closing a closed mask, whether built from a table or by a builder,
-    # changes nothing
+    # changes nothing; the builders write their masks without closing them,
+    # so this is what keeps every built family adjoint-closed and with the
+    # identity
     rng = np.random.default_rng(17)
-    graphs = [graph_from_labels(4, rng.integers(0, 4, size=(12, 6))), build_section4(Section4Params(2, 4, 1, 2))[0]]
+    graphs = [
+        graph_from_labels(4, rng.integers(0, 4, size=(12, 6))),
+        build_section2()[0],
+        *(build_section3(n)[0] for n in range(3, 13)),
+        *(build_remark2(n)[0] for n in range(2, 13)),
+        *(build_section4(params)[0] for params in enumerate_section4_params(24)),
+    ]
     for g in graphs:
         assert np.array_equal(graph_from_mask(g.n, g.mask).mask, g.mask)
+        assert g.mask[0, 0]
     # an empty mask closes to the identity alone
     assert graph_words(graph_from_mask(3, np.zeros((9, 9), dtype=bool))).tolist() == [[0] * 6]
 
@@ -270,7 +279,7 @@ def test_compress_single_flip_graph():
     # I (x) sx is the word I (x) Z at n = 2
     g = graph_from_labels(2, np.array([[0, 0, 0, 0, 1, 0]]))
     e = np.eye(2)
-    code = code_from_isometry(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
+    code = code_from_isometry(np.column_stack([np.kron(e[0], e[0]), np.kron(e[1], e[0])]))
     compressed = compress(g, code)
     assert max_abs(compressed[1]) < 1e-14
 
@@ -292,7 +301,7 @@ def test_is_anticlique_negative_control():
     n = 3
     g = graph_from_labels(n, word_table([pair(n, 1, 0, 0, 0)]))
     e = np.eye(n)
-    code = code_from_isometry(np.column_stack([kron(e[0], e[0]), kron(e[1], e[0])]))
+    code = code_from_isometry(np.column_stack([np.kron(e[0], e[0]), np.kron(e[1], e[0])]))
     report = is_anticlique(g, code)
     assert not report.verdict
     assert report.compressed_dim > 1
@@ -981,7 +990,7 @@ def test_gram_oracle_memory_is_bounded():
 
 def test_build_memory_is_a_few_masks():
     # a graph takes n^4 bytes whatever its size: the (2,24,3,6) build, with
-    # its 5.3 MB mask, peaks at about 15 MB, where packed pair keys took
+    # its 5.3 MB mask, peaks at about 6 MB, where packed pair keys took
     # 305 MB
     (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 24, 3, 6)))
     assert g.n_generators == 5294593
@@ -996,12 +1005,19 @@ def test_build_memory_is_a_few_masks():
 
 
 def test_build_memory_is_bounded():
-    # the closure ORs each word's adjoint into one copy of the mask through
-    # slice views, with no rolled copy: the (2,32,3,8) build, with its
-    # 16 MiB mask, peaks at about 35 MiB, where rolling took 48 MiB
+    # each builder writes its closed family into the one mask it returns,
+    # with no closing copy: the (2,32,3,8) build, with its 16 MiB mask,
+    # peaks at about 17 MiB, where closing a copy took 32 MiB; section3 and
+    # remark2 at n = 64 add their 4 MiB code and the conjugate copy that
+    # CodeSpace's orthonormality check takes, and peak at about 24 MiB,
+    # where closing a copy took 40 and 32 MiB
     (g, _), peak = _traced_peak(lambda: build_section4(Section4Params(2, 32, 3, 8)))
     assert g.mask.nbytes == 16 * 2**20
-    assert peak < 2.5 * g.mask.nbytes
+    assert peak < 24 * 2**20
+    for build in (build_section3, build_remark2):
+        (g, _), peak = _traced_peak(lambda: build(64))
+        assert g.mask.nbytes == 16 * 2**20
+        assert peak < 28 * 2**20, build.__name__
     # the caller's mask is only read, so a read-only one is taken and left
     # as it was; at n = 1 every exponent is its own negation
     rng = np.random.default_rng(8)

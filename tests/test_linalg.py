@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgraph.linalg import DEFAULT_TOL, Tolerance, _rank_of_grams, dagger, kron, max_abs
+from opgraph.linalg import DEFAULT_TOL, Tolerance, _rank_of_grams, dagger, max_abs
 
 from reference import _discs, hs_inner, is_unitary, label, orthonormalize, weyl_dense
 from conftest import gram_rank, random_complex, row_gram
@@ -25,28 +25,6 @@ def test_tolerance_defaults_and_validation():
     for relative in (1.0, 2.0):
         with pytest.raises(ValueError, match="0 < relative < 1"):
             Tolerance(relative=relative)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_uniform_vectors():
-    v = np.array([1, 1]) / np.sqrt(2)
-    out = kron(v, v)
-    assert np.allclose(out, np.full(4, 0.5), atol=1e-15)
-
-
-def test_kron_block_permutation():
-    e1, e2 = np.eye(2)
-    assert np.allclose(kron(SX, np.eye(2)) @ kron(e1, e1), kron(e2, e1), atol=1e-15)
-
-
-def test_kron_associative(rng):
-    a = random_complex(rng, 2, 2)
-    b = random_complex(rng, 3, 3)
-    c = random_complex(rng, 2, 2)
-    assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
 
 
 def test_hs_inner_identity():
@@ -228,8 +206,8 @@ def test_rank_of_grams_matches_a_plain_eigensolve(blocks, data):
 
 
 def test_orthonormalize_two_product_vectors():
-    f_plus = kron(np.array([1, 0]), np.array([1, 1]))
-    f_minus = kron(np.array([0, 1]), np.array([1, -1]))
+    f_plus = np.kron(np.array([1, 0]), np.array([1, 1]))
+    f_minus = np.kron(np.array([0, 1]), np.array([1, -1]))
     assert np.linalg.norm(f_plus) == pytest.approx(np.sqrt(2))
     out = orthonormalize([f_plus, f_minus])
     assert len(out) == 2

@@ -7,7 +7,8 @@ import inspect
 
 import pytest
 
-from opgraph import cli, graph
+import opgraph
+from opgraph import cli, constructions, graph, linalg
 from opgraph.constructions import Section4Params, build_section3
 from opgraph.graph import CodeSpace, OperatorGraph
 
@@ -71,3 +72,10 @@ def test_commands_alone_read_the_flags():
     assert [name for name in ("_reject_unread", "_sweep_points") if hasattr(cli, name)] == []
     assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "tol", "deterministic"]
     assert list(inspect.signature(cli._build).parameters) == ["construction", "values"]
+
+
+def test_one_mask_helper_and_no_kron_wrapper():
+    # every builder writes its closed family through _dense_graph and never
+    # closes it; numpy's kron serves the tests directly
+    assert [name for name in ("_word_mask", "graph_from_mask") if hasattr(constructions, name)] == []
+    assert [module.__name__ for module in (opgraph, linalg) if hasattr(module, "kron")] == []

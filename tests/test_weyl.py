@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from opgraph.linalg import dagger, kron, max_abs
+from opgraph.linalg import dagger, max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 
 from reference import (
@@ -114,7 +114,7 @@ def test_weyl_dense_stack_matches_singles():
             dense = np.zeros((n * n, n * n), dtype=complex)
             dense[rows[i], cols] = vals[i]
             fourier = in_fourier(p)
-            assert np.array_equal(dense, kron(weyl_dense(fourier.left), weyl_dense(fourier.right)))
+            assert np.array_equal(dense, np.kron(weyl_dense(fourier.left), weyl_dense(fourier.right)))
 
 
 def test_pair_monomial_scatters_to_pair_dense():
@@ -299,7 +299,7 @@ def test_equal_exponents_inner_product_is_phase():
 
 def test_pair_dense_and_adjoint():
     p = WeylLabelPair(label(3, 1, 2), label(3, 0, 1, 2))
-    expected = kron(weyl_dense(p.left), weyl_dense(p.right))
+    expected = np.kron(weyl_dense(p.left), weyl_dense(p.right))
     assert max_abs(pair_dense(p) - expected) == 0.0
     assert max_abs(pair_dense(pair_adjoint(p)) - dagger(pair_dense(p))) < 1e-12
 
