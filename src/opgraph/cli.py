@@ -42,7 +42,7 @@ from .constructions import (
     enumerate_section4_params,
 )
 from .graph import graph_dim, is_anticlique
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .weyl import weyl_monomial
 
 CSV_COLUMNS = [
@@ -266,14 +266,14 @@ def cmd_demo(args) -> int:
 
 
 def _add_tol_abs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-abs", type=float, default=1e-12,
-                        help="absolute tolerance for residuals (default: 1e-12)")
+    parser.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.absolute,
+                        help="absolute tolerance for residuals (default: %(default)g)")
 
 
 def _add_check_flags(parser: argparse.ArgumentParser) -> None:
     _add_tol_abs(parser)
-    parser.add_argument("--tol-rel", type=float, default=1e-9,
-                        help="relative eigenvalue cutoff for ranks (default: 1e-9)")
+    parser.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.relative,
+                        help="relative eigenvalue cutoff for ranks (default: %(default)g)")
     parser.add_argument("--deterministic", action="store_true",
                         help="zero runtime_ms so repeated runs are byte-identical")
 

@@ -9,8 +9,9 @@ generator, and generators are numbered in row-major mask order. The mask
 takes n^4 bytes whatever the number of words: 65 kB for the 64513 words of
 the (2,8,1,4) graph, 16.7 MB for any graph at n = 64. The builders of
 opgraph.constructions write closed masks; graph_from_mask closes any other
-mask under adjoints by ORing the mask with every exponent negated into one
-copy of it.
+mask under adjoints: it writes the mask with every exponent negated
+(np.flip, then np.roll by one) into one new mask, ORs the mask into it, and
+only reads the caller's.
 
 Two independent dimension oracles are available: counting the words (the
 mask's popcount, exact) and the numeric Gram rank of the realized
@@ -26,9 +27,11 @@ word whose factors have row patterns (P, Q) lies in the tensor class
 (P, Q). Since the Hilbert-Schmidt product factorizes over the tensor
 product, <A (x) B, C (x) D> = <A, C> <B, D>, the Gram block of a class is
 a principal submatrix of G_P (x) G_Q, the Kronecker product of the Gram
-matrices of the two patterns' factors (each n x n). A class is
-the mask's sub-block at P's factors x Q's factors (_block), and one pass
-over the mask counts the words of every class (_class_counts).
+matrices of the two patterns' factors (each n x n). A class is the set
+entries of the mask's sub-block at P's factors x Q's factors, in mask
+order (_entries), which both the Gram oracle and compression read as
+they are, and one pass over the mask counts the words of every class
+(_class_counts).
 
 A code space is its orthonormal columns' coordinates in the Fourier
 product basis f_i (x) f_j (CodeSpace), whose n^2 rows fix its space.
@@ -46,7 +49,6 @@ product, and holds the compressions of one class at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,22 +139,18 @@ def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
     sets (see OperatorGraph), the identity, and the adjoint of every word.
 
     The adjoint of X^kx Z^kz is X^-kx Z^-kz up to a phase, so the closure
-    ORs the mask's (n, n, n, n) view, with every exponent negated mod n,
-    into one copy of the mask, and sets the identity. Negation mod n fixes
-    index 0 and reverses 1..n-1, so the negated mask is 16 slice views of
-    the caller's mask, which is only read; no further copy is made.
+    negates every exponent of the mask's (n, n, n, n) view mod n, ORs the
+    mask into that, and sets the identity. On each axis, negation mod n is
+    a reversal followed by a rotation by one, so the negated mask is one
+    np.roll of np.flip: one new mask, C-contiguous whatever the caller's
+    layout, which is only read.
     """
     _check_mask(n, mask)
-    words = mask.reshape(n, n, n, n)
-    closed = mask.copy()
-    view = closed.reshape(n, n, n, n)
-    # (target, source) on one axis: 0 from 0, and 1.. from n-1..1
-    axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    for picks in itertools.product(axis, repeat=4):
-        to, source = zip(*picks)
-        view[to] |= words[source]
-    closed[0, 0] = True
-    return OperatorGraph(n, closed)
+    words = np.ascontiguousarray(mask).reshape(n, n, n, n)
+    closed = np.roll(np.flip(words), 1, axis=(0, 1, 2, 3))
+    closed |= words
+    closed[0, 0, 0, 0] = True
+    return OperatorGraph(n, closed.reshape(n * n, n * n))
 
 
 def _check_mask(n: int, mask) -> None:
@@ -225,7 +223,7 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
     hold unequal numbers of factors raises ValueError. Each class of row
     patterns (P, Q) holding words is one Gram block of their count
     (_class_counts), the principal submatrix of G_P (x) G_Q at the set
-    entries of its sub-block of the mask (_block), where G_P is the Gram
+    entries of its sub-block of the mask (_entries), where G_P is the Gram
     matrix of pattern P's realized factors (_pattern_grams). Its
     eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from the Gershgorin bounds
     of the pattern Grams (Kronecker spectrum plus interlacing). A block
@@ -254,17 +252,16 @@ def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
     hi = bounds[p, 1] * bounds[q, 1]
 
     def form(i: int) -> np.ndarray:
-        return _pair_gram(grams[p[i]], grams[q[i]], _block(g.mask, factors, p[i], q[i]))
+        return _pair_gram(grams[p[i]], grams[q[i]], *_entries(g.mask, factors, p[i], q[i]))
 
     return _rank_of_grams(lo, hi, counts[p, q], form, tol)
 
 
-def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Gram matrix of the vectors u_a (x) v_b over the set entries (a, b) of
-    a boolean block, given the Gram matrices of the u's and v's: the
-    principal submatrix of gram_l (x) gram_r at those pairs."""
-    a, b = np.nonzero(block)
-    return gram_l[np.ix_(a, a)] * gram_r[np.ix_(b, b)]
+def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of the vectors u_a (x) v_b over the pairs (a, b), given
+    the Gram matrices of the u's and v's: the principal submatrix of
+    gram_l (x) gram_r at those pairs."""
+    return gram_l[a[:, None], a] * gram_r[b[:, None], b]
 
 
 @dataclass(frozen=True)
@@ -333,11 +330,12 @@ def _class_counts(mask: np.ndarray, factors: _Factors) -> np.ndarray:
     return counts
 
 
-def _block(mask: np.ndarray, factors: _Factors, p: int, q: int) -> np.ndarray:
-    """The tensor class (P, Q) as a boolean sub-block of the mask, whose rows
-    are P's factors and columns Q's, so that its set entries run in mask
+def _entries(mask: np.ndarray, factors: _Factors, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The words of the tensor class (P, Q) as its set entries (a, b) in
+    the mask's sub-block whose rows are P's factors and columns Q's: word
+    (a, b) has factors ids[P, a] (x) ids[Q, b], and the entries run in mask
     order."""
-    return mask[np.ix_(factors.ids[p], factors.ids[q])]
+    return np.nonzero(mask[factors.ids[p][:, None], factors.ids[q]])
 
 
 def _compressions(
@@ -351,15 +349,16 @@ def _compressions(
     compression C_w at those slots. C_w is exactly zero at every other slot,
     and every word of a class not yielded compresses to exactly zero.
 
-    Works in the Fourier product basis with S = code.fourier, on the
-    classes' blocks (_block), in row-major order of (P, Q). With R the rows
-    where S has an exactly nonzero entry, a word realized as V[r(c), c] =
-    v(c) compresses to sum_{c in R} conj(S[r(c), l]) v(c) S[c, k]. Every
-    word of the class (P, Q) has r(c) = P[c_l] * n + Q[c_r] at the column
-    c = c_l * n + c_r, so when no r(c) over the columns of R lies in R,
-    every word of the class meets only zero rows of S and the class is
-    skipped without reading its block. Otherwise the same r(c) give
-    vec(C_w) = v_w M, with v_w the word's values on R and the lift
+    Works in the Fourier product basis with S = code.fourier, on each
+    class's set entries (a, b) (_entries), in row-major order of (P, Q);
+    word (a, b) reads left factor a of P and right factor b of Q. With R
+    the rows where S has an exactly nonzero entry, a word realized as
+    V[r(c), c] = v(c) compresses to sum_{c in R} conj(S[r(c), l]) v(c)
+    S[c, k]. Every word of the class (P, Q) has r(c) = P[c_l] * n + Q[c_r]
+    at the column c = c_l * n + c_r, so when no r(c) over the columns of R
+    lies in R, every word of the class meets only zero rows of S and the
+    class is skipped without reading its entries. Otherwise the same r(c)
+    give vec(C_w) = v_w M, with v_w the word's values on R and the lift
     M[c, l * code_dim + k] = conj(S[r(c), l]) S[c, k], and a slot whose
     column of M is zero is never reached; one product per class gives x.
     """
@@ -379,7 +378,7 @@ def _compressions(
     # reach[P, Q]: whether the class (P, Q) maps some column of R into R
     reach = in_support[rows_l[:, None] + rows_r[None]].any(axis=-1)
     for p, q in np.argwhere(reach):
-        at_l, at_r = np.nonzero(_block(g.mask, factors, p, q))
+        at_l, at_r = _entries(g.mask, factors, p, q)
         if len(at_l) == 0:
             continue
         rows = rows_l[p] + rows_r[q]
@@ -443,7 +442,7 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
         value = float(deviation[at, slot])
         if value > residual or (value == residual and candidate < place):
             residual, place = value, candidate
-        gram[np.ix_(slots, slots)] += x.conj().T @ x
+        gram[slots[:, None], slots] += x.conj().T @ x
     dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram, tol)
     row, column, l, k = place
     at = int(np.count_nonzero(g.mask[:row])) + int(np.count_nonzero(g.mask[row, :column]))

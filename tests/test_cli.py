@@ -12,6 +12,7 @@ import pytest
 
 from opgraph import cli
 from opgraph.graph import graph_from_mask
+from opgraph.linalg import DEFAULT_TOL
 
 from conftest import run_cli
 from reference import graph_from_labels, graph_words
@@ -243,6 +244,18 @@ def test_non_finite_tol_abs_exits_two():
             assert result.returncode == 2, (command, value)
             assert result.stdout == b"", (command, value)
             assert b"0 < absolute < inf" in result.stderr, (command, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "section2"],
+    ["sweep", "section3", "--n", "3..4"],
+    ["demo", "--construction", "section2"],
+])
+def test_tolerance_flags_default_to_the_library_tolerance(argv):
+    # the flags read their defaults from DEFAULT_TOL; demo has no --tol-rel
+    args = cli.build_parser().parse_args(argv)
+    assert args.tol_abs == DEFAULT_TOL.absolute
+    assert getattr(args, "tol_rel", DEFAULT_TOL.relative) == DEFAULT_TOL.relative
 
 
 def test_demo_help_lists_only_tol_abs():
@@ -481,6 +494,32 @@ def test_failed_verdict_names_the_code_shift(monkeypatch, capsys):
     # entries to its left
     g, _ = grown(cli.Section4Params(2, 8, 1, 4))
     assert int(match[1]) == np.count_nonzero(g.mask[:32]) + np.count_nonzero(g.mask[32, :32])
+
+
+@pytest.mark.parametrize("construction, worst, dim", [("section3", 44, 87), ("remark2", 457, 3587)])
+def test_failed_verdict_names_the_equal_shift(monkeypatch, capsys, construction, worst, dim):
+    # the negative control of section3 and remark2 at n = 8: the equal
+    # shift X (x) X lies outside both families and maps h_c onto h_{c+1}
+    name = f"build_{construction}"
+    real = getattr(cli, name)
+
+    def grown(n):
+        g, code = real(n)
+        mask = g.mask.copy()
+        mask[n, n] = True
+        return graph_from_mask(n, mask), code
+
+    monkeypatch.setattr(cli, name, grown)
+    assert cli.main(["verify", construction, "--n", "8", "--json", "--deterministic"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["anticlique"] is False
+    assert report["max_residual"] == 1.0
+    assert report["graph_dim_labels"] == report["graph_dim_gram"] == dim
+    assert err == (
+        f"anticlique fails at generator {worst}, word (1, 0, 1, 0): "
+        "entry (h_1, h_8) deviates from c_V * I by 1.000e+00\n"
+    )
 
 
 def test_sweep_section3_jsonl():

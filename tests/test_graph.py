@@ -159,6 +159,30 @@ def test_closure_is_idempotent():
     assert graph_words(graph_from_mask(3, np.zeros((9, 9), dtype=bool))).tolist() == [[0] * 6]
 
 
+def _read_only(mask):
+    mask = mask.copy()
+    mask.setflags(write=False)
+    return mask
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("layout", [np.transpose, np.asfortranarray, _read_only], ids=["T", "F", "read-only"])
+def test_closure_of_any_mask_layout_matches_scalar_closure(n, layout):
+    # the closure reads the caller's mask in any layout, leaves it as it
+    # was, and writes one C-contiguous mask: the scalar adjoint closure of
+    # the words it sets
+    rng = np.random.default_rng(n)
+    for density in (0.05, 0.3):
+        mask = layout(rng.random((n * n, n * n)) < density)
+        before = mask.copy()
+        closed = graph_from_mask(n, mask).mask
+        rows, columns = np.nonzero(mask)
+        pairs = [pair(n, *divmod(r, n), *divmod(c, n)) for r, c in zip(rows.tolist(), columns.tolist())]
+        assert np.array_equal(closed, mask_of(n, [[*key[:2], 0, *key[2:], 0] for key in scalar_closure(n, pairs)]))
+        assert closed.flags.c_contiguous
+        assert np.array_equal(mask, before)
+
+
 def test_off_diagonal_family_is_adjoint_closed():
     n = 4
     family = [
@@ -521,6 +545,27 @@ def test_code_shift_flips_the_verdict(params, dim):
     assert tuple(grown.words_at(report.worst[0]).tolist()) == (2, 0, 2, 0)
 
 
+@pytest.mark.parametrize("build, worst", [(build_section3, 44), (build_remark2, 457)])
+def test_equal_shift_flips_the_verdict(build, worst):
+    # X (x) X lies outside both families: section3's words shift one side
+    # only, and remark2's shift the two sides unequally. It maps h_c onto
+    # h_{c+1}, cyclically, so it compresses to a permutation off the
+    # diagonal; with its adjoint and the identity it spans 3 dimensions,
+    # and the code's exact coordinates give a residual of exactly 1
+    g, code = build(8)
+    assert not g.mask[8, 8]
+    mask = g.mask.copy()
+    mask[8, 8] = True
+    grown = graph_from_mask(8, mask)
+    assert grown.n_generators == g.n_generators + 2
+    report = is_anticlique(grown, code)
+    assert (report.verdict, report.compressed_dim, report.residual) == (False, 3, 1.0)
+    # the peak is the word's entry (h_1, h_8), the image of h_8
+    assert report.worst == (worst, 0, 7)
+    assert tuple(grown.words_at(worst).tolist()) == (1, 0, 1, 0)
+    assert worst == np.count_nonzero(grown.mask[:8]) + np.count_nonzero(grown.mask[8, :8])
+
+
 def test_generator_offsets_are_formed_only_when_asked():
     # the verdict numbers its worst place from two popcounts of the mask,
     # in any mask layout, and only words_at forms the per-row counts
@@ -790,9 +835,8 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
     counts = graph_module._class_counts(g.mask, factors)
     covered = []
     for p, q in np.argwhere(counts):
-        block = graph_module._block(g.mask, factors, p, q)
-        assert np.count_nonzero(block) == counts[p, q]
-        a, b = np.nonzero(block)
+        a, b = graph_module._entries(g.mask, factors, p, q)
+        assert len(a) == len(b) == counts[p, q]
         members = number[factors.ids[p, a], factors.ids[q, b]]
         gram = np.kron(grams[p], grams[q])
         selected = a * len(grams[q]) + b
@@ -800,7 +844,7 @@ def test_factored_gram_blocks_match_full_rows(build, arg):
         assert np.all(rows == rows[0])
         full = vals @ vals.conj().T
         assert max_abs(gram[np.ix_(selected, selected)] - full) <= 1e-12 * np.linalg.eigvalsh(full)[-1]
-        assert np.array_equal(graph_module._pair_gram(grams[p], grams[q], block), gram[np.ix_(selected, selected)])
+        assert np.array_equal(graph_module._pair_gram(grams[p], grams[q], a, b), gram[np.ix_(selected, selected)])
         covered.extend(members.tolist())
     assert sorted(covered) == list(range(g.n_generators))
 

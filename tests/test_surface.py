@@ -79,3 +79,12 @@ def test_one_mask_helper_and_no_kron_wrapper():
     # closes it; numpy's kron serves the tests directly
     assert [name for name in ("_word_mask", "graph_from_mask") if hasattr(constructions, name)] == []
     assert [module.__name__ for module in (opgraph, linalg) if hasattr(module, "kron")] == []
+
+
+def test_closure_and_class_walk_need_no_index_helpers():
+    # graph_from_mask negates the exponents with np.flip and np.roll, and a
+    # tensor class reaches its readers as its set entries (_entries), with
+    # no per-class np.ix_
+    assert not hasattr(graph, "itertools")
+    assert not hasattr(graph, "_block")
+    assert "np.ix_" not in inspect.getsource(graph)
