@@ -249,7 +249,7 @@ def cmd_demo(args) -> int:
         word = g.words_at(gen_idx)
         (row_l, row_r), (val_l, val_r) = weyl_monomial(word[0::2], word[1::2], g.n)
         image = np.zeros((g.n, g.n), dtype=complex)
-        image[np.ix_(row_l, row_r)] = val_l[:, None] * val_r * s[:, word_idx].reshape(g.n, g.n)
+        image[row_l[:, None], row_r] = val_l[:, None] * val_r * s[:, word_idx].reshape(g.n, g.n)
         column = s.conj().T @ image.ravel()
         cross = np.abs(column)
         cross[word_idx] = 0.0

@@ -87,8 +87,7 @@ def _one_sided_powers(words: np.ndarray, *grids) -> None:
     needs no exponent grids. In closed form,
     (X Z^k)^s = w^{k s(s-1)/2} X^s Z^{ks}, the phase-free word X^s Z^{ks}."""
     n = len(words)
-    k, s = np.indices((n, n - 1))
-    s = s + 1
+    k, s = np.arange(n)[:, None], np.arange(1, n)
     words[s, k * s % n, 0, 0] = True
     words[0, 0, s, k * s % n] = True
 
@@ -112,7 +111,7 @@ def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
     their exact Fourier coordinates: vector k sums f_c (x) f_c / sqrt(p) over
     c = t*y + step*k mod n for t < p, with y = n / p. Since X f_j = f_{j+1},
     each vector is the one before it shifted by X^step (x) X^step."""
-    k, t = np.indices((d, p)).reshape(2, -1)
+    k, t = np.divmod(np.arange(d * p), p)
     c = (t * (n // p) + step * k) % n
     fourier = np.zeros((n * n, d), dtype=complex)
     fourier[c * n + c, k] = 1 / np.sqrt(p)
@@ -162,10 +161,16 @@ def allowed_shifts(params: Section4Params) -> np.ndarray:
     """The shifts 0 <= m < n whose diagonal translation X^m (x) X^m moves
     every code vector off the code: m mod y avoids +-i(h+1) mod y for every
     i < d, so 0 is never allowed."""
+    return np.flatnonzero(_shift_table(params))
+
+
+def _shift_table(params: Section4Params) -> np.ndarray:
+    """The length-n boolean table of allowed_shifts: entry m is set exactly
+    when m is allowed."""
     steps = np.arange(params.d) * (params.h + 1)
     excluded = np.zeros(params.y, dtype=bool)
     excluded[steps % params.y] = excluded[-steps % params.y] = True
-    return np.flatnonzero(np.tile(~excluded, params.p))
+    return ~excluded[np.arange(params.n) % params.y]
 
 
 def build_code_K1(params: Section4Params) -> CodeSpace:
@@ -187,7 +192,8 @@ def _dense_graph(n: int, write) -> OperatorGraph:
     allocation, so a point too large to allocate fails before any other
     array sized by n is made, and the graph holds it without a copy."""
     words = np.zeros((n, n, n, n), dtype=bool)
-    write(words, *np.ix_(*[np.arange(n)] * 4))
+    r = np.arange(n)
+    write(words, r[:, None, None, None], r[:, None, None], r[:, None], r)
     words[0, 0, 0, 0] = True
     return OperatorGraph(n, words.reshape(n * n, n * n))
 
@@ -195,7 +201,8 @@ def _dense_graph(n: int, write) -> OperatorGraph:
 def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     """Entangled-code construction: the enlarged graph and the code from
     build_code_K1. The graph holds every word X^m Z^k (x) X^j Z^s with
-    m != j (the off-diagonal shifts), m in allowed_shifts, or clock exponents
+    m != j (the off-diagonal shifts), m in allowed_shifts (read from its
+    boolean table at m), or clock exponents
     off the subgroup, (k + s) mod p != 0; the first term sets every
     off-diagonal word, so the other two need no m == j guard. The three
     terms are ORed straight into the mask (see _dense_graph). Section3's
@@ -203,8 +210,9 @@ def build_section4(params: Section4Params) -> tuple[OperatorGraph, CodeSpace]:
     off-diagonal shifts already hold them. Negation keeps m != j, maps
     allowed_shifts onto itself and keeps (k + s) mod p != 0, since p divides
     n, so the family is closed."""
+    allowed = _shift_table(params)
     graph = _dense_graph(params.n, lambda words, m, k, j, s: np.logical_or(
-        (m != j) | np.isin(m, allowed_shifts(params)), (k + s) % params.p != 0, out=words
+        (m != j) | allowed[m], (k + s) % params.p != 0, out=words
     ))
     return graph, build_code_K1(params)
 

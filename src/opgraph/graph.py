@@ -293,7 +293,7 @@ def _factor_table(n: int) -> _Factors:
     # each pattern keeps them increasing
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    starts = np.flatnonzero(np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)]))
     patterns = ordered[starts]
     if np.any(np.sort(patterns, axis=1) != np.arange(n)):
         raise ValueError("realized factor rows overlap: not a permutation of range(n)")
@@ -302,7 +302,7 @@ def _factor_table(n: int) -> _Factors:
     by_column = np.sort(patterns, axis=0)
     if np.any(by_column[1:] == by_column[:-1]):
         raise ValueError("generator supports overlap without coinciding; no support-blocked Gram")
-    sizes = np.diff(np.r_[starts, n * n])
+    sizes = np.diff(np.concatenate([starts, [n * n]]))
     if np.any(sizes != sizes[0]):
         raise ValueError(f"row patterns hold unequal numbers of factors: {sizes.tolist()}")
     return _Factors(order.reshape(-1, sizes[0]), patterns, vals[order].reshape(-1, sizes[0], n))
@@ -323,10 +323,12 @@ def _pattern_grams(factors: _Factors) -> tuple[np.ndarray, np.ndarray]:
 
 def _class_counts(mask: np.ndarray, factors: _Factors) -> np.ndarray:
     """The (n_P, n_P) table of each tensor class's word count: for each
-    left pattern, its rows' column sums added up over each right pattern."""
+    left pattern, its rows' column sums added up over each right pattern.
+    A column sum adds one byte per factor of the pattern, in int32."""
     counts = np.empty((len(factors.ids), len(factors.ids)), dtype=np.intp)
     for p, ids in enumerate(factors.ids):
-        counts[p] = np.count_nonzero(mask[ids], axis=0)[factors.ids].sum(axis=1)
+        column_sums = np.add.reduce(mask.take(ids, axis=0).view(np.uint8), axis=0, dtype=np.int32)
+        counts[p] = column_sums.take(factors.ids).sum(axis=1)
     return counts
 
 
@@ -335,7 +337,7 @@ def _entries(mask: np.ndarray, factors: _Factors, p: int, q: int) -> tuple[np.nd
     the mask's sub-block whose rows are P's factors and columns Q's: word
     (a, b) has factors ids[P, a] (x) ids[Q, b], and the entries run in mask
     order."""
-    return np.nonzero(mask[factors.ids[p][:, None], factors.ids[q]])
+    return mask.take(factors.ids[p], axis=0).take(factors.ids[q], axis=1).nonzero()
 
 
 def _compressions(
@@ -377,15 +379,17 @@ def _compressions(
     vals_l, vals_r = factors.vals[:, :, columns_l], factors.vals[:, :, columns_r]
     # reach[P, Q]: whether the class (P, Q) maps some column of R into R
     reach = in_support[rows_l[:, None] + rows_r[None]].any(axis=-1)
-    for p, q in np.argwhere(reach):
+    # per class, a gather along one axis is a take, which on arrays this
+    # small costs about half the equivalent fancy index
+    for p, q in zip(*reach.nonzero()):
         at_l, at_r = _entries(g.mask, factors, p, q)
         if len(at_l) == 0:
             continue
         rows = rows_l[p] + rows_r[q]
-        values = vals_l[p, at_l] * vals_r[q, at_r]
+        values = vals_l[p].take(at_l, axis=0) * vals_r[q].take(at_r, axis=0)
         lift = (s_conj[rows][:, :, None] * s_support[:, None, :]).reshape(len(support), d * d)
-        slots = np.flatnonzero(lift.any(axis=0) | diagonal)
-        yield factors.ids[p, at_l], factors.ids[q, at_r], slots, values @ lift[:, slots]
+        slots = (lift.any(axis=0) | diagonal).nonzero()[0]
+        yield factors.ids[p].take(at_l), factors.ids[q].take(at_r), slots, values @ lift.take(slots, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,18 +435,24 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     # kernel skips compresses to exactly zero: no residual, nothing added to
     # the Gram matrix
     residual, place = 0.0, (0, 0, 0, 0)
+    # the slots l * d + l; every slot a class leaves out is off the
+    # diagonal and zero
+    diagonal = np.arange(d * d) % (d + 1) == 0
     for row, column, slots, x in _compressions(g, code):
-        # the slots l * d + l; every slot left out is off the diagonal and zero
-        diagonal = slots % (d + 1) == 0
-        c = x[:, diagonal].sum(axis=1) / d
-        # |C_w - c_w I|; slots increase, so argmax keeps the row-major tie rule
-        deviation = np.abs(x - c[:, None] * diagonal)
-        at, slot = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-        candidate = (int(row[at]), int(column[at]), *divmod(int(slots[slot]), d))
-        value = float(deviation[at, slot])
-        if value > residual or (value == residual and candidate < place):
-            residual, place = value, candidate
         gram[slots[:, None], slots] += x.conj().T @ x
+        # x becomes C_w - c_w I in place, so off the diagonal the deviation
+        # is |x| itself
+        on = diagonal[slots]
+        centered = x[:, on]
+        x[:, on] = centered - centered.sum(axis=1)[:, None] / d
+        # slots increase, so argmax keeps the row-major tie rule
+        deviation = np.abs(x)
+        at, slot = divmod(int(deviation.argmax()), len(slots))
+        value = float(deviation[at, slot])
+        if value >= residual:
+            candidate = (int(row[at]), int(column[at]), *divmod(int(slots[slot]), d))
+            if value > residual or candidate < place:
+                residual, place = value, candidate
     dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram, tol)
     row, column, l, k = place
     at = int(np.count_nonzero(g.mask[:row])) + int(np.count_nonzero(g.mask[row, :column]))

@@ -127,11 +127,13 @@ def test_missing_flag_the_construction_needs_exits_two(argv, message, capsys):
         ("verify_section3_n5.json", ["section3", "--n", "5"]),
         ("verify_remark2_n8.json", ["remark2", "--n", "8"]),
         ("verify_section4_2_24_0_24.json", ["section4", "--p", "2", "--y", "24", "--h", "0", "--d", "24"]),
+        ("verify_section4_2_4_1_2.json", ["section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2"]),
     ],
 )
 def test_verify_matches_committed_report(golden, args):
-    # every construction, pinned byte for byte; the d = 24 code gives the
-    # verdict a Gram matrix of order 576, which it eigensolves
+    # every construction, pinned byte for byte, the paper's (2,4,1,2)
+    # reference point among them; the d = 24 code gives the verdict a Gram
+    # matrix of order 576, which it eigensolves
     result = run_cli("verify", *args, "--json", "--deterministic")
     assert result.returncode == 0
     assert result.stderr == b""

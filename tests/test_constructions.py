@@ -407,7 +407,9 @@ def test_builder_tables_match_scalar_reference():
     for n in range(2, 7):
         reference = word_table(_scalar_off_diagonal(n))
         assert np.array_equal(build_remark2(n)[0].mask, closed(n, reference)), n
-    for params in enumerate_section4_params(8):
+    # the shift table at every section4 point through n = 12, and at the
+    # benchmark's (2,8,1,4)
+    for params in [*enumerate_section4_params(12), Section4Params(2, 8, 1, 4)]:
         reference = word_table(_scalar_section4(params))
         assert np.array_equal(build_section4(params)[0].mask, closed(params.n, reference)), params
 

@@ -4,6 +4,8 @@ monomial realization) and the compression stack live in tests/reference.py."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from opgraph.constructions import Section4Params, build_section3
 from opgraph.graph import CodeSpace, OperatorGraph
 
 import reference
+
+SRC = Path(opgraph.__file__).parent
 
 MOVED = [
     "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
@@ -88,3 +92,16 @@ def test_closure_and_class_walk_need_no_index_helpers():
     assert not hasattr(graph, "itertools")
     assert not hasattr(graph, "_block")
     assert "np.ix_" not in inspect.getsource(graph)
+
+
+def test_package_calls_no_set_or_grid_helpers():
+    # the build, the Gram oracle, the verdict and demo index and compute on
+    # arrays they already hold: each of these helpers costs a fresh process
+    # tens to hundreds of microseconds on first use
+    helpers = re.compile(r"\bnp\.(isin|ix_|indices|tile|r_|argwhere|unravel_index)\b")
+    calls = [
+        f"{path.name}: {match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in helpers.finditer(path.read_text())
+    ]
+    assert calls == []
