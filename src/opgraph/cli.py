@@ -286,47 +286,68 @@ def _add_construction_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, default=None, help="code dimension")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("construction", choices=list(READS))
+    _add_construction_params(parser)
+    _add_check_flags(parser)
+    parser.add_argument("--json", action="store_true", help="emit the report as JSON")
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("construction", choices=list(SWEEP_READS))
+    parser.add_argument("--n", default=None, help="inclusive range A..B (section3)")
+    parser.add_argument("--n-max", type=int, default=None,
+                        help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
+    parser.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    _add_check_flags(parser)
+
+
+def _demo_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--construction", required=True, choices=list(READS))
+    _add_construction_params(parser)
+    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+    _add_tol_abs(parser)
+
+
+# name -> (function, help, flag adder), in the order help lists them
+COMMANDS = {
+    "verify": (cmd_verify, "verify one construction and print a report", _verify_flags),
+    "sweep": (cmd_sweep, "verify a parameter range, one report row per point", _sweep_flags),
+    "demo": (cmd_demo, "seeded random error-word distinguishability transcript", _demo_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every command's, or with ``command`` only that
+    one's. A one-command parser gives the same help, usage lines and errors
+    for argv that starts with its command; its usage still lists all three."""
     parser = argparse.ArgumentParser(
         prog="opgraph",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="verify one construction and print a report")
-    verify.add_argument("construction", choices=list(READS))
-    _add_construction_params(verify)
-    _add_check_flags(verify)
-    verify.add_argument("--json", action="store_true", help="emit the report as JSON")
-
-    sweep = sub.add_parser("sweep", help="verify a parameter range, one report row per point")
-    sweep.add_argument("construction", choices=list(SWEEP_READS))
-    sweep.add_argument("--n", default=None, help="inclusive range A..B (section3)")
-    sweep.add_argument("--n-max", type=int, default=None,
-                       help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
-    sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    _add_check_flags(sweep)
-
-    demo = sub.add_parser("demo", help="seeded random error-word distinguishability transcript")
-    demo.add_argument("--construction", required=True, choices=list(READS))
-    _add_construction_params(demo)
-    demo.add_argument("--trials", type=int, default=20)
-    demo.add_argument("--seed", type=int, default=0)
-    _add_tol_abs(demo)
+    # argparse writes the usage line from the registered choices, so a
+    # one-command parser names all three; the full parser keeps the default,
+    # which its invalid-choice error reads as "argument command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        _, help_text, add_flags = COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
-
-
-COMMANDS = {"verify": cmd_verify, "sweep": cmd_sweep, "demo": cmd_demo}
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; bad input from any of them, or a point too large to
-    allocate, prints ``error: ...`` to stderr and exits 2."""
-    args = build_parser().parse_args(argv)
+    allocate, prints ``error: ...`` to stderr and exits 2. Only the named
+    command's flags are built: the top level's optionals take no value, so
+    a first token that names a command is always the subcommand."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,11 +171,13 @@ class CodeSpace:
     (i*n + j, k) of ``fourier`` is the coefficient of f_i (x) f_j in column
     k, with f the columns of fourier_basis(n). F (x) F is unitary, so the
     columns are orthonormal exactly when the vectors they give are;
-    space_dim = n^2 is the row count. Stored as a complex array.
-    Compression reads each word only where the code is nonzero in that
-    basis. Raises ValueError unless every entry is finite, the coordinates
-    form a matrix with a square number of rows, at least one column and
-    orthonormal columns, and ``basis_names`` is empty or names every column.
+    space_dim = n^2 is the row count. Stored as a private read-only complex
+    copy, so a later edit of the caller's array leaves the validated code
+    unchanged. Compression reads each word only where the code is nonzero
+    in that basis. Raises ValueError unless every entry is finite, the
+    coordinates form a matrix with a square number of rows, at least one
+    column and orthonormal columns, and ``basis_names`` is empty or names
+    every column.
     """
 
     fourier: np.ndarray
@@ -199,6 +201,10 @@ class CodeSpace:
                 f"{len(self.basis_names)} basis names for code dimension {s.shape[1]}; "
                 "give none or one per column"
             )
+        # copied after the checks, so the orthonormality check's conjugate
+        # copy is freed before this one is made
+        s = s.copy()
+        s.setflags(write=False)
         object.__setattr__(self, "fourier", s)
 
     @property

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -687,3 +688,89 @@ def test_help_documents_csv_columns():
     result = run_cli("--help")
     assert result.returncode == 0
     assert b"graph_dim_labels" in result.stdout
+
+
+# argv whose help, usage lines and errors the one-command parser must give
+# exactly as the full parser does: each command's help, a missing
+# positional or required flag, an unrecognized flag (reported by the top
+# level, whose usage line lists every command) and a bad choice or value
+PARSER_ARGV = [
+    ["verify", "--help"],
+    ["sweep", "--help"],
+    ["demo", "--help"],
+    ["verify"],
+    ["sweep", "--n-max", "12"],
+    ["demo", "--trials", "2"],
+    ["verify", "section2", "--bogus"],
+    ["sweep", "section3", "--n", "3..4", "--bogus"],
+    ["demo", "--construction", "section2", "--bogus"],
+    ["verify", "section9"],
+    ["sweep", "remark2"],
+    ["demo", "--construction", "section3", "--n", "x"],
+]
+
+
+def _parse_exit(parser, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(argv, monkeypatch, capsys):
+    # argparse wraps help and usage to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_exit(cli.build_parser(), argv, capsys)
+    assert full[0] == (0 if argv[-1] == "--help" else 2)
+    assert _parse_exit(cli.build_parser(argv[0]), argv, capsys) == full
+
+
+def _commands(parser) -> list[str]:
+    return [name for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+            for name in action.choices]
+
+
+def test_build_parser_without_a_command_registers_all_three():
+    assert _commands(cli.build_parser()) == ["verify", "sweep", "demo"]
+    for command in cli.COMMANDS:
+        assert _commands(cli.build_parser(command)) == [command]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch) -> list[tuple]:
+    """The arguments of every cli.build_parser call made after it is set up."""
+    asked = []
+    build = cli.build_parser
+
+    def spy(*args):
+        asked.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return asked
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["verify", "section2", "--json", "--deterministic"], "verify"),
+    (["sweep", "section3", "--n", "3..3", "--deterministic"], "sweep"),
+    (["demo", "--construction", "section2", "--trials", "1"], "demo"),
+    (["--version"], None),
+    (["--help"], None),
+    (["verif", "section2"], None),
+    ([], None),
+])
+def test_main_builds_the_parser_of_the_command_it_runs(argv, command, parsers_built):
+    # a first token that is not a command name (an option, a typo, nothing)
+    # gets the full parser, so its help and errors list every command
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    assert parsers_built == [(command,)]
+
+
+def test_main_without_argv_reads_sys_argv(parsers_built, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["opgraph", "verify", "section2", "--json", "--deterministic"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["construction"] == "section2"
+    assert parsers_built == [("verify",)]

@@ -685,6 +685,21 @@ def test_codespace_stores_arrays():
     assert max_abs(compress(g, listed) - compress(g, code)) == 0.0
 
 
+def test_codespace_keeps_a_private_read_only_copy():
+    # a complex array passed in is copied, so scaling the caller's column
+    # afterwards can neither break orthonormality behind the validation nor
+    # change the verdict; the stored copy refuses writes
+    g, code = build_section4(Section4Params(2, 4, 1, 2))
+    f = np.array(code.fourier)
+    kept = CodeSpace(f)
+    f[:, 0] *= 3
+    assert np.array_equal(kept.fourier, code.fourier)
+    report = is_anticlique(g, kept)
+    assert report.verdict and report.residual < 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        kept.fourier[0, 0] = 1.0
+
+
 def test_codespace_validation():
     with pytest.raises(ValueError):
         CodeSpace(np.ones((4, 2)))

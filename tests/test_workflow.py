@@ -1,11 +1,13 @@
-"""The CI workflow is valid YAML, every opgraph command it runs parses
-with the CLI's parser and sets only the construction flags its construction
-reads, and every committed file it compares an output against exists."""
+"""The CI workflow is valid YAML, it asks each command and the top level
+for help, every other opgraph command it runs parses with the CLI's parser
+and sets only the construction flags its construction reads, and every
+committed file it compares an output against exists."""
 
 import re
 import shlex
 from pathlib import Path
 
+import pytest
 import yaml
 
 from opgraph import cli
@@ -21,11 +23,18 @@ def _runs() -> list[str]:
 
 def test_workflow_commands_parse():
     # the command before any pipe or redirect
-    commands = [re.split(r"[|>]", line.strip())[0] for run in _runs() for line in run.splitlines()
-                if line.strip().startswith("opgraph ")]
-    assert {shlex.split(command)[1] for command in commands} == {"verify", "sweep", "demo"}
-    for command in commands:
-        args = cli.build_parser().parse_args(shlex.split(command)[1:])
+    commands = [shlex.split(re.split(r"[|>]", line.strip())[0])[1:] for run in _runs()
+                for line in run.splitlines() if line.strip().startswith("opgraph ")]
+    helps = [argv[:-1] for argv in commands if argv[-1:] == ["--help"]]
+    assert sorted(helps) == [[], ["demo"], ["sweep"], ["verify"]]
+    for argv in helps:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+    runs = [argv for argv in commands if argv[-1:] != ["--help"]]
+    assert {argv[0] for argv in runs} == {"verify", "sweep", "demo"}
+    for argv in runs:
+        args = cli.build_parser().parse_args(argv)
         cli._read(args.construction, args, cli.SWEEP_READS if args.command == "sweep" else cli.READS)
 
 
