@@ -45,13 +45,9 @@ from .graph import graph_dim, is_anticlique
 from .linalg import DEFAULT_TOL, Tolerance
 from .weyl import weyl_monomial
 
-CSV_COLUMNS = [
-    "construction",
-    "n",
-    "p",
-    "y",
-    "h",
-    "d",
+# the report's check fields, in the order the CSV header and the text
+# report give them
+CHECK_FIELDS = [
     "space_dim",
     "code_dim",
     "graph_dim_labels",
@@ -60,6 +56,15 @@ CSV_COLUMNS = [
     "formula_match",
     "anticlique",
     "max_residual",
+]
+CSV_COLUMNS = [
+    "construction",
+    "n",
+    "p",
+    "y",
+    "h",
+    "d",
+    *CHECK_FIELDS,
     "knill_max",
     "commutative_max",
     "runtime_ms",
@@ -78,13 +83,9 @@ READS = {
 SWEEP_READS = {"section3": ("--n",), "section4": ("--n-max",)}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _read(construction: str, args, reads: dict[str, tuple[str, ...]], requires: str | None = None) -> dict:
     """The values of the flags of ``reads`` that the construction reads,
-    keyed by argparse destination in ``reads`` order. Raise UsageError when
+    keyed by argparse destination in ``reads`` order. Raise ValueError when
     args sets a flag that the construction does not read (a flag is set when
     its value is not the parser's default, None), or leaves one that it reads
     unset; the second message is ``requires``, by default
@@ -92,10 +93,10 @@ def _read(construction: str, args, reads: dict[str, tuple[str, ...]], requires: 
     dests = {flag: flag[2:].replace("-", "_") for flag in sum(reads.values(), ())}
     for flag, dest in dests.items():
         if flag not in reads[construction] and getattr(args, dest) is not None:
-            raise UsageError(f"{construction} does not read {flag}")
+            raise ValueError(f"{construction} does not read {flag}")
     values = {dests[flag]: getattr(args, dests[flag]) for flag in reads[construction]}
     if None in values.values():
-        raise UsageError(requires or f"{construction} requires {' '.join(reads[construction])}")
+        raise ValueError(requires or f"{construction} requires {' '.join(reads[construction])}")
     return values
 
 
@@ -161,24 +162,6 @@ def run_verification(construction: str, values: dict, tol: Tolerance, determinis
     return report, hard_ok
 
 
-def _print_report_text(report: dict, hard_ok: bool) -> None:
-    params = ", ".join(f"{k}={v}" for k, v in report["params"].items())
-    print(f"construction: {report['construction']}" + (f" ({params})" if params else ""))
-    for key in (
-        "space_dim",
-        "code_dim",
-        "graph_dim_labels",
-        "graph_dim_gram",
-        "paper_claimed_dim",
-        "formula_match",
-        "anticlique",
-        "max_residual",
-        "bounds",
-    ):
-        print(f"  {key}: {report[key]}")
-    print(f"hard checks: {'pass' if hard_ok else 'FAIL'}")
-
-
 def cmd_verify(args) -> int:
     # both before the build, which may take long or fail to allocate
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
@@ -187,7 +170,11 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        _print_report_text(report, hard_ok)
+        params = ", ".join(f"{k}={v}" for k, v in report["params"].items())
+        print(f"construction: {report['construction']}" + (f" ({params})" if params else ""))
+        for key in [*CHECK_FIELDS, "bounds"]:
+            print(f"  {key}: {report[key]}")
+        print(f"hard checks: {'pass' if hard_ok else 'FAIL'}")
     return 0 if hard_ok else 1
 
 
@@ -196,7 +183,7 @@ def _parse_range(text: str) -> range:
         lo, hi = text.split("..")
         return range(int(lo), int(hi) + 1)
     except ValueError as exc:
-        raise UsageError(f"bad range {text!r}, expected A..B") from exc
+        raise ValueError(f"bad range {text!r}, expected A..B") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -209,7 +196,7 @@ def cmd_sweep(args) -> int:
         # a point's fields p, y, h, d are the flags verify section4 reads
         points = [vars(q) for q in enumerate_section4_params(values["n_max"])]
     if not points:
-        raise UsageError("empty parameter range")
+        raise ValueError("empty parameter range")
     # before the first build
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     all_ok = True
@@ -232,9 +219,9 @@ def cmd_demo(args) -> int:
     tol = Tolerance(absolute=args.tol_abs)
     # before the build, which may take long or fail to allocate
     if args.trials < 0:
-        raise UsageError("--trials must be >= 0")
+        raise ValueError("--trials must be >= 0")
     if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
+        raise ValueError("--seed must be >= 0")
     g, code, _, _ = _build(args.construction, _read(args.construction, args, READS))
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
@@ -348,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
-    except (UsageError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,7 @@ computed ranks are the ground truth the reports compare them against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +99,21 @@ def build_section3(n: int) -> tuple[OperatorGraph, CodeSpace]:
     Graph: span of (X Z^k)^s on either factor for 0 <= k <= n-1 and
     1 <= s <= n-1, plus identity. Code: the n vectors f_j (x) f_j. The
     construction needs n > 2 (n = 2 degenerates), and any smaller n raises
-    ValueError. Negating X^s Z^{ks} gives X^{n-s} Z^{k(n-s)}, the power at
-    n - s, so the family is closed.
+    ValueError, as does an n that is not an integer. Negating X^s Z^{ks}
+    gives X^{n-s} Z^{k(n-s)}, the power at n - s, so the family is closed.
     """
+    _check_integers(n=n)
     if n <= 2:
         raise ValueError(f"construction requires n > 2 (got n={n})")
     return _dense_graph(n, _one_sided_powers), _diagonal_code(n, 1, 1, n, "h")
+
+
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an
+    integer; numpy integers are integers."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"requires an integer {name} (got {name}={value!r})")
 
 
 def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
@@ -122,9 +132,9 @@ def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:
 class Section4Params:
     """Parameters (p, y, h, d) of the entangled-code construction, n = p*y.
 
-    Validity needs p, y >= 2, h >= 0, d >= 2 (a code at least one qubit
-    wide) and (h+1)(d+1) >= y >= (h+1)d; any other point raises ValueError
-    naming the condition it violates.
+    Validity needs integers p, y >= 2, h >= 0, d >= 2 (a code at least one
+    qubit wide) and (h+1)(d+1) >= y >= (h+1)d; any other point raises
+    ValueError naming the condition it violates.
     """
 
     p: int
@@ -133,6 +143,7 @@ class Section4Params:
     d: int
 
     def __post_init__(self):
+        _check_integers(**vars(self))
         if self.p < 2:
             raise ValueError(f"requires p >= 2 (got p={self.p})")
         if self.y < 2:
@@ -221,8 +232,9 @@ def build_remark2(n: int) -> tuple[OperatorGraph, CodeSpace]:
     """The off-diagonal shifts X^m Z^k (x) X^j Z^s, m != j, for every k and
     s, plus identity, against the f_j (x) f_j code; m != j is written
     straight into the mask (see _dense_graph). n < 2 leaves no off-diagonal
-    shift and a one-dimensional code, and is rejected. Negation keeps
-    m != j, so the family is closed."""
+    shift and a one-dimensional code, and is rejected, as is an n that is
+    not an integer. Negation keeps m != j, so the family is closed."""
+    _check_integers(n=n)
     if n < 2:
         raise ValueError(f"remark2 requires n >= 2 (got n={n})")
     graph = _dense_graph(n, lambda words, m, k, j, s: np.not_equal(m, j, out=words))

@@ -86,7 +86,9 @@ class OperatorGraph:
     are numbered in row-major mask order. The mask holds at least one word,
     since the span contains the identity, and is taken as closed under
     adjoints: the builders write it closed, and graph_from_mask closes a mask
-    built elsewhere. Generators are never densified.
+    built elsewhere. Generators are never densified. The mask is kept, not
+    copied, and marked read-only; a writable base or view of it made before
+    can still edit it, and the cached n_generators then goes stale.
     """
 
     n: int
@@ -242,12 +244,8 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
     """
     if method == "labels":
         return g.n_generators
-    if method == "gram":
-        return _gram_dim(g, tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _gram_dim(g: OperatorGraph, tol: Tolerance) -> int:
+    if method != "gram":
+        raise ValueError(f"unknown method {method!r}")
     factors = g._factors
     grams, bounds = _pattern_grams(factors)
     counts = _class_counts(g.mask, factors)
@@ -441,14 +439,12 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
     # kernel skips compresses to exactly zero: no residual, nothing added to
     # the Gram matrix
     residual, place = 0.0, (0, 0, 0, 0)
-    # the slots l * d + l; every slot a class leaves out is off the
-    # diagonal and zero
-    diagonal = np.arange(d * d) % (d + 1) == 0
     for row, column, slots, x in _compressions(g, code):
         gram[slots[:, None], slots] += x.conj().T @ x
         # x becomes C_w - c_w I in place, so off the diagonal the deviation
-        # is |x| itself
-        on = diagonal[slots]
+        # is |x| itself; the diagonal slots are l * d + l, and every slot a
+        # class leaves out is off the diagonal and zero
+        on = slots % (d + 1) == 0
         centered = x[:, on]
         x[:, on] = centered - centered.sum(axis=1)[:, None] / d
         # slots increase, so argmax keeps the row-major tie rule

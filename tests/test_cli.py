@@ -147,6 +147,20 @@ def test_verify_text_output():
     assert b"hard checks: pass" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2"), "verify_section4_2_4_1_2.txt"),
+        # no construction flags, so no parameter list in the header line
+        (("verify", "section2"), "verify_section2.txt"),
+    ],
+)
+def test_verify_text_output_matches_golden(argv, golden):
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    assert result.stdout == (DATA / golden).read_bytes()
+
+
 def test_deterministic_output_is_byte_identical():
     args = ("verify", "section3", "--n", "4", "--json", "--deterministic")
     first = run_cli(*args)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import gcd
 
@@ -317,6 +318,32 @@ def test_params_validation_messages():
         Section4Params(2, 4, 0, 2)
     with pytest.raises(ValueError, match=r"y >= \(h\+1\)d"):
         Section4Params(2, 4, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (lambda: build_section4(Section4Params(2.5, 4, 1, 2)), "p", "2.5"),
+        (lambda: Section4Params(2, 4.0, 1, 2), "y", "4.0"),
+        (lambda: Section4Params(2, 4, "1", 2), "h", "'1'"),
+        (lambda: Section4Params(2, 4, 1, np.float64(2)), "d", "np.float64(2.0)"),
+        (lambda: build_section3(5.0), "n", "5.0"),
+        (lambda: build_remark2(3.5), "n", "3.5"),
+    ],
+    ids=["section4-p", "section4-y", "section4-h", "section4-d", "section3-n", "remark2-n"],
+)
+def test_non_integer_parameters_raise_value_error(build, field, value):
+    # the ValueError names the field and its value, before any numpy call
+    # could fail on it
+    with pytest.raises(ValueError, match=re.escape(f"requires an integer {field} (got {field}={value})")):
+        build()
+
+
+def test_numpy_integer_parameters_are_integers():
+    params = Section4Params(np.int64(2), np.int32(4), np.int64(1), np.int8(2))
+    assert graph_dim(build_section4(params)[0], "labels") == 3969
+    assert graph_dim(build_section3(np.int64(5))[0], "labels") == 41
+    assert build_remark2(np.int64(3))[1].code_dim == 3
 
 
 def test_enumerate_section4_params():

@@ -105,3 +105,16 @@ def test_package_calls_no_set_or_grid_helpers():
         for match in helpers.finditer(path.read_text())
     ]
     assert calls == []
+
+
+def test_check_fields_are_stated_once():
+    # one list of check fields serves the CSV header and the text report,
+    # bad input is a plain ValueError, and the Gram oracle is graph_dim's
+    # own body
+    assert not hasattr(cli, "UsageError")
+    assert not hasattr(cli, "_print_report_text")
+    assert not hasattr(graph, "_gram_dim")
+    fields = len(cli.CHECK_FIELDS)
+    assert cli.CSV_COLUMNS[:6] == ["construction", "n", "p", "y", "h", "d"]
+    assert cli.CSV_COLUMNS[6 : 6 + fields] == cli.CHECK_FIELDS
+    assert not set(cli.CHECK_FIELDS) & set(cli.CSV_COLUMNS[6 + fields :])
