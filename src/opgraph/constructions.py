@@ -35,28 +35,13 @@ computed ranks are the ground truth the reports compare them against.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import CodeSpace, OperatorGraph
+from .weyl import _check_integers
 
-__all__ = [
-    "build_section2",
-    "build_section3",
-    "Section4Params",
-    "allowed_shifts",
-    "build_code_K1",
-    "build_section4",
-    "build_remark2",
-    "claimed_dim_section2",
-    "claimed_dim_section3",
-    "claimed_dim_section4",
-    "claimed_dim_remark2",
-    "baseline_bounds",
-    "enumerate_section4_params",
-]
 
 def build_section2() -> tuple[OperatorGraph, CodeSpace]:
     """Five-generator graph {I, sx(x)I, sy(x)I, I(x)sy, I(x)sz} on C^2 (x) C^2
@@ -106,14 +91,6 @@ def build_section3(n: int) -> tuple[OperatorGraph, CodeSpace]:
     if n <= 2:
         raise ValueError(f"construction requires n > 2 (got n={n})")
     return _dense_graph(n, _one_sided_powers), _diagonal_code(n, 1, 1, n, "h")
-
-
-def _check_integers(**values) -> None:
-    """Raise ValueError naming the first of ``values`` that is not an
-    integer; numpy integers are integers."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"requires an integer {name} (got {name}={value!r})")
 
 
 def _diagonal_code(n: int, p: int, step: int, d: int, name: str) -> CodeSpace:

@@ -60,19 +60,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _rank_of_grams,
-    dagger,
     max_abs,
 )
-from .weyl import weyl_monomial
-
-__all__ = [
-    "OperatorGraph",
-    "CodeSpace",
-    "CompressionReport",
-    "graph_from_mask",
-    "graph_dim",
-    "is_anticlique",
-]
+from .weyl import _check_integers, weyl_monomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +146,9 @@ def graph_from_mask(n: int, mask: np.ndarray) -> OperatorGraph:
 
 
 def _check_mask(n: int, mask) -> None:
-    """Raise ValueError unless n >= 1 and mask is a boolean array of shape
-    (n^2, n^2)."""
+    """Raise ValueError unless n is an integer >= 1 and mask is a boolean
+    array of shape (n^2, n^2)."""
+    _check_integers(n=n)
     if n < 1:
         raise ValueError(f"word dimension must satisfy n >= 1, got n={n}")
     if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (n * n, n * n):
@@ -196,7 +187,7 @@ class CodeSpace:
             raise ValueError(f"{s.shape[0]} rows do not fit C^n (x) C^n, which has n^2")
         if s.shape[1] < 1:
             raise ValueError("code dimension must be >= 1")
-        if max_abs(dagger(s) @ s - np.eye(s.shape[1])) > 1e-10:
+        if max_abs(s.conj().T @ s - np.eye(s.shape[1])) > 1e-10:
             raise ValueError("code columns are not orthonormal")
         if len(self.basis_names) not in (0, s.shape[1]):
             raise ValueError(

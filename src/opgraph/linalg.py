@@ -12,8 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "dagger", "max_abs"]
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -34,11 +32,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -16,18 +16,28 @@ column. A tensor word X^kx Z^kz (x) X^kx' Z^kz' is realized factor by factor.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-__all__ = ["fourier_basis", "weyl_monomial"]
+
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an
+    integer; numpy integers are integers, and bool is not."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"requires an integer {name} (got {name}={value!r})")
 
 
 def fourier_basis(n: int) -> np.ndarray:
     """n x n unitary whose column j (0-based) is the Fourier vector f_{j+1},
-    with entries exp(2 pi i j k / n) / sqrt(n)."""
+    with entries exp(2 pi i j k / n) / sqrt(n). Raises ValueError unless n
+    is an integer >= 1."""
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("fourier_basis needs n >= 1")
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * (j * k % n) / n) / np.sqrt(n)
+    j = np.arange(n)
+    return np.exp(2j * np.pi * (j[:, None] * j % n) / n) / np.sqrt(n)
 
 
 def weyl_monomial(kx, kz, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,8 +51,9 @@ def weyl_monomial(kx, kz, n: int) -> tuple[np.ndarray, np.ndarray]:
     (c + kx) mod n, values w^{kz * c}. The exponents are reduced mod n once;
     rows are gathered from an (n, n) table of shifts and values from a table
     of length n^2 holding the n roots of unity n times over, so no per-entry
-    remainder is taken.
+    remainder is taken. Raises ValueError unless n is an integer.
     """
+    _check_integers(n=n)
     kx, kz = np.asarray(kx), np.asarray(kz)
     if kx.ndim != 1 or kx.shape != kz.shape:
         raise ValueError(f"weyl_monomial needs two exponent arrays of one shape (G,), got {kx.shape} and {kz.shape}")

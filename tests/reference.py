@@ -13,9 +13,9 @@ with, and the only phase-carrying word forms:
   left phase, right kx, right kz, right phase): word_table, pair_monomial
   (their monomial realization, phases included), mask_of,
   graph_from_labels and graph_words;
-* Hilbert-Schmidt products, a unitarity check, Gershgorin bounds of one
-  Hermitian matrix (_discs) and Gram-Schmidt (_gram_schmidt, behind
-  orthonormalize);
+* the conjugate transpose (dagger), Hilbert-Schmidt products, a unitarity
+  check, Gershgorin bounds of one Hermitian matrix (_discs) and
+  Gram-Schmidt (_gram_schmidt, behind orthonormalize);
 * a code's columns in the standard basis (isometry), and the code of
   columns given in it (code_from_isometry);
 * compress, the full stack of compressions, scattered in generator order
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
-from opgraph.linalg import DEFAULT_TOL, Tolerance, dagger, max_abs
+from opgraph.linalg import DEFAULT_TOL, Tolerance, max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 
 
@@ -211,6 +211,11 @@ def graph_words(g: OperatorGraph) -> np.ndarray:
     row, column = np.nonzero(g.mask)
     zero = np.zeros_like(row)
     return np.stack([*np.divmod(row, g.n), zero, *np.divmod(column, g.n), zero], axis=1)
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(a).conj().T
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

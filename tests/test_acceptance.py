@@ -28,12 +28,13 @@ from opgraph.constructions import (
     enumerate_section4_params,
 )
 from opgraph.graph import graph_dim, is_anticlique
-from opgraph.linalg import dagger, max_abs
+from opgraph.linalg import max_abs
 from opgraph.weyl import fourier_basis
 
 from reference import (
     WeylLabelPair,
     compress,
+    dagger,
     graph_from_labels,
     hs_inner,
     isometry,

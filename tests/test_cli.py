@@ -704,6 +704,13 @@ def test_help_documents_csv_columns():
     assert b"graph_dim_labels" in result.stdout
 
 
+def test_help_lists_the_csv_columns_in_order():
+    # the module docstring is --help's description and holds the one copy
+    # of the CSV header kept by hand; a new column must be added there too
+    listed = cli.__doc__.split("CSV columns (fixed order):\n", 1)[1]
+    assert "".join(line.strip() for line in listed.splitlines()) == ",".join(cli.CSV_COLUMNS)
+
+
 # argv whose help, usage lines and errors the one-command parser must give
 # exactly as the full parser does: each command's help, a missing
 # positional or required flag, an unrecognized flag (reported by the top

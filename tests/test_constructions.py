@@ -329,12 +329,22 @@ def test_params_validation_messages():
         (lambda: Section4Params(2, 4, 1, np.float64(2)), "d", "np.float64(2.0)"),
         (lambda: build_section3(5.0), "n", "5.0"),
         (lambda: build_remark2(3.5), "n", "3.5"),
+        (lambda: Section4Params(True, 4, 1, 2), "p", "True"),
+        (lambda: Section4Params(2, True, 1, 2), "y", "True"),
+        (lambda: Section4Params(2, 4, True, 2), "h", "True"),
+        (lambda: Section4Params(2, 4, 1, True), "d", "True"),
+        (lambda: build_section3(True), "n", "True"),
+        (lambda: build_remark2(True), "n", "True"),
     ],
-    ids=["section4-p", "section4-y", "section4-h", "section4-d", "section3-n", "remark2-n"],
+    ids=[
+        "section4-p", "section4-y", "section4-h", "section4-d", "section3-n", "remark2-n",
+        "section4-p-bool", "section4-y-bool", "section4-h-bool", "section4-d-bool", "section3-n-bool", "remark2-n-bool",
+    ],
 )
 def test_non_integer_parameters_raise_value_error(build, field, value):
     # the ValueError names the field and its value, before any numpy call
-    # could fail on it
+    # could fail on it; bool is a numbers.Integral, but h=True would
+    # otherwise build the h = 1 graph
     with pytest.raises(ValueError, match=re.escape(f"requires an integer {field} (got {field}={value})")):
         build()
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from opgraph.graph import CodeSpace, OperatorGraph, graph_dim, graph_from_mask, is_anticlique
 from opgraph import constructions
 from opgraph import graph as graph_module
-from opgraph.linalg import dagger, max_abs
+from opgraph.linalg import max_abs
 from opgraph.weyl import weyl_monomial
 from opgraph.constructions import (
     Section4Params,
@@ -26,6 +27,7 @@ from reference import (
     _discs,
     code_from_isometry,
     compress,
+    dagger,
     graph_from_labels,
     graph_words,
     isometry,
@@ -226,6 +228,16 @@ def test_graph_requires_some_generators():
     g = OperatorGraph(3, mask_of(3, [[1, 0, 0, 0, 0, 0]]))
     labels, gram = graph_dim(g, "labels"), graph_dim(g, "gram")
     assert labels == gram == 1
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 3.0, np.float64(3)], ids=["bool", "float", "whole-float", "numpy-float"])
+def test_graph_and_closure_reject_n_that_is_not_an_integer(n):
+    # True would pass a (1, 1) mask that the Gram oracle then fails on, and
+    # 3.0 a (9, 9) one; 2.5 would ask for a (6.25, 6.25) mask
+    size = int(n) ** 2
+    for make in (OperatorGraph, graph_from_mask):
+        with pytest.raises(ValueError, match=re.escape(f"requires an integer n (got n={n!r})")):
+            make(n, np.ones((size, size), dtype=bool))
 
 
 def test_graph_mask_is_read_only():

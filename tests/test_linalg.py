@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgraph.linalg import DEFAULT_TOL, Tolerance, _rank_of_grams, dagger, max_abs
+from opgraph.linalg import DEFAULT_TOL, Tolerance, _rank_of_grams, max_abs
 
-from reference import _discs, hs_inner, is_unitary, label, orthonormalize, weyl_dense
+from reference import _discs, dagger, hs_inner, is_unitary, label, orthonormalize, weyl_dense
 from conftest import gram_rank, random_complex, row_gram
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -22,7 +22,7 @@ MOVED = [
     "WeylLabel", "WeylLabelPair", "label", "label_mul", "label_pow", "label_adjoint",
     "weyl_dense", "pair_adjoint", "pair_dense", "word_table", "x_matrix", "z_matrix",
     "hs_inner", "is_unitary", "orthonormalize", "graph_from_labels", "compress", "pair_monomial",
-    "_discs", "_gram_schmidt",
+    "_discs", "_gram_schmidt", "dagger",
 ]
 
 
@@ -98,13 +98,21 @@ def test_package_calls_no_set_or_grid_helpers():
     # the build, the Gram oracle, the verdict and demo index and compute on
     # arrays they already hold: each of these helpers costs a fresh process
     # tens to hundreds of microseconds on first use
-    helpers = re.compile(r"\bnp\.(isin|ix_|indices|tile|r_|argwhere|unravel_index)\b")
+    helpers = re.compile(r"\bnp\.(isin|ix_|indices|tile|r_|argwhere|unravel_index|meshgrid)\b")
     calls = [
         f"{path.name}: {match.group()}"
         for path in sorted(SRC.glob("*.py"))
         for match in helpers.finditer(path.read_text())
     ]
     assert calls == []
+
+
+def test_public_api_is_stated_once():
+    # opgraph/__init__.py's imports are the public API: no module restates
+    # it in an __all__, and the conjugate transpose is numpy's own
+    assigns = re.compile(r"^__all__\b", re.M)
+    assert [path.name for path in sorted(SRC.glob("*.py")) if assigns.search(path.read_text())] == []
+    assert not hasattr(linalg, "dagger")
 
 
 def test_check_fields_are_stated_once():

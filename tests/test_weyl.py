@@ -1,13 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from opgraph.linalg import dagger, max_abs
+from opgraph.linalg import max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 
 from reference import (
     WeylLabelPair,
+    dagger,
     hs_inner,
     is_unitary,
     label,
@@ -47,6 +49,29 @@ def test_fourier_basis_orthonormal():
 def test_fourier_basis_rejects_zero():
     with pytest.raises(ValueError):
         fourier_basis(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fourier_basis_equals_the_grid_formula(n):
+    # the basis as it was formed from np.meshgrid's two index grids
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    assert np.array_equal(fourier_basis(n), np.exp(2j * np.pi * (j * k % n) / n) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4), True, "3"])
+def test_n_that_is_not_an_integer_is_rejected(n):
+    # 2.5 would give a 3 x 3 matrix that is not unitary, True a 1 x 1 one
+    message = re.escape(f"requires an integer n (got n={n!r})")
+    with pytest.raises(ValueError, match=message):
+        fourier_basis(n)
+    with pytest.raises(ValueError, match=message):
+        weyl_monomial(np.array([1]), np.array([1]), n)
+
+
+def test_numpy_integer_n_is_an_integer():
+    assert np.array_equal(fourier_basis(np.int64(5)), fourier_basis(5))
+    got, want = weyl_monomial(np.array([1]), np.array([2]), np.int32(3)), weyl_monomial(np.array([1]), np.array([2]), 3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_x_diagonal_and_z_eigenvectors():
