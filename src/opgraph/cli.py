@@ -24,6 +24,7 @@ import csv
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,56 +72,64 @@ CSV_COLUMNS = [
 ]
 
 
-# the construction flags each construction reads, keyed by the parser's
-# construction choices; setting one that it does not read is an error, never
-# ignored
-READS = {
-    "section2": (),
-    "section3": ("--n",),
-    "section4": ("--p", "--y", "--h", "--d"),
-    "remark2": ("--n",),
+class Construction(NamedTuple):
+    """One row of CONSTRUCTIONS: the flags verify and demo read; the build,
+    which takes their values as keyword arguments named by argparse
+    destination and returns (graph, code, params echo, claimed dim); and,
+    for a construction that sweep enumerates, sweep's one flag, its usage
+    and the points that flag's value names, each point the keyword
+    arguments of the build."""
+
+    reads: tuple[str, ...]
+    build: Callable[..., tuple]
+    sweep: tuple[str, str, Callable[..., list[dict]]] | None = None
+
+
+def _build_section4(**values) -> tuple:
+    params = Section4Params(**values)
+    return *build_section4(params), {**values, "n": params.n}, claimed_dim_section4(params)
+
+
+# the one place a construction is registered: verify's and demo's choices
+# are its keys, in this order, and sweep's are the rows with a sweep entry
+CONSTRUCTIONS = {
+    "section2": Construction((), lambda: (*build_section2(), {}, claimed_dim_section2())),
+    "section3": Construction(("--n",), lambda n: (*build_section3(n), {"n": n}, claimed_dim_section3(n)),
+                             ("--n", "--n A..B", lambda text: [{"n": n} for n in _parse_range(text)])),
+    "section4": Construction(("--p", "--y", "--h", "--d"), _build_section4,
+                             ("--n-max", "--n-max", lambda n_max: [vars(q) for q in enumerate_section4_params(n_max)])),
+    "remark2": Construction(("--n",), lambda n: (*build_remark2(n), {"n": n}, claimed_dim_remark2(n))),
 }
-SWEEP_READS = {"section3": ("--n",), "section4": ("--n-max",)}
 
 
-def _read(construction: str, args, reads: dict[str, tuple[str, ...]], requires: str | None = None) -> dict:
-    """The values of the flags of ``reads`` that the construction reads,
-    keyed by argparse destination in ``reads`` order. Raise ValueError when
-    args sets a flag that the construction does not read (a flag is set when
-    its value is not the parser's default, None), or leaves one that it reads
-    unset; the second message is ``requires``, by default
-    "<construction> requires <its flags>"."""
+def _read(args) -> dict:
+    """The values of the construction flags that args.construction reads
+    under args.command, keyed by argparse destination in its row's order:
+    sweep reads the row's sweep flag, verify and demo its ``reads``. Raise
+    ValueError when args sets a flag of the command that the construction
+    does not read (a flag is set when its value is not the parser's default,
+    None), naming the first in the table's order, or leaves one that it
+    reads unset."""
+    construction, sweep = args.construction, args.command == "sweep"
+    reads = {k: row.sweep[:1] if sweep else row.reads for k, row in CONSTRUCTIONS.items() if row.sweep or not sweep}
     dests = {flag: flag[2:].replace("-", "_") for flag in sum(reads.values(), ())}
     for flag, dest in dests.items():
         if flag not in reads[construction] and getattr(args, dest) is not None:
             raise ValueError(f"{construction} does not read {flag}")
     values = {dests[flag]: getattr(args, dests[flag]) for flag in reads[construction]}
     if None in values.values():
-        raise ValueError(requires or f"{construction} requires {' '.join(reads[construction])}")
+        raise ValueError(f"sweep {construction} requires {CONSTRUCTIONS[construction].sweep[1]}" if sweep
+                         else f"{construction} requires {' '.join(reads[construction])}")
     return values
 
 
-def _build(construction: str, values: dict) -> tuple:
-    """Build one point from the values of the flags its construction reads
-    (see READS and _read). Returns (graph, code, params_echo, claimed_dim)."""
-    if construction == "section2":
-        return *build_section2(), {}, claimed_dim_section2()
-    if construction == "section4":
-        params = Section4Params(**values)
-        return *build_section4(params), {**values, "n": params.n}, claimed_dim_section4(params)
-    if construction == "section3":
-        return *build_section3(values["n"]), values, claimed_dim_section3(values["n"])
-    # remark2, the one construction left among the parser's choices
-    return *build_remark2(values["n"]), values, claimed_dim_remark2(values["n"])
-
-
 def run_verification(construction: str, values: dict, tol: Tolerance, deterministic: bool) -> tuple[dict, bool]:
-    """Build one point from its flag values (see _build), run both oracles
-    and the anticlique check at tolerance ``tol``, and assemble the report;
-    ``deterministic`` zeroes its runtime_ms. Returns (report,
+    """Build one point from its flag values (see CONSTRUCTIONS), run both
+    oracles and the anticlique check at tolerance ``tol``, and assemble the
+    report; ``deterministic`` zeroes its runtime_ms. Returns (report,
     hard_checks_passed)."""
     started = time.perf_counter()
-    g, code, params_echo, claimed = _build(construction, values)
+    g, code, params_echo, claimed = CONSTRUCTIONS[construction].build(**values)
     # one call per oracle, so a trace times each on its own; the Gram
     # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
@@ -165,7 +174,7 @@ def run_verification(construction: str, values: dict, tol: Tolerance, determinis
 def cmd_verify(args) -> int:
     # both before the build, which may take long or fail to allocate
     tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    values = _read(args.construction, args, READS)
+    values = _read(args)
     report, hard_ok = run_verification(args.construction, values, tol, args.deterministic)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -188,13 +197,7 @@ def _parse_range(text: str) -> range:
 
 def cmd_sweep(args) -> int:
     construction = args.construction
-    usage = {"section3": "--n A..B", "section4": "--n-max"}[construction]
-    values = _read(construction, args, SWEEP_READS, f"sweep {construction} requires {usage}")
-    if construction == "section3":
-        points = [{"n": n} for n in _parse_range(values["n"])]
-    else:
-        # a point's fields p, y, h, d are the flags verify section4 reads
-        points = [vars(q) for q in enumerate_section4_params(values["n_max"])]
+    points = CONSTRUCTIONS[construction].sweep[2](*_read(args).values())
     if not points:
         raise ValueError("empty parameter range")
     # before the first build
@@ -222,7 +225,7 @@ def cmd_demo(args) -> int:
         raise ValueError("--trials must be >= 0")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    g, code, _, _ = _build(args.construction, _read(args.construction, args, READS))
+    g, code, _, _ = CONSTRUCTIONS[args.construction].build(**_read(args))
     rng = np.random.default_rng(args.seed)
     # words and code both in the Fourier product basis
     s = code.fourier
@@ -274,14 +277,14 @@ def _add_construction_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _verify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("construction", choices=list(READS))
+    parser.add_argument("construction", choices=list(CONSTRUCTIONS))
     _add_construction_params(parser)
     _add_check_flags(parser)
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
 
 
 def _sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("construction", choices=list(SWEEP_READS))
+    parser.add_argument("construction", choices=[name for name, row in CONSTRUCTIONS.items() if row.sweep])
     parser.add_argument("--n", default=None, help="inclusive range A..B (section3)")
     parser.add_argument("--n-max", type=int, default=None,
                         help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
@@ -290,7 +293,7 @@ def _sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _demo_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--construction", required=True, choices=list(READS))
+    parser.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     _add_construction_params(parser)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)

@@ -71,7 +71,7 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
         return 0
     certified = lo > tol.relative * hi.max()
     eigs = [np.linalg.eigvalsh(form(i)) for i in np.flatnonzero(~certified)]
-    top = max([*hi[certified], *(e[-1] for e in eigs)])
+    top = max([hi.max(initial=0.0, where=certified), *(e[-1] for e in eigs)])
     if top <= 0.0:
         return 0
     cut = tol.relative * top

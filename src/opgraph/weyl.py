@@ -51,9 +51,11 @@ def weyl_monomial(kx, kz, n: int) -> tuple[np.ndarray, np.ndarray]:
     (c + kx) mod n, values w^{kz * c}. The exponents are reduced mod n once;
     rows are gathered from an (n, n) table of shifts and values from a table
     of length n^2 holding the n roots of unity n times over, so no per-entry
-    remainder is taken. Raises ValueError unless n is an integer.
+    remainder is taken. Raises ValueError unless n is an integer >= 1.
     """
     _check_integers(n=n)
+    if n < 1:
+        raise ValueError("weyl_monomial needs n >= 1")
     kx, kz = np.asarray(kx), np.asarray(kz)
     if kx.ndim != 1 or kx.shape != kz.shape:
         raise ValueError(f"weyl_monomial needs two exponent arrays of one shape (G,), got {kx.shape} and {kz.shape}")

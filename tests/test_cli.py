@@ -556,7 +556,7 @@ def test_sweep_row_is_the_verify_report_of_its_point(sweep, rows, capsys):
     assert len(reports) == rows
     for report in reports:
         construction = report["construction"]
-        flags = [f"{flag}={report['params'][flag[2:]]}" for flag in cli.READS[construction]]
+        flags = [f"{flag}={report['params'][flag[2:]]}" for flag in cli.CONSTRUCTIONS[construction].reads]
         assert cli.main(["verify", construction, *flags, "--json", "--deterministic"]) == 0
         assert json.loads(capsys.readouterr().out) == report
 
@@ -619,6 +619,23 @@ def test_demo_section3():
     assert result.returncode == 0
     assert result.stdout.count(b"trial ") == 100
     assert b"pass" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "point, golden",
+    [
+        ("section3 --n 5", "demo_section3_n5.txt"),
+        ("section4 --p 2 --y 4 --h 1 --d 2", "demo_section4_2_4_1_2.txt"),
+    ],
+)
+def test_demo_matches_committed_transcript(point, golden):
+    # byte equality pins the point that was built: section3 built as
+    # remark2 shares its h_j code and its zero cross-talk, but not its
+    # generators
+    result = run_cli("demo", "--construction", *point.split(), "--trials", "20", "--seed", "7")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -2,6 +2,7 @@
 algebra, the dense realizers, word tables (with their phase-carrying
 monomial realization) and the compression stack live in tests/reference.py."""
 
+import argparse
 import importlib
 import inspect
 import re
@@ -71,11 +72,29 @@ def test_one_factor_table_serves_both_sides():
 
 
 def test_commands_alone_read_the_flags():
-    # cmd_verify, cmd_sweep and cmd_demo read each flag once; the build and
-    # the verification take plain values, and no sweep point is a namespace
+    # cmd_verify, cmd_sweep and cmd_demo read each flag once, through
+    # _read(args); the build and the verification take plain values, and no
+    # sweep point is a namespace
     assert [name for name in ("_reject_unread", "_sweep_points") if hasattr(cli, name)] == []
+    assert list(inspect.signature(cli._read).parameters) == ["args"]
     assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "tol", "deterministic"]
-    assert list(inspect.signature(cli._build).parameters) == ["construction", "values"]
+
+
+def _choices(command: str) -> list[str]:
+    """The construction choices of the command's parser, in its order."""
+    sub = next(a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "construction")
+
+
+def test_one_table_registers_each_construction():
+    # a construction's flags, build, params echo, claimed dimension and
+    # sweep entry are its CONSTRUCTIONS row, and the parser's choices are
+    # the table's keys and, for sweep, the rows with a sweep entry
+    assert [name for name in ("READS", "SWEEP_READS", "_build") if hasattr(cli, name)] == []
+    assert list(cli.CONSTRUCTIONS) == ["section2", "section3", "section4", "remark2"]
+    assert _choices("verify") == _choices("demo") == list(cli.CONSTRUCTIONS)
+    assert _choices("sweep") == [name for name, row in cli.CONSTRUCTIONS.items() if row.sweep] == ["section3", "section4"]
+    assert all(isinstance(row, cli.Construction) for row in cli.CONSTRUCTIONS.values())
 
 
 def test_one_mask_helper_and_no_kron_wrapper():

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,18 @@ def test_n_that_is_not_an_integer_is_rejected(n):
         fourier_basis(n)
     with pytest.raises(ValueError, match=message):
         weyl_monomial(np.array([1]), np.array([1]), n)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_n_below_one_is_rejected(n):
+    # the check comes before the table of roots, where n=0 would divide by
+    # zero and n=-2 index an empty table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("weyl_monomial needs n >= 1")):
+            weyl_monomial(np.array([1]), np.array([1]), n)
+        with pytest.raises(ValueError, match=re.escape("fourier_basis needs n >= 1")):
+            fourier_basis(n)
 
 
 def test_numpy_integer_n_is_an_integer():

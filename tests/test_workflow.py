@@ -1,7 +1,8 @@
 """The CI workflow is valid YAML, it asks each command and the top level
 for help, every other opgraph command it runs parses with the CLI's parser
-and sets only the construction flags its construction reads, and every
-committed file it compares an output against exists."""
+and sets only the construction flags its construction reads, it verifies
+every construction, and every committed file it compares an output against
+exists."""
 
 import re
 import shlex
@@ -33,9 +34,11 @@ def test_workflow_commands_parse():
         assert exc.value.code == 0
     runs = [argv for argv in commands if argv[-1:] != ["--help"]]
     assert {argv[0] for argv in runs} == {"verify", "sweep", "demo"}
+    # every construction is verified through the console script
+    assert {argv[1] for argv in runs if argv[0] == "verify"} == set(cli.CONSTRUCTIONS)
     for argv in runs:
         args = cli.build_parser().parse_args(argv)
-        cli._read(args.construction, args, cli.SWEEP_READS if args.command == "sweep" else cli.READS)
+        cli._read(args)
 
 
 def test_workflow_goldens_exist():
