@@ -3,9 +3,9 @@
 Exit codes: 0 = all hard checks passed, 1 = a mathematical check failed,
 2 = usage or parameter error. Hard checks are the anticlique verdict,
 agreement of the two dimension oracles over every generator, and
-max_residual <= --tol-abs; a mismatch between computed dimension and the
+max_residual <= 1e-12; a mismatch between computed dimension and the
 claimed closed form is reported via ``formula_match`` but is never fatal.
-A failed anticlique verdict, or else a residual above --tol-abs, also
+A failed anticlique verdict, or else a residual above 1e-12, also
 prints one line to stderr naming the generator's word
 X^kx Z^kz (x) X^kx' Z^kz' as (kx, kz, kx', kz') and the code basis vectors
 where the residual peaks; oracles that disagree print one line giving both
@@ -43,7 +43,7 @@ from .constructions import (
     enumerate_section4_params,
 )
 from .graph import graph_dim, is_anticlique
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL
 from .weyl import weyl_monomial
 
 # the report's check fields, in the order the CSV header and the text
@@ -123,23 +123,23 @@ def _read(args) -> dict:
     return values
 
 
-def run_verification(construction: str, values: dict, tol: Tolerance, deterministic: bool) -> tuple[dict, bool]:
+def run_verification(construction: str, values: dict, deterministic: bool) -> tuple[dict, bool]:
     """Build one point from its flag values (see CONSTRUCTIONS), run both
-    oracles and the anticlique check at tolerance ``tol``, and assemble the
-    report; ``deterministic`` zeroes its runtime_ms. Returns (report,
-    hard_checks_passed)."""
+    oracles and the anticlique check at the library's DEFAULT_TOL, and
+    assemble the report; ``deterministic`` zeroes its runtime_ms. Returns
+    (report, hard_checks_passed)."""
     started = time.perf_counter()
     g, code, params_echo, claimed = CONSTRUCTIONS[construction].build(**values)
     # one call per oracle, so a trace times each on its own; the Gram
     # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
     dim_labels = graph_dim(g, "labels")
-    dim_gram = graph_dim(g, "gram", tol)
-    report_ac = is_anticlique(g, code, tol)
-    if not report_ac.verdict or report_ac.residual > tol.absolute:
+    dim_gram = graph_dim(g, "gram", DEFAULT_TOL)
+    report_ac = is_anticlique(g, code, DEFAULT_TOL)
+    if not report_ac.verdict or report_ac.residual > DEFAULT_TOL.absolute:
         at, l, k = report_ac.worst
         names = code.basis_names
-        failed = "anticlique fails" if not report_ac.verdict else f"max_residual exceeds --tol-abs {tol.absolute:g}"
+        failed = "anticlique fails" if not report_ac.verdict else f"max_residual exceeds {DEFAULT_TOL.absolute:g}"
         print(
             f"{failed} at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
             f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
@@ -163,19 +163,16 @@ def run_verification(construction: str, values: dict, tol: Tolerance, determinis
         "anticlique": report_ac.verdict,
         "max_residual": report_ac.residual,
         "bounds": bounds,
-        "tolerance": {"absolute": tol.absolute, "relative": tol.relative},
+        "tolerance": {"absolute": DEFAULT_TOL.absolute, "relative": DEFAULT_TOL.relative},
         "runtime_ms": runtime_ms,
         "tool_version": __version__,
     }
-    hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= tol.absolute
+    hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= DEFAULT_TOL.absolute
     return report, hard_ok
 
 
 def cmd_verify(args) -> int:
-    # both before the build, which may take long or fail to allocate
-    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
-    values = _read(args)
-    report, hard_ok = run_verification(args.construction, values, tol, args.deterministic)
+    report, hard_ok = run_verification(args.construction, _read(args), args.deterministic)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -200,12 +197,10 @@ def cmd_sweep(args) -> int:
     points = CONSTRUCTIONS[construction].sweep[2](*_read(args).values())
     if not points:
         raise ValueError("empty parameter range")
-    # before the first build
-    tol = Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
     all_ok = True
     writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, restval="", extrasaction="ignore")
     for index, point in enumerate(points):
-        report, hard_ok = run_verification(construction, point, tol, args.deterministic)
+        report, hard_ok = run_verification(construction, point, args.deterministic)
         all_ok = all_ok and hard_ok
         if args.format == "jsonl":
             print(json.dumps(report))
@@ -219,7 +214,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    tol = Tolerance(absolute=args.tol_abs)
     # before the build, which may take long or fail to allocate
     if args.trials < 0:
         raise ValueError("--trials must be >= 0")
@@ -250,20 +244,12 @@ def cmd_demo(args) -> int:
             f"trial {trial}: generator {gen_idx}, codeword {code.basis_names[word_idx]}: "
             f"cross-talk {cross_talk:.3e}, c_V {c_v.real:+.6f}{c_v.imag:+.6f}j"
         )
-    ok = worst < tol.absolute
+    ok = worst < DEFAULT_TOL.absolute
     print(f"max cross-talk over {args.trials} trials: {worst:.3e} -> {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _add_tol_abs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.absolute,
-                        help="absolute tolerance for residuals (default: %(default)g)")
-
-
-def _add_check_flags(parser: argparse.ArgumentParser) -> None:
-    _add_tol_abs(parser)
-    parser.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.relative,
-                        help="relative eigenvalue cutoff for ranks (default: %(default)g)")
+def _add_deterministic(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deterministic", action="store_true",
                         help="zero runtime_ms so repeated runs are byte-identical")
 
@@ -279,7 +265,7 @@ def _add_construction_params(parser: argparse.ArgumentParser) -> None:
 def _verify_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("construction", choices=list(CONSTRUCTIONS))
     _add_construction_params(parser)
-    _add_check_flags(parser)
+    _add_deterministic(parser)
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
 
 
@@ -289,7 +275,7 @@ def _sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-max", type=int, default=None,
                         help="enumerate all valid (p,y,h,d) with p*y <= n-max (section4)")
     parser.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    _add_check_flags(parser)
+    _add_deterministic(parser)
 
 
 def _demo_flags(parser: argparse.ArgumentParser) -> None:
@@ -297,7 +283,6 @@ def _demo_flags(parser: argparse.ArgumentParser) -> None:
     _add_construction_params(parser)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    _add_tol_abs(parser)
 
 
 # name -> (function, help, flag adder), in the order help lists them

@@ -1,4 +1,4 @@
-"""Builders for the three verified constructions and their claimed dimensions.
+"""Builders for the four verified constructions and their claimed dimensions.
 
 * section2: C^2 (x) C^2, graph spanned by five Pauli tensor words, the n = 2
   case of the Weyl words, two-dimensional code spanned by a pair of
@@ -9,6 +9,7 @@
 * section4: the off-diagonal shifts (which hold section3's powers), the
   equal shifts at allowed_shifts and the clock words off the subgroup, with
   an entangled code built from subgroup-supported diagonal vectors.
+* remark2: the off-diagonal shifts alone, against section3's code.
 
 Both codes, and remark2's, come from one builder (_diagonal_code): vector k
 sums f_c (x) f_c / sqrt(p) over c = t*y + step*k mod n, t < p, and section3's

@@ -77,8 +77,9 @@ class OperatorGraph:
     since the span contains the identity, and is taken as closed under
     adjoints: the builders write it closed, and graph_from_mask closes a mask
     built elsewhere. Generators are never densified. The mask is kept, not
-    copied, and marked read-only; a writable base or view of it made before
-    can still edit it, and the cached n_generators then goes stale.
+    copied, and marked read-only, as is the array that owns its memory; only
+    a writable view made before the graph was built can still edit it, and
+    the cached n_generators then goes stale.
     """
 
     n: int
@@ -89,6 +90,8 @@ class OperatorGraph:
         if not self.mask.any():
             raise ValueError("mask is empty; a graph contains the identity")
         self.mask.setflags(write=False)
+        if isinstance(self.mask.base, np.ndarray):
+            self.mask.base.setflags(write=False)
 
     @cached_property
     def _factors(self) -> _Factors:

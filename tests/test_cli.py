@@ -13,7 +13,7 @@ import pytest
 
 from opgraph import cli
 from opgraph.graph import graph_from_mask
-from opgraph.linalg import DEFAULT_TOL
+from opgraph.linalg import Tolerance
 
 from conftest import run_cli
 from reference import graph_from_labels, graph_words
@@ -170,7 +170,7 @@ def test_deterministic_output_is_byte_identical():
     assert json.loads(first.stdout)["runtime_ms"] == 0
 
 
-def test_verify_invalid_params_exit_two():
+def test_verify_invalid_params_exit_two(capsys):
     for n in ("2", "-3"):
         result = run_cli("verify", "section3", "--n", n)
         assert result.returncode == 2, n
@@ -190,17 +190,15 @@ def test_verify_invalid_params_exit_two():
     result = run_cli("verify", "section3")
     assert result.returncode == 2
 
-    # a relative rank cutoff at or above lambda_max would make every rank 0
-    result = run_cli("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2",
-                     "--tol-rel", "2")
-    assert result.returncode == 2
-    assert b"0 < relative < 1" in result.stderr
-
-    # demo ranks nothing, so it takes no rank cutoff
-    result = run_cli("demo", "--construction", "section3", "--n", "3", "--trials", "1",
-                     "--tol-rel", "2")
-    assert result.returncode == 2
-    assert b"unrecognized arguments: --tol-rel" in result.stderr
+    # every command checks at the library's DEFAULT_TOL; no flag moves it
+    for command in (["verify", "section3", "--n", "3"], ["sweep", "section3", "--n", "3..4"],
+                    ["demo", "--construction", "section3", "--n", "3", "--trials", "1"]):
+        for flag in ("--tol-abs", "--tol-rel"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*command, flag, "1e-6"])
+            assert exc.value.code == 2, (command, flag)
+            out, err = capsys.readouterr()
+            assert out == "" and f"unrecognized arguments: {flag} 1e-6" in err, (command, flag)
 
 
 @pytest.mark.parametrize(
@@ -249,67 +247,39 @@ def test_point_too_large_to_allocate_peaks_small(argv):
     assert peak_kib < 100 * 1000 * 1000 / 1024, peak_kib
 
 
-def test_non_finite_tol_abs_exits_two():
-    # nan would fail every residual check and inf pass every one
-    for value in ("nan", "inf"):
-        for command in (
-            ("verify", "section3", "--n", "4"),
-            ("sweep", "section3", "--n", "3..4"),
-            ("demo", "--construction", "section3", "--n", "3", "--trials", "1"),
-        ):
-            result = run_cli(*command, "--tol-abs", value)
-            assert result.returncode == 2, (command, value)
-            assert result.stdout == b"", (command, value)
-            assert b"0 < absolute < inf" in result.stderr, (command, value)
+def test_no_command_lists_a_tolerance_flag(capsys):
+    # every command checks at the library's DEFAULT_TOL; demo also takes no
+    # --deterministic, since it prints no report
+    for command in ("verify", "sweep", "demo"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--tol-" not in out and "--oracle" not in out, command
+        assert ("--deterministic" in out) == (command != "demo"), command
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "section2"],
-    ["sweep", "section3", "--n", "3..4"],
-    ["demo", "--construction", "section2"],
-])
-def test_tolerance_flags_default_to_the_library_tolerance(argv):
-    # the flags read their defaults from DEFAULT_TOL; demo has no --tol-rel
-    args = cli.build_parser().parse_args(argv)
-    assert args.tol_abs == DEFAULT_TOL.absolute
-    assert getattr(args, "tol_rel", DEFAULT_TOL.relative) == DEFAULT_TOL.relative
-
-
-def test_demo_help_lists_only_tol_abs():
-    result = run_cli("demo", "--help")
-    assert result.returncode == 0
-    assert b"--tol-abs" in result.stdout
-    for flag in (b"--tol-rel", b"--oracle", b"--deterministic"):
-        assert flag not in result.stdout, flag
-
-
-def test_verify_tol_abs_bounds_the_residual():
+def test_verify_tol_abs_bounds_the_residual(monkeypatch, capsys):
     # section4 (2,4,1,2) has a nonzero roundoff residual (section3's is
-    # exactly 0), so a tiny --tol-abs fails it
-    args = ("verify", "section4", "--p", "2", "--y", "4", "--h", "1", "--d", "2", "--json", "--deterministic")
-    default = run_cli(*args)
-    strict = run_cli(*args, "--tol-abs", "1e-30")
-    assert default.returncode == 0
-    assert strict.returncode == 1
-    default_report, strict_report = json.loads(default.stdout), json.loads(strict.stdout)
+    # exactly 0), so a tiny absolute tolerance fails it
+    argv = "verify section4 --p 2 --y 4 --h 1 --d 2 --json --deterministic".split()
+    assert cli.main(argv) == 0
+    default_out, default_err = capsys.readouterr()
+    monkeypatch.setattr(cli, "DEFAULT_TOL", Tolerance(absolute=1e-30))
+    assert cli.main(argv) == 1
+    strict_out, strict_err = capsys.readouterr()
+    default_report, strict_report = json.loads(default_out), json.loads(strict_out)
     assert 1e-30 < strict_report["max_residual"] <= 1e-12
     assert strict_report.pop("tolerance") == {"absolute": 1e-30, "relative": 1e-9}
     default_report.pop("tolerance")
     assert strict_report == default_report
     # the verdict holds, so the failed residual check names the word and
     # entry where the residual peaks
-    assert default.stderr == b""
-    assert strict.stderr.decode() == (
-        "max_residual exceeds --tol-abs 1e-30 at generator 1009, word (2, 0, 2, 1): entry (q_2, q_1) "
+    assert default_err == ""
+    assert strict_err == (
+        "max_residual exceeds 1e-30 at generator 1009, word (2, 0, 2, 1): entry (q_2, q_1) "
         f"deviates from c_V * I by {strict_report['max_residual']:.3e}\n"
     )
-
-
-def test_sweep_bad_tolerance_exits_before_any_output():
-    result = run_cli("sweep", "section4", "--n-max", "6", "--tol-rel", "2")
-    assert result.returncode == 2
-    assert result.stdout == b""
-    assert b"0 < relative < 1" in result.stderr
 
 
 def test_verify_labels_oracle_on_section2():
@@ -604,12 +574,11 @@ def test_sweep_section4_n12_matches_committed_report():
 
 
 def test_sweep_goldens_are_prefixes_of_the_n64_golden():
-    # a sweep visits its points in order of n, so each smaller committed
-    # sweep is the first rows of the 810-point n <= 64 one, byte for byte
+    # a sweep visits its points in order of n, so the n <= 12 sweep that
+    # tier-1 runs is the first rows of the 810-point n <= 64 one, byte for byte
     whole = (DATA / "sweep_section4_n64.csv").read_bytes()
     assert whole.count(b"\n") == 1 + 810
-    for n in (12, 32, 48):
-        assert whole.startswith((DATA / f"sweep_section4_n{n}.csv").read_bytes()), n
+    assert whole.startswith((DATA / "sweep_section4_n12.csv").read_bytes())
 
 
 def test_demo_section3():
@@ -685,16 +654,6 @@ def test_demo_zero_trials():
 def test_demo_invalid_params():
     result = run_cli("demo", "--construction", "section4", "--trials", "5")
     assert result.returncode == 2
-
-
-def test_verify_rejects_a_bad_tolerance_before_building(capsys):
-    # the point's n^4-byte mask could not be allocated; the tolerance is
-    # checked first
-    argv = "verify section4 --p 2 --y 10000 --h 0 --d 10000 --tol-rel 2"
-    assert cli.main(argv.split()) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: relative tolerance must satisfy 0 < relative < 1, got 2.0\n"
 
 
 def test_demo_rejects_negative_trials_before_building(capsys):

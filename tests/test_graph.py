@@ -247,6 +247,26 @@ def test_graph_mask_is_read_only():
         g.mask[0, 1] = True
 
 
+def test_graph_mask_owner_is_read_only():
+    # the mask is kept without a copy, so the array that owns its memory is
+    # marked read-only too: an edit through it would leave the cached
+    # n_generators stale (labels 1, Gram 2) or grow a built graph past its
+    # code's anticlique
+    base = np.zeros((4, 4, 4, 4), dtype=bool)
+    base[0, 0, 0, 0] = True
+    g = OperatorGraph(4, base.reshape(16, 16))
+    assert graph_dim(g, "labels") == 1
+    with pytest.raises(ValueError, match="read-only"):
+        base[1, 0, 0, 0] = True
+    assert graph_dim(g, "labels") == graph_dim(g, "gram") == 1
+
+    g, code = build_section4(Section4Params(2, 4, 1, 2))
+    assert g.mask.base is not None
+    with pytest.raises(ValueError, match="read-only"):
+        g.mask.base[0, 2, 0, 0] = True
+    assert is_anticlique(g, code).verdict
+
+
 @pytest.mark.parametrize(
     "build, arg",
     [(build_section2, None), (build_section3, 5), (build_section4, Section4Params(2, 8, 1, 4))],

@@ -74,16 +74,25 @@ def test_one_factor_table_serves_both_sides():
 def test_commands_alone_read_the_flags():
     # cmd_verify, cmd_sweep and cmd_demo read each flag once, through
     # _read(args); the build and the verification take plain values, and no
-    # sweep point is a namespace
+    # sweep point is a namespace. Every command checks at the library's
+    # DEFAULT_TOL: no parser has a tolerance flag
     assert [name for name in ("_reject_unread", "_sweep_points") if hasattr(cli, name)] == []
     assert list(inspect.signature(cli._read).parameters) == ["args"]
-    assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "tol", "deterministic"]
+    assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "deterministic"]
+    assert not hasattr(cli, "Tolerance")
+    for command in cli.COMMANDS:
+        assert not [o for a in _command_parser(command)._actions for o in a.option_strings if o.startswith("--tol-")]
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The subparser of one command, from its one-command parser."""
+    sub = next(a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def _choices(command: str) -> list[str]:
     """The construction choices of the command's parser, in its order."""
-    sub = next(a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices[command]._actions if a.dest == "construction")
+    return next(a.choices for a in _command_parser(command)._actions if a.dest == "construction")
 
 
 def test_one_table_registers_each_construction():

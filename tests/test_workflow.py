@@ -2,7 +2,7 @@
 for help, every other opgraph command it runs parses with the CLI's parser
 and sets only the construction flags its construction reads, it verifies
 every construction, and every committed file it compares an output against
-exists."""
+exists, with the output it writes listed in .gitignore."""
 
 import re
 import shlex
@@ -42,10 +42,13 @@ def test_workflow_commands_parse():
 
 
 def test_workflow_goldens_exist():
-    # a renamed or deleted golden fails here, not only in the CI run
-    goldens = [shlex.split(line)[2] for run in _runs() for line in run.splitlines()
-               if line.strip().startswith("cmp ")]
-    assert goldens
-    for golden in goldens:
+    # a renamed or deleted golden fails here, not only in the CI run; the
+    # output compared against it is written at the root and ignored by git
+    pairs = [shlex.split(line)[1:3] for run in _runs() for line in run.splitlines()
+             if line.strip().startswith("cmp ")]
+    assert pairs
+    ignored = (ROOT / ".gitignore").read_text().splitlines()
+    for output, golden in pairs:
         assert golden.startswith("tests/data/"), golden
         assert (ROOT / golden).is_file(), golden
+        assert f"/{output}" in ignored, output
