@@ -43,7 +43,7 @@ from .constructions import (
     enumerate_section4_params,
 )
 from .graph import graph_dim, is_anticlique
-from .linalg import DEFAULT_TOL
+from .linalg import ABSOLUTE_TOL, RELATIVE_TOL
 from .weyl import weyl_monomial
 
 # the report's check fields, in the order the CSV header and the text
@@ -125,21 +125,21 @@ def _read(args) -> dict:
 
 def run_verification(construction: str, values: dict, deterministic: bool) -> tuple[dict, bool]:
     """Build one point from its flag values (see CONSTRUCTIONS), run both
-    oracles and the anticlique check at the library's DEFAULT_TOL, and
-    assemble the report; ``deterministic`` zeroes its runtime_ms. Returns
-    (report, hard_checks_passed)."""
+    oracles and the anticlique check at the library's ABSOLUTE_TOL and
+    RELATIVE_TOL, and assemble the report; ``deterministic`` zeroes its
+    runtime_ms. Returns (report, hard_checks_passed)."""
     started = time.perf_counter()
     g, code, params_echo, claimed = CONSTRUCTIONS[construction].build(**values)
     # one call per oracle, so a trace times each on its own; the Gram
     # oracle also realizes the graph's factors, which the verdict
     # then reuses, so that cost shows in the Gram oracle's time
     dim_labels = graph_dim(g, "labels")
-    dim_gram = graph_dim(g, "gram", DEFAULT_TOL)
-    report_ac = is_anticlique(g, code, DEFAULT_TOL)
-    if not report_ac.verdict or report_ac.residual > DEFAULT_TOL.absolute:
+    dim_gram = graph_dim(g, "gram")
+    report_ac = is_anticlique(g, code)
+    if not report_ac.verdict or report_ac.residual > ABSOLUTE_TOL:
         at, l, k = report_ac.worst
         names = code.basis_names
-        failed = "anticlique fails" if not report_ac.verdict else f"max_residual exceeds {DEFAULT_TOL.absolute:g}"
+        failed = "anticlique fails" if not report_ac.verdict else f"max_residual exceeds {ABSOLUTE_TOL:g}"
         print(
             f"{failed} at generator {at}, word {tuple(g.words_at(at).tolist())}: entry "
             f"({names[l]}, {names[k]}) deviates from c_V * I by {report_ac.residual:.3e}",
@@ -163,11 +163,11 @@ def run_verification(construction: str, values: dict, deterministic: bool) -> tu
         "anticlique": report_ac.verdict,
         "max_residual": report_ac.residual,
         "bounds": bounds,
-        "tolerance": {"absolute": DEFAULT_TOL.absolute, "relative": DEFAULT_TOL.relative},
+        "tolerance": {"absolute": ABSOLUTE_TOL, "relative": RELATIVE_TOL},
         "runtime_ms": runtime_ms,
         "tool_version": __version__,
     }
-    hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= DEFAULT_TOL.absolute
+    hard_ok = report_ac.verdict and dim_labels == dim_gram and report_ac.residual <= ABSOLUTE_TOL
     return report, hard_ok
 
 
@@ -244,7 +244,7 @@ def cmd_demo(args) -> int:
             f"trial {trial}: generator {gen_idx}, codeword {code.basis_names[word_idx]}: "
             f"cross-talk {cross_talk:.3e}, c_V {c_v.real:+.6f}{c_v.imag:+.6f}j"
         )
-    ok = worst < DEFAULT_TOL.absolute
+    ok = worst <= ABSOLUTE_TOL
     print(f"max cross-talk over {args.trials} trials: {worst:.3e} -> {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 

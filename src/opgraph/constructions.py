@@ -246,6 +246,7 @@ def baseline_bounds(dim_h: int, dim_k: int) -> dict[str, int]:
     """Upper bounds on correctable-graph dimension from the two general
     estimates: v(v+1) <= dim_h/dim_k for arbitrary graphs, and
     (dim_h - dim_k)/(dim_k - 1) for commutative ones."""
+    _check_integers(dim_h=dim_h, dim_k=dim_k)
     if dim_k < 2:
         raise ValueError(f"requires dim_k >= 2 (got {dim_k})")
     if dim_h < dim_k:
@@ -261,6 +262,7 @@ def baseline_bounds(dim_h: int, dim_k: int) -> dict[str, int]:
 def enumerate_section4_params(n_max: int) -> list[Section4Params]:
     """All valid (p, y, h, d) with p*y <= n_max and d >= 2, sorted by
     (n, p, y, h, d)."""
+    _check_integers(n_max=n_max)
     points = []
     for p in range(2, n_max // 2 + 1):
         for y in range(2, n_max // p + 1):

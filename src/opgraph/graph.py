@@ -56,12 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    _rank_of_grams,
-    max_abs,
-)
+from .linalg import _rank_of_grams, max_abs
 from .weyl import _check_integers, weyl_monomial
 
 
@@ -76,10 +71,11 @@ class OperatorGraph:
     are numbered in row-major mask order. The mask holds at least one word,
     since the span contains the identity, and is taken as closed under
     adjoints: the builders write it closed, and graph_from_mask closes a mask
-    built elsewhere. Generators are never densified. The mask is kept, not
-    copied, and marked read-only, as is the array that owns its memory; only
-    a writable view made before the graph was built can still edit it, and
-    the cached n_generators then goes stale.
+    built elsewhere. Generators are never densified. The mask is marked
+    read-only, as is the ndarray that owns its memory; it is kept when an
+    ndarray owns that memory, and copied otherwise (a mask over a bytearray,
+    say). Only a writable view of the owner made before the graph was built
+    can still edit it, and the cached n_generators then goes stale.
     """
 
     n: int
@@ -89,9 +85,13 @@ class OperatorGraph:
         _check_mask(self.n, self.mask)
         if not self.mask.any():
             raise ValueError("mask is empty; a graph contains the identity")
+        owner = self.mask if self.mask.base is None else self.mask.base
+        if not (isinstance(owner, np.ndarray) and owner.flags.owndata):
+            # memory that no ndarray owns, such as a bytearray's, cannot be
+            # marked read-only, so the graph keeps a copy
+            object.__setattr__(self, "mask", owner := self.mask.copy())
         self.mask.setflags(write=False)
-        if isinstance(self.mask.base, np.ndarray):
-            self.mask.base.setflags(write=False)
+        owner.setflags(write=False)
 
     @cached_property
     def _factors(self) -> _Factors:
@@ -212,7 +212,7 @@ class CodeSpace:
         return self.fourier.shape[1]
 
 
-def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> int:
+def graph_dim(g: OperatorGraph, method: str) -> int:
     """Dimension of the span of the graph's generators, by one of two
     independent oracles; method is "labels" or "gram".
 
@@ -229,8 +229,8 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
     matrix of pattern P's realized factors (_pattern_grams). Its
     eigenvalues lie in [lo_P lo_Q, hi_P hi_Q], from the Gershgorin bounds
     of the pattern Grams (Kronecker spectrum plus interlacing). A block
-    whose lower bound clears tol.relative times the largest upper bound counts its
-    words unformed; any other is formed and eigensolved once
+    whose lower bound clears linalg.RELATIVE_TOL times the largest upper bound
+    counts its words unformed; any other is formed and eigensolved once
     (linalg._rank_of_grams). Distinct Weyl words are Hilbert-Schmidt
     orthogonal, so every block of every construction is certified; factors
     dependent up to roundoff give a singular pattern Gram, whose block is
@@ -252,7 +252,7 @@ def graph_dim(g: OperatorGraph, method: str, tol: Tolerance = DEFAULT_TOL) -> in
     def form(i: int) -> np.ndarray:
         return _pair_gram(grams[p[i]], grams[q[i]], *_entries(g.mask, factors, p[i], q[i]))
 
-    return _rank_of_grams(lo, hi, counts[p, q], form, tol)
+    return _rank_of_grams(lo, hi, counts[p, q], form)
 
 
 def _pair_gram(gram_l: np.ndarray, gram_r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -407,7 +407,7 @@ class CompressionReport:
     worst: tuple[int, int, int]
 
 
-def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TOL) -> CompressionReport:
+def is_anticlique(g: OperatorGraph, code: CodeSpace) -> CompressionReport:
     """Check dim P_K V P_K = 1 numerically.
 
     The verdict comes from the Gram rank of all compressed generators; the
@@ -449,7 +449,7 @@ def is_anticlique(g: OperatorGraph, code: CodeSpace, tol: Tolerance = DEFAULT_TO
             candidate = (int(row[at]), int(column[at]), *divmod(int(slots[slot]), d))
             if value > residual or candidate < place:
                 residual, place = value, candidate
-    dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram, tol)
+    dim = _rank_of_grams([0.0], [np.trace(gram).real], [d * d], lambda i: gram)
     row, column, l, k = place
     at = int(np.count_nonzero(g.mask[:row])) + int(np.count_nonzero(g.mask[row, :column]))
     return CompressionReport(

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: tolerance-based rank of block-diagonal Gram
-matrices.
+"""Dense complex linear algebra: the library's two thresholds and the
+tolerance-based rank of block-diagonal Gram matrices.
 
 Everything here works on plain numpy arrays of dtype complex128. Matrices are
 2-d arrays, vectors 1-d. All functions are pure.
@@ -7,42 +7,23 @@ Everything here works on plain numpy arrays of dtype complex128. Matrices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds: `absolute` for residuals of quantities that are
-    exactly zero in the constructions, `relative` for rank cutoffs (applied to
-    the largest Gram eigenvalue)."""
-
-    absolute: float = 1e-12
-    relative: float = 1e-9
-
-    def __post_init__(self):
-        # nan would fail every residual check and inf pass every one
-        if not 0 < self.absolute < np.inf:
-            raise ValueError(f"absolute tolerance must satisfy 0 < absolute < inf, got {self.absolute}")
-        # a rank cutoff at or above lambda_max drops every eigenvalue
-        if not 0 < self.relative < 1:
-            raise ValueError(f"relative tolerance must satisfy 0 < relative < 1, got {self.relative}")
-
-
-DEFAULT_TOL = Tolerance()
+# the library's two thresholds: ABSOLUTE_TOL bounds the residual of a
+# quantity that is exactly zero in the constructions, and RELATIVE_TOL is a
+# rank cutoff, as a fraction of the largest Gram eigenvalue
+ABSOLUTE_TOL = 1e-12
+RELATIVE_TOL = 1e-9
 
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm, as a plain float. Zero for empty arrays."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a), initial=0.0))
 
 
-def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolerance) -> int:
+def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray]) -> int:
     """Rank of a block-diagonal Hermitian PSD Gram matrix given block by
     block, such as the Gram matrix of a family of matrices whose supports
     fall into pairwise disjoint classes.
@@ -55,9 +36,9 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
     product of two pattern Grams.
 
     The spectrum is the union of the block spectra. A block with
-    lo > tol.relative * max(hi) is certified full rank and never formed;
+    lo > RELATIVE_TOL * max(hi) is certified full rank and never formed;
     every other block is formed and eigensolved once. Every eigenvalue is
-    thresholded at tol.relative * Lambda, with Lambda the largest of the
+    thresholded at RELATIVE_TOL * Lambda, with Lambda the largest of the
     certified blocks' hi and the eigensolved blocks' top eigenvalues. Lambda
     is an upper bound on lambda_max and at most max(hi), so a certified block
     clears the cutoff. When the block with the largest hi is certified, as
@@ -69,10 +50,10 @@ def _rank_of_grams(lo, hi, order, form: Callable[[int], np.ndarray], tol: Tolera
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if len(hi) == 0:
         return 0
-    certified = lo > tol.relative * hi.max()
+    certified = lo > RELATIVE_TOL * hi.max()
     eigs = [np.linalg.eigvalsh(form(i)) for i in np.flatnonzero(~certified)]
     top = max([hi.max(initial=0.0, where=certified), *(e[-1] for e in eigs)])
     if top <= 0.0:
         return 0
-    cut = tol.relative * top
+    cut = RELATIVE_TOL * top
     return int(np.sum(np.asarray(order)[certified])) + sum(int(np.count_nonzero(e > cut)) for e in eigs)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from opgraph.linalg import DEFAULT_TOL, _rank_of_grams
+from opgraph.linalg import _rank_of_grams
 from reference import WeylLabel, WeylLabelPair, _discs, label
 
 
@@ -26,11 +26,11 @@ def random_complex(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def gram_rank(ops, tol=DEFAULT_TOL) -> int:
+def gram_rank(ops) -> int:
     """Reference rank of a family of equal-sized square matrices: the
     dimension of its span, from the Hermitian PSD Gram matrix of pairwise
     Hilbert-Schmidt inner products with eigenvalues counted above
-    ``tol.relative`` times the largest one, through _rank_of_grams as a
+    linalg.RELATIVE_TOL times the largest one, through _rank_of_grams as a
     single block bounded by its own Gershgorin discs. The result is invariant
     under permutations of the family and under rescaling any entry by a
     nonzero scalar. An empty family has rank 0."""
@@ -41,7 +41,7 @@ def gram_rank(ops, tol=DEFAULT_TOL) -> int:
         raise ValueError(f"gram_rank needs equal square matrices, got shape {stack.shape[1:]}")
     gram = row_gram(stack.reshape(len(stack), -1))
     lo, hi = _discs(gram)
-    return _rank_of_grams([lo], [hi], [len(gram)], lambda i: gram, tol)
+    return _rank_of_grams([lo], [hi], [len(gram)], lambda i: gram)
 
 
 def row_gram(rows: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from opgraph.graph import CodeSpace, OperatorGraph, _compressions, graph_from_mask
-from opgraph.linalg import DEFAULT_TOL, Tolerance, max_abs
+from opgraph.linalg import ABSOLUTE_TOL, max_abs
 from opgraph.weyl import fourier_basis, weyl_monomial
 
 
@@ -232,11 +232,11 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a * b.conj()))
 
 
-def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return max_abs(m @ dagger(m) - np.eye(m.shape[0])) < tol.absolute
+    return max_abs(m @ dagger(m) - np.eye(m.shape[0])) < ABSOLUTE_TOL
 
 
 def _discs(gram: np.ndarray) -> tuple[float, float]:
@@ -249,11 +249,11 @@ def _discs(gram: np.ndarray) -> tuple[float, float]:
     return float(np.min(center - radius)), float(np.max(center + radius))
 
 
-def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.ndarray], list[int]]:
+def _gram_schmidt(vectors: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
     """Stabilized Gram-Schmidt. Returns an orthonormal family spanning the
     same subspace, processing inputs in order, and the indices of the input
     vectors kept, one per basis vector; vectors whose residual after
-    projection falls below ``tol.absolute`` are dropped."""
+    projection falls below ABSOLUTE_TOL are dropped."""
     basis: list[np.ndarray] = []
     kept: list[int] = []
     for i, v in enumerate(vectors):
@@ -263,17 +263,17 @@ def _gram_schmidt(vectors: list[np.ndarray], tol: Tolerance) -> tuple[list[np.nd
             for u in basis:
                 w = w - np.vdot(u, w) * u
         norm = float(np.linalg.norm(w))
-        if norm < tol.absolute:
+        if norm < ABSOLUTE_TOL:
             continue
         basis.append(w / norm)
         kept.append(i)
     return basis, kept
 
 
-def orthonormalize(vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def orthonormalize(vectors: list[np.ndarray]) -> list[np.ndarray]:
     """The orthonormal family _gram_schmidt keeps, without the indices of
     the kept inputs."""
-    return _gram_schmidt(vectors, tol)[0]
+    return _gram_schmidt(vectors)[0]
 
 
 def isometry(code: CodeSpace) -> np.ndarray:

@@ -13,7 +13,6 @@ import pytest
 
 from opgraph import cli
 from opgraph.graph import graph_from_mask
-from opgraph.linalg import Tolerance
 
 from conftest import run_cli
 from reference import graph_from_labels, graph_words
@@ -190,7 +189,7 @@ def test_verify_invalid_params_exit_two(capsys):
     result = run_cli("verify", "section3")
     assert result.returncode == 2
 
-    # every command checks at the library's DEFAULT_TOL; no flag moves it
+    # every command checks at the library's two thresholds; no flag moves them
     for command in (["verify", "section3", "--n", "3"], ["sweep", "section3", "--n", "3..4"],
                     ["demo", "--construction", "section3", "--n", "3", "--trials", "1"]):
         for flag in ("--tol-abs", "--tol-rel"):
@@ -248,7 +247,7 @@ def test_point_too_large_to_allocate_peaks_small(argv):
 
 
 def test_no_command_lists_a_tolerance_flag(capsys):
-    # every command checks at the library's DEFAULT_TOL; demo also takes no
+    # every command checks at the library's two thresholds; demo also takes no
     # --deterministic, since it prints no report
     for command in ("verify", "sweep", "demo"):
         with pytest.raises(SystemExit) as exc:
@@ -265,7 +264,7 @@ def test_verify_tol_abs_bounds_the_residual(monkeypatch, capsys):
     argv = "verify section4 --p 2 --y 4 --h 1 --d 2 --json --deterministic".split()
     assert cli.main(argv) == 0
     default_out, default_err = capsys.readouterr()
-    monkeypatch.setattr(cli, "DEFAULT_TOL", Tolerance(absolute=1e-30))
+    monkeypatch.setattr(cli, "ABSOLUTE_TOL", 1e-30)
     assert cli.main(argv) == 1
     strict_out, strict_err = capsys.readouterr()
     default_report, strict_report = json.loads(default_out), json.loads(strict_out)
@@ -282,6 +281,18 @@ def test_verify_tol_abs_bounds_the_residual(monkeypatch, capsys):
     )
 
 
+def test_verify_and_demo_pass_at_the_bound(monkeypatch, capsys):
+    # one bound, one comparison: a residual or a cross-talk equal to
+    # ABSOLUTE_TOL passes. At a bound of 0, section3's exactly-zero residual
+    # and section2's exactly-zero cross-talk still pass
+    monkeypatch.setattr(cli, "ABSOLUTE_TOL", 0.0)
+    assert cli.main("verify section3 --n 5 --json".split()) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] == 0.0
+    assert cli.main("demo --construction section2 --trials 50".split()) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "max cross-talk over 50 trials: 0.000e+00 -> pass"
+
+
 def test_verify_labels_oracle_on_section2():
     # both oracles always run (test_verify_section2_json pins 5 and 5); no
     # flag selects one of them
@@ -293,9 +304,7 @@ def test_verify_labels_oracle_on_section2():
 
 def test_oracle_disagreement_is_a_hard_failure(monkeypatch, capsys):
     real = cli.graph_dim
-    monkeypatch.setattr(
-        cli, "graph_dim", lambda g, method, *tol: real(g, method, *tol) + (method == "gram")
-    )
+    monkeypatch.setattr(cli, "graph_dim", lambda g, method: real(g, method) + (method == "gram"))
     assert cli.main(["verify", "section3", "--n", "3", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert (report["graph_dim_labels"], report["graph_dim_gram"]) == (13, 14)
@@ -416,7 +425,7 @@ def test_sweep_point_failing_midway_prints_every_row(monkeypatch, capsys):
 
 def test_oracle_disagreement_names_both_dimensions(monkeypatch, capsys):
     real = cli.graph_dim
-    monkeypatch.setattr(cli, "graph_dim", lambda g, method, *tol: real(g, method, *tol) - (method == "gram"))
+    monkeypatch.setattr(cli, "graph_dim", lambda g, method: real(g, method) - (method == "gram"))
     assert cli.main(["verify", "section3", "--n", "5", "--json", "--deterministic"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["graph_dim_gram"] == 40

@@ -335,16 +335,22 @@ def test_params_validation_messages():
         (lambda: Section4Params(2, 4, 1, True), "d", "True"),
         (lambda: build_section3(True), "n", "True"),
         (lambda: build_remark2(True), "n", "True"),
+        (lambda: enumerate_section4_params(12.5), "n_max", "12.5"),
+        (lambda: enumerate_section4_params(True), "n_max", "True"),
+        (lambda: baseline_bounds(16.0, 2), "dim_h", "16.0"),
+        (lambda: baseline_bounds(16, True), "dim_k", "True"),
     ],
     ids=[
         "section4-p", "section4-y", "section4-h", "section4-d", "section3-n", "remark2-n",
         "section4-p-bool", "section4-y-bool", "section4-h-bool", "section4-d-bool", "section3-n-bool", "remark2-n-bool",
+        "enumerate-n_max", "enumerate-n_max-bool", "bounds-dim_h", "bounds-dim_k-bool",
     ],
 )
 def test_non_integer_parameters_raise_value_error(build, field, value):
     # the ValueError names the field and its value, before any numpy call
     # could fail on it; bool is a numbers.Integral, but h=True would
-    # otherwise build the h = 1 graph
+    # otherwise build the h = 1 graph, and n_max=True would enumerate no
+    # point instead of failing
     with pytest.raises(ValueError, match=re.escape(f"requires an integer {field} (got {field}={value})")):
         build()
 

@@ -267,6 +267,27 @@ def test_graph_mask_owner_is_read_only():
     assert is_anticlique(g, code).verdict
 
 
+@pytest.mark.parametrize("view", [
+    lambda buf: np.frombuffer(buf, dtype=bool).reshape(16, 16),
+    lambda buf: np.ndarray((16, 16), dtype=bool, buffer=buf),
+], ids=["frombuffer", "ndarray-buffer"])
+def test_graph_copies_a_mask_over_a_buffer(view):
+    # no ndarray owns a bytearray's memory, so marking the mask or its base
+    # read-only leaves the bytearray writable; the graph keeps a copy, and a
+    # later write to the buffer cannot make the Gram oracle count 2 words
+    # against a cached popcount of 1
+    buf = bytearray(256)
+    buf[0] = 1
+    mask = view(buf)
+    g = OperatorGraph(4, mask)
+    assert graph_dim(g, "labels") == 1
+    buf[17] = 1
+    assert mask[1, 1] and not g.mask[1, 1]
+    assert graph_dim(g, "labels") == graph_dim(g, "gram") == 1
+    with pytest.raises(ValueError, match="read-only"):
+        g.mask[1, 1] = True
+
+
 @pytest.mark.parametrize(
     "build, arg",
     [(build_section2, None), (build_section3, 5), (build_section4, Section4Params(2, 8, 1, 4))],

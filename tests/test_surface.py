@@ -3,6 +3,7 @@ algebra, the dense realizers, word tables (with their phase-carrying
 monomial realization) and the compression stack live in tests/reference.py."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import re
@@ -74,14 +75,31 @@ def test_one_factor_table_serves_both_sides():
 def test_commands_alone_read_the_flags():
     # cmd_verify, cmd_sweep and cmd_demo read each flag once, through
     # _read(args); the build and the verification take plain values, and no
-    # sweep point is a namespace. Every command checks at the library's
-    # DEFAULT_TOL: no parser has a tolerance flag
+    # sweep point is a namespace. Every command checks at the library's two
+    # thresholds: no parser has a tolerance flag
     assert [name for name in ("_reject_unread", "_sweep_points") if hasattr(cli, name)] == []
     assert list(inspect.signature(cli._read).parameters) == ["args"]
     assert list(inspect.signature(cli.run_verification).parameters) == ["construction", "values", "deterministic"]
     assert not hasattr(cli, "Tolerance")
     for command in cli.COMMANDS:
         assert not [o for a in _command_parser(command)._actions for o in a.option_strings if o.startswith("--tol-")]
+
+
+def test_thresholds_are_two_linalg_constants():
+    # ABSOLUTE_TOL and RELATIVE_TOL are the only thresholds: no type holds
+    # them, no function takes one, and no other module writes their values
+    assert [name for name in ("Tolerance", "DEFAULT_TOL") if hasattr(opgraph, name) or hasattr(linalg, name)] == []
+    assert (opgraph.ABSOLUTE_TOL, opgraph.RELATIVE_TOL) == (1e-12, 1e-9)
+    assert list(inspect.signature(graph.graph_dim).parameters) == ["g", "method"]
+    assert list(inspect.signature(graph.is_anticlique).parameters) == ["g", "code"]
+    assert list(inspect.signature(linalg._rank_of_grams).parameters) == ["lo", "hi", "order", "form"]
+    literals = [
+        f"{path.name}: {node.value}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value in (1e-12, 1e-9)
+    ]
+    assert literals == ["linalg.py: 1e-12", "linalg.py: 1e-09"]
 
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
